@@ -1,5 +1,5 @@
 # Development targets; CI runs build + vet + test-race + bench-smoke +
-# fuzz-smoke (see .github/workflows/ci.yml).
+# bench-harness + fuzz-smoke (see .github/workflows/ci.yml).
 
 GO ?= go
 # VERSION is stamped into every binary via -ldflags (dmwd/dmwgw expose
@@ -25,7 +25,7 @@ SERVER_BENCHTIME ?= 3s
 # manually with `go test -fuzz <Target> <pkg>`.
 FUZZTIME ?= 3s
 
-.PHONY: all build bin vet test test-race test-server e2e-shard e2e-tenant e2e-elastic obs-smoke latency-smoke bench bench-crypto bench-smoke bench-server bench-gateway allocs-gate fuzz-smoke ci
+.PHONY: all build bin vet test test-race test-server e2e-shard e2e-tenant e2e-elastic obs-smoke latency-smoke bench bench-crypto bench-smoke bench-server bench-gateway bench-harness allocs-gate fuzz-smoke ci
 
 all: build vet test
 
@@ -130,12 +130,23 @@ bench-crypto:
 	$(GO) test -run xxx -bench . -benchmem -benchtime $(BENCHTIME) ./internal/group ./internal/commit
 
 # allocs-gate enforces the allocation budgets on the hot paths (batched
-# share verification, wire codec). Runs WITHOUT -race: the race
-# detector's instrumentation allocates, so the budget tests skip
-# themselves under it (see race_on_test.go in each package). CI runs
-# this on every push, next to the e2e and smoke gates.
+# share verification, wire codec, the in-place scalar kernel, share
+# evaluation, interpolation, and a whole dmw.Run at the benchmark's
+# proto-small shape). Runs WITHOUT -race: the race detector's
+# instrumentation allocates, so the budget tests skip themselves under
+# it (see race_on_test.go in each package). CI runs this on every push,
+# next to the e2e and smoke gates.
 allocs-gate:
-	$(GO) test -run 'TestAllocBudget' -count=1 -v ./internal/commit ./internal/wire ./internal/gateway
+	$(GO) test -run 'TestAllocBudget' -count=1 -v ./internal/commit ./internal/wire ./internal/gateway \
+		./internal/field ./internal/poly ./internal/bidcode ./internal/dmw
+
+# bench-harness vets and tests the benchmark harness. benchmark/ is its
+# own module (dmw/benchmark, replace dmw => ../), so `go build ./...` and
+# `go test ./...` at the root never compile it; a product change that
+# breaks an API the harness imports would otherwise surface only when the
+# benchmark is next run.
+bench-harness:
+	cd benchmark && $(GO) vet . && $(GO) test .
 
 # bench-smoke compiles and runs every benchmark exactly once so the
 # benchmark code cannot bit-rot; CI runs this on every push. The root
@@ -161,4 +172,4 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzMultiExp -fuzztime $(FUZZTIME) ./internal/group
 	$(GO) test -run xxx -fuzz FuzzRecordRoundTrip -fuzztime $(FUZZTIME) ./internal/journal
 
-ci: build vet test-race e2e-shard e2e-tenant e2e-elastic obs-smoke latency-smoke allocs-gate bench-smoke fuzz-smoke
+ci: build vet test-race e2e-shard e2e-tenant e2e-elastic obs-smoke latency-smoke allocs-gate bench-smoke bench-harness fuzz-smoke

@@ -204,19 +204,28 @@ func (s Share) WireSize() int {
 
 // ShareFor evaluates the four polynomials at pseudonym alpha.
 func (b *EncodedBid) ShareFor(alpha *big.Int) Share {
+	var s field.Scratch
+	return b.shareFor(alpha, &s)
+}
+
+// shareFor runs the four Horner evaluations over one scratch and one slab
+// of result headers.
+func (b *EncodedBid) shareFor(alpha *big.Int, s *field.Scratch) Share {
+	v := new([4]big.Int)
 	return Share{
-		E: b.E.Eval(alpha),
-		F: b.F.Eval(alpha),
-		G: b.G.Eval(alpha),
-		H: b.H.Eval(alpha),
+		E: b.E.EvalInto(&v[0], alpha, s),
+		F: b.F.EvalInto(&v[1], alpha, s),
+		G: b.G.EvalInto(&v[2], alpha, s),
+		H: b.H.EvalInto(&v[3], alpha, s),
 	}
 }
 
 // SharesFor evaluates the polynomials at every pseudonym in order.
 func (b *EncodedBid) SharesFor(alphas []*big.Int) []Share {
+	var s field.Scratch
 	out := make([]Share, len(alphas))
 	for i, a := range alphas {
-		out[i] = b.ShareFor(a)
+		out[i] = b.shareFor(a, &s)
 	}
 	return out
 }

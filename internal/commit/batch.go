@@ -81,7 +81,8 @@ type Request struct {
 }
 
 // terms is the number of multi-exp terms the request contributes to a
-// combined right-hand side.
+// combined right-hand side before bases shared with other requests are
+// merged: the upper bound the coalescer sizes its passes by.
 func (r Request) terms() int { return 3 * len(r.AlphaPowers) * len(r.Items) }
 
 // validate runs the structural pass: batching only makes sense over
@@ -149,15 +150,21 @@ func BatchVerifyShares(g *group.Group, alphaPowers []*big.Int, items []BatchItem
 // coefficients: the combined identity is exactly the identity of the
 // concatenated item list, and different receivers' alphaPowers simply
 // parameterize their own items' exponents.
+//
+// Terms that share a base are merged before the multi-exponentiation. A
+// sender's broadcast *Commitments is checked by each of its n-1 receivers,
+// so a pass over one auction's receivers carries every base n-1 times;
+// since B^x * B^y = B^(x+y) holds for integer exponents in any group, the
+// pass raises each base once, to the SUM of its unreduced exponents
+// r*alpha^l, and (n-1)*n*3*sigma terms become n*3*sigma. The sum is never
+// reduced mod q — the bases are not known to have order q (see the
+// soundness note at the top of the file). Bases merge by the identity of
+// the *Commitments object they came from, as SharedGammaCache keys its
+// entries: receivers holding the same broadcast object share its terms,
+// while an equivocating sender's distinct objects stay distinct terms.
 func combinedCheck(g *group.Group, reqs []Request) (bool, error) {
-	total := 0
-	for _, r := range reqs {
-		total += r.terms()
-	}
-	acc := rlcAcc{
-		bases: make([]*big.Int, 0, total),
-		exps:  make([]*big.Int, 0, total),
-	}
+	var acc rlcAcc
+	acc.layout(reqs)
 	for _, r := range reqs {
 		if err := acc.appendRequest(r); err != nil {
 			return false, err
@@ -177,21 +184,68 @@ const coeffWords = (batchCoeffBits + bits.UintSize - 1) / bits.UintSize
 // rlcAcc accumulates the two sides of the combined identity. The LHS
 // exponent aggregates a, b grow unreduced (Commit reduces mod q at the
 // end, which preserves the identity because z1, z2 have order q); the
-// RHS exponents r*alpha^l are plain integers (see the soundness note at
-// the top of the file). To keep the hot path allocation-free, the RHS
-// exponent big.Ints are carved out of two per-request slabs: a header
-// slab and a word slab sliced with enough capacity that Mul never
-// reallocates.
+// RHS exponents, sums of r*alpha^l, are plain integers (see the soundness
+// note at the top of the file). To keep the hot path allocation-free, the
+// RHS exponent big.Ints are carved out of two per-pass slabs: a header
+// slab and a word slab sliced with enough capacity that neither Mul nor
+// Add ever reallocates.
 type rlcAcc struct {
-	a, b       big.Int // unreduced LHS exponent aggregates
-	bases      []*big.Int
-	exps       []*big.Int
+	a, b  big.Int // unreduced LHS exponent aggregates
+	bases []*big.Int
+	exps  []*big.Int
+	// slot maps a commitments object to the index of its first term; its
+	// 3*sigma terms follow in (O_l, Q_l, R_l) order for l = 1..sigma.
+	slot       map[*Commitments]int
 	r7, r8, r9 big.Int // current item's coefficients (backing reused)
 	t1, t2     big.Int // product staging
 	buf        [batchCoeffBits / 8]byte
 }
 
-// appendRequest draws coefficients for every item of req and appends its
+// layout assigns every distinct commitments object of the pass its block
+// of terms, fills in the bases, and carves the zero-valued exponent
+// accumulators out of the slabs. reqs must be non-empty.
+func (acc *rlcAcc) layout(reqs []Request) {
+	items, apWords := 0, 0
+	for _, r := range reqs {
+		items += len(r.Items)
+		for _, ap := range r.AlphaPowers {
+			if w := len(ap.Bits()); w > apWords {
+				apWords = w
+			}
+		}
+	}
+	acc.slot = make(map[*Commitments]int, items)
+	// Sized for the common pass, one auction's receivers: every request
+	// names all but one of the same n senders.
+	acc.bases = make([]*big.Int, 0, reqs[0].terms()+3*len(reqs[0].AlphaPowers))
+	for _, r := range reqs {
+		for _, it := range r.Items {
+			if _, ok := acc.slot[it.C]; ok {
+				continue
+			}
+			acc.slot[it.C] = len(acc.bases)
+			for l := range it.C.O {
+				acc.bases = append(acc.bases, it.C.O[l], it.C.Q[l], it.C.R[l])
+			}
+		}
+	}
+	// A product r*alpha^l spans at most apWords+coeffWords words. Where
+	// bases are shared, summing up to 2^64 products adds one word, and Add
+	// wants one of headroom beyond the longer operand.
+	stride := apWords + coeffWords
+	if len(acc.slot) < items {
+		stride += 2
+	}
+	hdrs := make([]big.Int, len(acc.bases))
+	words := make([]big.Word, len(acc.bases)*stride)
+	acc.exps = make([]*big.Int, len(acc.bases))
+	for i := range hdrs {
+		hdrs[i].SetBits(words[i*stride : i*stride : (i+1)*stride])
+		acc.exps[i] = &hdrs[i]
+	}
+}
+
+// appendRequest draws coefficients for every item of req and adds its
 // terms to the accumulator. The coefficient draw order (r7, r8, r9 per
 // item, 8 bytes each) is part of the simulation's determinism contract.
 func (acc *rlcAcc) appendRequest(req Request) error {
@@ -199,17 +253,7 @@ func (acc *rlcAcc) appendRequest(req Request) error {
 	if rng == nil {
 		rng = cryptorand.Reader
 	}
-	sigma := len(req.AlphaPowers)
-	stride := coeffWords
-	for _, ap := range req.AlphaPowers {
-		if w := len(ap.Bits()) + coeffWords; w > stride {
-			stride = w
-		}
-	}
-	nTerms := req.terms()
-	hdrs := make([]big.Int, nTerms)
-	words := make([]big.Word, nTerms*stride)
-	idx := 0
+	coeffs := [3]*big.Int{&acc.r7, &acc.r8, &acc.r9}
 	for _, it := range req.Items {
 		if err := acc.drawCoeff(rng, &acc.r7); err != nil {
 			return err
@@ -236,25 +280,16 @@ func (acc *rlcAcc) appendRequest(req Request) error {
 		t1.Mul(&acc.t2, it.S.H)
 		acc.b.Add(&acc.b, t1)
 
-		// Right-hand side terms with unreduced integer exponents r*alpha^l.
-		for l := 0; l < sigma; l++ {
-			ap := req.AlphaPowers[l]
-			for _, term := range [3]struct {
-				r    *big.Int
-				base *big.Int
-			}{
-				{&acc.r7, it.C.O[l]},
-				{&acc.r8, it.C.Q[l]},
-				{&acc.r9, it.C.R[l]},
-			} {
-				e := &hdrs[idx]
-				bw := words[idx*stride : idx*stride+1 : (idx+1)*stride]
-				bw[0] = 1 // non-zero so SetBits keeps the capacity
-				e.SetBits(bw)
-				e.Mul(term.r, ap)
-				acc.bases = append(acc.bases, term.base)
-				acc.exps = append(acc.exps, e)
-				idx++
+		// Right-hand side: add the unreduced integer r*alpha^l to the
+		// exponent of each of this item's bases.
+		exps := acc.exps[acc.slot[it.C]:]
+		for l, ap := range req.AlphaPowers {
+			for j, r := range coeffs {
+				if e := exps[3*l+j]; e.Sign() == 0 {
+					e.Mul(r, ap) // first term on this base: straight into the slab
+				} else {
+					e.Add(e, t1.Mul(r, ap))
+				}
 			}
 		}
 	}

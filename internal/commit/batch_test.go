@@ -361,3 +361,125 @@ func benchBatchVerify(b *testing.B, preset string) {
 		}
 	})
 }
+
+// unmergedCheck is the reference for base merging: the combined identity
+// over the plain concatenation of every request's terms — one multi-exp
+// term per (item, vector, l) carrying its own exponent r*alpha^l, the way
+// combinedCheck evaluated a pass before terms sharing a base were merged.
+// Coefficients are drawn exactly as rlcAcc draws them, so given equal
+// seeds both forms see the same r7, r8, r9.
+func unmergedCheck(t *testing.T, g *group.Group, reqs []Request) bool {
+	t.Helper()
+	var draw rlcAcc
+	a, b := new(big.Int), new(big.Int)
+	var bases, exps []*big.Int
+	mul := func(x, y *big.Int) *big.Int { return new(big.Int).Mul(x, y) }
+	for _, req := range reqs {
+		for _, it := range req.Items {
+			r7, r8, r9 := new(big.Int), new(big.Int), new(big.Int)
+			for _, r := range []*big.Int{r7, r8, r9} {
+				if err := draw.drawCoeff(req.Rng, r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			a.Add(a, mul(r7, mul(it.S.E, it.S.F))).Add(a, mul(r8, it.S.E)).Add(a, mul(r9, it.S.F))
+			b.Add(b, mul(r7, it.S.G)).Add(b, mul(new(big.Int).Add(r8, r9), it.S.H))
+			for l, ap := range req.AlphaPowers {
+				bases = append(bases, it.C.O[l], it.C.Q[l], it.C.R[l])
+				exps = append(exps, mul(r7, ap), mul(r8, ap), mul(r9, ap))
+			}
+		}
+	}
+	rhs, err := g.MultiExpNoReduce(bases, exps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g.Equal(g.Commit(a, b), rhs)
+}
+
+// TestMergedPassMatchesUnmerged: merging the terms that share a base
+// must not change what a combined pass decides. The last case is the one
+// that forbids reducing the summed exponents mod q: an element of order
+// 2 contributes (-1)^exponent, which depends on the exponent's parity as
+// an INTEGER, so the pass accepts on some coefficient draws and rejects
+// on others — and the merged form must agree draw for draw.
+func TestMergedPassMatchesUnmerged(t *testing.T) {
+	honest := func(t *testing.T) (*group.Group, [][]BatchItem, [][]*big.Int) { return receiverJobs(t) }
+	cases := []struct {
+		name  string
+		build func(t *testing.T) (*group.Group, [][]BatchItem, [][]*big.Int)
+		// want: +1 every draw accepts, -1 every draw rejects, 0 both occur.
+		want int
+	}{
+		{"honest", honest, +1},
+		{"honest, one receiver holding its own copy of a sender's commitments", func(t *testing.T) (*group.Group, [][]BatchItem, [][]*big.Int) {
+			g, jobs, powers := honest(t)
+			jobs[2][4].C = jobs[2][4].C.Clone()
+			return g, jobs, powers
+		}, +1},
+		{"tampered share", func(t *testing.T) (*group.Group, [][]BatchItem, [][]*big.Int) {
+			g, jobs, powers := honest(t)
+			s := jobs[3][5].S.Clone()
+			s.E.Add(s.E, big.NewInt(1))
+			jobs[3][5].S = s
+			return g, jobs, powers
+		}, -1},
+		{"equivocated commitments", func(t *testing.T) (*group.Group, [][]BatchItem, [][]*big.Int) {
+			g, jobs, powers := honest(t)
+			c := jobs[5][1].C.Clone()
+			c.R[0] = g.Mul(c.R[0], g.Params().Z2)
+			jobs[5][1].C = c
+			return g, jobs, powers
+		}, -1},
+		{"broadcast element outside the order-q subgroup", func(t *testing.T) (*group.Group, [][]BatchItem, [][]*big.Int) {
+			g, jobs, powers := honest(t)
+			// Every receiver holds sender 4's one broadcast object; p-1 has
+			// order 2, so it lies outside the odd-order subgroup.
+			minusOne := new(big.Int).Sub(g.P(), big.NewInt(1))
+			var shared *Commitments
+			for _, it := range jobs[0] {
+				if it.Sender == 4 {
+					shared = it.C
+				}
+			}
+			shared.Q[1] = g.Mul(shared.Q[1], minusOne)
+			return g, jobs, powers
+		}, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g, jobs, powers := tc.build(t)
+			requests := func(seed int64) []Request {
+				reqs := make([]Request, len(jobs))
+				for i := range jobs {
+					reqs[i] = Request{AlphaPowers: powers[i], Items: jobs[i], Rng: rand.New(rand.NewSource(seed + int64(i)))}
+				}
+				return reqs
+			}
+			accepted, rejected := 0, 0
+			for seed := int64(0); seed < 32; seed++ {
+				want := unmergedCheck(t, g, requests(100*seed))
+				got, err := combinedCheck(g, requests(100*seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Fatalf("seed %d: merged pass says %v, unmerged pass says %v", seed, got, want)
+				}
+				if got {
+					accepted++
+				} else {
+					rejected++
+				}
+			}
+			switch {
+			case tc.want > 0 && rejected > 0:
+				t.Errorf("%d of 32 draws rejected, want none", rejected)
+			case tc.want < 0 && accepted > 0:
+				t.Errorf("%d of 32 draws accepted, want none", accepted)
+			case tc.want == 0 && (accepted == 0 || rejected == 0):
+				t.Errorf("accepted %d, rejected %d: the case should depend on exponent parity", accepted, rejected)
+			}
+		})
+	}
+}

@@ -15,7 +15,22 @@ import (
 // pass. Within a job, the n receivers of a round verify nearly
 // simultaneously (rounds are barrier-synchronized), and a loaded worker
 // pool runs many such jobs at once; each combined pass replaces up to
-// maxTerms worth of independent Commit + MultiExp evaluations with one.
+// maxTerms worth of independent Commit + MultiExp evaluations with one,
+// and raises every base the requests share once instead of once per
+// receiver (see combinedCheck).
+//
+// Passes are formed by arrival, never by a timer. A request that finds no
+// pass running runs one at once, over itself alone. Requests that arrive
+// while a pass is running queue up and together form the next pass, so
+// the batch size follows the load: an idle coalescer adds nothing to a
+// lone verification, a busy one combines whatever one pass's duration
+// collects. The goroutine that finishes a pass does not drain the queue
+// itself — that would make one caller pay for everyone behind it — but
+// hands leadership to the head of the queue, which runs the next pass
+// over the queued requests (its own included) and hands on in turn. A
+// request therefore waits through at most one pass it is not part of
+// (one leader's turn, strictly: a batch beyond maxTerms runs as several
+// consecutive chunks of the same turn).
 //
 // Soundness is inherited from BatchVerifyShares: every item draws fresh
 // independent coefficients from its own request's rng, so the combined
@@ -31,51 +46,55 @@ import (
 // pass see nil, exactly as if they had never shared a batch. The
 // wrong-job-blamed failure mode is pinned by TestCoalescerGuiltyJobIsolation.
 
-// Default coalescing bounds: the window is the longest a first arriver
-// waits for company (well under a round-trip even on loopback, so
-// single-job latency doesn't regress measurably), and maxTerms caps one
-// combined MultiExp so a pathological pileup cannot build an unbounded
-// exponent table.
-const (
-	DefaultCoalesceWindow = 200 * time.Microsecond
-	DefaultMaxBatchTerms  = 4096
-)
+// DefaultMaxBatchTerms caps one combined MultiExp so a pathological pileup
+// cannot build an unbounded exponent table. It counts terms before bases
+// shared between requests are merged.
+const DefaultMaxBatchTerms = 4096
 
 // Coalescer aggregates share-verification requests from concurrent
-// goroutines into combined passes. It is leader-based and owns no
-// resident goroutine: the first arriver of an idle period becomes the
-// leader, sleeps the coalesce window, then drains and verifies whatever
-// accumulated (including later arrivals' requests) while the members
-// block on their reply channels. A Coalescer is safe for concurrent use
-// and needs no shutdown.
+// goroutines into combined passes. It owns no goroutine and no timer: the
+// callers themselves run the passes, one at a time, each handing
+// leadership to the next (see the file comment). A Coalescer is safe for
+// concurrent use and needs no shutdown.
 type Coalescer struct {
 	g        *group.Group
-	window   time.Duration
 	maxTerms int
 	observe  func(items int) // per combined pass: coalesced item count
 
 	mu      sync.Mutex
-	pending []*pendingReq
-	leader  bool
+	pending []*pendingReq // arrived while a pass was running
+	running bool          // some caller is leading a pass
 }
 
+// pendingReq is one caller's request and the channel it sleeps on. A
+// queued caller is woken exactly once per role: with the batch to lead
+// (itself at the head) if the finishing leader hands it leadership, and
+// with its verdict once the pass covering it has run. The buffer of one
+// lets a leader post its own verdict like any other member's.
 type pendingReq struct {
 	req  Request
-	done chan error
+	wake chan wakeup
 }
 
-// NewCoalescer builds a coalescer over g. window <= 0 and maxTerms <= 0
-// select the defaults; observe (optional) is called once per combined
+type wakeup struct {
+	lead []*pendingReq // non-nil: lead a pass over this batch
+	err  error         // otherwise: the request's verdict
+}
+
+// NewCoalescer builds a coalescer over g. maxTerms <= 0 selects
+// DefaultMaxBatchTerms; observe (optional) is called once per combined
 // pass with the number of share items it covered, for the
 // dmwd_verify_batch_size histogram.
-func NewCoalescer(g *group.Group, window time.Duration, maxTerms int, observe func(items int)) *Coalescer {
-	if window <= 0 {
-		window = DefaultCoalesceWindow
-	}
+//
+// The second argument was the coalescing window of the timer-driven
+// implementation. It is accepted and ignored, and is retained only until
+// a [benchmark] PR can edit the call at benchmark/layers.go:470, which a
+// PR that claims a gain may not touch.
+func NewCoalescer(g *group.Group, _ time.Duration, maxTerms int, observe func(items int)) *Coalescer {
 	if maxTerms <= 0 {
 		maxTerms = DefaultMaxBatchTerms
 	}
-	return &Coalescer{g: g, window: window, maxTerms: maxTerms, observe: observe}
+	return &Coalescer{g: g, maxTerms: maxTerms, observe: observe}
 }
 
 // Group returns the group every request must have been built over.
@@ -84,10 +103,11 @@ func (c *Coalescer) Group() *group.Group { return c.g }
 // VerifyShares is the coalescing equivalent of BatchVerifyShares: same
 // arguments, same results (nil acceptance, *VerifyError attribution,
 // first-failure semantics), but the combined pass may span other
-// goroutines' concurrent requests. The call blocks for at most the
-// coalesce window plus the combined verification itself. rng, when
-// non-nil, must not be used by the caller until the call returns (the
-// pass leader draws this request's coefficients from it).
+// goroutines' concurrent requests. The call blocks for the pass that
+// covers it and, if one was already running on arrival, for the rest of
+// that one. rng, when non-nil, must not be used by the caller until the
+// call returns (the pass leader draws this request's coefficients from
+// it).
 func (c *Coalescer) VerifyShares(alphaPowers []*big.Int, items []BatchItem, rng io.Reader) error {
 	if len(items) == 0 {
 		return nil
@@ -98,29 +118,44 @@ func (c *Coalescer) VerifyShares(alphaPowers []*big.Int, items []BatchItem, rng 
 	if verr := req.validate(); verr != nil {
 		return verr
 	}
-	p := &pendingReq{req: req, done: make(chan error, 1)}
+	p := &pendingReq{req: req, wake: make(chan wakeup, 1)}
 	c.mu.Lock()
-	c.pending = append(c.pending, p)
-	if c.leader {
-		c.mu.Unlock()
-		return <-p.done
+	idle := !c.running
+	if idle {
+		c.running = true
+	} else {
+		c.pending = append(c.pending, p)
 	}
-	c.leader = true
 	c.mu.Unlock()
-
-	time.Sleep(c.window)
-	c.mu.Lock()
-	batch := c.pending
-	c.pending = nil
-	c.leader = false
-	c.mu.Unlock()
-	c.flush(batch)
-	return <-p.done
+	if idle {
+		c.lead([]*pendingReq{p})
+	}
+	for {
+		w := <-p.wake
+		if w.lead == nil {
+			return w.err
+		}
+		c.lead(w.lead)
+	}
 }
 
-// flush verifies a drained batch in maxTerms-bounded chunks. A single
-// oversized request still runs (as its own chunk); the bound only stops
-// chunks from growing past it.
+// lead runs one pass over batch, then passes leadership to the head of
+// whatever queued up meanwhile, or marks the coalescer idle.
+func (c *Coalescer) lead(batch []*pendingReq) {
+	c.flush(batch)
+	c.mu.Lock()
+	next := c.pending
+	c.pending = nil
+	c.running = len(next) > 0
+	c.mu.Unlock()
+	if len(next) > 0 {
+		next[0].wake <- wakeup{lead: next}
+	}
+}
+
+// flush verifies a batch in maxTerms-bounded chunks and posts every
+// member's verdict. A single oversized request still runs (as its own
+// chunk); the bound only stops chunks from growing past it.
 func (c *Coalescer) flush(batch []*pendingReq) {
 	for len(batch) > 0 {
 		n := 1
@@ -142,26 +177,23 @@ func (c *Coalescer) verifyChunk(chunk []*pendingReq) {
 		}
 		c.observe(items)
 	}
-	if len(chunk) == 1 {
-		p := chunk[0]
-		p.done <- BatchVerifyShares(c.g, p.req.AlphaPowers, p.req.Items, p.req.Rng)
-		return
-	}
-	reqs := make([]Request, len(chunk))
-	for i, p := range chunk {
-		reqs[i] = p.req
-	}
-	if ok, err := combinedCheck(c.g, reqs); ok && err == nil {
-		for _, p := range chunk {
-			p.done <- nil
+	if len(chunk) > 1 {
+		reqs := make([]Request, len(chunk))
+		for i, p := range chunk {
+			reqs[i] = p.req
 		}
-		return
+		if ok, err := combinedCheck(c.g, reqs); ok && err == nil {
+			for _, p := range chunk {
+				p.wake <- wakeup{}
+			}
+			return
+		}
 	}
-	// The combined pass rejected (some request holds a bad share) or a
-	// request's rng failed mid-draw. Either way, re-verify every member
+	// A lone request, or the combined pass rejected (some request holds a
+	// bad share) or a request's rng failed mid-draw. Verify every member
 	// independently: honest jobs get nil, the guilty job gets its own
 	// *VerifyError (or its rng error) — no cross-job blame.
 	for _, p := range chunk {
-		p.done <- BatchVerifyShares(c.g, p.req.AlphaPowers, p.req.Items, p.req.Rng)
+		p.wake <- wakeup{err: BatchVerifyShares(c.g, p.req.AlphaPowers, p.req.Items, p.req.Rng)}
 	}
 }

@@ -4,56 +4,54 @@ import (
 	"errors"
 	"math/big"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
+
+	"dmw/internal/group"
 )
 
-// pendingCount peeks at the coalescer's queue so tests can arrange a
-// DETERMINISTIC coalesced pass: start the leader, wait until it has
-// registered, add the other jobs, then let the window expire with all
-// of them queued.
+// pendingCount peeks at the coalescer's queue.
 func (c *Coalescer) pendingCount() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.pending)
 }
 
-func waitPending(t *testing.T, c *Coalescer, want int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for c.pendingCount() < want {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %d pending requests (have %d)", want, c.pendingCount())
+// flushBatch hands the coalescer one hand-built batch, exactly as a pass
+// leader would after collecting it, and returns the per-job verdicts. The
+// grouping under test is thereby fixed by the test, not by which
+// goroutine happened to arrive while a pass was running.
+func flushBatch(c *Coalescer, jobs [][]BatchItem, powers [][]*big.Int) []error {
+	batch := make([]*pendingReq, len(jobs))
+	for i := range jobs {
+		batch[i] = &pendingReq{
+			req:  Request{AlphaPowers: powers[i], Items: jobs[i], Rng: rand.New(rand.NewSource(int64(1000 + i)))},
+			wake: make(chan wakeup, 1),
 		}
-		time.Sleep(100 * time.Microsecond)
 	}
+	c.flush(batch)
+	errs := make([]error, len(batch))
+	for i, p := range batch {
+		errs[i] = (<-p.wake).err
+	}
+	return errs
 }
 
-// coalesceFixture runs every receiver's verification through one
-// coalescer in a single combined pass (window long enough that all
-// jobs join before the leader drains) and returns the per-receiver
-// errors plus the observed per-pass item counts.
-func coalesceFixture(t *testing.T, c *Coalescer, jobs [][]BatchItem, powers [][]*big.Int) []error {
+// receiverJobs builds every receiver's request over one auction's shared
+// commitments: the shape a combined pass sees.
+func receiverJobs(t *testing.T) (*group.Group, [][]BatchItem, [][]*big.Int) {
 	t.Helper()
-	errs := make([]error, len(jobs))
-	var wg sync.WaitGroup
-	for i := range jobs {
-		// The first goroutine becomes the pass leader; give it time to
-		// register before launching the rest so the combined pass
-		// deterministically covers every job.
-		if i == 1 {
-			waitPending(t, c, 1)
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = c.VerifyShares(powers[i], jobs[i], rand.New(rand.NewSource(int64(1000+i))))
-		}(i)
+	g, cfg, alphas := testSetup(t)
+	encs, comms := buildAll(t, g, cfg, []int{2, 1, 3, 4, 2, 3, 1, 4})
+	jobs := make([][]BatchItem, len(alphas))
+	powers := make([][]*big.Int, len(alphas))
+	for i, alpha := range alphas {
+		powers[i] = PowersOf(g.Scalars(), alpha, cfg.Sigma())
+		jobs[i] = batchItems(t, encs, comms, alpha, i)
 	}
-	waitPending(t, c, len(jobs))
-	wg.Wait()
-	return errs
+	return g, jobs, powers
 }
 
 // TestCoalescerGuiltyJobIsolation is the cross-job attribution pin: a
@@ -61,17 +59,8 @@ func coalesceFixture(t *testing.T, c *Coalescer, jobs [][]BatchItem, powers [][]
 // the corrupt job, name that job's guilty sender, and hand every honest
 // job a clean nil — coalescing never spreads blame across jobs.
 func TestCoalescerGuiltyJobIsolation(t *testing.T) {
-	g, cfg, alphas := testSetup(t)
-	encs, comms := buildAll(t, g, cfg, []int{2, 1, 3, 4, 2, 3, 1, 4})
-	sigma := cfg.Sigma()
+	g, jobs, powers := receiverJobs(t)
 	const corrupt, guilty = 3, 6
-
-	jobs := make([][]BatchItem, len(alphas))
-	powers := make([][]*big.Int, len(alphas))
-	for i, alpha := range alphas {
-		powers[i] = PowersOf(g.Scalars(), alpha, sigma)
-		jobs[i] = batchItems(t, encs, comms, alpha, i)
-	}
 	for idx, it := range jobs[corrupt] {
 		if it.Sender != guilty {
 			continue
@@ -82,8 +71,8 @@ func TestCoalescerGuiltyJobIsolation(t *testing.T) {
 	}
 
 	var passes, items int
-	c := NewCoalescer(g, 300*time.Millisecond, 0, func(n int) { passes++; items += n })
-	errs := coalesceFixture(t, c, jobs, powers)
+	c := NewCoalescer(g, 0, 0, func(n int) { passes++; items += n })
+	errs := flushBatch(c, jobs, powers)
 
 	for i, err := range errs {
 		if i == corrupt {
@@ -117,19 +106,10 @@ func TestCoalescerGuiltyJobIsolation(t *testing.T) {
 // TestCoalescerHonestCombinedPass: all-honest jobs coalesce into one
 // pass and all accept.
 func TestCoalescerHonestCombinedPass(t *testing.T) {
-	g, cfg, alphas := testSetup(t)
-	encs, comms := buildAll(t, g, cfg, []int{2, 1, 3, 4, 2, 3, 1, 4})
-	sigma := cfg.Sigma()
-
-	jobs := make([][]BatchItem, len(alphas))
-	powers := make([][]*big.Int, len(alphas))
-	for i, alpha := range alphas {
-		powers[i] = PowersOf(g.Scalars(), alpha, sigma)
-		jobs[i] = batchItems(t, encs, comms, alpha, i)
-	}
+	g, jobs, powers := receiverJobs(t)
 	var passes int
-	c := NewCoalescer(g, 300*time.Millisecond, 0, func(int) { passes++ })
-	for i, err := range coalesceFixture(t, c, jobs, powers) {
+	c := NewCoalescer(g, 0, 0, func(int) { passes++ })
+	for i, err := range flushBatch(c, jobs, powers) {
 		if err != nil {
 			t.Errorf("honest job %d rejected: %v", i, err)
 		}
@@ -140,23 +120,14 @@ func TestCoalescerHonestCombinedPass(t *testing.T) {
 }
 
 // TestCoalescerChunkingRespectsMaxTerms: with maxTerms forcing one
-// request per chunk, a drained batch still verifies every job
-// correctly — the bound changes grouping, never verdicts.
+// request per chunk, a batch still verifies every job correctly — the
+// bound changes grouping, never verdicts.
 func TestCoalescerChunkingRespectsMaxTerms(t *testing.T) {
-	g, cfg, alphas := testSetup(t)
-	encs, comms := buildAll(t, g, cfg, []int{2, 1, 3, 4, 2, 3, 1, 4})
-	sigma := cfg.Sigma()
-
-	jobs := make([][]BatchItem, len(alphas))
-	powers := make([][]*big.Int, len(alphas))
-	for i, alpha := range alphas {
-		powers[i] = PowersOf(g.Scalars(), alpha, sigma)
-		jobs[i] = batchItems(t, encs, comms, alpha, i)
-	}
-	perJobTerms := 3 * sigma * len(jobs[0])
+	g, jobs, powers := receiverJobs(t)
+	perJobTerms := 3 * len(powers[0]) * len(jobs[0])
 	var passes int
-	c := NewCoalescer(g, 300*time.Millisecond, perJobTerms, func(int) { passes++ })
-	for i, err := range coalesceFixture(t, c, jobs, powers) {
+	c := NewCoalescer(g, 0, perJobTerms, func(int) { passes++ })
+	for i, err := range flushBatch(c, jobs, powers) {
 		if err != nil {
 			t.Errorf("job %d rejected: %v", i, err)
 		}
@@ -166,8 +137,102 @@ func TestCoalescerChunkingRespectsMaxTerms(t *testing.T) {
 	}
 }
 
+// TestCoalescerHandoff pins how passes form and who runs them. The
+// observe callback runs on the leader's goroutine at the start of each
+// pass, so blocking in it holds a pass open for as long as the test
+// likes: no timing involved.
+//
+//   - A request that finds the coalescer idle runs a pass at once, alone.
+//   - Requests arriving during a pass all land in the NEXT pass: none
+//     waits through more than one pass it is not part of.
+//   - The finishing leader returns as soon as its own pass is done; the
+//     next pass is run by the head of the queue (were the first leader
+//     draining the queue itself, it could not return while the second
+//     pass is held open).
+func TestCoalescerHandoff(t *testing.T) {
+	g, jobs, powers := receiverJobs(t)
+	gates := []chan struct{}{make(chan struct{}), make(chan struct{}), make(chan struct{}), make(chan struct{})}
+	close(gates[3])                       // only the first three passes are held
+	started := make(chan int, len(gates)) // items of each pass, as it starts
+	// A broken handoff shows up as a wait that never ends; fail it instead
+	// of hanging the suite.
+	stuck := time.After(time.Minute)
+	pass := 0
+	c := NewCoalescer(g, 0, 0, func(items int) {
+		gate := gates[pass] // passes run one at a time: no race on pass
+		pass++
+		started <- items
+		<-gate
+	})
+	done := make([]chan error, len(jobs))
+	submit := func(i int) {
+		done[i] = make(chan error, 1)
+		go func() { done[i] <- c.VerifyShares(powers[i], jobs[i], rand.New(rand.NewSource(int64(i)))) }()
+	}
+	waitQueued := func(want int) {
+		for c.pendingCount() < want {
+			runtime.Gosched()
+		}
+	}
+	wantStarted := func(what string, members ...int) {
+		t.Helper()
+		want := 0
+		for _, i := range members {
+			want += len(jobs[i])
+		}
+		select {
+		case got := <-started:
+			if got != want {
+				t.Fatalf("%s covers %d items, want %d (jobs %v)", what, got, want, members)
+			}
+		case <-stuck:
+			t.Fatalf("%s never started", what)
+		}
+	}
+	wantDone := func(members ...int) {
+		t.Helper()
+		for _, i := range members {
+			select {
+			case err := <-done[i]:
+				if err != nil {
+					t.Errorf("job %d: %v", i, err)
+				}
+			case <-stuck:
+				t.Fatalf("job %d never returned", i)
+			}
+		}
+	}
+
+	submit(0)
+	wantStarted("the pass of a lone arrival", 0)
+	submit(1)
+	waitQueued(1) // job 1 is at the head of the queue: the next leader
+	submit(2)
+	submit(3)
+	waitQueued(3)
+	close(gates[0])
+	wantStarted("the pass after it", 1, 2, 3)
+	// The second pass is held open, and the first leader is back already.
+	wantDone(0)
+	submit(4)
+	submit(5)
+	waitQueued(2)
+	close(gates[1])
+	wantDone(1, 2, 3)
+	wantStarted("the third pass", 4, 5)
+	close(gates[2])
+	wantDone(4, 5)
+	if c.pendingCount() != 0 {
+		t.Error("requests left queued")
+	}
+	// Idle again: the next arrival runs its own pass at once.
+	submit(6)
+	wantStarted("the pass of an arrival at an idle coalescer", 6)
+	wantDone(6)
+}
+
 // TestCoalescerStructuralErrorImmediate: malformed input is attributed
-// before joining any pass — no window wait, no combined check.
+// before joining any pass — no queueing, no combined check.
 func TestCoalescerStructuralErrorImmediate(t *testing.T) {
 	g, cfg, alphas := testSetup(t)
 	encs, comms := buildAll(t, g, cfg, []int{2, 1, 3, 4, 2, 3, 1, 4})
@@ -178,15 +243,15 @@ func TestCoalescerStructuralErrorImmediate(t *testing.T) {
 	s.G = nil
 	items[2].S = s
 
-	c := NewCoalescer(g, time.Hour, 0, nil) // a window this long would hang the test if waited on
-	start := time.Now()
+	passes := 0
+	c := NewCoalescer(g, 0, 0, func(int) { passes++ })
 	err := c.VerifyShares(pw, items, rand.New(rand.NewSource(1)))
 	var verr *VerifyError
 	if !errors.As(err, &verr) || verr.Sender != items[2].Sender {
 		t.Fatalf("error = %v, want *VerifyError for sender %d", err, items[2].Sender)
 	}
-	if time.Since(start) > 10*time.Second {
-		t.Error("structural error waited for the coalesce window")
+	if passes != 0 {
+		t.Error("structural error ran a verification pass")
 	}
 	if c.pendingCount() != 0 {
 		t.Error("structural error joined the pending queue")
@@ -196,7 +261,7 @@ func TestCoalescerStructuralErrorImmediate(t *testing.T) {
 // TestCoalescerEmptyItems: nothing to verify accepts immediately.
 func TestCoalescerEmptyItems(t *testing.T) {
 	g, _, _ := testSetup(t)
-	c := NewCoalescer(g, time.Hour, 0, nil)
+	c := NewCoalescer(g, 0, 0, nil)
 	if err := c.VerifyShares(nil, nil, rand.New(rand.NewSource(1))); err != nil {
 		t.Error(err)
 	}
@@ -222,7 +287,7 @@ func TestCoalescerMatchesBatchVerdicts(t *testing.T) {
 	}
 
 	want := BatchVerifyShares(g, pw, items, rand.New(rand.NewSource(3)))
-	c := NewCoalescer(g, time.Millisecond, 0, nil)
+	c := NewCoalescer(g, 0, 0, nil)
 	got := c.VerifyShares(pw, items, rand.New(rand.NewSource(3)))
 
 	var wantV, gotV *VerifyError
@@ -236,14 +301,14 @@ func TestCoalescerMatchesBatchVerdicts(t *testing.T) {
 }
 
 // TestCoalescerConcurrentStress drives many rounds of concurrent
-// requests through default-sized windows; run under -race this pins
-// the leader/member handoff. Verdict correctness is covered above —
+// requests through one coalescer; run under -race this pins the
+// leader/member handoff. Verdict correctness is covered above —
 // here every job is honest and must accept.
 func TestCoalescerConcurrentStress(t *testing.T) {
 	g, cfg, alphas := testSetup(t)
 	encs, comms := buildAll(t, g, cfg, []int{2, 1, 3, 4, 2, 3, 1, 4})
 	sigma := cfg.Sigma()
-	c := NewCoalescer(g, 0, 0, func(int) {}) // default window/bounds
+	c := NewCoalescer(g, 0, 0, func(int) {})
 
 	var wg sync.WaitGroup
 	errs := make([]error, len(alphas)*3)

@@ -52,26 +52,26 @@ func New(g *group.Group, b *bidcode.EncodedBid, sigma int) (*Commitments, error)
 	if sigma < 1 {
 		return nil, fmt.Errorf("commit: sigma = %d must be positive", sigma)
 	}
-	for name, p := range map[string]int{
-		"e": b.E.Degree(), "f": b.F.Degree(), "g": b.G.Degree(), "h": b.H.Degree(),
-	} {
-		if p > sigma {
-			return nil, fmt.Errorf("commit: polynomial %s has degree %d > sigma %d", name, p, sigma)
+	for _, p := range [4]struct {
+		name string
+		deg  int
+	}{{"e", b.E.Degree()}, {"f", b.F.Degree()}, {"g", b.G.Degree()}, {"h", b.H.Degree()}} {
+		if p.deg > sigma {
+			return nil, fmt.Errorf("commit: polynomial %s has degree %d > sigma %d", p.name, p.deg, sigma)
 		}
 	}
 	v := b.E.Mul(b.F)
 	if v.Degree() > sigma {
 		return nil, fmt.Errorf("commit: product degree %d > sigma %d", v.Degree(), sigma)
 	}
-	c := &Commitments{
-		O: make([]*big.Int, sigma),
-		Q: make([]*big.Int, sigma),
-		R: make([]*big.Int, sigma),
-	}
+	// One slab for the three vectors; the coefficients are read in place
+	// (Commit only reads its exponents).
+	vecs := make([]*big.Int, 3*sigma)
+	c := &Commitments{O: vecs[:sigma:sigma], Q: vecs[sigma : 2*sigma : 2*sigma], R: vecs[2*sigma:]}
 	for l := 1; l <= sigma; l++ {
-		c.O[l-1] = g.Commit(v.Coeff(l), b.G.Coeff(l))
-		c.Q[l-1] = g.Commit(b.E.Coeff(l), b.H.Coeff(l))
-		c.R[l-1] = g.Commit(b.F.Coeff(l), b.H.Coeff(l))
+		c.O[l-1] = g.Commit(v.CoeffView(l), b.G.CoeffView(l))
+		c.Q[l-1] = g.Commit(b.E.CoeffView(l), b.H.CoeffView(l))
+		c.R[l-1] = g.Commit(b.F.CoeffView(l), b.H.CoeffView(l))
 	}
 	return c, nil
 }
@@ -127,10 +127,14 @@ func (c *Commitments) WireSize() int {
 // vector shared by all commitment evaluations at pseudonym alpha.
 func PowersOf(f *field.Field, alpha *big.Int, sigma int) []*big.Int {
 	out := make([]*big.Int, sigma)
-	acc := f.Reduce(alpha)
-	for l := 0; l < sigma; l++ {
-		out[l] = acc
-		acc = f.Mul(acc, alpha)
+	if sigma == 0 {
+		return out
+	}
+	var s field.Scratch
+	slab := make([]big.Int, sigma)
+	out[0] = f.ReduceInto(&slab[0], alpha, &s)
+	for l := 1; l < sigma; l++ {
+		out[l] = f.MulInto(&slab[l], out[l-1], alpha, &s)
 	}
 	return out
 }
@@ -268,14 +272,15 @@ func VerifyDisclosure(g *group.Group, all []*Commitments, alphaPowers []*big.Int
 		return errors.New("commit: nil psi")
 	}
 	f := g.Scalars()
-	sum := new(big.Int)
+	var sum big.Int
+	var sc field.Scratch
 	for _, s := range fShares {
 		if s == nil {
 			return errors.New("commit: nil disclosed share")
 		}
-		sum = f.Add(sum, s)
+		f.AddInto(&sum, &sum, s, &sc)
 	}
-	lhs := g.Mul(g.Pow1(sum), psi)
+	lhs := g.Mul(g.Pow1(&sum), psi)
 	// prod_l Phi_{k,l} = prod_l prod_m R_{l,m}^{alpha^m}: flattened into a
 	// single multi-exponentiation, as in VerifyLambdaPsi.
 	bases := make([]*big.Int, 0, len(all)*len(alphaPowers))

@@ -76,6 +76,10 @@ type GammaTable struct {
 	// shared, when set via UseShared, consults and feeds a cross-agent
 	// cache before computing locally.
 	shared *SharedGammaCache
+	// prod, rhs and mul are VerifyLambdaPsi's accumulators, kept here so
+	// the 2n checks an agent runs per auction fold their products in place.
+	prod, rhs big.Int
+	mul       group.MulScratch
 }
 
 // UseShared attaches a cross-agent cache: At still fills this table's
@@ -133,7 +137,7 @@ func (t *GammaTable) VerifyLambdaPsi(k int, lambda, psi *big.Int, exclude int) e
 	if lambda == nil || psi == nil {
 		return errors.New("commit: nil lambda or psi")
 	}
-	prod := t.g.One()
+	prod := t.prod.SetUint64(1)
 	for l := range t.comms {
 		if l == exclude {
 			continue
@@ -142,9 +146,10 @@ func (t *GammaTable) VerifyLambdaPsi(k int, lambda, psi *big.Int, exclude int) e
 		if err != nil {
 			return err
 		}
-		prod = t.g.Mul(prod, gamma)
+		t.g.MulInto(prod, prod, gamma, &t.mul)
 	}
-	if !t.g.Equal(prod, t.g.Mul(lambda, psi)) {
+	// Both sides leave MulInto reduced into [0, p).
+	if prod.Cmp(t.g.MulInto(&t.rhs, lambda, psi, &t.mul)) != 0 {
 		return ErrLambdaPsiCheck
 	}
 	return nil

@@ -463,20 +463,29 @@ func (a *agentRun) publishLambdaPsiOrAbort() error {
 	if a.hooks.OmitLambdaPsi != nil && a.hooks.OmitLambdaPsi(env.task) {
 		return nil
 	}
-	esum, hsum := new(big.Int), new(big.Int)
-	for k := 0; k < env.n; k++ {
-		if a.shares[k] == nil {
-			continue
-		}
-		esum = a.f.Add(esum, a.shares[k].E)
-		hsum = a.f.Add(hsum, a.shares[k].H)
-	}
-	lambda, psi := a.g.Pow1(esum), a.g.Pow2(hsum)
+	lambda, psi := a.lambdaPsi(-1)
 	if a.hooks.TamperLambdaPsi != nil {
 		a.hooks.TamperLambdaPsi(env.task, lambda, psi)
 	}
 	a.lambdas[a.me], a.psis[a.me] = lambda, psi
 	return a.broadcast(transport.KindLambdaPsi, LambdaPsiPayload{Lambda: lambda, Psi: psi})
+}
+
+// lambdaPsi computes the pair of equation (10) from the shares this agent
+// holds: Lambda = z1^(sum_k e_k(alpha_me)), Psi = z2^(sum_k h_k(alpha_me)).
+// exclude >= 0 leaves that agent's shares out of both sums (equation (15),
+// the winner-excluded pair).
+func (a *agentRun) lambdaPsi(exclude int) (lambda, psi *big.Int) {
+	var esum, hsum big.Int
+	var s field.Scratch
+	for k, sh := range a.shares {
+		if k == exclude || sh == nil {
+			continue
+		}
+		a.f.AddInto(&esum, &esum, sh.E, &s)
+		a.f.AddInto(&hsum, &hsum, sh.H, &s)
+	}
+	return a.g.Pow1(&esum), a.g.Pow2(&hsum)
 }
 
 // verifyLambdaPsi checks every published pair against equation (11).
@@ -677,23 +686,52 @@ func (a *agentRun) discloseAndFindWinner(firstPrice int) (winner int, abortReaso
 	sort.Ints(disclosers)
 	disclosers = disclosers[:needed]
 
-	// Equation (14): the winner's f-polynomial has degree y*, so it
-	// interpolates to zero over y*+1 nodes; losers' higher-degree
-	// polynomials do not (w.h.p.). Ties break to the smallest pseudonym.
-	for cand := 0; cand < env.n; cand++ {
-		pts := make([]poly.Share, needed)
+	winner, err = identifyWinner(a.f, env.alphas, disclosers, valid, env.n)
+	if err != nil {
+		return -1, fmt.Sprintf("winner interpolation failed: %v", err), nil
+	}
+	if winner < 0 {
+		return -1, "no agent's f-polynomial matches the first price", nil
+	}
+	return winner, "", nil
+}
+
+// identifyWinner applies equation (14): the winner's f-polynomial has
+// degree y*, so it interpolates to zero over the y*+1 disclosers' nodes;
+// losers' higher-degree polynomials do not (w.h.p.). Ties break to the
+// smallest pseudonym; -1 means no candidate matched.
+//
+// Every candidate is interpolated over the SAME nodes, so the Lagrange
+// coefficients are taken once, rho = LagrangeAtZero(alpha_disclosers), and
+// each candidate costs the inner product f^(s)(0) = sum_k rho_k f(alpha_k)
+// instead of an interpolation (and its inversions) of its own.
+// disclosed[k][cand] is f_cand(alpha_k) as discloser k published it.
+func identifyWinner(f *field.Field, alphas []*big.Int, disclosers []int, disclosed map[int][]*big.Int, n int) (int, error) {
+	nodes := make([]*big.Int, len(disclosers))
+	for i, k := range disclosers {
+		nodes[i] = alphas[k]
+	}
+	rho, err := f.LagrangeAtZero(nodes)
+	if err != nil {
+		return -1, err
+	}
+	var (
+		v    big.Int
+		s    field.Scratch
+		vals = make([]*big.Int, len(disclosers))
+	)
+	for cand := 0; cand < n; cand++ {
 		for i, k := range disclosers {
-			pts[i] = poly.Share{Node: env.alphas[k], Value: valid[k][cand]}
+			vals[i] = disclosed[k][cand]
 		}
-		v, err := poly.InterpolateAtZero(a.f, pts)
-		if err != nil {
-			return -1, fmt.Sprintf("winner interpolation failed: %v", err), nil
+		if _, err := f.InnerProductInto(&v, rho, vals, &s); err != nil {
+			return -1, err
 		}
 		if v.Sign() == 0 {
-			return cand, "", nil
+			return cand, nil
 		}
 	}
-	return -1, "no agent's f-polynomial matches the first price", nil
+	return -1, nil
 }
 
 // buildDisclosure assembles the f-shares this agent received (step
@@ -720,15 +758,7 @@ func (a *agentRun) resolveSecondPrice(winner int) (int, string, error) {
 	barPsi := make([]*big.Int, env.n)
 
 	if !(a.hooks.OmitSecondPrice != nil && a.hooks.OmitSecondPrice(env.task)) {
-		esum, hsum := new(big.Int), new(big.Int)
-		for k := 0; k < env.n; k++ {
-			if k == winner || a.shares[k] == nil {
-				continue
-			}
-			esum = a.f.Add(esum, a.shares[k].E)
-			hsum = a.f.Add(hsum, a.shares[k].H)
-		}
-		lambda, psi := a.g.Pow1(esum), a.g.Pow2(hsum)
+		lambda, psi := a.lambdaPsi(winner)
 		if a.hooks.TamperSecondPrice != nil {
 			a.hooks.TamperSecondPrice(env.task, lambda, psi)
 		}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"dmw/internal/bidcode"
+	"dmw/internal/commit"
 	"dmw/internal/group"
 	"dmw/internal/strategy"
 )
@@ -128,31 +129,49 @@ func TestResolveDegreeSecondPriceSemantics(t *testing.T) {
 // aborts with the seed's exact attribution: the abort reason must name
 // the GUILTY SENDER, not merely report that the batch identity failed.
 // This is the end-to-end counterpart of the commit-level batch tests.
+//
+// It runs twice: on the per-receiver batch, and through a commit.Coalescer
+// shared by the run's concurrent auctions, where the receivers of the
+// tampered auction and of the honest ones land in combined passes with
+// their common bases merged — the guilty sender must still be named, and
+// the honest auctions sharing those passes must not be touched.
 func TestBatchedVerificationAttributesTamperedShare(t *testing.T) {
 	const guilty = 2
-	cfg := baseConfig(5)
-	cfg.Strategies = make([]*strategy.Hooks, cfg.Bid.N)
-	cfg.Strategies[guilty] = &strategy.Hooks{
-		TamperShare: func(task, to int, s *bidcode.Share) {
-			if task == 0 {
-				s.E.Add(s.E, big.NewInt(1)) // break eq (7) for every receiver
-			}
-		},
-	}
-	res := mustRun(t, cfg)
-	a := res.Auctions[0]
-	if !a.Aborted {
-		t.Fatal("auction 0 completed despite tampered shares")
-	}
-	want := fmt.Sprintf("share from agent %d inconsistent", guilty)
-	if !strings.Contains(a.AbortReason, want) {
-		t.Fatalf("abort reason %q does not attribute agent %d (want substring %q)", a.AbortReason, guilty, want)
-	}
-	// The untampered auctions must still complete normally.
-	for _, other := range res.Auctions[1:] {
-		if other.Aborted {
-			t.Errorf("auction %d aborted (%s); tamper was scoped to task 0", other.Task, other.AbortReason)
+	for _, coalesced := range []bool{false, true} {
+		name := "batch"
+		if coalesced {
+			name = "coalesced"
 		}
+		t.Run(name, func(t *testing.T) {
+			cfg := baseConfig(5)
+			if coalesced {
+				cfg.Group = group.MustNew(cfg.Params)
+				cfg.Verifier = commit.NewCoalescer(cfg.Group, 0, 0, nil)
+			}
+			cfg.Strategies = make([]*strategy.Hooks, cfg.Bid.N)
+			cfg.Strategies[guilty] = &strategy.Hooks{
+				TamperShare: func(task, to int, s *bidcode.Share) {
+					if task == 0 {
+						s.E.Add(s.E, big.NewInt(1)) // break eq (7) for every receiver
+					}
+				},
+			}
+			res := mustRun(t, cfg)
+			a := res.Auctions[0]
+			if !a.Aborted {
+				t.Fatal("auction 0 completed despite tampered shares")
+			}
+			want := fmt.Sprintf("share from agent %d inconsistent", guilty)
+			if !strings.Contains(a.AbortReason, want) {
+				t.Fatalf("abort reason %q does not attribute agent %d (want substring %q)", a.AbortReason, guilty, want)
+			}
+			// The untampered auctions must still complete normally.
+			for _, other := range res.Auctions[1:] {
+				if other.Aborted {
+					t.Errorf("auction %d aborted (%s); tamper was scoped to task 0", other.Task, other.AbortReason)
+				}
+			}
+		})
 	}
 }
 

@@ -1,0 +1,115 @@
+package dmw
+
+import (
+	"math/big"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"dmw/internal/bidcode"
+	"dmw/internal/poly"
+)
+
+// refIdentifyWinner is equation (14) the way the auction applied it
+// before the rho vector was shared: one full interpolation at zero per
+// candidate, smallest pseudonym first.
+func refIdentifyWinner(t *testing.T, a *agentRun, disclosers []int, disclosed map[int][]*big.Int) int {
+	t.Helper()
+	for cand := 0; cand < a.env.n; cand++ {
+		pts := make([]poly.Share, len(disclosers))
+		for i, k := range disclosers {
+			pts[i] = poly.Share{Node: a.env.alphas[k], Value: disclosed[k][cand]}
+		}
+		v, err := poly.InterpolateAtZero(a.f, pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Sign() == 0 {
+			return cand
+		}
+	}
+	return -1
+}
+
+// TestIdentifyWinnerMatchesPerCandidateInterpolation is the property
+// behind the shared rho vector: over random bid profiles, and over
+// discloser sets that are the pseudonym prefix as well as the scattered
+// sets replacement rounds produce, the inner-product form names the same
+// winner as interpolating every candidate separately — ties to the
+// smallest pseudonym, unreduced disclosed values, and the profile with no
+// match (-1) included.
+func TestIdentifyWinnerMatchesPerCandidateInterpolation(t *testing.T) {
+	r := rand.New(rand.NewSource(14))
+	prefixSets, scatteredSets, winners, noMatch := 0, 0, 0, 0
+	for trial := 0; trial < 300; trial++ {
+		n := 4 + r.Intn(6)
+		w := []int{1, 2, 3}
+		cfg := bidcode.Config{W: w, C: 0, N: n}
+		a := resolveFixture(t, cfg)
+		q := a.f.Q()
+
+		// Every agent's f-polynomial has degree equal to its bid.
+		fs := make([]*poly.Poly, n)
+		minBid := w[len(w)-1]
+		for i := range fs {
+			y := w[r.Intn(len(w))]
+			p, err := poly.NewRandomZeroConst(a.f, y, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fs[i] = p
+			if y < minBid {
+				minBid = y
+			}
+		}
+		// Usually interpolate over y*+1 nodes, as the protocol does;
+		// sometimes over too few for anyone to match.
+		needed := minBid + 1
+		if r.Intn(6) == 0 {
+			needed = minBid
+		}
+		disclosers := make([]int, needed)
+		if r.Intn(2) == 0 {
+			for i := range disclosers {
+				disclosers[i] = i
+			}
+			prefixSets++
+		} else {
+			copy(disclosers, r.Perm(n)[:needed])
+			sort.Ints(disclosers)
+			scatteredSets++
+		}
+		disclosed := map[int][]*big.Int{}
+		for _, k := range disclosers {
+			row := make([]*big.Int, n)
+			for cand := range row {
+				row[cand] = fs[cand].Eval(a.env.alphas[k])
+				if r.Intn(8) == 0 {
+					row[cand].Add(row[cand], q) // passes equation (13), arrives unreduced
+				}
+			}
+			disclosed[k] = row
+		}
+
+		got, err := identifyWinner(a.f, a.env.alphas, disclosers, disclosed, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := refIdentifyWinner(t, a, disclosers, disclosed)
+		if got != want {
+			t.Fatalf("trial %d (n=%d, disclosers %v): rho-vector winner %d, per-candidate interpolation %d", trial, n, disclosers, got, want)
+		}
+		if got >= 0 {
+			winners++
+			if fs[got].Degree() != minBid {
+				t.Fatalf("trial %d: winner %d bid %d, lowest bid is %d", trial, got, fs[got].Degree(), minBid)
+			}
+		} else {
+			noMatch++
+		}
+	}
+	if prefixSets == 0 || scatteredSets == 0 || winners == 0 || noMatch == 0 {
+		t.Errorf("cases not all exercised: %d prefix sets, %d scattered sets, %d winners, %d without a match",
+			prefixSets, scatteredSets, winners, noMatch)
+	}
+}

@@ -8,7 +8,15 @@
 // models. Group (mod p) arithmetic lives in package group.
 //
 // A Field value is immutable after construction and safe for concurrent use.
-// All methods allocate fresh big.Int results; arguments are never mutated.
+//
+// Arithmetic comes in two layers. The in-place kernel (ReduceInto,
+// AddInto, SubInto, MulInto, MulAddInto, InnerProductInto, InvBatch) writes
+// into a destination the caller owns and takes a Scratch for its
+// temporaries, so a loop that keeps one accumulator and one Scratch
+// allocates nothing in steady state; a destination may alias an argument.
+// The value-returning methods (Reduce, Add, Sub, Neg, Mul, ...) are thin
+// wrappers that run the same kernel into a fresh big.Int. Neither layer
+// mutates an argument it was not handed as the destination.
 package field
 
 import (
@@ -22,8 +30,11 @@ import (
 // Field is the prime field Z_q. The zero value is unusable; construct one
 // with New.
 type Field struct {
-	q *big.Int
+	q   *big.Int
+	qm1 *big.Int // q-1, the exclusive bound RandNonZero draws below
 }
+
+var one = big.NewInt(1)
 
 var (
 	// ErrNotPrime is returned by New when the proposed modulus fails the
@@ -56,7 +67,7 @@ func New(q *big.Int) (*Field, error) {
 	if !q.ProbablyPrime(32) {
 		return nil, ErrNotPrime
 	}
-	return &Field{q: new(big.Int).Set(q)}, nil
+	return &Field{q: new(big.Int).Set(q), qm1: new(big.Int).Sub(q, big.NewInt(1))}, nil
 }
 
 // MustNew is like New but panics on error. It is intended for package-level
@@ -75,9 +86,65 @@ func (f *Field) Q() *big.Int { return new(big.Int).Set(f.q) }
 // BitLen returns the bit length of the modulus.
 func (f *Field) BitLen() int { return f.q.BitLen() }
 
+// Scratch is the working storage of the in-place kernel: the unreduced
+// product and the quotient that reduction discards. The zero value is ready
+// to use. A Scratch must not be shared between goroutines; a hot loop holds
+// one for its duration so that, once the backing words have grown to the
+// operand size, the arithmetic allocates nothing.
+type Scratch struct {
+	t, quo big.Int
+}
+
+// ReduceInto sets z = x mod q in [0, q) and returns z. z may alias x.
+func (f *Field) ReduceInto(z, x *big.Int, s *Scratch) *big.Int {
+	if x.Sign() >= 0 && x.Cmp(f.q) < 0 {
+		return z.Set(x)
+	}
+	// QuoRem truncates toward zero, so a negative x leaves a remainder in
+	// (-q, 0]; Mod's Euclidean result is one modulus higher.
+	s.quo.QuoRem(x, f.q, z)
+	if z.Sign() < 0 {
+		z.Add(z, f.q)
+	}
+	return z
+}
+
+// AddInto sets z = a+b mod q and returns z. z may alias a or b.
+func (f *Field) AddInto(z, a, b *big.Int, s *Scratch) *big.Int {
+	return f.ReduceInto(z, z.Add(a, b), s)
+}
+
+// SubInto sets z = a-b mod q and returns z. z may alias a or b.
+func (f *Field) SubInto(z, a, b *big.Int, s *Scratch) *big.Int {
+	return f.ReduceInto(z, z.Sub(a, b), s)
+}
+
+// MulInto sets z = a*b mod q and returns z. z may alias a or b: the
+// product is then staged in s (big.Int.Mul would allocate a temporary to
+// multiply into an operand).
+func (f *Field) MulInto(z, a, b *big.Int, s *Scratch) *big.Int {
+	t := z
+	if z == a || z == b {
+		t = &s.t
+	}
+	return f.ReduceInto(z, t.Mul(a, b), s)
+}
+
+// MulAddInto sets z = a*b + c mod q and returns z: one Horner step with a
+// single reduction. z may alias any argument.
+func (f *Field) MulAddInto(z, a, b, c *big.Int, s *Scratch) *big.Int {
+	t := z
+	if z == a || z == b || z == c {
+		t = &s.t
+	}
+	t.Mul(a, b)
+	return f.ReduceInto(z, t.Add(t, c), s)
+}
+
 // Reduce returns x mod q as a fresh value in [0, q).
 func (f *Field) Reduce(x *big.Int) *big.Int {
-	return new(big.Int).Mod(x, f.q)
+	var s Scratch
+	return f.ReduceInto(new(big.Int), x, &s)
 }
 
 // FromInt64 embeds a machine integer into the field.
@@ -87,22 +154,27 @@ func (f *Field) FromInt64(x int64) *big.Int {
 
 // Add returns a+b mod q.
 func (f *Field) Add(a, b *big.Int) *big.Int {
-	return f.Reduce(new(big.Int).Add(a, b))
+	var s Scratch
+	return f.AddInto(new(big.Int), a, b, &s)
 }
 
 // Sub returns a-b mod q.
 func (f *Field) Sub(a, b *big.Int) *big.Int {
-	return f.Reduce(new(big.Int).Sub(a, b))
+	var s Scratch
+	return f.SubInto(new(big.Int), a, b, &s)
 }
 
 // Neg returns -a mod q.
 func (f *Field) Neg(a *big.Int) *big.Int {
-	return f.Reduce(new(big.Int).Neg(a))
+	var s Scratch
+	z := new(big.Int)
+	return f.ReduceInto(z, z.Neg(a), &s)
 }
 
 // Mul returns a*b mod q.
 func (f *Field) Mul(a, b *big.Int) *big.Int {
-	return f.Reduce(new(big.Int).Mul(a, b))
+	var s Scratch
+	return f.MulInto(new(big.Int), a, b, &s)
 }
 
 // Inv returns the multiplicative inverse of a mod q.
@@ -112,6 +184,39 @@ func (f *Field) Inv(a *big.Int) (*big.Int, error) {
 		return nil, ErrNoInverse
 	}
 	return r.ModInverse(r, f.q), nil
+}
+
+// InvBatch replaces every element of xs with its inverse mod q using
+// Montgomery's trick: one modular inversion and 3(len(xs)-1)
+// multiplications instead of len(xs) inversions. The elements are reduced
+// in place first. If any element is zero mod q the call fails with
+// ErrNoInverse and xs holds unspecified (reduced or partially multiplied)
+// values. Elements must be distinct big.Ints.
+func (f *Field) InvBatch(xs []*big.Int, s *Scratch) error {
+	if len(xs) == 0 {
+		return nil
+	}
+	// prefix[i] = xs[0] * ... * xs[i].
+	prefix := make([]big.Int, len(xs))
+	f.ReduceInto(&prefix[0], f.ReduceInto(xs[0], xs[0], s), s)
+	for i := 1; i < len(xs); i++ {
+		f.MulInto(&prefix[i], &prefix[i-1], f.ReduceInto(xs[i], xs[i], s), s)
+	}
+	if prefix[len(xs)-1].Sign() == 0 {
+		return ErrNoInverse
+	}
+	var inv big.Int
+	inv.ModInverse(&prefix[len(xs)-1], f.q)
+	// Walking down, inv is the inverse of prefix[i]: times prefix[i-1] it
+	// isolates 1/xs[i] (staged in prefix[i], which is dead by then), times
+	// xs[i] it steps to the inverse of prefix[i-1].
+	for i := len(xs) - 1; i > 0; i-- {
+		f.MulInto(&prefix[i], &inv, &prefix[i-1], s)
+		f.MulInto(&inv, &inv, xs[i], s)
+		xs[i].Set(&prefix[i])
+	}
+	xs[0].Set(&inv)
+	return nil
 }
 
 // Div returns a/b mod q.
@@ -147,12 +252,11 @@ func (f *Field) RandNonZero(src io.Reader) (*big.Int, error) {
 	if src == nil {
 		src = rand.Reader
 	}
-	qm1 := new(big.Int).Sub(f.q, big.NewInt(1))
-	r, err := rand.Int(src, qm1)
+	r, err := rand.Int(src, f.qm1)
 	if err != nil {
 		return nil, fmt.Errorf("field: drawing random unit: %w", err)
 	}
-	return r.Add(r, big.NewInt(1)), nil
+	return r.Add(r, one), nil
 }
 
 // LagrangeAtZero computes the Lagrange basis coefficients for interpolation
@@ -172,7 +276,10 @@ func (f *Field) LagrangeAtZero(nodes []*big.Int) ([]*big.Int, error) {
 	}
 	red := make([]*big.Int, n)
 	for i, a := range nodes {
-		red[i] = f.Reduce(a)
+		red[i] = a // only read below
+		if a.Sign() < 0 || a.Cmp(f.q) >= 0 {
+			red[i] = f.Reduce(a)
+		}
 		if red[i].Sign() == 0 {
 			return nil, ErrZeroPoint
 		}
@@ -184,22 +291,28 @@ func (f *Field) LagrangeAtZero(nodes []*big.Int) ([]*big.Int, error) {
 			}
 		}
 	}
+	// rho_k = phi0 / D_k with phi0 = prod_i alpha_i and
+	// D_k = alpha_k * prod_{i != k} (alpha_i - alpha_k): one shared
+	// numerator, and the n denominators inverted together.
+	var s Scratch
+	var diff big.Int
+	phi0 := big.NewInt(1)
 	coeffs := make([]*big.Int, n)
 	for k := 0; k < n; k++ {
-		num := big.NewInt(1)
-		den := big.NewInt(1)
+		f.MulInto(phi0, phi0, red[k], &s)
+		den := new(big.Int).Set(red[k])
 		for i := 0; i < n; i++ {
-			if i == k {
-				continue
+			if i != k {
+				f.MulInto(den, den, f.SubInto(&diff, red[i], red[k], &s), &s)
 			}
-			num = f.Mul(num, red[i])
-			den = f.Mul(den, f.Sub(red[i], red[k]))
 		}
-		q, err := f.Div(num, den)
-		if err != nil {
-			return nil, fmt.Errorf("field: lagrange coefficient %d: %w", k, err)
-		}
-		coeffs[k] = q
+		coeffs[k] = den
+	}
+	if err := f.InvBatch(coeffs, &s); err != nil {
+		return nil, fmt.Errorf("field: lagrange coefficients: %w", err)
+	}
+	for _, c := range coeffs {
+		f.MulInto(c, c, phi0, &s)
 	}
 	return coeffs, nil
 }
@@ -207,12 +320,20 @@ func (f *Field) LagrangeAtZero(nodes []*big.Int) ([]*big.Int, error) {
 // InnerProduct returns sum_k a_k*b_k mod q. The slices must have equal
 // length.
 func (f *Field) InnerProduct(a, b []*big.Int) (*big.Int, error) {
+	var s Scratch
+	return f.InnerProductInto(new(big.Int), a, b, &s)
+}
+
+// InnerProductInto sets z = sum_k a_k*b_k mod q and returns z: the terms
+// accumulate unreduced and are reduced once. z must not be an element of a
+// or b.
+func (f *Field) InnerProductInto(z *big.Int, a, b []*big.Int, s *Scratch) (*big.Int, error) {
 	if len(a) != len(b) {
 		return nil, fmt.Errorf("field: inner product length mismatch %d != %d", len(a), len(b))
 	}
-	acc := new(big.Int)
+	z.SetUint64(0)
 	for i := range a {
-		acc.Add(acc, new(big.Int).Mul(a[i], b[i]))
+		z.Add(z, s.t.Mul(a[i], b[i]))
 	}
-	return f.Reduce(acc), nil
+	return f.ReduceInto(z, z, s), nil
 }

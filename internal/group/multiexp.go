@@ -54,11 +54,7 @@ func (g *Group) MultiExp(bases, exps []*big.Int) (*big.Int, error) {
 		if e == nil || bases[i] == nil {
 			return nil, fmt.Errorf("%w: nil term at index %d", ErrMultiExpInput, i)
 		}
-		if e.Sign() >= 0 && e.Cmp(g.params.Q) < 0 {
-			red[i] = e // already reduced; the engine never mutates exponents
-		} else {
-			red[i] = g.scalars.Reduce(e)
-		}
+		red[i] = g.reduced(e)
 	}
 	g.countMultiExp(len(bases))
 	return multiExpCore(g.mont, bases, red), nil

@@ -102,17 +102,38 @@ func (p *Poly) Coeff(i int) *big.Int {
 	return new(big.Int).Set(p.coeffs[i])
 }
 
+// CoeffView returns the stored coefficient of x^i without copying it (a
+// shared zero beyond the stored length). The value is read-only: callers
+// must not mutate it. Hot loops use it where Coeff's defensive copy would
+// be the only allocation.
+func (p *Poly) CoeffView(i int) *big.Int {
+	if i < 0 || i >= len(p.coeffs) {
+		return zero
+	}
+	return p.coeffs[i]
+}
+
+var zero = new(big.Int)
+
 // Len returns the number of stored coefficients (degree bound + 1).
 func (p *Poly) Len() int { return len(p.coeffs) }
 
 // Eval evaluates the polynomial at x by Horner's rule (the paper cites
 // Horner for the share computation cost in Theorem 12).
 func (p *Poly) Eval(x *big.Int) *big.Int {
-	acc := new(big.Int)
+	var s field.Scratch
+	return p.EvalInto(new(big.Int), x, &s)
+}
+
+// EvalInto sets z to the polynomial's value at x and returns z: Horner's
+// rule over one accumulator, one multiply-add-reduce per coefficient, with
+// every temporary in s. z must not alias x.
+func (p *Poly) EvalInto(z, x *big.Int, s *field.Scratch) *big.Int {
+	z.SetUint64(0)
 	for i := len(p.coeffs) - 1; i >= 0; i-- {
-		acc = p.f.Add(p.f.Mul(acc, x), p.coeffs[i])
+		p.f.MulAddInto(z, z, x, p.coeffs[i], s)
 	}
-	return acc
+	return z
 }
 
 // EvalAll evaluates the polynomial at each node.
@@ -132,7 +153,7 @@ func (p *Poly) Add(q *Poly) *Poly {
 	}
 	coeffs := make([]*big.Int, n)
 	for i := range coeffs {
-		coeffs[i] = p.f.Add(p.Coeff(i), q.Coeff(i))
+		coeffs[i] = p.f.Add(p.CoeffView(i), q.CoeffView(i))
 	}
 	return &Poly{f: p.f, coeffs: coeffs}
 }
@@ -144,16 +165,20 @@ func (p *Poly) Mul(q *Poly) *Poly {
 	if len(p.coeffs) == 0 || len(q.coeffs) == 0 {
 		return &Poly{f: p.f, coeffs: []*big.Int{new(big.Int)}}
 	}
-	coeffs := make([]*big.Int, len(p.coeffs)+len(q.coeffs)-1)
+	// One slab of headers; each coefficient accumulates its products in
+	// place.
+	slab := make([]big.Int, len(p.coeffs)+len(q.coeffs)-1)
+	coeffs := make([]*big.Int, len(slab))
 	for i := range coeffs {
-		coeffs[i] = new(big.Int)
+		coeffs[i] = &slab[i]
 	}
+	var s field.Scratch
 	for i, a := range p.coeffs {
 		if a.Sign() == 0 {
 			continue
 		}
 		for j, b := range q.coeffs {
-			coeffs[i+j] = p.f.Add(coeffs[i+j], p.f.Mul(a, b))
+			p.f.MulAddInto(coeffs[i+j], a, b, coeffs[i+j], &s)
 		}
 	}
 	return &Poly{f: p.f, coeffs: coeffs}
@@ -167,12 +192,19 @@ type Share struct {
 }
 
 // InterpolateAtZero computes the s-th Lagrange interpolation f^(s)(0) of
-// equation (2) from the given shares, using the efficient three-step
-// algorithm of Section 2.4:
+// equation (2) from the given shares as the inner product
 //
-//	psi_k = f(alpha_k) / prod_{i != k} (alpha_k - alpha_i)
-//	phi0  = prod_k alpha_k
-//	f^(s)(0) = phi0 * sum_k psi_k / alpha_k
+//	f^(s)(0) = sum_k rho_k * f(alpha_k)
+//
+// over the nodes' Lagrange-at-zero coefficients (field.LagrangeAtZero).
+// This is Section 2.4's three-step algorithm with its divisions collected:
+// psi_k / alpha_k all divide by alpha_k * prod_{i != k} (alpha_k - alpha_i),
+// and the s denominators are inverted together (Montgomery's trick) rather
+// than 2s times one by one. The three-step formula as printed carries an
+// extra factor (-1)^(s-1) relative to the Lagrange value returned here; no
+// zero test can tell them apart. A caller interpolating many value vectors
+// over the same nodes should take the rho vector once and use
+// field.InnerProductInto per vector.
 //
 // Nodes must be distinct and nonzero.
 func InterpolateAtZero(f *field.Field, shares []Share) (*big.Int, error) {
@@ -181,50 +213,15 @@ func InterpolateAtZero(f *field.Field, shares []Share) (*big.Int, error) {
 		return nil, errors.New("poly: no shares")
 	}
 	nodes := make([]*big.Int, s)
+	values := make([]*big.Int, s)
 	for i, sh := range shares {
-		nodes[i] = f.Reduce(sh.Node)
-		if nodes[i].Sign() == 0 {
-			return nil, field.ErrZeroPoint
-		}
+		nodes[i], values[i] = sh.Node, sh.Value
 	}
-	for i := 0; i < s; i++ {
-		for j := i + 1; j < s; j++ {
-			if nodes[i].Cmp(nodes[j]) == 0 {
-				return nil, field.ErrDuplicatePoint
-			}
-		}
+	rho, err := f.LagrangeAtZero(nodes)
+	if err != nil {
+		return nil, err
 	}
-	// Step 1: psi_k.
-	psi := make([]*big.Int, s)
-	for k := 0; k < s; k++ {
-		den := big.NewInt(1)
-		for i := 0; i < s; i++ {
-			if i == k {
-				continue
-			}
-			den = f.Mul(den, f.Sub(nodes[k], nodes[i]))
-		}
-		v, err := f.Div(f.Reduce(shares[k].Value), den)
-		if err != nil {
-			return nil, fmt.Errorf("poly: psi_%d: %w", k, err)
-		}
-		psi[k] = v
-	}
-	// Step 2: phi(0).
-	phi0 := big.NewInt(1)
-	for _, nd := range nodes {
-		phi0 = f.Mul(phi0, nd)
-	}
-	// Step 3.
-	sum := new(big.Int)
-	for k := 0; k < s; k++ {
-		term, err := f.Div(psi[k], nodes[k])
-		if err != nil {
-			return nil, fmt.Errorf("poly: psi_%d/alpha_%d: %w", k, k, err)
-		}
-		sum = f.Add(sum, term)
-	}
-	return f.Mul(phi0, sum), nil
+	return f.InnerProduct(rho, values)
 }
 
 // ResolveDegree determines the degree of a zero-constant-term polynomial

@@ -81,12 +81,10 @@ type Config struct {
 	// artifact is rewritten for the next boot. /healthz reports
 	// table_build_seconds either way.
 	ParamsCache string
-	// VerifyWindow and VerifyMaxTerms tune the cross-job share-
-	// verification coalescer (zero selects commit.DefaultCoalesceWindow
-	// / commit.DefaultMaxBatchTerms). Negative VerifyMaxTerms is
-	// reserved; tests shrink VerifyWindow to make coalescing windows
-	// deterministic.
-	VerifyWindow   time.Duration
+	// VerifyMaxTerms caps one combined pass of the cross-job share-
+	// verification coalescer (zero selects commit.DefaultMaxBatchTerms).
+	// The coalescer has no other tuning: passes form from whatever
+	// arrives while one is running.
 	VerifyMaxTerms int
 	// QueueDepth bounds the admission queue (default 64).
 	QueueDepth int
@@ -318,7 +316,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.paramsCacheLoaded = cacheLoaded
 	s.sloEngine = slo.NewEngine(cfg.SLOs, s.metrics.latencyHDR.Snapshot)
-	s.verifier = commit.NewCoalescer(grp, cfg.VerifyWindow, cfg.VerifyMaxTerms, func(items int) {
+	s.verifier = commit.NewCoalescer(grp, 0, cfg.VerifyMaxTerms, func(items int) {
 		s.metrics.verifyBatch.Observe(float64(items))
 	})
 	mem := newMemStore()
@@ -629,12 +627,16 @@ func (s *Server) drainRetryAfter(now time.Time) time.Duration {
 }
 
 // publish stamps ev with the hub sequence, fans it out to subscribers,
-// and (when job is non-nil) appends it to the job's replay history.
+// and (when job is non-nil) appends it to the job's replay history. The
+// append happens inside the publish, under the hub lock: handleJobEvents
+// subscribes and then replays, and must never find an event in neither
+// place (see tenant.Hub.PublishRecorded).
 func (s *Server) publish(job *Job, ev tenant.Event) {
-	ev = s.hub.Publish(ev)
-	if job != nil {
-		job.appendEvent(ev)
+	if job == nil {
+		s.hub.Publish(ev)
+		return
 	}
+	s.hub.PublishRecorded(ev, job.appendEvent)
 }
 
 // throttle runs the per-tenant admission gates in order — token bucket,

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -265,5 +266,96 @@ func TestFirehoseTenantFilter(t *testing.T) {
 	}
 	if !sawAcmeDone {
 		t.Fatal("filtered firehose never delivered acme's done event")
+	}
+}
+
+// parkedOnMutexIn reports whether some goroutine is inside fn and has
+// entered a contended sync.Mutex.Lock beneath it. It reads the runtime's
+// own goroutine dump, so a test can wait for "that goroutine is now
+// blocked there" as an event instead of sleeping and hoping.
+func parkedOnMutexIn(fn string) bool {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, fn) && strings.Contains(g, "lockSlow") {
+			return true
+		}
+	}
+	return false
+}
+
+// TestSSEStreamOpenedInsideTerminalPublish is the regression test for the
+// lost terminal event. publish used to fan an event out through the hub
+// and only then append it to the job's history, while a stream subscribes
+// and then replays the history: a stream opened between the two saw the
+// terminal event neither live (it subscribed after the fan-out) nor
+// replayed (it read the history before the append) and heartbeated
+// forever.
+//
+// The test parks the publisher exactly there — the append needs the job's
+// mutex, which the test holds, and a firehose subscription reports the
+// fan-out — and opens a stream into the gap. With the append inside the
+// hub's critical section the newcomer parks on the hub lock until the
+// publish is complete; the test waits for that (as an event, from the
+// goroutine dump), lets the publish finish, and the stream's replay then
+// holds the terminal event. Were the append outside the critical section
+// again, the newcomer would register inside the gap, and the test fails on
+// the spot instead.
+func TestSSEStreamOpenedInsideTerminalPublish(t *testing.T) {
+	s := startServer(t, testConfig())
+	now := time.Now()
+	job, err := newJob(JobSpec{ID: "gap", Tenant: "acme"}, nil, now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	firehose := s.hub.SubscribeTenant("", 0)
+	defer firehose.Close()
+	stuck := time.After(time.Minute) // a failure guard, never a pacing device
+
+	job.mu.Lock()
+	published := make(chan struct{})
+	go func() {
+		defer close(published)
+		s.publish(job, tenant.Event{Type: tenant.EventDone, Time: now, Tenant: "acme", JobID: job.ID})
+	}()
+	var terminal tenant.Event
+	select {
+	case terminal = <-firehose.Events(): // fanned out; the append is parked
+	case <-stuck:
+		job.mu.Unlock()
+		t.Fatal("terminal event never fanned out")
+	}
+
+	// A stream opens: subscribe first, as handleJobEvents does.
+	subscribed := make(chan *tenant.Subscription, 1)
+	go func() { subscribed <- s.hub.SubscribeJob(job.ID, 0) }()
+	for !parkedOnMutexIn("(*Hub).SubscribeJob") {
+		select {
+		case sub := <-subscribed:
+			recorded := len(job.events) // the test holds job.mu
+			job.mu.Unlock()
+			sub.Close()
+			t.Fatalf("a stream subscribed between the terminal event's fan-out and its history append (%d events recorded): it sees the event neither live nor replayed", recorded)
+		case <-stuck:
+			job.mu.Unlock()
+			t.Fatal("the opening stream neither subscribed nor parked")
+		default:
+			runtime.Gosched()
+		}
+	}
+
+	job.mu.Unlock() // the publish completes, then the newcomer registers
+	<-published
+	sub := <-subscribed
+	defer sub.Close()
+	// ...and then replays, also as handleJobEvents does.
+	replay := job.Events()
+	if len(replay) != 1 || replay[0].Seq != terminal.Seq || !tenant.TerminalEvent(replay[0].Type) {
+		t.Fatalf("replay = %+v, want exactly the terminal event (seq %d)", replay, terminal.Seq)
+	}
+	select {
+	case ev := <-sub.Events():
+		t.Errorf("event %+v delivered live to a stream that registered after its publish", ev)
+	default:
 	}
 }

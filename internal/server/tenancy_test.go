@@ -111,6 +111,13 @@ func TestWDRRDispatchRatioUnderOverload(t *testing.T) {
 // against a single worker with equal small quotas and 3:1 weights:
 // quota slots recycle at the dispatch rate, so ADMITTED jobs also
 // converge to ~3:1 — the fleet-observable form of fairness.
+//
+// The overload is built in, not borrowed from the protocol's speed: each
+// job carries a real-time link delay, so it occupies the worker for
+// several of the loop's pacing sleeps however fast the auction itself
+// runs. (A tiny job is now quicker than the sleep; without the delay the
+// worker would idle between submissions and both tenants would be
+// admitted 1:1.)
 func TestAdmissionRatioUnderSustainedOverload(t *testing.T) {
 	cfg := testConfig()
 	cfg.Workers = 1
@@ -133,7 +140,9 @@ func TestAdmissionRatioUnderSustainedOverload(t *testing.T) {
 		}
 		for _, id := range []string{"gold", "bronze"} {
 			seed++
-			_, err := s.Submit(tinyTenantSpec(id, seed))
+			spec := tinyTenantSpec(id, seed)
+			spec.LinkDelayMS = 1
+			_, err := s.Submit(spec)
 			switch {
 			case err == nil:
 				admitted[id]++

@@ -151,7 +151,18 @@ func NewHub() *Hub {
 // matching subscribers, never blocking: a full subscriber buffer drops
 // the event for that subscriber only (counted on the subscription and
 // on the hub). Returns the published event (with Seq set).
-func (h *Hub) Publish(ev Event) Event {
+func (h *Hub) Publish(ev Event) Event { return h.PublishRecorded(ev, nil) }
+
+// PublishRecorded is Publish for an event that is also kept in a
+// replayable history: record (when non-nil) receives the stamped event
+// while the hub lock is still held. Subscribing takes the same lock, so
+// to every subscriber the fan-out and the recording are one step. A
+// stream that subscribes and THEN reads the history therefore finds each
+// event on its channel (it subscribed before the publish) or in the
+// history (it subscribed after) — never in neither, which fanning out
+// first and recording afterwards allowed for a stream opened in between.
+// record must be brief and must not call back into the hub.
+func (h *Hub) PublishRecorded(ev Event, record func(Event)) Event {
 	h.mu.Lock()
 	h.seq++
 	ev.Seq = h.seq
@@ -165,6 +176,9 @@ func (h *Hub) Publish(ev Event) Event {
 		for _, s := range h.byTenant[""] {
 			h.send(s, ev)
 		}
+	}
+	if record != nil {
+		record(ev)
 	}
 	h.mu.Unlock()
 	h.published.Add(1)

@@ -211,3 +211,52 @@ func BenchmarkEventHubFanout(b *testing.B) {
 		})
 	}
 }
+
+// TestHubPublishRecordedIsOneStepToSubscribers pins the guarantee SSE
+// replay rests on: the history append runs inside the publish, under the
+// lock every subscribe takes, so no stream can register between an
+// event's fan-out and its recording (where it would see the event neither
+// live nor replayed). The TryLock is the white-box half: it fails the
+// moment record is moved outside the critical section.
+func TestHubPublishRecordedIsOneStepToSubscribers(t *testing.T) {
+	h := NewHub()
+	early := h.SubscribeJob("j", 0)
+	defer early.Close()
+
+	var history []Event
+	lateDone := make(chan *Subscription, 1)
+	got := h.PublishRecorded(Event{Type: EventDone, JobID: "j"}, func(ev Event) {
+		if h.mu.TryLock() {
+			h.mu.Unlock()
+			t.Error("record ran outside the hub lock: a subscriber could register between fan-out and recording")
+		}
+		if ev.Seq == 0 {
+			t.Error("record received an unstamped event")
+		}
+		// A stream opening mid-publish parks on the lock until the
+		// publish — recording included — is over.
+		go func() { lateDone <- h.SubscribeJob("j", 0) }()
+		history = append(history, ev)
+	})
+	late := <-lateDone
+	defer late.Close()
+
+	if len(history) != 1 || history[0].Seq != got.Seq {
+		t.Fatalf("history = %v, want the published event (seq %d)", history, got.Seq)
+	}
+	select {
+	case ev := <-early.Events():
+		if ev.Seq != got.Seq {
+			t.Errorf("early subscriber got seq %d, want %d", ev.Seq, got.Seq)
+		}
+	default:
+		t.Error("a subscriber registered before the publish did not get the event live")
+	}
+	// The late subscriber registered after the publish: nothing live, but
+	// the history it reads next already holds the event.
+	select {
+	case ev := <-late.Events():
+		t.Errorf("late subscriber got %v live, want it only in the history", ev)
+	default:
+	}
+}
