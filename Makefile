@@ -7,25 +7,11 @@ GO ?= go
 # available, "dev" otherwise — same default the unstamped var carries.
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS = -ldflags "-X dmw/internal/obs.Version=$(VERSION)"
-# BENCH_OUT is the archived benchmark document `make bench` emits; bump
-# the suffix when re-baselining after a performance PR.
-BENCH_OUT ?= BENCH_9.json
-# BENCHTIME trades precision for runtime; 0.2s is enough for the
-# crypto-level series to stabilize on an idle machine.
-BENCHTIME ?= 0.2s
-# GATEWAY_BENCHTIME is longer: the fleet series needs enough jobs in
-# flight (b.N >> total workers) to reach windowed steady state, or the
-# jobs/sec figure measures ramp-up instead of throughput.
-GATEWAY_BENCHTIME ?= 2s
-# SERVER_BENCHTIME covers the dmwd throughput series for the same
-# reason: the crypto-bound shapes run close to a second per job, so the
-# default BENCHTIME would archive a single-iteration (ramp-up) figure.
-SERVER_BENCHTIME ?= 3s
 # FUZZTIME bounds each fuzzer in fuzz-smoke; long campaigns are run
 # manually with `go test -fuzz <Target> <pkg>`.
 FUZZTIME ?= 3s
 
-.PHONY: all build bin vet test test-race test-server e2e-shard e2e-tenant e2e-elastic obs-smoke latency-smoke bench bench-crypto bench-smoke bench-server bench-gateway bench-harness allocs-gate fuzz-smoke ci
+.PHONY: all build bin vet test test-race test-server e2e-shard e2e-tenant e2e-elastic obs-smoke latency-smoke bench-smoke bench-harness allocs-gate fuzz-smoke ci
 
 all: build vet test
 
@@ -107,28 +93,6 @@ obs-smoke:
 latency-smoke:
 	$(GO) test -race -run 'TestLatencySmoke' -v -count=1 ./cmd/dmwload
 
-# bench runs the cryptographic inner-loop benchmarks (group, commit) and
-# the end-to-end suites (root package: Table 1 + server throughput) and
-# archives the parsed results as $(BENCH_OUT). Names are verbatim from
-# the testing package, so the file is benchstat-compatible: compare two
-# baselines with `benchstat <(jq ...) <(jq ...)` or just diff the JSON.
-bench:
-	$(GO) build -o bin/benchjson ./cmd/benchjson
-	( $(GO) test -run xxx -bench . -benchmem -benchtime $(BENCHTIME) \
-		./internal/group ./internal/commit ./internal/journal ./internal/tenant && \
-	  $(GO) test -run xxx -bench 'Table1|MinWork' -benchmem -benchtime $(BENCHTIME) . && \
-	  $(GO) test -run xxx -bench ServerThroughput -benchmem -benchtime $(SERVER_BENCHTIME) . && \
-	  $(GO) test -run xxx -bench 'GatewayThroughput|GatewayElasticResize' -benchtime $(GATEWAY_BENCHTIME) . \
-	) | ./bin/benchjson -out $(BENCH_OUT)
-
-# bench-crypto runs only the cryptographic inner loops (group + commit)
-# with allocation reporting — the fast iteration loop when working on
-# the Montgomery engine, the multi-exp planner, or the batched
-# verifier. benchjson archives allocs/op alongside ns/op, so a saved
-# run doubles as an allocation baseline.
-bench-crypto:
-	$(GO) test -run xxx -bench . -benchmem -benchtime $(BENCHTIME) ./internal/group ./internal/commit
-
 # allocs-gate enforces the allocation budgets on the hot paths (batched
 # share verification, wire codec, the in-place scalar kernel, share
 # evaluation, interpolation, and a whole dmw.Run at the benchmark's
@@ -140,11 +104,12 @@ allocs-gate:
 	$(GO) test -run 'TestAllocBudget' -count=1 -v ./internal/commit ./internal/wire ./internal/gateway \
 		./internal/field ./internal/poly ./internal/bidcode ./internal/dmw
 
-# bench-harness vets and tests the benchmark harness. benchmark/ is its
-# own module (dmw/benchmark, replace dmw => ../), so `go build ./...` and
-# `go test ./...` at the root never compile it; a product change that
-# breaks an API the harness imports would otherwise surface only when the
-# benchmark is next run.
+# bench-harness vets and tests the benchmark harness; measuring is
+# `bash benchmark/run.sh --workload <name>` (see benchmark/README.md).
+# benchmark/ is its own module (dmw/benchmark, replace dmw => ../), so
+# `go build ./...` and `go test ./...` at the root never compile it; a
+# product change that breaks an API the harness imports would otherwise
+# surface only when the benchmark is next run.
 bench-harness:
 	cd benchmark && $(GO) vet . && $(GO) test .
 
@@ -153,14 +118,6 @@ bench-harness:
 # package is included for the end-to-end server/gateway series.
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x ./internal/... .
-
-bench-server:
-	$(GO) test -run xxx -bench BenchmarkServerThroughput .
-
-# bench-gateway measures the sharded fleet scaling series on its own
-# (direct baseline, then dmwgw over 1/2/4 replicas).
-bench-gateway:
-	$(GO) test -run xxx -bench BenchmarkGatewayThroughput -benchtime 2s .
 
 # fuzz-smoke runs every fuzz target for a few seconds each (seed corpus
 # plus a short mutation burst) so the fuzzers cannot bit-rot; CI runs

@@ -574,7 +574,7 @@ func BenchmarkGatewayThroughput(b *testing.B) {
 	// what's measured. coalesce=off prices that fleet with every submit
 	// as its own RPC; coalesce=on lets the gateway micro-batch
 	// concurrent submits per ring owner (2ms window — noise against the
-	// 55ms job latency) over the negotiated binary protocol. The
+	// 55ms job latency). The
 	// off-shape doubles as the regression guard: the plain replicas=2
 	// shape above must keep reproducing its pre-coalescing baseline.
 	for _, mode := range []struct {

@@ -14,7 +14,7 @@
 //	      [-fail-after 2] [-recover-after 2]
 //	      [-lease-ttl 10s] [-replication 2] [-addr-file path]
 //	      [-request-timeout 60s] [-pprof-addr addr] [-q]
-//	      [-coalesce-window 0] [-coalesce-max-batch 64] [-no-wire]
+//	      [-coalesce-window 0] [-coalesce-max-batch 64]
 //	      [-slo 'p99<250ms@30d'] [-slow-threshold 0]
 //	      [-log-level info] [-log-format text|json]
 //
@@ -40,8 +40,11 @@
 // keyspace does not reshuffle. Weight scales the keyspace share for
 // heterogeneous replicas.
 //
-// The gateway holds no durable state; run several behind a TCP load
-// balancer for gateway redundancy. See docs/SCALING.md for topology,
+// The gateway holds no durable state: jobs live in the replicas and
+// their WALs. Its one piece of soft state is the lease table — a
+// restarted gateway routes to its static -backend list at once, and to
+// leased members again after their next renewal (at most a third of
+// -lease-ttl). See docs/SCALING.md for topology, gateway redundancy,
 // failover semantics, and how placement interacts with per-replica
 // WALs.
 package main
@@ -117,7 +120,6 @@ func run() error {
 		reqTO      = flag.Duration("request-timeout", time.Minute, "per-attempt proxy timeout")
 		coalesceW  = flag.Duration("coalesce-window", 0, "micro-batch single submits per ring owner for at most this long (0 = off); see docs/PERFORMANCE.md")
 		coalesceN  = flag.Int("coalesce-max-batch", 64, "max jobs per coalesced flush (flushes early when full)")
-		noWire     = flag.Bool("no-wire", false, "force JSON intra-fleet bodies (disable binary frame negotiation)")
 		streamTO   = flag.Duration("stream-timeout", 15*time.Minute, "relayed SSE stream lifetime bound (negative = unbounded)")
 		sloSpec    = flag.String("slo", "", "comma-separated latency objectives over fleet-wide backend latency, e.g. 'p99<250ms@30d'; see docs/OBSERVABILITY.md")
 		slowThr    = flag.Duration("slow-threshold", 0, "log slow_request for proxied attempts slower than this (0 = off)")
@@ -170,7 +172,6 @@ func run() error {
 		StreamTimeout:    *streamTO,
 		CoalesceWindow:   *coalesceW,
 		CoalesceMaxBatch: *coalesceN,
-		DisableWire:      *noWire,
 		LeaseTTL:         *leaseTTL,
 		Replication:      *replFactor,
 		SLOs:             objectives,

@@ -130,8 +130,8 @@ type LoadSummary struct {
 	Exemplars       []ExemplarChase         `json:"exemplars,omitempty"`
 }
 
-// BenchResult mirrors one benchjson result line, so load runs archive
-// next to benchmark runs and the same tooling parses both.
+// BenchResult is one named figure of the report's results list, in the
+// shape of a `go test -bench` line (name, iterations, ns/op, extras).
 type BenchResult struct {
 	Name       string             `json:"name"`
 	Suite      string             `json:"suite,omitempty"`
@@ -140,7 +140,8 @@ type BenchResult struct {
 	Extra      map[string]float64 `json:"extra,omitempty"`
 }
 
-// Report is the benchjson envelope plus the load section.
+// Report is a host/toolchain envelope, the results list, and the load
+// section.
 type Report struct {
 	GeneratedAt string        `json:"generated_at"`
 	GoVersion   string        `json:"go_version"`

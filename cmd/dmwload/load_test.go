@@ -50,9 +50,8 @@ func TestLatencySmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The report must round-trip as JSON (it is what gets archived as
-	// BENCH_10.json) and parse back with the same envelope benchjson
-	// consumers expect.
+	// The report must round-trip as JSON (it is what -out archives) and
+	// parse back with the same envelope.
 	var buf bytes.Buffer
 	if err := rep.WriteJSON(&buf); err != nil {
 		t.Fatal(err)

@@ -22,20 +22,18 @@
 // Usage:
 //
 //	dmwload -url http://gw:7800 -rate 200 -duration 30s [-slo 'p99<250ms@30d']
-//	dmwload -fleet 2 -rate 200 -duration 10s -out BENCH_10.json
+//	dmwload -fleet 2 -rate 200 -duration 10s -out load.json
 //
 // With -fleet N (and no -url), dmwload boots N in-process dmwd replicas
 // behind an in-process dmwgw on loopback HTTP and drives that — one
-// command reproduces the archived BENCH_10.json against a real
-// 2-replica fleet.
+// command measures a real 2-replica fleet. (The gated benchmark is
+// `bash benchmark/run.sh`; dmwload is the operator's tool.)
 //
-// The report is a superset of the benchjson document (same
-// generated_at/results envelope, so existing BENCH tooling parses it)
-// plus a "load" section: quantiles, per-class breakdowns, SLO verdicts
-// computed over the measured distribution, the fleet's own /healthz
-// verdicts, the worst requests by ID, and the tail exemplars chased
-// from the fleet's /metrics back to fetchable /v1/jobs/{id}/trace
-// spans.
+// The report is a generated_at/results envelope plus a "load" section:
+// quantiles, per-class breakdowns, SLO verdicts computed over the
+// measured distribution, the fleet's own /healthz verdicts, the worst
+// requests by ID, and the tail exemplars chased from the fleet's
+// /metrics back to fetchable /v1/jobs/{id}/trace spans.
 package main
 
 import (

@@ -36,8 +36,8 @@ func TestAllocBudgetRelayPool(t *testing.T) {
 
 // TestAllocBudgetBatchFanBack bounds the coalescer's fan-back decode:
 // splitting a 32-item result frame into per-waiter answers costs the
-// answer slice plus the decoded item slice — item bodies alias the
-// pooled response buffer, so the budget stays flat in item count.
+// decoded item slice — item bodies alias the pooled response buffer, so
+// the budget stays flat in item count.
 func TestAllocBudgetBatchFanBack(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts include race-detector instrumentation")
@@ -51,7 +51,7 @@ func TestAllocBudgetBatchFanBack(t *testing.T) {
 	h.Set("Content-Type", wire.ContentTypeResultFrame)
 	res := &attemptResult{status: http.StatusOK, header: h, body: frame}
 	avg := testing.AllocsPerRun(100, func() {
-		answers, _, ok := decodeBatchAnswers(res, len(items))
+		answers, ok := decodeBatchAnswers(res, len(items))
 		if !ok || len(answers) != len(items) {
 			t.Fatal("fan-back decode failed")
 		}

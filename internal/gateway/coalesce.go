@@ -158,39 +158,37 @@ func (c *coalescer) flush(grp *submitGroup) {
 	for i, w := range grp.waiters {
 		specs[i] = w.spec
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), g.cfg.RequestTimeout)
-	defer cancel()
-	res, err := g.forwardSubmit(ctx, specs[0].ID, "/v1/jobs/batch", submitBodies(specs, false), true)
-	if err != nil || res.status != http.StatusOK {
-		if err == nil {
-			g.releaseResult(res)
-		}
+	frame, err := jobFrame(specs)
+	if err != nil {
+		// Some waiter's spec does not fit a frame; its own direct submit
+		// answers the 400.
 		c.fallBack(grp)
 		return
 	}
-	answers, aliased, ok := decodeBatchAnswers(res, n)
+	ctx, cancel := context.WithTimeout(context.Background(), g.cfg.RequestTimeout)
+	defer cancel()
+	res, err := g.forward(ctx, specs[0].ID, postFrame("/v1/jobs/batch", frame, wire.ContentTypeResultFrame), false)
+	if err != nil {
+		c.fallBack(grp)
+		return
+	}
+	items, ok := decodeBatchAnswers(res, n)
 	if !ok {
 		g.releaseResult(res)
 		c.fallBack(grp)
 		return
 	}
-	// Wire answers alias the pooled response buffer; each waiter that
+	// Item bodies alias the pooled response buffer; each waiter that
 	// takes an aliasing body takes its own reference (the flusher's own
 	// reference is dropped at the end, after every send).
-	var shared *relayBuf
-	if aliased {
-		shared = res.buf
-	}
 	for i, w := range grp.waiters {
-		it := answers[i]
-		if it.status == 0 {
-			// A replica that predates per-item statuses: no faithful
-			// fan-back is possible for this item.
+		if items[i].Status == 0 {
+			// No faithful fan-back is possible for a statusless item.
 			g.metrics.coalesceDirect.Add(1)
 			w.done <- submitOutcome{direct: true}
 			continue
 		}
-		out := synthItemResult(it, shared)
+		out := synthItemResult(items[i], res.buf)
 		if out.buf != nil {
 			out.buf.retain(1)
 		}
@@ -207,75 +205,40 @@ func (c *coalescer) fallBack(grp *submitGroup) {
 	}
 }
 
-// itemAnswer is one per-item outcome normalized from either response
-// encoding.
-type itemAnswer struct {
-	status   int
-	retrySec int
-	price    float64
-	errMsg   string
-	body     []byte // pre-marshaled JSON body; may alias the pooled buffer
-}
-
-// decodeBatchAnswers normalizes a batch response body (JSON BatchItem
-// array or binary result frame) into per-item answers. aliased reports
-// that the answer bodies alias res.body's backing buffer (the
-// zero-copy wire path). ok=false on any envelope-level mismatch —
-// undecodable body or a count disagreeing with the request — which
-// callers treat as a failed flush.
-func decodeBatchAnswers(res *attemptResult, want int) (answers []itemAnswer, aliased, ok bool) {
-	if res.header.Get("Content-Type") == wire.ContentTypeResultFrame {
-		items, err := wire.DecodeResultFrame(res.body)
-		if err != nil || len(items) != want {
-			return nil, false, false
-		}
-		out := make([]itemAnswer, want)
-		for i, it := range items {
-			out[i] = itemAnswer{status: it.Status, retrySec: it.RetryAfterSec,
-				price: it.Price, errMsg: it.ErrMsg, body: it.Body}
-		}
-		return out, true, true
+// decodeBatchAnswers decodes a flush response into per-item answers
+// whose bodies alias res.body. ok=false on any envelope-level mismatch —
+// not a 200 result frame, undecodable, or a count disagreeing with the
+// request — which the flush treats as failed.
+func decodeBatchAnswers(res *attemptResult, want int) ([]wire.ResultItem, bool) {
+	if res.status != http.StatusOK || res.header.Get("Content-Type") != wire.ContentTypeResultFrame {
+		return nil, false
 	}
-	var items []server.BatchItem
-	if err := json.Unmarshal(res.body, &items); err != nil || len(items) != want {
-		return nil, false, false
-	}
-	out := make([]itemAnswer, want)
-	for i, it := range items {
-		out[i] = itemAnswer{status: it.Status, retrySec: it.RetryAfterSec,
-			price: it.Price, errMsg: it.Error}
-		if it.Job != nil {
-			// Decoded (copied) from JSON: bodies never alias the pooled
-			// buffer on this path.
-			out[i].body, _ = json.Marshal(it.Job)
-		}
-	}
-	return out, false, true
+	items, err := wire.DecodeResultFrame(res.body)
+	return items, err == nil && len(items) == want
 }
 
 // synthItemResult renders one item answer as the response a single
 // submit against the owner would have produced: same status, same body
 // shape, and — for 429/503 — the ITEM's own derived Retry-After and
 // admission price, never anything from the batch envelope.
-func synthItemResult(it itemAnswer, buf *relayBuf) *attemptResult {
+func synthItemResult(it wire.ResultItem, buf *relayBuf) *attemptResult {
 	h := make(http.Header, 3)
 	h.Set("Content-Type", "application/json")
-	switch it.status {
+	switch it.Status {
 	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-		sec := it.retrySec
+		sec := it.RetryAfterSec
 		if sec < 1 {
 			sec = 1
 		}
 		h.Set("Retry-After", strconv.Itoa(sec))
-		h.Set(tenant.HeaderAdmissionPrice, strconv.FormatFloat(it.price, 'f', 4, 64))
+		h.Set(tenant.HeaderAdmissionPrice, strconv.FormatFloat(it.Price, 'f', 4, 64))
 	}
-	body := it.body
-	res := &attemptResult{status: it.status, header: h, body: body}
-	if len(body) == 0 {
+	res := &attemptResult{status: it.Status, header: h, body: it.Body}
+	if len(it.Body) == 0 {
 		// Validation and throttle refusals carry no job view; render the
 		// same apiError a single submit would have.
-		res.body, _ = json.Marshal(apiError{Error: it.errMsg})
-	} else if buf != nil {
+		res.body, _ = json.Marshal(apiError{Error: it.ErrMsg})
+	} else {
 		res.buf = buf // waiter releases its reference after relaying
 	}
 	return res

@@ -8,14 +8,15 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"dmw/internal/group"
 	"dmw/internal/server"
 	"dmw/internal/tenant"
-	"dmw/internal/wire"
 )
 
 // startTenantReplica is startReplica with a tenant policy installed.
@@ -338,67 +339,42 @@ func TestCoalescedMixedOutcomeRetryAfter(t *testing.T) {
 	}
 }
 
-// TestWireNegotiationAgainstRealReplica: the first submit to a dmwd
-// confirms the binary protocol in-band; nothing about the client-facing
-// answer changes.
+// TestWireNegotiationAgainstRealReplica: a submit reaches dmwd as a
+// frame and the capability header on its answer is counted once per
+// backend; nothing about the client-facing answer changes.
 func TestWireNegotiationAgainstRealReplica(t *testing.T) {
 	rep := startReplica(t)
 	g, front := startGateway(t, []*replica{rep}, nil)
-	sp := tinySpec(51)
-	sp.ID = "wire-probe-1"
-	resp := postSpec(t, front.URL, sp, nil)
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: HTTP %d: %s", resp.StatusCode, body)
+	for i := 0; i < 2; i++ {
+		sp := tinySpec(51)
+		sp.ID = fmt.Sprintf("wire-probe-%d", i)
+		resp := postSpec(t, front.URL, sp, nil)
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit: HTTP %d: %s", resp.StatusCode, body)
+		}
 	}
 	if g.metrics.wireNegotiated.Load() != 1 {
-		t.Errorf("wireNegotiated = %d, want 1 (replica speaks frames)", g.metrics.wireNegotiated.Load())
-	}
-	b, _ := g.getBackend("rep0")
-	if b.wireState.Load() != wireConfirmed {
-		t.Errorf("backend wire state = %d, want confirmed", b.wireState.Load())
+		t.Errorf("wireNegotiated = %d, want 1 (one backend, counted once)", g.metrics.wireNegotiated.Load())
 	}
 }
 
-// TestWireFallbackToJSONBackend: a backend that refuses frame-typed
-// requests without the capability header (a pre-wire build) is pinned
-// to JSON after one loud fallback; submits keep succeeding throughout.
-func TestWireFallbackToJSONBackend(t *testing.T) {
-	var jsonSubmits, frameAttempts int
-	var mu sync.Mutex
-	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch {
-		case r.URL.Path == "/healthz":
-			fmt.Fprint(w, `{"status":"ok"}`)
-		case r.Method == http.MethodPost && r.URL.Path == "/v1/jobs":
-			if r.Header.Get("Content-Type") == wire.ContentTypeJobFrame {
-				// Pre-wire build: tries JSON, fails, no capability header.
-				mu.Lock()
-				frameAttempts++
-				mu.Unlock()
-				http.Error(w, `{"error":"decoding job spec: invalid character"}`, http.StatusBadRequest)
-				return
-			}
-			var spec server.JobSpec
-			if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			mu.Lock()
-			jsonSubmits++
-			mu.Unlock()
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusAccepted)
-			fmt.Fprintf(w, `{"id":%q,"state":"queued"}`, spec.ID)
-		default:
-			http.NotFound(w, r)
+// TestUnframeableSpecIs400: a spec the frame encoder refuses (a field
+// over 65,535 entries) is the client's error — a 400 naming the field on
+// both submit endpoints — and no second encoding is ever sent: the
+// backend sees nothing.
+func TestUnframeableSpecIs400(t *testing.T) {
+	var posts atomic.Int64
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			posts.Add(1)
 		}
+		fmt.Fprint(w, `{"status":"ok"}`)
 	}))
-	defer old.Close()
-
+	defer backend.Close()
 	g, err := New(Config{
-		Backends:       []Backend{{Name: "old", URL: old.URL}},
+		Backends:       []Backend{{Name: "b", URL: backend.URL}},
 		HealthInterval: time.Hour,
 		RequestTimeout: 5 * time.Second,
 	})
@@ -409,25 +385,28 @@ func TestWireFallbackToJSONBackend(t *testing.T) {
 	front := httptest.NewServer(g.Handler())
 	defer front.Close()
 
-	for i := 0; i < 3; i++ {
-		sp := tinySpec(int64(60 + i))
-		sp.ID = fmt.Sprintf("old-%d", i)
-		resp := postSpec(t, front.URL, sp, nil)
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("submit %d to pre-wire backend: HTTP %d: %s", i, resp.StatusCode, body)
+	wide := tinySpec(70)
+	wide.W = make([]int, 1<<16) // one past the frame's 16-bit count
+	for i := range wide.W {
+		wide.W[i] = 1 + i%3
+	}
+	for _, tc := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/jobs", wide},
+		{"/v1/jobs/batch", []server.JobSpec{tinySpec(71), wide}},
+	} {
+		status, body := postJSON(t, front.URL+tc.path, tc.body)
+		var apiErr apiError
+		if err := json.Unmarshal(body, &apiErr); err != nil {
+			t.Fatalf("%s: body %q is not an error envelope: %v", tc.path, body, err)
+		}
+		if status != http.StatusBadRequest || !strings.Contains(apiErr.Error, "w of 65536 entries") {
+			t.Errorf("%s: HTTP %d %q, want 400 naming the oversized field", tc.path, status, apiErr.Error)
 		}
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if frameAttempts != 1 {
-		t.Errorf("backend saw %d frame attempts, want exactly 1 (verdict is sticky)", frameAttempts)
-	}
-	if jsonSubmits != 3 {
-		t.Errorf("backend saw %d JSON submits, want 3 (every submit succeeded over JSON)", jsonSubmits)
-	}
-	if g.metrics.wireFallbacks.Load() != 1 {
-		t.Errorf("wireFallbacks = %d, want 1", g.metrics.wireFallbacks.Load())
+	if n := posts.Load(); n != 0 {
+		t.Errorf("backend received %d POSTs; an unframeable spec must never be sent in another encoding", n)
 	}
 }

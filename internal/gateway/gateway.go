@@ -15,10 +15,13 @@
 // which already journaled a rejected record for the ID — stays the
 // single source of truth for that job.
 //
-// The gateway holds no durable state. Restarting it loses nothing;
-// jobs live in the replicas (and their WALs). Reads route by the same
-// ring placement, falling through to successors so jobs submitted
-// during a failover window remain findable.
+// The gateway holds no durable state: jobs live in the replicas (and
+// their WALs), and restarting it loses none of them. Its soft state is
+// the lease table — a restarted gateway routes to leased members again
+// only after their next renewal (docs/SCALING.md, "Gateway
+// redundancy"). Reads route by the same ring placement, falling through
+// to successors so jobs submitted during a failover window remain
+// findable.
 package gateway
 
 import (
@@ -102,9 +105,6 @@ type Config struct {
 	// CoalesceMaxBatch caps one coalesced flush (default 64 when
 	// coalescing is enabled); a window that fills early flushes early.
 	CoalesceMaxBatch int
-	// DisableWire forces JSON bodies on all intra-fleet requests even to
-	// replicas that advertise the binary frame protocol.
-	DisableWire bool
 	// StreamTimeout bounds one relayed SSE stream (job event streams and
 	// the fleet firehose). Streams are long-lived by design, so the
 	// default is generous (15m); 0 takes the default, negative disables
@@ -203,12 +203,10 @@ type backend struct {
 	// than static config; it leaves the fleet on release or expiry.
 	leased bool
 
-	// wireState is the negotiated intra-fleet encoding for this replica:
-	// wireAuto (probe with binary frames), wireConfirmed (replica spoke
-	// the capability header), or wireJSONOnly (replica refused a framed
-	// request without the header — a pre-wire build; sticky until the
-	// backend is re-pointed or restarts).
-	wireState atomic.Int32
+	// wireSeen latches the first answer from this replica that carried
+	// the X-DMW-Wire capability header; it only feeds the
+	// dmwgw_wire_negotiated_total count, no behaviour hangs on it.
+	wireSeen atomic.Bool
 
 	// up is the ring-membership view of health. Backends start up;
 	// the prober ejects after FailAfter consecutive failures.
@@ -455,8 +453,5 @@ func (g *Gateway) SetBackendURL(name, rawURL string) error {
 		return fmt.Errorf("gateway: backend %q: invalid URL %q", name, rawURL)
 	}
 	b.base.Store(u)
-	// A re-pointed backend is a different process: re-probe its wire
-	// capability instead of trusting the old verdict.
-	b.wireState.Store(wireAuto)
 	return nil
 }

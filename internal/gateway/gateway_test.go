@@ -395,7 +395,7 @@ func TestMetricsAggregation(t *testing.T) {
 		t.Errorf("summed dmwd_workers = %g, want 8 (4 per replica)", got)
 	}
 	// Histogram buckets must aggregate and keep their +Inf tail.
-	if !strings.Contains(text, "dmwd_job_latency_ms_bucket{le=\"+Inf\"} 8") {
+	if !strings.Contains(text, "dmwd_job_latency_seconds_bucket{le=\"+Inf\"} 8") {
 		t.Errorf("metrics missing aggregated +Inf bucket with count 8:\n%s", text)
 	}
 }

@@ -334,3 +334,42 @@ func TestFirehoseSurvivesEpochChange(t *testing.T) {
 		t.Error("post-join job did not land on the leased member")
 	}
 }
+
+// TestGatewayRestartForgetsLeasesUntilRenewal pins ROADMAP item 6's
+// known gap as it behaves today: the lease table lives in one gateway's
+// memory, so a NEW gateway on the same config starts with an empty ring.
+// Reads of a job the leased member durably holds answer 502 "no backend
+// candidates" — not 404, nothing is lost — until that member's next
+// renewal (the agent heartbeats every TTL/3) re-admits it. Sleep-free:
+// the renewal is the test's own POST, not a timer.
+func TestGatewayRestartForgetsLeasesUntilRenewal(t *testing.T) {
+	leaseOnly := func(c *Config) { c.AllowEmptyFleet = true }
+	rep := startReplica(t)
+	_, front := startGateway(t, nil, leaseOnly)
+	acquireLease(t, front.URL, "m1", rep.url(), 1)
+	spec := tinySpec(3)
+	spec.ID = "survives-gateway-restart"
+	if status, body := postJSON(t, front.URL+"/v1/jobs", spec); status != http.StatusAccepted {
+		t.Fatalf("submit before restart: HTTP %d: %s", status, body)
+	}
+
+	// "Restart": a fresh Gateway built from the same config.
+	g2, front2 := startGateway(t, nil, leaseOnly)
+	if n := g2.ring.Len(); n != 0 {
+		t.Fatalf("restarted gateway's ring has %d members, want 0 (leases are not persisted)", n)
+	}
+	status, body := getJSON(t, front2.URL+"/v1/jobs/"+spec.ID)
+	if status != http.StatusBadGateway || !strings.Contains(string(body), "no backend candidates") {
+		t.Fatalf("read through restarted gateway: HTTP %d %s, want 502 no backend candidates", status, body)
+	}
+	if status, _ := postJSON(t, front2.URL+"/v1/jobs", tinySpec(4)); status != http.StatusBadGateway {
+		t.Errorf("submit through restarted gateway: HTTP %d, want 502", status)
+	}
+
+	// The member's next heartbeat lands on the new gateway and re-admits
+	// it; the job was on the replica all along.
+	acquireLease(t, front2.URL, "m1", rep.url(), 1)
+	if status, body := getJSON(t, front2.URL+"/v1/jobs/"+spec.ID+"?wait=10s"); status != http.StatusOK {
+		t.Fatalf("read after renewal: HTTP %d: %s", status, body)
+	}
+}

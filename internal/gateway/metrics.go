@@ -48,8 +48,7 @@ type gwMetrics struct {
 	coalescedSubmits atomic.Int64 // single submits that rode a coalesced flush
 	coalesceFlushes  atomic.Int64 // coalesced batch RPCs dispatched
 	coalesceDirect   atomic.Int64 // waiters sent back to the direct path
-	wireNegotiated   atomic.Int64 // backends confirmed speaking binary frames
-	wireFallbacks    atomic.Int64 // backends pinned to JSON after refusing a frame
+	wireNegotiated   atomic.Int64 // backends seen answering with the frame capability header
 	// submitBatchSize observes each coalesced flush's job count
 	// (dmwgw_submit_batch_size); constructed in New.
 	submitBatchSize *obs.Histogram
@@ -98,7 +97,6 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p("dmwgw_coalesce_flushes_total %d\n", g.metrics.coalesceFlushes.Load())
 	p("dmwgw_coalesce_direct_total %d\n", g.metrics.coalesceDirect.Load())
 	p("dmwgw_wire_negotiated_total %d\n", g.metrics.wireNegotiated.Load())
-	p("dmwgw_wire_fallbacks_total %d\n", g.metrics.wireFallbacks.Load())
 	gets, misses := g.relayBufs.gets.Load(), g.relayBufs.misses.Load()
 	p("dmwgw_relay_pool_gets_total %d\n", gets)
 	p("dmwgw_relay_pool_misses_total %d\n", misses)

@@ -15,6 +15,7 @@ import (
 	"dmw/internal/obs"
 	"dmw/internal/server"
 	"dmw/internal/tenant"
+	"dmw/internal/wire"
 )
 
 // maxBodyBytes / maxBatchBodyBytes mirror dmwd's own request bounds so
@@ -149,9 +150,21 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-// attempt is one proxied try against one backend. Returns the response
-// (body fully read into memory, bounded) or an error for "try the next
-// candidate" conditions.
+// proxyReq is one request to relay: the same bytes are offered to each
+// candidate in turn.
+type proxyReq struct {
+	method, path, rawQuery string
+	// body is nil for reads; contentType describes it otherwise. Every
+	// body the gateway sends to the fleet is a binary job frame.
+	body        []byte
+	contentType string
+	// accept optionally asks for a specific response encoding (the
+	// coalescer's binary result frame).
+	accept string
+}
+
+// attemptResult is the answer of one proxied try against one backend,
+// body fully read into memory (bounded).
 type attemptResult struct {
 	status int
 	header http.Header
@@ -161,9 +174,11 @@ type attemptResult struct {
 	buf *relayBuf
 }
 
-// tryBackend sends method+path(+query) with body to b. A transport
-// error or a 5xx status OTHER than 503 is returned as err
-// (failover-worthy); any other status is a definitive answer.
+// tryBackend sends req to b — the one attempt function, for reads and
+// submits alike. A transport error or a 5xx status OTHER than 503 is
+// returned as err (failover-worthy); any other status is a definitive
+// answer. Response bodies land in the pooled relay arena; on a nil
+// error the caller owns the result's buffer reference.
 //
 // 503 is deliberately definitive: dmwd's queue-full/draining response
 // has already created a durable rejected record for the job ID on that
@@ -180,16 +195,7 @@ type attemptResult struct {
 // let a throttled tenant shop for the one replica whose token bucket
 // still has room, defeating per-replica admission control. The 429
 // relays with its derived Retry-After and X-Admission-Price intact.
-func (g *Gateway) tryBackend(ctx context.Context, b *backend, method, path, rawQuery string, body []byte) (*attemptResult, error) {
-	return g.tryBackendOpts(ctx, b, method, path, rawQuery, body, "application/json", "")
-}
-
-// tryBackendOpts is tryBackend with an explicit request encoding: the
-// intra-fleet binary protocol rides through contentType (a frame type
-// instead of application/json) and accept (asking for a binary result
-// frame back). Response bodies land in the pooled relay arena; on a
-// nil error the caller owns the result's buffer reference.
-func (g *Gateway) tryBackendOpts(ctx context.Context, b *backend, method, path, rawQuery string, body []byte, contentType, accept string) (*attemptResult, error) {
+func (g *Gateway) tryBackend(ctx context.Context, b *backend, req proxyReq) (*attemptResult, error) {
 	if err := b.acquire(ctx); err != nil {
 		return nil, err
 	}
@@ -215,38 +221,38 @@ func (g *Gateway) tryBackendOpts(ctx context.Context, b *backend, method, path, 
 			g.cfg.Logger.Warn("slow_request",
 				"request_id", rid,
 				"backend", b.name,
-				"method", method,
-				"path", path,
+				"method", req.method,
+				"path", req.path,
 				"elapsed_ms", float64(elapsed)/float64(time.Millisecond),
 				"threshold_ms", float64(g.cfg.SlowThreshold)/float64(time.Millisecond))
 		}
 	}()
 
 	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
+	if req.body != nil {
+		rd = bytes.NewReader(req.body)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, b.joinPath(path, rawQuery), rd)
+	hreq, err := http.NewRequestWithContext(ctx, req.method, b.joinPath(req.path, req.rawQuery), rd)
 	if err != nil {
 		return nil, err
 	}
-	if body != nil {
-		req.Header.Set("Content-Type", contentType)
+	if req.body != nil {
+		hreq.Header.Set("Content-Type", req.contentType)
 	}
-	if accept != "" {
-		req.Header.Set("Accept", accept)
+	if req.accept != "" {
+		hreq.Header.Set("Accept", req.accept)
 	}
 	// Forward the correlation ID so the replica's access log, job record
 	// and trace carry the same request_id the gateway logged.
 	if rid := requestIDFrom(ctx); rid != "" {
-		req.Header.Set(obs.HeaderRequestID, rid)
+		hreq.Header.Set(obs.HeaderRequestID, rid)
 	}
 	// Forward the tenant identity on every attempt: admission control on
 	// a failover successor must see the same tenant the owner would have.
 	if tid := tenantFrom(ctx); tid != "" {
-		req.Header.Set(tenant.HeaderTenantID, tid)
+		hreq.Header.Set(tenant.HeaderTenantID, tid)
 	}
-	resp, err := b.client.Do(req)
+	resp, err := b.client.Do(hreq)
 	if err != nil {
 		g.metrics.backendErrors.Add(1)
 		return nil, fmt.Errorf("backend %s: %w", b.name, err)
@@ -272,13 +278,17 @@ func (g *Gateway) tryBackendOpts(ctx context.Context, b *backend, method, path, 
 		g.metrics.backendErrors.Add(1)
 		return nil, fmt.Errorf("backend %s: HTTP %d", b.name, resp.StatusCode)
 	}
+	if !b.wireSeen.Load() && resp.Header.Get(wire.HeaderWire) != "" && b.wireSeen.CompareAndSwap(false, true) {
+		g.metrics.wireNegotiated.Add(1)
+	}
 	return &attemptResult{status: resp.StatusCode, header: resp.Header, body: buf.bb.Bytes(), buf: buf}, nil
 }
 
-// forward walks the candidate list for key, returning the first
-// definitive response. Failover-worthy errors (see tryBackend) advance
-// to the next candidate; notFoundFallthrough additionally advances on
-// 404 (job reads: a failover-submitted job lives on a successor).
+// forward walks the candidate list for key — the one walk, for reads
+// and submits alike — returning the first definitive response.
+// Failover-worthy errors (see tryBackend) advance to the next
+// candidate; notFoundFallthrough additionally advances on 404 (job
+// reads: a failover-submitted job lives on a successor).
 //
 // A 404 is only returned when EVERY candidate answered it. If any
 // candidate was unreachable (transport error / failover-worthy 5xx)
@@ -286,7 +296,7 @@ func (g *Gateway) tryBackendOpts(ctx context.Context, b *backend, method, path, 
 // the replica that durably holds the job may be the one that is down,
 // and telling the client "unknown ID" during that window reads as data
 // loss, while a 502 tells it to retry.
-func (g *Gateway) forward(ctx context.Context, key, method, path, rawQuery string, body []byte, notFoundFallthrough bool) (*attemptResult, error) {
+func (g *Gateway) forward(ctx context.Context, key string, req proxyReq, notFoundFallthrough bool) (*attemptResult, error) {
 	cands := g.candidates(key)
 	var lastMiss *attemptResult
 	var lastErr error
@@ -300,12 +310,12 @@ func (g *Gateway) forward(ctx context.Context, key, method, path, rawQuery strin
 			g.cfg.Logger.Warn("failover",
 				"request_id", requestIDFrom(ctx),
 				"key", key,
-				"path", path,
+				"path", req.path,
 				"to", b.name,
 				"hop", i,
 				"cause", cause)
 		}
-		res, err := g.tryBackend(ctx, b, method, path, rawQuery, body)
+		res, err := g.tryBackend(ctx, b, req)
 		if err != nil {
 			lastErr = err
 			if ctx.Err() != nil {
@@ -373,10 +383,23 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	res, err := g.forwardSubmit(ctx, spec.ID, "/v1/jobs", submitBodies([]server.JobSpec{spec}, true), false)
+	// A single submit is a batch of one: a one-job frame to the owner.
+	frame, err := jobFrame([]server.JobSpec{spec})
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, apiError{Error: "encoding job spec: " + err.Error()})
+		return
+	}
+	g.proxy(ctx, w, spec.ID, postFrame("/v1/jobs", frame, ""), false, "no replica accepted the job")
+}
+
+// proxy answers the client with whatever forward gets for req: the
+// first definitive backend response relayed as is, or a 502 saying why
+// nobody gave one.
+func (g *Gateway) proxy(ctx context.Context, w http.ResponseWriter, key string, req proxyReq, notFoundFallthrough bool, failure string) {
+	res, err := g.forward(ctx, key, req, notFoundFallthrough)
 	if err != nil {
 		g.metrics.unrouted.Add(1)
-		writeJSON(w, http.StatusBadGateway, apiError{Error: "no replica accepted the job: " + err.Error()})
+		writeJSON(w, http.StatusBadGateway, apiError{Error: failure + ": " + err.Error()})
 		return
 	}
 	relay(w, res)
@@ -395,29 +418,14 @@ func (g *Gateway) handleParamsCache(w http.ResponseWriter, r *http.Request) {
 	g.metrics.requests.Add(1)
 	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.RequestTimeout)
 	defer cancel()
-	res, err := g.forward(ctx, "params-cache", http.MethodGet, "/v1/params-cache", "", nil, false)
-	if err != nil {
-		g.metrics.unrouted.Add(1)
-		writeJSON(w, http.StatusBadGateway, apiError{Error: "no replica reachable: " + err.Error()})
-		return
-	}
-	relay(w, res)
-	g.releaseResult(res)
+	g.proxy(ctx, w, "params-cache", proxyReq{method: http.MethodGet, path: "/v1/params-cache"}, false, "no replica reachable")
 }
 
 func (g *Gateway) handleGetJob(w http.ResponseWriter, r *http.Request) {
 	g.metrics.requests.Add(1)
-	id := r.PathValue("id")
 	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.RequestTimeout+readWaitAllowance(r))
 	defer cancel()
-	res, err := g.forward(ctx, id, http.MethodGet, r.URL.Path, r.URL.RawQuery, nil, true)
-	if err != nil {
-		g.metrics.unrouted.Add(1)
-		writeJSON(w, http.StatusBadGateway, apiError{Error: "no replica reachable: " + err.Error()})
-		return
-	}
-	relay(w, res)
-	g.releaseResult(res)
+	g.proxy(ctx, w, r.PathValue("id"), proxyReq{method: http.MethodGet, path: r.URL.Path, rawQuery: r.URL.RawQuery}, true, "no replica reachable")
 }
 
 // readWaitAllowance extends the proxy deadline by the client's ?wait
@@ -482,6 +490,7 @@ func (g *Gateway) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	type shard struct {
 		indices []int
 		specs   []server.JobSpec
+		frame   []byte // specs as one job frame
 	}
 	owners := make([]string, len(specs))
 	counts := make(map[string]int)
@@ -513,6 +522,15 @@ func (g *Gateway) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 		sh.indices = append(sh.indices, i)
 		sh.specs = append(sh.specs, specs[i])
 	}
+	// Frame every shard before sending any: a spec the frame encoder
+	// refuses fails the request while nothing has been admitted yet.
+	for _, sh := range shards {
+		var err error
+		if sh.frame, err = jobFrame(sh.specs); err != nil {
+			writeJSON(w, http.StatusBadRequest, apiError{Error: "encoding job spec array: " + err.Error()})
+			return
+		}
+	}
 	g.metrics.batchShards.Add(int64(len(shards)))
 
 	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.RequestTimeout)
@@ -525,10 +543,10 @@ func (g *Gateway) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 			defer wg.Done()
 			// Failover order keyed by the first job in the shard: every
 			// job in the shard has the same owner, so the successor walk
-			// is the same for all of them. The shard body rides the
-			// negotiated intra-fleet encoding; the answer stays JSON
-			// because the client-facing merge below is JSON anyway.
-			res, err := g.forwardSubmit(ctx, sh.specs[0].ID, "/v1/jobs/batch", submitBodies(sh.specs, false), false)
+			// is the same for all of them. The shard goes out as a job
+			// frame; the answer stays JSON because the client-facing
+			// merge below is JSON anyway.
+			res, err := g.forward(ctx, sh.specs[0].ID, postFrame("/v1/jobs/batch", sh.frame, ""), false)
 			if err == nil {
 				var items []server.BatchItem
 				if res.status == http.StatusOK && json.Unmarshal(res.body, &items) == nil && len(items) == len(sh.indices) {

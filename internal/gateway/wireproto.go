@@ -1,154 +1,34 @@
 package gateway
 
 import (
-	"context"
-	"encoding/json"
-	"errors"
 	"net/http"
 
 	"dmw/internal/server"
 	"dmw/internal/wire"
 )
 
-// Intra-fleet protocol negotiation. The gateway prefers the binary
-// frame encoding (internal/wire) on submit traffic to every replica and
-// discovers capability in-band: every dmwd that speaks frames stamps
-// the X-DMW-Wire header on every response to a frame-typed request,
-// success or error. A 400/415 WITHOUT the header is therefore the
-// unambiguous signature of a pre-wire replica trying (and failing) to
-// JSON-decode a binary body — the request is re-sent as JSON and the
-// verdict pinned until the backend is re-pointed. A 400 WITH the header
-// is a genuine answer (bad spec) and relays as-is. JSON remains the
-// client-facing default and the universal fallback.
+// The intra-fleet encoding. Clients speak JSON to the gateway; the
+// gateway speaks binary frames (internal/wire) to the fleet,
+// unconditionally: every dmwd decodes job frames on its submit
+// endpoints, so there is nothing to negotiate and nothing to fall back
+// to. A single submit is a one-job frame to POST /v1/jobs, a batch
+// shard a k-job frame to POST /v1/jobs/batch. A spec the frame cannot
+// represent (a field over 65,535 entries) is the client's error — a 400
+// naming the field — never a reason to send a second encoding.
 
-// backend.wireState values.
-const (
-	wireAuto      = int32(iota) // unprobed: attempt binary, watch the header
-	wireConfirmed               // replica spoke the capability header
-	wireJSONOnly                // replica refused a frame without the header
-)
-
-// specsToFrame encodes specs as a binary job frame, or nil when the
-// frame encoder refuses (oversized field) — the caller then uses JSON.
-func specsToFrame(specs []server.JobSpec) []byte {
+// jobFrame encodes specs as one binary job frame.
+func jobFrame(specs []server.JobSpec) ([]byte, error) {
 	jobs := make([]wire.Job, len(specs))
 	for i := range specs {
 		jobs[i] = server.SpecToWire(specs[i])
 	}
-	frame, err := wire.EncodeJobFrame(jobs)
-	if err != nil {
-		return nil
-	}
-	return frame
+	return wire.EncodeJobFrame(jobs)
 }
 
-// bodyFns lazily materializes the two encodings of one submit body so a
-// failover walk across backends with different negotiated encodings
-// marshals each form at most once.
-type bodyFns struct {
-	jsonOf func() []byte // never nil
-	binOf  func() []byte // returns nil when the binary form is unavailable
-}
-
-func submitBodies(specs []server.JobSpec, single bool) bodyFns {
-	var jsonBody, binBody []byte
-	var jsonDone, binDone bool
-	return bodyFns{
-		jsonOf: func() []byte {
-			if !jsonDone {
-				jsonDone = true
-				if single {
-					jsonBody, _ = json.Marshal(specs[0])
-				} else {
-					jsonBody, _ = json.Marshal(specs)
-				}
-			}
-			return jsonBody
-		},
-		binOf: func() []byte {
-			if !binDone {
-				binDone = true
-				binBody = specsToFrame(specs)
-			}
-			return binBody
-		},
-	}
-}
-
-// trySubmitBackend posts one submit body to b in the backend's
-// negotiated encoding, handling the in-band capability probe. bodies
-// must be single-goroutine (the walk is sequential). batch asks for the
-// binary result-frame answer so coalesced fan-back can reuse per-item
-// bodies without parsing.
-func (g *Gateway) trySubmitBackend(ctx context.Context, b *backend, path string, bodies bodyFns, batch bool) (*attemptResult, error) {
-	if !g.cfg.DisableWire && b.wireState.Load() != wireJSONOnly {
-		if bin := bodies.binOf(); bin != nil {
-			accept := ""
-			if batch {
-				accept = wire.ContentTypeResultFrame
-			}
-			res, err := g.tryBackendOpts(ctx, b, http.MethodPost, path, "", bin, wire.ContentTypeJobFrame, accept)
-			if err != nil {
-				return nil, err
-			}
-			if res.header.Get(wire.HeaderWire) != "" {
-				if b.wireState.CompareAndSwap(wireAuto, wireConfirmed) {
-					g.metrics.wireNegotiated.Add(1)
-				}
-				return res, nil
-			}
-			if res.status == http.StatusBadRequest || res.status == http.StatusUnsupportedMediaType {
-				g.releaseResult(res)
-				if b.wireState.Swap(wireJSONOnly) != wireJSONOnly {
-					g.metrics.wireFallbacks.Add(1)
-					g.cfg.Logger.Warn("wire negotiation fallback",
-						"backend", b.name,
-						"cause", "frame-typed request refused without capability header; pinning JSON")
-				}
-				// Fall through to the JSON re-send below.
-			} else {
-				// Any other status from a frame-typed request is a real
-				// answer (202/429/503/...) even without the header.
-				return res, nil
-			}
-		}
-	}
-	return g.tryBackendOpts(ctx, b, http.MethodPost, path, "", bodies.jsonOf(), "application/json", "")
-}
-
-// forwardSubmit walks the candidate list for key with per-backend
-// encoding negotiation — the submit twin of forward(). 503/429 stay
-// definitive exactly as in tryBackend; transport errors and server
-// faults advance the walk.
-func (g *Gateway) forwardSubmit(ctx context.Context, key, path string, bodies bodyFns, batch bool) (*attemptResult, error) {
-	var lastErr error
-	for i, b := range g.candidates(key) {
-		if i > 0 {
-			g.metrics.failovers.Add(1)
-			cause := "unknown"
-			if lastErr != nil {
-				cause = lastErr.Error()
-			}
-			g.cfg.Logger.Warn("failover",
-				"request_id", requestIDFrom(ctx),
-				"key", key,
-				"path", path,
-				"to", b.name,
-				"hop", i,
-				"cause", cause)
-		}
-		res, err := g.trySubmitBackend(ctx, b, path, bodies, batch)
-		if err != nil {
-			lastErr = err
-			if ctx.Err() != nil {
-				break
-			}
-			continue
-		}
-		return res, nil
-	}
-	if lastErr == nil {
-		lastErr = errors.New("no backend candidates")
-	}
-	return nil, lastErr
+// postFrame is the one shape every submit takes on its way into the
+// fleet: a job frame POSTed to path. accept optionally asks for the
+// binary result frame back.
+func postFrame(path string, frame []byte, accept string) proxyReq {
+	return proxyReq{method: http.MethodPost, path: path, body: frame,
+		contentType: wire.ContentTypeJobFrame, accept: accept}
 }

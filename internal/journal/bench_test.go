@@ -11,8 +11,8 @@ import (
 // fsync policy with a ~600 B payload (the size of a typical dmwd job
 // record). `always` is the price of power-loss durability per append;
 // `interval` shows what the 100 ms flush window amortizes it down to;
-// `never` is the framing + page-cache floor. BenchmarkJournalAppend
-// feeds make bench via cmd/benchjson, so BENCH_*.json captures the tax.
+// `never` is the framing + page-cache floor. (The gated figure is the
+// harness's journal.append_us; this is the per-policy breakdown.)
 func BenchmarkJournalAppend(b *testing.B) {
 	payload := bytes.Repeat([]byte("x"), 600)
 	for _, pol := range []SyncPolicy{SyncAlways, SyncInterval, SyncNever} {

@@ -29,7 +29,7 @@ import (
 )
 
 // RecordsPath is the replication RPC endpoint on every dmwd: POST a
-// JSON array of Records.
+// binary record frame (internal/wire).
 const RecordsPath = "/v1/replica/records"
 
 // Peer is one fleet member in the replication view (mirrors
@@ -58,14 +58,14 @@ type View struct {
 type Record struct {
 	// ID is the job ID — also the placement key, so copies land on
 	// exactly the ring successors a gateway read falls through to.
-	ID string `json:"id"`
+	ID string
 	// Origin names the owner that pushed the record.
-	Origin string `json:"origin,omitempty"`
+	Origin string
 	// Epoch is the pusher's view epoch, for operators diagnosing
 	// placement built from a stale ring.
-	Epoch uint64 `json:"epoch,omitempty"`
+	Epoch uint64
 	// Payload is the owner's full jobRecord JSON, served back on reads.
-	Payload json.RawMessage `json:"payload"`
+	Payload json.RawMessage
 }
 
 // Config configures a Replicator.
@@ -91,9 +91,6 @@ type Config struct {
 	// RPC — wired to the server's push-batch-size histogram, so the
 	// coalescing win of the batched drain is visible in /metrics.
 	ObserveBatch func(records int)
-	// DisableWire forces JSON push bodies even to peers that advertise
-	// the binary record-frame encoding.
-	DisableWire bool
 }
 
 // Replicator owns replication placement and transport for one replica.
@@ -103,11 +100,10 @@ type Config struct {
 type Replicator struct {
 	cfg Config
 
-	mu       sync.RWMutex
-	view     View
-	ring     *ring.Ring
-	urls     map[string]string // member name -> base URL
-	jsonOnly map[string]bool   // peers that refused the binary record frame
+	mu   sync.RWMutex
+	view View
+	ring *ring.Ring
+	urls map[string]string // member name -> base URL
 
 	queue chan Record
 	stop  chan struct{}
@@ -156,12 +152,11 @@ func NewReplicator(cfg Config) *Replicator {
 		cfg.ObserveBatch = func(int) {}
 	}
 	r := &Replicator{
-		cfg:      cfg,
-		ring:     ring.New(cfg.VirtualNodes),
-		urls:     make(map[string]string),
-		jsonOnly: make(map[string]bool),
-		queue:    make(chan Record, cfg.QueueDepth),
-		stop:     make(chan struct{}),
+		cfg:   cfg,
+		ring:  ring.New(cfg.VirtualNodes),
+		urls:  make(map[string]string),
+		queue: make(chan Record, cfg.QueueDepth),
+		stop:  make(chan struct{}),
 	}
 	r.wg.Add(1)
 	go r.worker()
@@ -184,9 +179,6 @@ func (r *Replicator) Update(v View) {
 	r.view = v
 	r.ring = rg
 	r.urls = urls
-	// A new view means peers may have restarted (possibly upgraded):
-	// forget negotiation verdicts and re-probe the binary encoding.
-	r.jsonOnly = make(map[string]bool)
 	r.mu.Unlock()
 }
 
@@ -420,97 +412,41 @@ func (r *Replicator) Handoff(recs []Record) {
 	}
 }
 
-// post delivers one batch to one peer, preferring the binary record
-// frame and falling back (sticky per peer, until the next view) to JSON
-// when the peer answers a frame-typed request without the wire
-// capability header — the signature of a member that predates the
-// binary protocol.
+// post delivers one batch to one peer as a binary record frame. The
+// whole exchange — send, drain, close — runs under the push timeout, so
+// the keep-alive connection goes back to the pool whatever body the
+// peer answers with. Any 2xx is success; anything else a statusError.
 func (r *Replicator) post(p Peer, recs []Record) error {
 	r.cfg.ObserveBatch(len(recs))
 	start := time.Now()
 	defer func() { r.cfg.ObservePush(time.Since(start).Seconds()) }()
-	if !r.cfg.DisableWire && !r.peerJSONOnly(p.Name) {
-		err, fellBack := r.postFrame(p, recs)
-		if !fellBack {
-			return err
-		}
-		r.markJSONOnly(p.Name)
-		r.cfg.Logf("replica: peer %s does not speak record frames; falling back to JSON", p.Name)
-	}
-	return r.postJSON(p, recs)
-}
-
-func (r *Replicator) peerJSONOnly(name string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.jsonOnly[name]
-}
-
-func (r *Replicator) markJSONOnly(name string) {
-	r.mu.Lock()
-	r.jsonOnly[name] = true
-	r.mu.Unlock()
-}
-
-// postFrame attempts the binary encoding. fellBack reports a
-// negotiation failure (peer rejected the content type without speaking
-// the wire header): the caller must re-send as JSON. Genuine errors —
-// transport failures, or peer-side refusals that DO carry the header —
-// are returned as err with fellBack false, since the peer understood
-// the frame and retrying as JSON would not change the verdict.
-func (r *Replicator) postFrame(p Peer, recs []Record) (err error, fellBack bool) {
 	wrecs := make([]wire.Record, len(recs))
 	for i, rec := range recs {
 		wrecs[i] = wire.Record{ID: rec.ID, Origin: rec.Origin, Epoch: rec.Epoch, Payload: rec.Payload}
 	}
 	body, err := wire.AppendRecordFrame(nil, wrecs)
 	if err != nil {
-		return err, false
-	}
-	resp, err := r.send(p, body, wire.ContentTypeRecordFrame)
-	if err != nil {
-		return err, false
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	switch {
-	case resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusNoContent:
-		return nil, false
-	case (resp.StatusCode == http.StatusBadRequest || resp.StatusCode == http.StatusUnsupportedMediaType) &&
-		resp.Header.Get(wire.HeaderWire) == "":
-		return nil, true
-	default:
-		return &statusError{status: resp.StatusCode}, false
-	}
-}
-
-func (r *Replicator) postJSON(p Peer, recs []Record) error {
-	body, err := json.Marshal(recs)
-	if err != nil {
 		return err
 	}
-	resp, err := r.send(p, body, "application/json")
-	if err != nil {
-		return err
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNoContent {
-		return &statusError{status: resp.StatusCode}
-	}
-	return nil
-}
-
-// send issues one replication POST; callers own the response body.
-func (r *Replicator) send(p Peer, body []byte, contentType string) (*http.Response, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.PushTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, p.URL+RecordsPath, bytes.NewReader(body))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	req.Header.Set("Content-Type", contentType)
-	return r.cfg.Client.Do(req)
+	req.Header.Set("Content-Type", wire.ContentTypeRecordFrame)
+	resp, err := r.cfg.Client.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	// The status already decides the outcome; a failed drain only costs
+	// the connection.
+	_, _ = io.Copy(io.Discard, resp.Body)
+	if resp.StatusCode/100 != 2 {
+		return &statusError{status: resp.StatusCode}
+	}
+	return nil
 }
 
 type statusError struct{ status int }

@@ -2,25 +2,27 @@ package replica
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"dmw/internal/wire"
 )
 
-// recordSink is a test peer that accepts replication POSTs in both the
-// JSON and binary record-frame encodings (like a current dmwd). It also
-// remembers per-POST batch sizes and which encodings it saw.
+// recordSink is a test peer that accepts replication POSTs the way a
+// dmwd does: binary record frames only, answered 204. It remembers
+// per-POST batch sizes.
 type recordSink struct {
 	mu      sync.Mutex
 	recs    []Record
 	batches []int
-	framed  int // POSTs that arrived as binary record frames
 	srv     *httptest.Server
 }
 
@@ -31,54 +33,24 @@ func newRecordSink(t *testing.T) *recordSink {
 			http.NotFound(w, r)
 			return
 		}
-		body, _ := io.ReadAll(r.Body)
-		var recs []Record
-		if r.Header.Get("Content-Type") == wire.ContentTypeRecordFrame {
-			w.Header().Set(wire.HeaderWire, wire.WireV1)
-			wrecs, err := wire.DecodeRecordFrame(body)
-			if err != nil {
-				t.Errorf("sink: %v", err)
-				w.WriteHeader(http.StatusBadRequest)
-				return
-			}
-			for _, wr := range wrecs {
-				recs = append(recs, Record{ID: wr.ID, Origin: wr.Origin, Epoch: wr.Epoch,
-					Payload: json.RawMessage(append([]byte(nil), wr.Payload...))})
-			}
-			s.mu.Lock()
-			s.framed++
-			s.mu.Unlock()
-		} else if err := json.Unmarshal(body, &recs); err != nil {
-			t.Errorf("sink: %v", err)
-		}
-		s.mu.Lock()
-		s.recs = append(s.recs, recs...)
-		s.batches = append(s.batches, len(recs))
-		s.mu.Unlock()
-		w.WriteHeader(http.StatusNoContent)
-	}))
-	t.Cleanup(s.srv.Close)
-	return s
-}
-
-// newJSONOnlySink is a peer that predates the binary protocol: it
-// refuses unknown content types with a plain 400 and no wire header.
-func newJSONOnlySink(t *testing.T) *recordSink {
-	s := &recordSink{}
-	s.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost || r.URL.Path != RecordsPath {
-			http.NotFound(w, r)
+		if ct := r.Header.Get("Content-Type"); ct != wire.ContentTypeRecordFrame {
+			t.Errorf("sink: push arrived as %q, want a record frame", ct)
+			w.WriteHeader(http.StatusUnsupportedMediaType)
 			return
 		}
 		body, _ := io.ReadAll(r.Body)
-		var recs []Record
-		if err := json.Unmarshal(body, &recs); err != nil {
+		wrecs, err := wire.DecodeRecordFrame(body)
+		if err != nil {
+			t.Errorf("sink: %v", err)
 			w.WriteHeader(http.StatusBadRequest)
 			return
 		}
 		s.mu.Lock()
-		s.recs = append(s.recs, recs...)
-		s.batches = append(s.batches, len(recs))
+		for _, wr := range wrecs {
+			s.recs = append(s.recs, Record{ID: wr.ID, Origin: wr.Origin, Epoch: wr.Epoch,
+				Payload: json.RawMessage(append([]byte(nil), wr.Payload...))})
+		}
+		s.batches = append(s.batches, len(wrecs))
 		s.mu.Unlock()
 		w.WriteHeader(http.StatusNoContent)
 	}))
@@ -90,12 +62,6 @@ func (s *recordSink) count() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.recs)
-}
-
-func (s *recordSink) framedPosts() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.framed
 }
 
 func (s *recordSink) maxBatch() int {
@@ -223,8 +189,9 @@ func TestHandoffFallsBackPastDeadPeer(t *testing.T) {
 	}
 }
 
-// TestOfferPushesUseRecordFrames: the async push path defaults to the
-// binary encoding when the peer advertises it.
+// TestOfferPushesUseRecordFrames: the async push path ships record
+// frames (the sink refuses anything else) and the payload survives the
+// frame byte for byte.
 func TestOfferPushesUseRecordFrames(t *testing.T) {
 	sink := newRecordSink(t)
 	r := NewReplicator(Config{})
@@ -241,9 +208,6 @@ func TestOfferPushesUseRecordFrames(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if sink.framedPosts() == 0 {
-		t.Fatal("push to a frame-capable peer arrived as JSON")
-	}
 	sink.mu.Lock()
 	got := string(sink.recs[0].Payload)
 	sink.mu.Unlock()
@@ -252,41 +216,57 @@ func TestOfferPushesUseRecordFrames(t *testing.T) {
 	}
 }
 
-// TestWireFallbackToJSONOnly: a peer that answers a frame-typed POST
-// with 400 and no capability header is a pre-wire member — the push
-// must be retried as JSON within the same delivery (no record loss, no
-// push error counted) and the verdict remembered for later pushes.
-func TestWireFallbackToJSONOnly(t *testing.T) {
-	sink := newJSONOnlySink(t)
-	r := NewReplicator(Config{})
-	defer r.Close()
-	r.Update(view("self", 2,
-		Peer{Name: "self", URL: "http://ignored", Weight: 1},
-		Peer{Name: "old", URL: sink.srv.URL, Weight: 1},
-	))
-	for i := 0; i < 3; i++ {
-		r.Offer(Record{ID: fmt.Sprintf("fb-%d", i), Payload: json.RawMessage(`{}`)})
-		deadline := time.Now().Add(5 * time.Second)
-		for sink.count() <= i {
-			if time.Now().After(deadline) {
-				t.Fatalf("offer %d never reached the JSON-only peer", i)
-			}
-			time.Sleep(5 * time.Millisecond)
+// TestPushReusesConnectionWhenPeerAnswersWithBody: a peer answering
+// 200 with a body is as much a success as dmwd's bodiless 204, and the
+// body is drained before the push's context is released — so N pushes
+// ride ONE keep-alive connection instead of forfeiting it every time.
+func TestPushReusesConnectionWhenPeerAnswersWithBody(t *testing.T) {
+	var conns, posts atomic.Int64
+	sink := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		posts.Add(1)
+		w.Header().Set("Content-Type", "application/json")
+		fmt.Fprint(w, `{"ok":true}`)
+	}))
+	sink.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			conns.Add(1)
 		}
 	}
-	if pushes, errs, _ := r.Stats(); pushes != 3 || errs != 0 {
-		t.Fatalf("stats = %d pushes / %d errors, want 3/0 (fallback is not an error)", pushes, errs)
+	sink.Start()
+	defer sink.Close()
+
+	r := NewReplicator(Config{})
+	defer r.Close()
+	const pushes = 8
+	for i := 0; i < pushes; i++ {
+		rec := Record{ID: fmt.Sprintf("ka-%d", i), Payload: json.RawMessage(`{}`)}
+		if err := r.post(Peer{Name: "peer", URL: sink.URL}, []Record{rec}); err != nil {
+			t.Fatalf("push %d: %v (any 2xx is success)", i, err)
+		}
 	}
-	if !r.peerJSONOnly("old") {
-		t.Fatal("negotiation verdict not remembered")
+	if got := posts.Load(); got != pushes {
+		t.Fatalf("sink saw %d POSTs, want %d", got, pushes)
 	}
-	// A view change re-probes: the verdict must be cleared.
-	r.Update(view("self", 2,
-		Peer{Name: "self", URL: "http://ignored", Weight: 1},
-		Peer{Name: "old", URL: sink.srv.URL, Weight: 1},
-	))
-	if r.peerJSONOnly("old") {
-		t.Fatal("negotiation verdict survived a view change")
+	if got := conns.Load(); got != 1 {
+		t.Errorf("%d pushes opened %d connections, want 1 (body must be drained before the context is cancelled)", pushes, got)
+	}
+}
+
+// TestPushNon2xxIsStatusError: anything outside 2xx fails the push with
+// the status, whatever headers ride along.
+func TestPushNon2xxIsStatusError(t *testing.T) {
+	sink := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set(wire.HeaderWire, wire.WireV1)
+		w.WriteHeader(http.StatusUnsupportedMediaType)
+	}))
+	defer sink.Close()
+	r := NewReplicator(Config{})
+	defer r.Close()
+	err := r.post(Peer{Name: "peer", URL: sink.URL}, []Record{{ID: "x", Payload: json.RawMessage(`{}`)}})
+	var se *statusError
+	if !errors.As(err, &se) || se.status != http.StatusUnsupportedMediaType {
+		t.Fatalf("push to a 415 peer: err = %v, want statusError 415", err)
 	}
 }
 

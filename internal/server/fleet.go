@@ -158,20 +158,16 @@ func (s *Server) handoffReplicas() {
 
 // handleReplicaRecords is POST /v1/replica/records: the replication RPC
 // peers push terminal-record copies through (single records at finish
-// time, batches at drain time).
+// time, batches at drain time). Its only caller is another dmwd, which
+// sends record frames; any other body is a 415.
 func (s *Server) handleReplicaRecords(w http.ResponseWriter, r *http.Request) {
-	var recs []replica.Record
-	if r.Header.Get("Content-Type") == wire.ContentTypeRecordFrame {
-		var ok bool
-		if recs, ok = s.decodeRecordFrameBody(w, r); !ok {
-			return
-		}
-	} else {
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxReplicaBodyBytes))
-		if err := dec.Decode(&recs); err != nil {
-			writeJSON(w, http.StatusBadRequest, apiError{Error: "decoding replica records: " + err.Error()})
-			return
-		}
+	if r.Header.Get("Content-Type") != wire.ContentTypeRecordFrame {
+		writeJSON(w, http.StatusUnsupportedMediaType, apiError{Error: "replica records must be posted as " + wire.ContentTypeRecordFrame})
+		return
+	}
+	recs, ok := s.decodeRecordFrameBody(w, r)
+	if !ok {
+		return
 	}
 	s.metrics.replicaAcceptBatch.Observe(float64(len(recs)))
 	s.AcceptReplica(recs)

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -147,8 +146,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 // retryAfterSecs derives an integral Retry-After value: whole seconds,
 // rounded up, at least 1 (a zero would invite an immediate retry
-// storm). Shared by the header rendering and the per-item batch
-// outcomes.
+// storm).
 func retryAfterSecs(d time.Duration) int {
 	secs := int(math.Ceil(d.Seconds()))
 	if secs < 1 {
@@ -157,78 +155,74 @@ func retryAfterSecs(d time.Duration) int {
 	return secs
 }
 
-// retryAfterSeconds renders d as the Retry-After header value.
-func retryAfterSeconds(d time.Duration) string {
-	return strconv.Itoa(retryAfterSecs(d))
+// writeItem renders one admission outcome as the answer to a single
+// submit: the item's own status, and for refusals the guidance derived
+// at admission time — a Retry-After computed from the actual refusing
+// gate (token refill time for rate limits, expected queue-drain time
+// otherwise, never a hardcoded constant) and the current admission
+// price. The body is the job view when a record exists (202, and 503
+// whose rejected record the client can poll), the error envelope
+// otherwise.
+func writeItem(w http.ResponseWriter, it BatchItem) {
+	if it.Status == http.StatusTooManyRequests || it.Status == http.StatusServiceUnavailable {
+		w.Header().Set("Retry-After", strconv.Itoa(it.RetryAfterSec))
+		w.Header().Set(tenant.HeaderAdmissionPrice, strconv.FormatFloat(it.Price, 'f', 4, 64))
+	}
+	if it.Job != nil {
+		writeJSON(w, it.Status, it.Job)
+		return
+	}
+	writeJSON(w, it.Status, apiError{Error: it.Error})
 }
 
-// setRejectionHeaders stamps the refusal guidance derived at admission
-// time: a Retry-After computed from the actual refusing gate (token
-// refill time for rate limits, expected queue-drain time otherwise —
-// never a hardcoded constant) and the current admission price.
-func setRejectionHeaders(w http.ResponseWriter, rej *Rejection) {
-	w.Header().Set("Retry-After", retryAfterSeconds(rej.RetryAfter))
-	w.Header().Set(tenant.HeaderAdmissionPrice, strconv.FormatFloat(rej.Price, 'f', 4, 64))
+// stampIdentity fills the correlation ID and tenant a spec left empty
+// from the request that carried it (X-Request-Id, X-Tenant-Id).
+func stampIdentity(r *http.Request, specs []JobSpec) {
+	rid := requestIDFrom(r.Context())
+	tid := r.Header.Get(tenant.HeaderTenantID)
+	for i := range specs {
+		if specs[i].RequestID == "" {
+			specs[i].RequestID = rid
+		}
+		if specs[i].Tenant == "" {
+			specs[i].Tenant = tid
+		}
+	}
 }
 
+// handleSubmit admits one job spec — a JSON object from a client, or a
+// one-job frame from the gateway — as a batch of one, and answers with
+// that item's own status, headers and body.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec JobSpec
+	var specs []JobSpec
 	if r.Header.Get("Content-Type") == wire.ContentTypeJobFrame {
-		specs, ok := s.decodeJobFrameBody(w, r, maxBodyBytes)
-		if !ok {
+		var ok bool
+		if specs, ok = s.decodeJobFrameBody(w, r, maxBodyBytes); !ok {
 			return
 		}
 		if len(specs) != 1 {
 			writeJSON(w, http.StatusBadRequest, apiError{Error: fmt.Sprintf("job frame carries %d specs; POST /v1/jobs takes exactly one", len(specs))})
 			return
 		}
-		spec = specs[0]
 	} else {
+		specs = make([]JobSpec, 1)
 		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
+		if err := dec.Decode(&specs[0]); err != nil {
 			writeJSON(w, http.StatusBadRequest, apiError{Error: "decoding job spec: " + err.Error()})
 			return
 		}
 	}
-	if spec.RequestID == "" {
-		spec.RequestID = requestIDFrom(r.Context())
-	}
-	if spec.Tenant == "" {
-		spec.Tenant = r.Header.Get(tenant.HeaderTenantID)
-	}
-	job, err := s.Submit(spec)
-	var rej *Rejection
-	switch {
-	case err == nil:
-		writeJSON(w, http.StatusAccepted, job.View())
-	case errors.Is(err, ErrInvalidSpec):
-		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
-	case errors.As(err, &rej) && rej.Throttled():
-		// Per-tenant refusal: 429, no job record (nothing to poll), the
-		// caller's budget — not server capacity — is what ran out.
-		setRejectionHeaders(w, rej)
-		writeJSON(w, http.StatusTooManyRequests, apiError{Error: err.Error()})
-	case errors.As(err, &rej):
-		// Global backpressure: the job record exists (state rejected) so
-		// the client sees a consistent view, but the submission was
-		// refused; another replica may have room.
-		setRejectionHeaders(w, rej)
-		writeJSON(w, http.StatusServiceUnavailable, job.View())
-	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrDraining):
-		// Bare-sentinel fallback (no derived guidance attached).
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, job.View())
-	default:
-		writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
-	}
+	stampIdentity(r, specs)
+	writeItem(w, s.admitBatch(specs)[0].item())
 }
 
-// handleSubmitBatch admits a JSON array of job specs. Admission is
-// per-item (one invalid spec or a full queue never fails the batch);
-// the journal-backed store persists all valid admissions with a single
-// WAL append batch, amortizing the fsync across the request. Responds
-// 200 with a BatchItem per spec, positionally aligned with the input.
+// handleSubmitBatch admits an array of job specs (JSON from a client, a
+// job frame from the gateway). Admission is per-item (one invalid spec
+// or a full queue never fails the batch); the journal-backed store
+// persists all valid admissions with a single WAL append batch,
+// amortizing the fsync across the request. Responds 200 with a
+// BatchItem per spec, positionally aligned with the input.
 func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	var specs []JobSpec
 	if r.Header.Get("Content-Type") == wire.ContentTypeJobFrame {
@@ -252,19 +246,10 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, apiError{Error: fmt.Sprintf("batch of %d jobs exceeds limit %d", len(specs), maxBatchJobs)})
 		return
 	}
-	rid := requestIDFrom(r.Context())
-	tid := r.Header.Get(tenant.HeaderTenantID)
-	for i := range specs {
-		if specs[i].RequestID == "" {
-			specs[i].RequestID = rid
-		}
-		if specs[i].Tenant == "" {
-			specs[i].Tenant = tid
-		}
-	}
+	stampIdentity(r, specs)
 	items := s.SubmitBatch(specs)
-	// A frame-speaking gateway asks for the binary result encoding so it
-	// can fan pre-marshaled per-item bodies back to coalesced waiters
+	// The gateway's submit coalescer asks for the binary result encoding
+	// so it can fan pre-marshaled per-item bodies back to its waiters
 	// without parsing them; everyone else gets the JSON item array.
 	if r.Header.Get("Accept") == wire.ContentTypeResultFrame {
 		s.writeResultFrame(w, items)

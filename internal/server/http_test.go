@@ -145,8 +145,8 @@ func TestHTTPEndToEnd(t *testing.T) {
 	if metrics["dmwd_auctions_run_total"] != jobs {
 		t.Errorf("auctions %d, want %d", metrics["dmwd_auctions_run_total"], jobs)
 	}
-	if metrics["dmwd_job_latency_ms_count"] != jobs {
-		t.Errorf("latency count %d, want %d", metrics["dmwd_job_latency_ms_count"], jobs)
+	if metrics["dmwd_job_latency_seconds_count"] != jobs {
+		t.Errorf("latency count %d, want %d", metrics["dmwd_job_latency_seconds_count"], jobs)
 	}
 }
 
@@ -328,8 +328,8 @@ func TestHTTPMetricsShape(t *testing.T) {
 		"dmwd_queue_depth ",
 		"dmwd_workers ",
 		"dmwd_draining 0",
-		"dmwd_job_latency_ms_bucket{le=\"+Inf\"} ",
-		"dmwd_job_latency_ms_count ",
+		"dmwd_job_latency_seconds_bucket{le=\"+Inf\"} ",
+		"dmwd_job_latency_seconds_count ",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q:\n%s", want, text)

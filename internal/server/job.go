@@ -512,7 +512,7 @@ func (j *Job) expired(now time.Time) bool {
 // durable "refused, retry later" marker, and matching it would poison
 // the ID — a client retrying after queue-full/draining would get the
 // stale rejection back forever instead of running the job. Admission
-// replaces rejected records (see Store.PutIfAbsent).
+// replaces rejected records (see Store.PutBatchIfAbsent).
 func (j *Job) matchesResubmit(now time.Time) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()

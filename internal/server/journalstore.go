@@ -36,52 +36,6 @@ func newJournalStore(mem *memStore, j *journal.Journal, snapshotEvery int, logf 
 	return &journalStore{mem: mem, j: j, snapshotEvery: uint64(snapshotEvery), logf: logf}
 }
 
-func (s *journalStore) Put(j *Job) error {
-	return s.PutBatch([]*Job{j})
-}
-
-// PutBatch persists the admission records with one append batch (one
-// fsync under the always policy — the amortization POST /v1/jobs/batch
-// relies on), then indexes the jobs in memory.
-func (s *journalStore) PutBatch(jobs []*Job) error {
-	if len(jobs) == 0 {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	entries := make([]journal.Entry, 0, len(jobs))
-	for _, job := range jobs {
-		e, err := encodeRecord(recKindJob, job.record())
-		if err != nil {
-			return err
-		}
-		entries = append(entries, e)
-	}
-	if err := s.j.AppendBatch(entries); err != nil {
-		if err == journal.ErrClosed {
-			// Shutdown race: the WAL is already sealed. The only
-			// admissions possible at this point are drain rejections;
-			// keep them queryable in memory rather than failing the 503.
-			s.logf("journal closed; keeping %d admission record(s) in memory only", len(jobs))
-			return s.mem.PutBatch(jobs)
-		}
-		return fmt.Errorf("server: journaling admission: %w", err)
-	}
-	if err := s.mem.PutBatch(jobs); err != nil {
-		return err
-	}
-	s.maybeCompactLocked()
-	return nil
-}
-
-func (s *journalStore) PutIfAbsent(j *Job, now time.Time) (*Job, error) {
-	existing, err := s.PutBatchIfAbsent([]*Job{j}, now)
-	if err != nil {
-		return nil, err
-	}
-	return existing[0], nil
-}
-
 // PutBatchIfAbsent journals and indexes the absent (or rejected-and-
 // replaceable) subset of jobs with one append batch. s.mu makes the
 // lookup/insert pair atomic: every admission goes through this mutex,
@@ -113,20 +67,17 @@ func (s *journalStore) PutBatchIfAbsent(jobs []*Job, now time.Time) ([]*Job, err
 		return existing, nil
 	}
 	if err := s.j.AppendBatch(entries); err != nil {
-		if err == journal.ErrClosed {
-			// Same shutdown race as PutBatch: keep the (drain-rejection)
-			// records queryable in memory.
-			s.logf("journal closed; keeping %d admission record(s) in memory only", len(fresh))
-			if err := s.mem.PutBatch(fresh); err != nil {
-				return nil, err
-			}
-			return existing, nil
+		if err != journal.ErrClosed {
+			return nil, fmt.Errorf("server: journaling admission: %w", err)
 		}
-		return nil, fmt.Errorf("server: journaling admission: %w", err)
+		// Shutdown race: the WAL is already sealed. The only admissions
+		// possible at this point are drain rejections; keep them
+		// queryable in memory rather than failing the 503.
+		s.logf("journal closed; keeping %d admission record(s) in memory only", len(fresh))
+		s.mem.insert(fresh...)
+		return existing, nil
 	}
-	if err := s.mem.PutBatch(fresh); err != nil {
-		return nil, err
-	}
+	s.mem.insert(fresh...)
 	s.maybeCompactLocked()
 	return existing, nil
 }

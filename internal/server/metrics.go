@@ -13,10 +13,6 @@ import (
 	"dmw/internal/obs"
 )
 
-// latencyBucketsMS are the upper bounds (milliseconds) of the per-job
-// latency histogram; the final implicit bucket is +Inf.
-var latencyBucketsMS = []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000}
-
 // phaseBucketsS are the upper bounds (seconds) of the replication-push
 // histogram. (The per-phase series they used to back moved to the HDR
 // tier, which resolves the same range at ~5% relative error.)
@@ -70,10 +66,7 @@ type metrics struct {
 	groupMultiExps     atomic.Uint64
 	groupMultiExpTerms atomic.Uint64
 
-	// latency is the end-to-end job latency histogram in milliseconds
-	// (dmwd_job_latency_ms_*), kept for dashboard continuity.
-	latency *obs.Histogram
-	// latencyHDR is the tail-resolution job latency series in seconds
+	// latencyHDR is the end-to-end job latency series in seconds
 	// (dmwd_job_latency_seconds_*): log-spaced HDR buckets with per-
 	// bucket exemplars, so a p999 outlier on /metrics carries the
 	// X-Request-Id and job ID needed to fetch its trace. This series
@@ -127,7 +120,6 @@ type metrics struct {
 // newMetrics builds the metric set with its histograms registered.
 func newMetrics() *metrics {
 	m := &metrics{
-		latency:            obs.NewHistogram(latencyBucketsMS),
 		latencyHDR:         obs.NewHDR(),
 		phases:             make(map[string]*obs.HDR, len(phaseOrder)),
 		verifyBatch:        obs.NewHistogram(verifyBatchBuckets),
@@ -141,14 +133,6 @@ func newMetrics() *metrics {
 		m.phases[name] = obs.NewHDR()
 	}
 	return m
-}
-
-// observe records one completed/failed job's end-to-end latency. The
-// optional exemplar carries the job's request identity into the HDR
-// tier's tail buckets (nil skips exemplar stamping, not observation).
-func (m *metrics) observe(d time.Duration, ex *obs.Exemplar) {
-	m.latency.Observe(float64(d) / float64(time.Millisecond))
-	m.latencyHDR.ObserveEx(d.Seconds(), ex)
 }
 
 // observePhase records one phase segment's duration. Unknown phase
@@ -321,7 +305,6 @@ func (m *metrics) writeTo(w io.Writer, g snapshotGauges) {
 	}
 
 	p("dmwd_slow_captures_total %d\n", m.slowCaptures.Load())
-	m.latency.Write(w, "dmwd_job_latency_ms", "")
 	m.latencyHDR.Write(w, "dmwd_job_latency_seconds", "")
 	m.verifyBatch.Write(w, "dmwd_verify_batch_size", "")
 	m.replicaPush.Write(w, "dmwd_replica_push_seconds", "")

@@ -159,7 +159,7 @@ func TestMetricsHistogramContract(t *testing.T) {
 	resp.Body.Close()
 	series := parseExposition(t, string(raw))
 
-	_, latCount := assertHistogramContract(t, series, "dmwd_job_latency_ms", "")
+	_, latCount := assertHistogramContract(t, series, "dmwd_job_latency_seconds", "")
 	if latCount != jobs {
 		t.Errorf("latency count %g, want %d", latCount, jobs)
 	}
@@ -220,8 +220,7 @@ func TestPhaseSecondsSumToLatency(t *testing.T) {
 		s, _ := assertHistogramContract(t, series, "dmwd_phase_seconds", `phase="`+phase+`"`)
 		phaseSum += s
 	}
-	latSumSec, _ := assertHistogramContract(t, series, "dmwd_job_latency_ms", "")
-	latSumSec /= 1000
+	latSumSec, _ := assertHistogramContract(t, series, "dmwd_job_latency_seconds", "")
 
 	// The phases partition each job's latency minus only the store
 	// writes between segments (microseconds on the in-memory store) and

@@ -469,9 +469,7 @@ func (s *Server) openJournal(mem *memStore) error {
 		} else {
 			requeue = append(requeue, job)
 		}
-		if err := mem.Put(job); err != nil {
-			return err
-		}
+		mem.insert(job)
 	}
 
 	// The queue must hold every re-enqueued job even if it exceeds the
@@ -576,11 +574,12 @@ func (s *Server) Start() {
 		s.cfg.Preset, s.cfg.Workers, s.cfg.QueueDepth, s.cfg.AuctionParallelism, s.cfg.ResultTTL)
 }
 
-// Submit validates and admits a job. On success the returned job is
-// queued. When admission fails with ErrQueueFull or ErrDraining the
-// job record is still created (state rejected) and queryable, so the
-// caller learns an ID either way; spec errors return (nil, error)
-// wrapping ErrInvalidSpec. With a journal-backed store the admission
+// Submit validates and admits a job: a batch of one through admitBatch.
+// On success the returned job is queued. When admission fails with
+// ErrQueueFull or ErrDraining the job record is still created (state
+// rejected) and queryable, so the caller learns an ID either way; spec
+// errors return (nil, error) wrapping ErrInvalidSpec, per-tenant
+// refusals (nil, *Rejection). With a journal-backed store the admission
 // record is durable before Submit returns — durability before
 // acknowledgment.
 //
@@ -590,20 +589,12 @@ func (s *Server) Start() {
 // retries rely on. A held REJECTED record does not dedupe: it is a
 // transient backpressure refusal, so the retry re-admits under the
 // same ID (replacing the rejection) and the job actually runs. The
-// lookup and the insert are one atomic store operation (PutIfAbsent),
-// so concurrent same-ID submissions admit exactly one job.
+// lookup and the insert are one atomic store operation
+// (PutBatchIfAbsent), so concurrent same-ID submissions admit exactly
+// one job.
 func (s *Server) Submit(spec JobSpec) (*Job, error) {
-	bids, err := spec.materialize(s.cfg.Limits)
-	if err != nil {
-		s.metrics.rejected.Add(1)
-		return nil, err
-	}
-	now := time.Now()
-	job, err := newJob(spec, bids, now)
-	if err != nil {
-		return nil, err
-	}
-	return s.admit(job, now)
+	a := s.admitBatch([]JobSpec{spec})[0]
+	return a.job, a.err
 }
 
 // observePrice folds the current queue pressure (queued / capacity)
@@ -683,241 +674,222 @@ func (s *Server) rejectBackpressure(job *Job, sentinel error, reason string, now
 	return rej
 }
 
-// admit runs the admission pipeline: idempotency dedupe, the per-tenant
-// gates (rate, price, quota — refusals are 429s that create no job
-// record), then persists and indexes the job and races it against the
-// bounded dispatch queue. Ordering invariant: the admission record
-// reaches the store (and the WAL) BEFORE the job can reach a worker, so
-// a job's lifecycle appends always follow its admission append in the
-// log. The dedupe fast path runs BEFORE the tenant gates so a gateway
-// retry of an already-accepted ID is never charged a token.
-func (s *Server) admit(job *Job, now time.Time) (*Job, error) {
-	if id := job.Spec.ID; id != "" {
-		if existing, ok := s.store.Get(id, now); ok && existing.matchesResubmit(now) {
-			s.metrics.deduped.Add(1)
-			return existing, nil
-		}
+// admission is one spec's outcome of admitBatch. err is nil for an
+// accepted or deduped job, wraps ErrInvalidSpec for a bad spec, is a
+// *Rejection for a refusal (job set only for the 503 kind, which keeps
+// a rejected record), and anything else is a store failure.
+type admission struct {
+	job *Job
+	err error
+}
+
+// admitBatch is the one admission pipeline; Submit is a batch of one.
+// Each spec runs independently (one bad spec or a momentarily full
+// queue never fails its neighbours) through: validation; the
+// idempotency fast path, BEFORE the tenant gates so a gateway retry of
+// an already-accepted ID is never charged a token; the drain check; the
+// per-tenant gates (rate, price, quota — refusals are 429s that create
+// no job record); then ONE store write for the whole batch (one WAL
+// append batch, so one fsync under the always policy), the bounded
+// dispatch queue, and the admitted event. Ordering invariant: the
+// admission record reaches the store (and the WAL) BEFORE the job can
+// reach a worker, so a job's lifecycle appends always follow its
+// admission append in the log.
+func (s *Server) admitBatch(specs []JobSpec) []admission {
+	now := time.Now()
+	out := make([]admission, len(specs))
+	draining := s.Draining()
+	// fresh are the jobs bound for the store write; held[k] places
+	// fresh[k] in specs and carries the quota reservation it holds (nil
+	// on the drain path, which takes none).
+	type placed struct {
+		slot int
+		tn   *tenant.Tenant
 	}
-	if s.Draining() {
-		// Fast path: journal the rejection as one terminal record —
-		// unless the ID already names a live non-rejected job, which the
-		// rejection must not clobber.
-		job.reject(ErrDraining.Error(), now, s.cfg.ResultTTL)
-		existing, err := s.store.PutIfAbsent(job, now)
+	fresh := make([]*Job, 0, len(specs))
+	held := make([]placed, 0, len(specs))
+	var claimed map[string]bool // client IDs taken by earlier specs of this batch
+	for i := range specs {
+		spec := &specs[i]
+		bids, err := spec.materialize(s.cfg.Limits)
 		if err != nil {
-			s.cfg.Logf("admit: persisting drain rejection: %v", err)
+			s.metrics.rejected.Add(1)
+			out[i].err = err
+			continue
 		}
-		if existing != nil {
+		if id := spec.ID; id != "" {
+			// Only a fast path: PutBatchIfAbsent re-checks atomically at
+			// insert time.
+			if existing, ok := s.store.Get(id, now); ok && existing.matchesResubmit(now) {
+				s.metrics.deduped.Add(1)
+				out[i].job = existing
+				continue
+			}
+			if claimed[id] {
+				// The store cannot order two admissions of one ID inside
+				// one write.
+				out[i].err = invalidSpecf("duplicate job id %q within batch", id)
+				continue
+			}
+			if len(specs) > 1 {
+				if claimed == nil {
+					claimed = make(map[string]bool, len(specs))
+				}
+				claimed[id] = true
+			}
+		}
+		var tn *tenant.Tenant
+		if !draining {
+			tn = s.registry.Get(spec.Tenant)
+			if rej := s.throttle(tn, spec.MaxPrice, now); rej != nil {
+				out[i].err = s.rejectTenant(spec.ID, rej, now)
+				continue
+			}
+			// The quota reservation is held from here: released on every
+			// failure path below, and otherwise when the job leaves the
+			// live set (runJob).
+		}
+		job, err := newJob(*spec, bids, now)
+		if err != nil {
+			if tn != nil {
+				tn.Release()
+			}
+			out[i].err = err
+			continue
+		}
+		if draining {
+			// Journal the refusal as one terminal record. The store still
+			// arbitrates: an ID naming a live non-rejected job must not be
+			// clobbered by the rejection.
+			job.reject(ErrDraining.Error(), now, s.cfg.ResultTTL)
+		}
+		out[i].job = job
+		fresh = append(fresh, job)
+		held = append(held, placed{i, tn})
+	}
+	if len(fresh) == 0 {
+		return out
+	}
+
+	// Durability before visibility. The store resolves same-ID races
+	// atomically: slots that lost to a concurrent admission come back as
+	// existing jobs and dedupe.
+	existing, err := s.store.PutBatchIfAbsent(fresh, now)
+	if err != nil && draining {
+		s.cfg.Logf("admit: persisting drain rejection: %v", err)
+	}
+	for k, job := range fresh {
+		a, tn := &out[held[k].slot], held[k].tn
+		switch {
+		case err != nil && !draining:
+			// Cannot make the admission durable: refuse it outright rather
+			// than accept work that would be silently lost by a restart.
+			tn.Release()
+			s.metrics.rejected.Add(1)
+			*a = admission{err: err}
+		case err == nil && existing[k] != nil:
+			// Idempotent re-submission resolved atomically in the store.
+			if tn != nil {
+				tn.Release()
+			}
 			s.metrics.deduped.Add(1)
-			return existing, nil
+			a.job = existing[k]
+		case draining:
+			a.err = s.rejectBackpressure(job, ErrDraining, tenant.ReasonDraining, now)
+		default:
+			a.err = s.enqueue(job, tn, now)
 		}
-		return job, s.rejectBackpressure(job, ErrDraining, tenant.ReasonDraining, now)
 	}
+	return out
+}
 
-	tn := s.registry.Get(job.Spec.Tenant)
-	if rej := s.throttle(tn, job.Spec.MaxPrice, now); rej != nil {
-		return nil, s.rejectTenant(job.Spec.ID, rej, now)
-	}
-	// The quota reservation is held from here: released on every
-	// failure path below, and otherwise when the job leaves the live
-	// set (runJob).
-
-	existing, err := s.store.PutIfAbsent(job, now)
-	if err != nil {
-		// Cannot make the admission durable: refuse it outright rather
-		// than accept work that would be silently lost by a restart.
-		tn.Release()
-		s.metrics.rejected.Add(1)
-		return nil, err
-	}
-	if existing != nil {
-		// Idempotent re-submission resolved atomically in the store.
-		tn.Release()
-		s.metrics.deduped.Add(1)
-		return existing, nil
-	}
+// enqueue races a stored job against the bounded dispatch queue. A nil
+// return means it is queued and announced; otherwise the job has been
+// turned into a rejected record and the *Rejection says why.
+func (s *Server) enqueue(job *Job, tn *tenant.Tenant, now time.Time) error {
 	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		tn.Release()
-		job.reject(ErrDraining.Error(), now, s.cfg.ResultTTL)
-		s.store.Finished(job)
-		return job, s.rejectBackpressure(job, ErrDraining, tenant.ReasonDraining, now)
+	pushErr := tenant.ErrQueueClosed // Shutdown began after the drain check
+	if !s.draining {
+		pushErr = s.queue.Push(tn.ID, tn.Limits.Weight, job)
 	}
-	pushErr := s.queue.Push(tn.ID, tn.Limits.Weight, job)
 	s.mu.Unlock()
-	switch {
-	case pushErr == nil:
+	if pushErr == nil {
 		s.metrics.accepted.Add(1)
 		s.metrics.noteAdmitted(tn.ID)
 		s.publish(job, tenant.Event{Type: tenant.EventAdmitted, Time: now,
 			Tenant: tn.ID, JobID: job.ID, Price: s.observePrice(now)})
-		return job, nil
-	case errors.Is(pushErr, tenant.ErrQueueClosed):
-		tn.Release()
-		job.reject(ErrDraining.Error(), now, s.cfg.ResultTTL)
-		s.store.Finished(job)
-		return job, s.rejectBackpressure(job, ErrDraining, tenant.ReasonDraining, now)
-	default: // tenant.ErrQueueFull
-		tn.Release()
-		job.reject(ErrQueueFull.Error(), now, s.cfg.ResultTTL)
-		s.store.Finished(job)
-		return job, s.rejectBackpressure(job, ErrQueueFull, tenant.ReasonQueueFull, now)
+		return nil
 	}
+	tn.Release()
+	sentinel, reason := ErrQueueFull, tenant.ReasonQueueFull
+	if errors.Is(pushErr, tenant.ErrQueueClosed) {
+		sentinel, reason = ErrDraining, tenant.ReasonDraining
+	}
+	job.reject(sentinel.Error(), now, s.cfg.ResultTTL)
+	s.store.Finished(job)
+	return s.rejectBackpressure(job, sentinel, reason, now)
 }
 
-// BatchItem is the per-spec outcome of SubmitBatch.
+// BatchItem is the per-spec outcome of SubmitBatch, and what POST
+// /v1/jobs renders for its batch of one.
 type BatchItem struct {
 	// Accepted reports whether the job was admitted to the queue.
 	Accepted bool `json:"accepted"`
 	// Error explains a rejection (invalid spec, queue full, draining).
 	Error string `json:"error,omitempty"`
-	// Job is the job view; nil only for specs that failed validation
-	// (those never get a job record).
+	// Job is the job view; nil for specs that failed validation and for
+	// per-tenant refusals (those never get a job record).
 	Job *JobView `json:"job,omitempty"`
-	// Status is the HTTP status this item would have earned on a single
-	// submit (202/400/429/503) — what lets a gateway that coalesced
-	// independent single submits into this batch fan each item back with
-	// exactly the status, Retry-After, and admission price the item's
-	// own backend answer carried, never the batch envelope's.
+	// Status is the HTTP status of this item as a single submit
+	// (202/400/429/503/500) — what lets a gateway that coalesced
+	// independent single submits into one batch fan each item back with
+	// exactly the status, Retry-After, and admission price of its own
+	// answer, never the batch envelope's.
 	Status int `json:"status,omitempty"`
 	// RetryAfterSec and Price carry the per-item refusal guidance for
-	// 429/503 items, derived from the same Rejection a single submit
-	// would have rendered into headers.
+	// 429/503 items: what a single submit renders into the Retry-After
+	// and X-Admission-Price headers.
 	RetryAfterSec int     `json:"retry_after_seconds,omitempty"`
 	Price         float64 `json:"price,omitempty"`
 }
 
-// SubmitBatch admits each spec independently against the bounded queue
-// (per-item accept/reject — one bad spec or a momentarily full queue
-// never fails the whole batch) while amortizing durability: all valid
-// admissions are journaled in ONE append batch, i.e. a single fsync
-// under the always policy, instead of one per job.
+// item is the one mapping from an admission outcome to its HTTP status
+// and guidance, shared by the single and batch endpoints.
+func (a admission) item() BatchItem {
+	var rej *Rejection
+	switch {
+	case a.err == nil:
+		v := a.job.View()
+		return BatchItem{Accepted: true, Job: &v, Status: http.StatusAccepted}
+	case errors.Is(a.err, ErrInvalidSpec):
+		return BatchItem{Error: a.err.Error(), Status: http.StatusBadRequest}
+	case errors.As(a.err, &rej):
+		it := BatchItem{Error: rej.Error(), Status: http.StatusServiceUnavailable,
+			RetryAfterSec: retryAfterSecs(rej.RetryAfter), Price: rej.Price}
+		if rej.Throttled() {
+			// Per-tenant refusal: no job record (nothing to poll); the
+			// caller's budget — not server capacity — is what ran out.
+			it.Status = http.StatusTooManyRequests
+		} else {
+			// Global backpressure: the job record exists (state rejected)
+			// so the client sees a consistent view; another replica may
+			// have room.
+			v := a.job.View()
+			it.Job = &v
+		}
+		return it
+	default:
+		return BatchItem{Error: a.err.Error(), Status: http.StatusInternalServerError}
+	}
+}
+
+// SubmitBatch admits each spec independently (per-item accept/reject)
+// while amortizing durability: all valid admissions are journaled in ONE
+// append batch. Items are positionally aligned with specs.
 func (s *Server) SubmitBatch(specs []JobSpec) []BatchItem {
 	items := make([]BatchItem, len(specs))
-	now := time.Now()
-	jobs := make([]*Job, len(specs))              // nil where the spec was invalid
-	holders := make([]*tenant.Tenant, len(specs)) // quota reservations to release on failure
-	var valid []*Job
-	var validIdx []int // valid[k] came from specs[validIdx[k]]
-	batchIDs := make(map[string]bool, len(specs))
-	for i := range specs {
-		bids, err := specs[i].materialize(s.cfg.Limits)
-		if err != nil {
-			s.metrics.rejected.Add(1)
-			items[i].Error = err.Error()
-			items[i].Status = http.StatusBadRequest
-			continue
-		}
-		// Idempotency for client-supplied IDs, mirroring Submit: an ID
-		// already indexed in a non-rejected state (or repeated within
-		// the batch) resolves to the existing admission instead of a
-		// duplicate run. A held rejected record falls through and is
-		// replaced below — backpressure must not poison the ID. This
-		// lookup is only a fast path; PutBatchIfAbsent re-checks
-		// atomically at insert time.
-		if id := specs[i].ID; id != "" {
-			if job, ok := s.store.Get(id, now); ok && job.State() != StateRejected {
-				s.metrics.deduped.Add(1)
-				v := job.View()
-				items[i] = BatchItem{Accepted: true, Job: &v, Status: http.StatusAccepted}
-				continue
-			}
-			if batchIDs[id] {
-				items[i] = BatchItem{Error: fmt.Sprintf("duplicate job id %q within batch", id), Status: http.StatusBadRequest}
-				continue
-			}
-			batchIDs[id] = true
-		}
-		// Per-tenant gates, mirroring Submit: a refused item is a 429
-		// in spirit — no job record, no journal append — reported as a
-		// per-item error while the rest of the batch proceeds.
-		tn := s.registry.Get(specs[i].Tenant)
-		if rej := s.throttle(tn, specs[i].MaxPrice, now); rej != nil {
-			_ = s.rejectTenant(specs[i].ID, rej, now)
-			items[i] = BatchItem{Error: rej.Error(), Status: http.StatusTooManyRequests,
-				RetryAfterSec: retryAfterSecs(rej.RetryAfter), Price: rej.Price}
-			continue
-		}
-		job, err := newJob(specs[i], bids, now)
-		if err != nil {
-			tn.Release()
-			items[i].Error = err.Error()
-			items[i].Status = http.StatusBadRequest
-			continue
-		}
-		jobs[i] = job
-		holders[i] = tn
-		valid = append(valid, job)
-		validIdx = append(validIdx, i)
-	}
-
-	// Durability before visibility, amortized across the batch. The
-	// store resolves same-ID races atomically: slots that lost to a
-	// concurrent admission come back as existing jobs and dedupe.
-	existing, err := s.store.PutBatchIfAbsent(valid, now)
-	if err != nil {
-		for i, job := range jobs {
-			if job != nil {
-				holders[i].Release()
-				s.metrics.rejected.Add(1)
-				items[i] = BatchItem{Error: "persisting admission: " + err.Error(), Status: http.StatusInternalServerError}
-			}
-		}
-		return items
-	}
-	for k, old := range existing {
-		if old == nil {
-			continue
-		}
-		i := validIdx[k]
-		jobs[i] = nil // not ours; a concurrent submission won the ID
-		holders[i].Release()
-		s.metrics.deduped.Add(1)
-		v := old.View()
-		items[i] = BatchItem{Accepted: true, Job: &v, Status: http.StatusAccepted}
-	}
-
-	for i, job := range jobs {
-		if job == nil {
-			continue
-		}
-		tn := holders[i]
-		s.mu.Lock()
-		draining := s.draining
-		var pushErr error
-		if draining {
-			pushErr = tenant.ErrQueueClosed
-		} else {
-			pushErr = s.queue.Push(tn.ID, tn.Limits.Weight, job)
-		}
-		s.mu.Unlock()
-
-		switch {
-		case pushErr == nil:
-			s.metrics.accepted.Add(1)
-			s.metrics.noteAdmitted(tn.ID)
-			s.publish(job, tenant.Event{Type: tenant.EventAdmitted, Time: now,
-				Tenant: tn.ID, JobID: job.ID, Price: s.observePrice(now)})
-			v := job.View()
-			items[i] = BatchItem{Accepted: true, Job: &v, Status: http.StatusAccepted}
-		case errors.Is(pushErr, tenant.ErrQueueClosed):
-			tn.Release()
-			job.reject(ErrDraining.Error(), now, s.cfg.ResultTTL)
-			s.store.Finished(job)
-			rej := s.rejectBackpressure(job, ErrDraining, tenant.ReasonDraining, now)
-			v := job.View()
-			items[i] = BatchItem{Error: ErrDraining.Error(), Job: &v, Status: http.StatusServiceUnavailable,
-				RetryAfterSec: retryAfterSecs(rej.RetryAfter), Price: rej.Price}
-		default: // tenant.ErrQueueFull
-			tn.Release()
-			job.reject(ErrQueueFull.Error(), now, s.cfg.ResultTTL)
-			s.store.Finished(job)
-			rej := s.rejectBackpressure(job, ErrQueueFull, tenant.ReasonQueueFull, now)
-			v := job.View()
-			items[i] = BatchItem{Error: ErrQueueFull.Error(), Job: &v, Status: http.StatusServiceUnavailable,
-				RetryAfterSec: retryAfterSecs(rej.RetryAfter), Price: rej.Price}
-		}
+	for i, a := range s.admitBatch(specs) {
+		items[i] = a.item()
 	}
 	return items
 }
@@ -1205,18 +1177,18 @@ func (s *Server) runJob(job *Job) {
 }
 
 // observeJobLatency records one terminal job's end-to-end latency into
-// every latency series: the legacy ms histogram, the HDR tier (with an
-// exemplar carrying the job's request identity into the tail buckets),
-// and the tenant's own tail series.
+// both latency series: the global HDR tier (with an exemplar carrying
+// the job's request identity into the tail buckets) and the tenant's
+// own tail series.
 func (s *Server) observeJobLatency(job *Job, traced bool, now time.Time) {
-	d := now.Sub(job.submitted)
-	s.metrics.observe(d, &obs.Exemplar{
+	d := now.Sub(job.submitted).Seconds()
+	s.metrics.latencyHDR.ObserveEx(d, &obs.Exemplar{
 		RequestID: job.Spec.RequestID,
 		JobID:     job.ID,
 		Tenant:    job.Spec.Tenant,
 		Traced:    traced,
 	})
-	s.registry.Get(job.Spec.Tenant).Tail.Observe(d.Seconds())
+	s.registry.Get(job.Spec.Tenant).Tail.Observe(d)
 }
 
 // uniformDelays builds the n x n one-way latency matrix for

@@ -22,28 +22,20 @@ import (
 // past their deadline at recovery time are dropped during replay
 // instead of being resurrected. Sweep never touches non-terminal jobs.
 type Store interface {
-	// Put indexes a job at admission time (state queued or rejected).
-	// The journal-backed store persists it first and fails the admission
-	// if the record cannot be made durable.
-	Put(j *Job) error
-	// PutBatch indexes several jobs with one durability round-trip (a
-	// single WAL append batch, so one fsync under the always policy).
-	PutBatch(jobs []*Job) error
-	// PutIfAbsent atomically indexes j at admission time UNLESS a live
-	// (unexpired) job with the same ID already exists in a non-rejected
-	// state — then the existing job is returned and the index is
-	// unchanged. The check and the insert happen under one lock, so two
-	// concurrent submissions of the same ID admit exactly one job (the
-	// idempotency contract gateway retries rely on). An existing
-	// rejected record is REPLACED by j: rejection is a transient
-	// backpressure refusal, and a retry of that ID must be able to run
-	// (see Job.matchesResubmit). The journal-backed store persists the
-	// admission before indexing it, exactly like Put.
-	PutIfAbsent(j *Job, now time.Time) (existing *Job, err error)
-	// PutBatchIfAbsent is PutIfAbsent over a batch, journaling the
-	// newly admitted subset with one append batch (one fsync under the
-	// always policy). existing is positionally aligned with jobs; a
-	// non-nil entry means that slot deduped to the returned job and the
+	// PutBatchIfAbsent is the one admission write. It atomically indexes
+	// each job UNLESS a live (unexpired) job with the same ID already
+	// exists in a non-rejected state — then that slot's existing job is
+	// returned and the index is unchanged. The check and the insert
+	// happen under one lock, so two concurrent submissions of the same
+	// ID admit exactly one job (the idempotency contract gateway retries
+	// rely on). An existing rejected record is REPLACED: rejection is a
+	// transient backpressure refusal, and a retry of that ID must be able
+	// to run (see Job.matchesResubmit). A single submit is a batch of
+	// one. The journal-backed store persists the newly admitted subset
+	// with one append batch (one fsync under the always policy) before
+	// indexing it, and fails the admission if the records cannot be made
+	// durable. existing is positionally aligned with jobs; a non-nil
+	// entry means that slot deduped to the returned job and the
 	// corresponding input was not stored.
 	PutBatchIfAbsent(jobs []*Job, now time.Time) (existing []*Job, err error)
 	// Get looks a job up, evicting it lazily when expired.
@@ -78,37 +70,21 @@ func newMemStore() *memStore {
 	return &memStore{jobs: make(map[string]*Job)}
 }
 
-func (s *memStore) Put(j *Job) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.jobs[j.ID] = j
-	return nil
-}
-
-func (s *memStore) PutBatch(jobs []*Job) error {
+// insert indexes jobs unconditionally: recovery reinserting replayed
+// records, and the journal-backed store indexing what it just made
+// durable. Admission goes through PutBatchIfAbsent.
+func (s *memStore) insert(jobs ...*Job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, j := range jobs {
 		s.jobs[j.ID] = j
 	}
-	return nil
 }
 
-// PutIfAbsent / PutBatchIfAbsent hold s.mu across the lookup AND the
-// insert, making admission atomic per ID. Lock order is always
-// store mutex -> Job.mu (matchesResubmit), never the reverse — Job
-// methods never call back into a store — so holding both is safe.
-func (s *memStore) PutIfAbsent(j *Job, now time.Time) (*Job, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if old, ok := s.jobs[j.ID]; ok && old.matchesResubmit(now) {
-		return old, nil
-	}
-	// Absent, expired, or rejected: (re-)admit j in its place.
-	s.jobs[j.ID] = j
-	return nil, nil
-}
-
+// PutBatchIfAbsent holds s.mu across the lookup AND the insert, making
+// admission atomic per ID. Lock order is always store mutex -> Job.mu
+// (matchesResubmit), never the reverse — Job methods never call back
+// into a store — so holding both is safe.
 func (s *memStore) PutBatchIfAbsent(jobs []*Job, now time.Time) ([]*Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -118,6 +94,7 @@ func (s *memStore) PutBatchIfAbsent(jobs []*Job, now time.Time) ([]*Job, error) 
 			existing[i] = old
 			continue
 		}
+		// Absent, expired, or rejected: (re-)admit j in its place.
 		s.jobs[j.ID] = j
 	}
 	return existing, nil

@@ -34,9 +34,7 @@ func TestSweepPreservesRestoredTTL(t *testing.T) {
 	expires := finished.Add(ttl)
 
 	st := newMemStore()
-	if err := st.Put(restoredJob("job-restored", StateDone, finished, expires)); err != nil {
-		t.Fatal(err)
-	}
+	st.insert(restoredJob("job-restored", StateDone, finished, expires))
 
 	// Before the original deadline the job must survive every sweep,
 	// including ones long after recovery started.
@@ -67,16 +65,12 @@ func TestSweepPreservesRestoredTTL(t *testing.T) {
 func TestSweepIgnoresNonTerminal(t *testing.T) {
 	st := newMemStore()
 	old := time.Now().Add(-24 * time.Hour)
-	if err := st.Put(restoredJob("job-requeued", StateRunning, time.Time{}, time.Time{})); err != nil {
-		t.Fatal(err)
-	}
+	st.insert(restoredJob("job-requeued", StateRunning, time.Time{}, time.Time{}))
 	job, err := newJob(JobSpec{Bids: [][]int{{1}, {2}, {3}, {3}}, W: []int{1, 2, 3}}, [][]int{{1}, {2}, {3}, {3}}, old)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Put(job); err != nil {
-		t.Fatal(err)
-	}
+	st.insert(job)
 
 	if n := st.Sweep(time.Now().Add(365 * 24 * time.Hour)); n != 0 {
 		t.Fatalf("sweep evicted %d non-terminal jobs, want 0", n)
@@ -92,9 +86,7 @@ func TestGetEvictsLazily(t *testing.T) {
 	st := newMemStore()
 	finished := time.Now().Add(-time.Hour)
 	expires := finished.Add(time.Minute)
-	if err := st.Put(restoredJob("job-stale", StateDone, finished, expires)); err != nil {
-		t.Fatal(err)
-	}
+	st.insert(restoredJob("job-stale", StateDone, finished, expires))
 	if _, ok := st.Get("job-stale", time.Now()); ok {
 		t.Fatal("expired job returned by Get")
 	}

@@ -11,13 +11,13 @@ import (
 )
 
 // Binary intra-fleet protocol, server half (see internal/wire frames.go
-// and docs/SCALING.md). The SAME endpoints serve JSON and frames; the
-// request Content-Type selects the decoder and the Accept header
-// selects the batch-result encoder. Every response to a frame-typed
-// request carries the X-DMW-Wire capability header — success or error —
-// which is what lets a gateway distinguish "this peer rejected my
-// request" from "this peer never understood frames" and fall back to
-// JSON loudly instead of misparse.
+// and docs/SCALING.md). Two kinds of caller reach the submit endpoints,
+// so those decode both encodings: clients post JSON, the gateway posts
+// job frames; the request Content-Type selects the decoder and the
+// Accept header selects the batch-result encoder. The replica RPC has
+// one kind of caller — another dmwd — and takes record frames only.
+// Every response to a frame-typed request carries the X-DMW-Wire
+// capability header, success or error.
 
 // SpecToWire converts a job spec to its frame representation. The
 // mapping is field-for-field; a round-trip equals the JSON round trip
@@ -131,18 +131,8 @@ func (s *Server) writeResultFrame(w http.ResponseWriter, items []BatchItem) {
 	frameItems := make([]wire.ResultItem, len(items))
 	for i := range items {
 		it := &items[i]
-		status := it.Status
-		if status == 0 {
-			// Defensive: every SubmitBatch outcome sets Status; an unset
-			// one maps to the envelope-level contract (200 with error text).
-			if it.Accepted {
-				status = http.StatusAccepted
-			} else {
-				status = http.StatusInternalServerError
-			}
-		}
 		frameItems[i] = wire.ResultItem{
-			Status:        status,
+			Status:        it.Status,
 			RetryAfterSec: it.RetryAfterSec,
 			Price:         it.Price,
 			ErrMsg:        it.Error,

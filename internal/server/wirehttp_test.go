@@ -115,11 +115,11 @@ func TestWireSubmitNegotiation(t *testing.T) {
 	}
 }
 
-// TestWireCorruptFrameLoud400 pins the negotiation-failure contract: a
+// TestWireCorruptFrameLoud400 pins the corrupt-frame contract: a
 // corrupt or truncated frame earns a 400 whose body names the frame
 // decoder (never a silent misparse through the JSON path), still
-// carrying the capability header so a gateway knows the peer DOES
-// speak frames and the request itself was bad.
+// carrying the capability header: the peer speaks frames, the request
+// itself was bad.
 func TestWireCorruptFrameLoud400(t *testing.T) {
 	_, ts := startHTTP(t, testConfig())
 

@@ -173,7 +173,7 @@ func TestHubTenThousandIdleStreams(t *testing.T) {
 // idle subscriber populations of growing size, with one hot job being
 // delivered to a handful of matching streams. This is the number that
 // backs the "tens of thousands of idle streams are cheap" claim in
-// docs/TENANCY.md (archived in BENCH_6.json).
+// docs/TENANCY.md.
 func BenchmarkEventHubFanout(b *testing.B) {
 	for _, idle := range []int{0, 1000, 10_000, 50_000} {
 		b.Run(fmt.Sprintf("idle=%d", idle), func(b *testing.B) {

@@ -1,9 +1,8 @@
-// Frames: the intra-fleet binary encoding negotiated on the fleet's
-// existing HTTP endpoints (gateway→dmwd job submits, dmwd→gateway
-// batch results, dmwd→dmwd replica write-through). JSON stays the
-// external and default representation; a frame is only ever sent after
-// content-type negotiation, and a peer that does not recognize the
-// frame content types keeps speaking JSON.
+// Frames: the intra-fleet binary encoding on the fleet's existing HTTP
+// endpoints (gateway→dmwd job submits, dmwd→gateway batch results,
+// dmwd→dmwd replica write-through). JSON is the external representation
+// only; the fleet speaks frames to itself unconditionally — there is no
+// negotiation and no JSON fallback between fleet members.
 //
 //	frame    := 'D' 'W' version:u8 type:u8 count:u32 item*
 //	str      := len:u16 utf8
@@ -32,12 +31,10 @@ import (
 	"math"
 )
 
-// Content types negotiated on the fleet endpoints, and the capability
-// header a frame-speaking server stamps on every response to a
-// binary-typed request. The header is what makes fallback loud AND
-// unambiguous: a 400 answer WITHOUT it came from a peer that never
-// understood the frame (renegotiate as JSON), while a 400 WITH it is a
-// real per-request error from a peer that did.
+// Content types of the fleet endpoints' frame bodies, and the
+// capability header a frame-speaking server stamps on every response to
+// a binary-typed request: a 400 carrying it is a real per-request error
+// from a peer that understood the frame.
 const (
 	ContentTypeJobFrame    = "application/x-dmw-jobs"
 	ContentTypeResultFrame = "application/x-dmw-results"
@@ -365,9 +362,9 @@ func frameHeader(r *reader, want uint8) (int, error) {
 }
 
 // minJobItemSize is the floor footprint of one encoded job (all
-// strings empty, W empty, random shape); used to bound the item-slice
-// preallocation against crafted counts.
-const minJobItemSize = 3*2 + 1 + 5*8 + 2 + 8
+// strings empty, W empty, explicit shape with zero bid rows); used to
+// bound the item-slice preallocation against crafted counts.
+const minJobItemSize = 3*2 + 1 + 5*8 + 2 + 2
 
 // DecodeJobFrame parses a frame produced by EncodeJobFrame. Decoded
 // jobs own their memory (strings and matrices are copied out), so the

@@ -54,6 +54,18 @@ func TestJobFrameRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(jobs, got) {
 		t.Fatalf("round trip mismatch:\n in  %+v\n out %+v", jobs, got)
 	}
+	// Each job must also round-trip ALONE — a single submit is a one-job
+	// frame, and the smallest of them (a spec with neither bids nor a
+	// random shape) sits exactly on the decoder's per-item size floor.
+	for i := range jobs {
+		one, err := EncodeJobFrame(jobs[i : i+1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := DecodeJobFrame(one); err != nil || !reflect.DeepEqual(jobs[i:i+1], got) {
+			t.Fatalf("job %d alone: decoded %+v, err %v", i, got, err)
+		}
+	}
 	// Decoded jobs must not alias the frame: scribbling over the buffer
 	// may not change them.
 	mut := append([]byte(nil), b...)
