@@ -567,69 +567,6 @@ func BenchmarkGatewayThroughput(b *testing.B) {
 			benchHTTPJobs(b, front.URL, depth)
 		})
 	}
-
-	// Transport-amortization shapes: the same single-submit client
-	// workload over a fleet wide enough (64 workers per replica) that
-	// the worker pool stops binding and the per-submit transport cost is
-	// what's measured. coalesce=off prices that fleet with every submit
-	// as its own RPC; coalesce=on lets the gateway micro-batch
-	// concurrent submits per ring owner (2ms window — noise against the
-	// 55ms job latency). The
-	// off-shape doubles as the regression guard: the plain replicas=2
-	// shape above must keep reproducing its pre-coalescing baseline.
-	for _, mode := range []struct {
-		name   string
-		window time.Duration
-	}{{"off", 0}, {"on", 2 * time.Millisecond}} {
-		b.Run("replicas=2,coalesce="+mode.name, func(b *testing.B) {
-			cfg := gateway.Config{
-				HealthInterval:   time.Second,
-				CoalesceWindow:   mode.window,
-				CoalesceMaxBatch: 64,
-			}
-			for i := 0; i < 2; i++ {
-				ts := startWideBenchReplica(b)
-				cfg.Backends = append(cfg.Backends, gateway.Backend{
-					Name: fmt.Sprintf("rep%d", i), URL: ts.URL,
-				})
-			}
-			g, err := gateway.New(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			front := httptest.NewServer(g.Handler())
-			b.Cleanup(func() {
-				front.Close()
-				g.Close()
-			})
-			benchHTTPJobs(b, front.URL, 256)
-		})
-	}
-}
-
-// startWideBenchReplica boots a dmwd whose worker pool (64) outruns the
-// 10ms-link workload's latency ceiling, so the transport-amortization
-// shapes measure submit-path cost instead of worker starvation.
-func startWideBenchReplica(b *testing.B) *httptest.Server {
-	b.Helper()
-	srv, err := server.New(server.Config{
-		Preset:     PresetTest64,
-		QueueDepth: 256,
-		Workers:    64,
-		ResultTTL:  time.Minute,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv.Start()
-	ts := httptest.NewServer(srv.Handler())
-	b.Cleanup(func() {
-		ts.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		defer cancel()
-		_ = srv.Shutdown(ctx)
-	})
-	return ts
 }
 
 // BenchmarkGatewayElasticResize measures jobs/sec through the gateway
@@ -642,9 +579,8 @@ func startWideBenchReplica(b *testing.B) *httptest.Server {
 func BenchmarkGatewayElasticResize(b *testing.B) {
 	const depth = 64
 	g, err := gateway.New(gateway.Config{
-		AllowEmptyFleet: true,
-		HealthInterval:  time.Second,
-		LeaseTTL:        time.Hour, // churn is explicit below, never TTL expiry
+		HealthInterval: time.Second,
+		LeaseTTL:       time.Hour, // churn is explicit below, never TTL expiry
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -14,7 +14,6 @@
 //	      [-fail-after 2] [-recover-after 2]
 //	      [-lease-ttl 10s] [-replication 2] [-addr-file path]
 //	      [-request-timeout 60s] [-pprof-addr addr] [-q]
-//	      [-coalesce-window 0] [-coalesce-max-batch 64]
 //	      [-slo 'p99<250ms@30d'] [-slow-threshold 0]
 //	      [-log-level info] [-log-format text|json]
 //
@@ -118,8 +117,6 @@ func run() error {
 		replFactor = flag.Int("replication", 2, "replication factor R granted to leased members (owner + R-1 copies)")
 		addrFile   = flag.String("addr-file", "", "write the bound listen address to this file (use with -addr :0)")
 		reqTO      = flag.Duration("request-timeout", time.Minute, "per-attempt proxy timeout")
-		coalesceW  = flag.Duration("coalesce-window", 0, "micro-batch single submits per ring owner for at most this long (0 = off); see docs/PERFORMANCE.md")
-		coalesceN  = flag.Int("coalesce-max-batch", 64, "max jobs per coalesced flush (flushes early when full)")
 		streamTO   = flag.Duration("stream-timeout", 15*time.Minute, "relayed SSE stream lifetime bound (negative = unbounded)")
 		sloSpec    = flag.String("slo", "", "comma-separated latency objectives over fleet-wide backend latency, e.g. 'p99<250ms@30d'; see docs/OBSERVABILITY.md")
 		slowThr    = flag.Duration("slow-threshold", 0, "log slow_request for proxied attempts slower than this (0 = off)")
@@ -160,24 +157,21 @@ func run() error {
 	}
 
 	g, err := gateway.New(gateway.Config{
-		Backends:         backends,
-		AllowEmptyFleet:  true, // elastic: leases may be the only members
-		VirtualNodes:     *vnodes,
-		MaxInFlight:      *maxInFl,
-		HealthInterval:   *healthInt,
-		HealthTimeout:    *healthTO,
-		FailAfter:        *failAfter,
-		RecoverAfter:     *recovAfter,
-		RequestTimeout:   *reqTO,
-		StreamTimeout:    *streamTO,
-		CoalesceWindow:   *coalesceW,
-		CoalesceMaxBatch: *coalesceN,
-		LeaseTTL:         *leaseTTL,
-		Replication:      *replFactor,
-		SLOs:             objectives,
-		SlowThreshold:    *slowThr,
-		Logf:             logf,
-		Logger:           slogger,
+		Backends:       backends,
+		VirtualNodes:   *vnodes,
+		MaxInFlight:    *maxInFl,
+		HealthInterval: *healthInt,
+		HealthTimeout:  *healthTO,
+		FailAfter:      *failAfter,
+		RecoverAfter:   *recovAfter,
+		RequestTimeout: *reqTO,
+		StreamTimeout:  *streamTO,
+		LeaseTTL:       *leaseTTL,
+		Replication:    *replFactor,
+		SLOs:           objectives,
+		SlowThreshold:  *slowThr,
+		Logf:           logf,
+		Logger:         slogger,
 	})
 	if err != nil {
 		return err

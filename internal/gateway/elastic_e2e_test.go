@@ -65,12 +65,11 @@ func waitMember(t *testing.T, g *Gateway, name string, present bool) {
 func elasticGateway(t *testing.T) (*Gateway, *httptest.Server) {
 	t.Helper()
 	g, err := New(Config{
-		AllowEmptyFleet: true,
-		HealthInterval:  25 * time.Millisecond,
-		HealthTimeout:   time.Second,
-		RequestTimeout:  10 * time.Second,
-		LeaseTTL:        1500 * time.Millisecond,
-		Replication:     2,
+		HealthInterval: 25 * time.Millisecond,
+		HealthTimeout:  time.Second,
+		RequestTimeout: 10 * time.Second,
+		LeaseTTL:       1500 * time.Millisecond,
+		Replication:    2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -59,14 +59,11 @@ type Backend struct {
 
 // Config configures New.
 type Config struct {
-	// Backends is the static replica fleet. At least one is required
-	// unless AllowEmptyFleet is set, in which case the fleet may form
-	// entirely from membership leases (see internal/membership).
+	// Backends is the static replica fleet. It may be empty: the fleet
+	// then forms entirely from membership leases (see
+	// internal/membership), and the gateway answers 502/"no backend
+	// candidates" until the first replica leases in.
 	Backends []Backend
-	// AllowEmptyFleet permits starting with zero static backends; the
-	// gateway then answers 502/"no backend candidates" until the first
-	// replica leases in.
-	AllowEmptyFleet bool
 	// LeaseTTL is the lifetime of membership leases this gateway issues
 	// (default membership.DefaultTTL). Expired leases are swept on the
 	// health-probe tick, so the effective removal latency is
@@ -95,16 +92,6 @@ type Config struct {
 	// RequestTimeout bounds one proxied attempt, excluding any ?wait
 	// long-poll allowance added on top (default 60s).
 	RequestTimeout time.Duration
-	// CoalesceWindow enables adaptive micro-batching of single-job
-	// submits: concurrent POST /v1/jobs requests whose IDs hash to the
-	// same ring owner are held for at most this long and flushed as one
-	// batch RPC, with per-item answers fanned back. Zero disables
-	// coalescing (the default — it trades up to a window of latency for
-	// transport amortization, a trade only high-rate deployments want).
-	CoalesceWindow time.Duration
-	// CoalesceMaxBatch caps one coalesced flush (default 64 when
-	// coalescing is enabled); a window that fills early flushes early.
-	CoalesceMaxBatch int
 	// StreamTimeout bounds one relayed SSE stream (job event streams and
 	// the fleet firehose). Streams are long-lived by design, so the
 	// default is generous (15m); 0 takes the default, negative disables
@@ -151,12 +138,6 @@ func (c Config) withDefaults() Config {
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 60 * time.Second
 	}
-	if c.CoalesceMaxBatch <= 0 {
-		c.CoalesceMaxBatch = 64
-	}
-	if c.CoalesceMaxBatch > maxBatchJobs {
-		c.CoalesceMaxBatch = maxBatchJobs
-	}
 	if c.StreamTimeout == 0 {
 		c.StreamTimeout = 15 * time.Minute
 	}
@@ -185,8 +166,10 @@ type backend struct {
 	// a backend (replica moved hosts/ports) under live traffic. The
 	// ring identity is the name, so re-pointing never reshuffles
 	// placement.
-	base   atomic.Pointer[url.URL]
-	weight int
+	base atomic.Pointer[url.URL]
+	// weight is the ring share; atomic because a lease renewal may
+	// change it while /healthz, grants and the prober read it.
+	weight atomic.Int32
 	client *http.Client
 	// sem bounds in-flight proxied requests to this replica.
 	sem chan struct{}
@@ -263,10 +246,7 @@ type Gateway struct {
 	// relayBufs is the pooled arena backing buffered response bodies
 	// (see pool.go).
 	relayBufs *relayPool
-	// coalesce is the single-submit micro-batcher; nil when
-	// CoalesceWindow is zero.
-	coalesce *coalescer
-	start    time.Time
+	start     time.Time
 	// instanceID identifies this gateway process in dmwgw_build_info and
 	// structured logs; random per boot (the gateway is stateless, so a
 	// restart genuinely is a new instance).
@@ -281,9 +261,6 @@ type Gateway struct {
 // Call Close to stop it.
 func New(cfg Config) (*Gateway, error) {
 	cfg = cfg.withDefaults()
-	if len(cfg.Backends) == 0 && !cfg.AllowEmptyFleet {
-		return nil, errors.New("gateway: no backends configured")
-	}
 	g := &Gateway{
 		cfg:        cfg,
 		ring:       ring.New(cfg.VirtualNodes),
@@ -293,10 +270,6 @@ func New(cfg Config) (*Gateway, error) {
 		start:      time.Now(),
 		stop:       make(chan struct{}),
 		instanceID: newJobID(),
-	}
-	g.metrics.submitBatchSize = obs.NewHistogram(submitBatchBuckets)
-	if cfg.CoalesceWindow > 0 {
-		g.coalesce = newCoalescer(g, cfg.CoalesceWindow, cfg.CoalesceMaxBatch)
 	}
 	for _, bc := range cfg.Backends {
 		if bc.Name == "" {
@@ -312,7 +285,7 @@ func New(cfg Config) (*Gateway, error) {
 		b := g.newBackend(bc.Name, u, bc.Weight, false)
 		g.backends[bc.Name] = b
 		g.order = append(g.order, bc.Name)
-		g.ring.Add(bc.Name, b.weight)
+		g.ring.Add(bc.Name, int(b.weight.Load()))
 	}
 	// Epoch 1 is "the ring as configured at boot"; every later
 	// membership change increments.
@@ -344,7 +317,6 @@ func (g *Gateway) newBackend(name string, u *url.URL, weight int, leased bool) *
 	}
 	b := &backend{
 		name:    name,
-		weight:  weight,
 		leased:  leased,
 		sem:     make(chan struct{}, g.cfg.MaxInFlight),
 		reqHist: obs.NewHDR(),
@@ -360,6 +332,7 @@ func (g *Gateway) newBackend(name string, u *url.URL, weight int, leased bool) *
 		},
 	}
 	b.base.Store(u)
+	b.weight.Store(int32(weight))
 	b.up.Store(true)
 	return b
 }
@@ -400,8 +373,7 @@ func (g *Gateway) getBackend(name string) (*backend, bool) {
 // then its distinct successors. Ejected backends are already off the
 // ring; if every backend is ejected, fall back to the full fleet (a
 // best-effort attempt beats a guaranteed 503). With an empty fleet
-// (AllowEmptyFleet before the first lease) the list is empty and
-// callers answer 502.
+// (before the first lease) the list is empty and callers answer 502.
 func (g *Gateway) candidates(key string) []*backend {
 	names := g.ring.Successors(key, 0)
 	g.bmu.RLock()

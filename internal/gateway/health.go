@@ -77,7 +77,7 @@ func (g *Gateway) probe(b *backend) {
 			if b.oks >= g.cfg.RecoverAfter {
 				b.oks = 0
 				b.up.Store(true)
-				g.ring.Add(b.name, b.weight)
+				g.ring.Add(b.name, int(b.weight.Load()))
 				g.epoch.Add(1)
 				g.metrics.readmitted.Add(1)
 				g.cfg.Logf("gateway: backend %s re-admitted to ring (epoch %d)", b.name, g.epoch.Load())
@@ -162,7 +162,7 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			up++
 		}
 		bs := backendStatus{
-			Name: b.name, URL: b.base.Load().String(), Weight: b.weight, Up: alive, ReplicaID: rid,
+			Name: b.name, URL: b.base.Load().String(), Weight: int(b.weight.Load()), Up: alive, ReplicaID: rid,
 			Source: "static",
 		}
 		if b.leased {

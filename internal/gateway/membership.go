@@ -79,7 +79,7 @@ func (g *Gateway) admitLeased(l membership.Lease, u *url.URL) {
 	g.bmu.Lock()
 	if _, dup := g.backends[l.Name]; dup {
 		// Lost race with a concurrent acquire for the same name; the
-		// table already coalesced them.
+		// table already folded them into one lease.
 		g.bmu.Unlock()
 		return
 	}
@@ -88,10 +88,10 @@ func (g *Gateway) admitLeased(l membership.Lease, u *url.URL) {
 	g.order = append(g.order, l.Name)
 	g.bmu.Unlock()
 
-	g.ring.Add(l.Name, b.weight)
+	g.ring.Add(l.Name, l.Weight)
 	epoch := g.epoch.Add(1)
 	g.metrics.leaseJoins.Add(1)
-	g.cfg.Logf("gateway: member %s joined via lease (%s, weight %d) — ring epoch %d", l.Name, l.URL, b.weight, epoch)
+	g.cfg.Logf("gateway: member %s joined via lease (%s, weight %d) — ring epoch %d", l.Name, l.URL, l.Weight, epoch)
 }
 
 // repointLeased applies a renewal that changed the member's URL or
@@ -103,8 +103,7 @@ func (g *Gateway) repointLeased(l membership.Lease, u *url.URL) {
 		return
 	}
 	b.base.Store(u)
-	if b.weight != l.Weight {
-		b.weight = l.Weight
+	if int(b.weight.Swap(int32(l.Weight))) != l.Weight {
 		g.ring.Add(l.Name, l.Weight)
 		epoch := g.epoch.Add(1)
 		g.cfg.Logf("gateway: member %s re-weighted to %d — ring epoch %d", l.Name, l.Weight, epoch)
@@ -152,7 +151,7 @@ func (g *Gateway) grant() membership.LeaseGrant {
 	}
 	for _, b := range g.snapshotBackends() {
 		gr.Peers = append(gr.Peers, membership.Peer{
-			Name: b.name, URL: b.base.Load().String(), Weight: b.weight,
+			Name: b.name, URL: b.base.Load().String(), Weight: int(b.weight.Load()),
 		})
 	}
 	return gr

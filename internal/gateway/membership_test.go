@@ -168,12 +168,10 @@ func TestLeaseValidation(t *testing.T) {
 }
 
 // TestEmptyFleetGrowsFromLease: a gateway may boot with zero static
-// backends (AllowEmptyFleet) and become serviceable entirely through
-// membership leases — the elastic-from-nothing deployment.
+// backends and become serviceable entirely through membership leases —
+// the elastic-from-nothing deployment.
 func TestEmptyFleetGrowsFromLease(t *testing.T) {
-	g, front := startGateway(t, nil, func(c *Config) {
-		c.AllowEmptyFleet = true
-	})
+	g, front := startGateway(t, nil, nil)
 
 	// Before any member: health says down, submits are unrouted.
 	if st, _ := getJSON(t, front.URL+"/healthz"); st != http.StatusServiceUnavailable {
@@ -343,9 +341,8 @@ func TestFirehoseSurvivesEpochChange(t *testing.T) {
 // renewal (the agent heartbeats every TTL/3) re-admits it. Sleep-free:
 // the renewal is the test's own POST, not a timer.
 func TestGatewayRestartForgetsLeasesUntilRenewal(t *testing.T) {
-	leaseOnly := func(c *Config) { c.AllowEmptyFleet = true }
 	rep := startReplica(t)
-	_, front := startGateway(t, nil, leaseOnly)
+	_, front := startGateway(t, nil, nil)
 	acquireLease(t, front.URL, "m1", rep.url(), 1)
 	spec := tinySpec(3)
 	spec.ID = "survives-gateway-restart"
@@ -354,7 +351,7 @@ func TestGatewayRestartForgetsLeasesUntilRenewal(t *testing.T) {
 	}
 
 	// "Restart": a fresh Gateway built from the same config.
-	g2, front2 := startGateway(t, nil, leaseOnly)
+	g2, front2 := startGateway(t, nil, nil)
 	if n := g2.ring.Len(); n != 0 {
 		t.Fatalf("restarted gateway's ring has %d members, want 0 (leases are not persisted)", n)
 	}
@@ -371,5 +368,44 @@ func TestGatewayRestartForgetsLeasesUntilRenewal(t *testing.T) {
 	acquireLease(t, front2.URL, "m1", rep.url(), 1)
 	if status, body := getJSON(t, front2.URL+"/v1/jobs/"+spec.ID+"?wait=10s"); status != http.StatusOK {
 		t.Fatalf("read after renewal: HTTP %d: %s", status, body)
+	}
+}
+
+// TestLeaseReweightRacesHealthz: a renewal that changes a member's
+// weight writes the backend's ring share while /healthz (and the grant
+// each renewal answers with) reads it. Meaningful under -race only.
+func TestLeaseReweightRacesHealthz(t *testing.T) {
+	rep := startReplica(t)
+	_, front := startGateway(t, nil, nil)
+	acquireLease(t, front.URL, "rw", rep.url(), 1)
+
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			resp, err := http.Get(front.URL + "/healthz")
+			if err != nil {
+				t.Errorf("healthz: %v", err)
+				return
+			}
+			resp.Body.Close()
+		}
+	}()
+	defer func() {
+		close(stop)
+		<-done
+	}()
+	var gr membership.LeaseGrant
+	for i := 0; i < 50; i++ {
+		gr = acquireLease(t, front.URL, "rw", rep.url(), 1+i%3)
+	}
+	if len(gr.Peers) != 1 || gr.Peers[0].Weight != 1+49%3 {
+		t.Errorf("last grant peers = %+v, want the one member at weight %d", gr.Peers, 1+49%3)
 	}
 }

@@ -23,10 +23,6 @@ import (
 // microseconds to minutes, replacing the old 15-bucket hand-picked
 // ladder that could not resolve sub-10ms or >1s tails.
 
-// submitBatchBuckets are the coalesced-flush size buckets
-// (dmwgw_submit_batch_size): powers of two up to the batch API limit.
-var submitBatchBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
-
 // gwMetrics are the gateway's own counters (the fleet's counters are
 // scraped and summed at exposition time, never cached).
 type gwMetrics struct {
@@ -43,15 +39,7 @@ type gwMetrics struct {
 	readmitted      atomic.Int64 // ring re-admissions
 	replicaRestarts atomic.Int64 // replica identity changes behind one address
 
-	// Transport-amortization telemetry (coalescer, wire protocol, relay
-	// arena).
-	coalescedSubmits atomic.Int64 // single submits that rode a coalesced flush
-	coalesceFlushes  atomic.Int64 // coalesced batch RPCs dispatched
-	coalesceDirect   atomic.Int64 // waiters sent back to the direct path
-	wireNegotiated   atomic.Int64 // backends seen answering with the frame capability header
-	// submitBatchSize observes each coalesced flush's job count
-	// (dmwgw_submit_batch_size); constructed in New.
-	submitBatchSize *obs.Histogram
+	wireNegotiated atomic.Int64 // backends seen answering with the frame capability header
 
 	leaseJoins    atomic.Int64 // members admitted via membership lease
 	leaseRenewals atomic.Int64 // lease heartbeats for existing members
@@ -93,14 +81,10 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p("dmwgw_lease_renewals_total %d\n", g.metrics.leaseRenewals.Load())
 	p("dmwgw_lease_releases_total %d\n", g.metrics.leaseReleases.Load())
 	p("dmwgw_lease_expiries_total %d\n", g.metrics.leaseExpiries.Load())
-	p("dmwgw_coalesced_submits_total %d\n", g.metrics.coalescedSubmits.Load())
-	p("dmwgw_coalesce_flushes_total %d\n", g.metrics.coalesceFlushes.Load())
-	p("dmwgw_coalesce_direct_total %d\n", g.metrics.coalesceDirect.Load())
 	p("dmwgw_wire_negotiated_total %d\n", g.metrics.wireNegotiated.Load())
 	gets, misses := g.relayBufs.gets.Load(), g.relayBufs.misses.Load()
 	p("dmwgw_relay_pool_gets_total %d\n", gets)
 	p("dmwgw_relay_pool_misses_total %d\n", misses)
-	g.metrics.submitBatchSize.Write(w, "dmwgw_submit_batch_size", "")
 	p("dmwgw_uptime_seconds %.3f\n", time.Since(g.start).Seconds())
 	backends := g.snapshotBackends()
 	now := time.Now()
@@ -276,7 +260,7 @@ func scrapeMetrics(ctx context.Context, b *backend) ([]series, []string, error) 
 // sortKey makes histogram buckets sort numerically (le="2" before
 // le="10", +Inf last) under a plain lexical sort by zero-padding the
 // bound into the key. The le label is always LAST in the exposition
-// (obs.Histogram.Write emits extra labels before it), so the encoded
+// (obs.HDR.Write emits extra labels before it), so the encoded
 // key keeps e.g. dmwd_phase_seconds buckets grouped per phase with the
 // bounds in numeric order inside each group. seriesName inverts it.
 func sortKey(name string) string {

@@ -12,22 +12,16 @@ import (
 // bodies are the dominant per-request allocation, and they have a
 // perfectly recyclable lifetime — read fully, relayed (or decoded),
 // dropped — so the arena turns the steady state into zero-allocation
-// relaying.
-//
-// Ownership is refcounted because a coalesced flush fans ONE backend
-// response out to many waiting submitters: each waiter holds a slice
-// aliasing the pooled buffer until its own response is written. The
-// last release returns the buffer to the pool.
+// relaying. A buffer has exactly one holder between get and release.
 
 // maxPooledRelayBuf caps the capacity retained by the pool: a rare
 // multi-megabyte transcript relay must not pin its buffer forever under
 // a pool slot that mostly serves kilobyte job views.
 const maxPooledRelayBuf = 1 << 20
 
-// relayBuf is one pooled response buffer plus its reference count.
+// relayBuf is one pooled response buffer.
 type relayBuf struct {
-	bb   bytes.Buffer
-	refs atomic.Int32
+	bb bytes.Buffer
 }
 
 type relayPool struct {
@@ -50,27 +44,21 @@ func (p *relayPool) get() *relayBuf {
 	p.gets.Add(1)
 	buf := p.pool.Get().(*relayBuf)
 	buf.bb.Reset()
-	buf.refs.Store(1)
 	return buf
 }
 
-// retain adds n holders (a coalesced fan-out claims one per waiter).
-func (buf *relayBuf) retain(n int32) { buf.refs.Add(n) }
-
-// release drops one hold; the last hold returns the buffer to the pool
-// (unless it grew past the retention cap, in which case it is left to
-// the GC so the pool stays populated with right-sized buffers).
+// release returns the buffer to the pool (unless it grew past the
+// retention cap, in which case it is left to the GC so the pool stays
+// populated with right-sized buffers). The holder must not touch buf,
+// or any slice of its bytes, afterwards.
 func (p *relayPool) release(buf *relayBuf) {
-	if buf == nil {
-		return
-	}
-	if buf.refs.Add(-1) == 0 && buf.bb.Cap() <= maxPooledRelayBuf {
+	if buf != nil && buf.bb.Cap() <= maxPooledRelayBuf {
 		p.pool.Put(buf)
 	}
 }
 
-// releaseResult drops the holder's reference on a buffered attempt, if
-// the attempt is backed by a pooled buffer. Safe on nil results.
+// releaseResult returns a buffered attempt's pooled buffer, if it has
+// one. Safe on nil results.
 func (g *Gateway) releaseResult(res *attemptResult) {
 	if res != nil && res.buf != nil {
 		g.relayBufs.release(res.buf)

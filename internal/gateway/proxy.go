@@ -154,13 +154,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // candidate in turn.
 type proxyReq struct {
 	method, path, rawQuery string
-	// body is nil for reads; contentType describes it otherwise. Every
-	// body the gateway sends to the fleet is a binary job frame.
-	body        []byte
-	contentType string
-	// accept optionally asks for a specific response encoding (the
-	// coalescer's binary result frame).
-	accept string
+	// body is nil for reads; every body the gateway sends to the fleet
+	// is a binary job frame.
+	body []byte
 }
 
 // attemptResult is the answer of one proxied try against one backend,
@@ -170,7 +166,7 @@ type attemptResult struct {
 	header http.Header
 	body   []byte
 	// buf is the pooled buffer backing body; non-nil results must reach
-	// exactly one releaseResult (fan-outs take extra references).
+	// exactly one releaseResult.
 	buf *relayBuf
 }
 
@@ -237,10 +233,7 @@ func (g *Gateway) tryBackend(ctx context.Context, b *backend, req proxyReq) (*at
 		return nil, err
 	}
 	if req.body != nil {
-		hreq.Header.Set("Content-Type", req.contentType)
-	}
-	if req.accept != "" {
-		hreq.Header.Set("Accept", req.accept)
+		hreq.Header.Set("Content-Type", wire.ContentTypeJobFrame)
 	}
 	// Forward the correlation ID so the replica's access log, job record
 	// and trace carry the same request_id the gateway logged.
@@ -361,35 +354,13 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.RequestTimeout)
 	defer cancel()
-	if g.coalesce != nil {
-		// A coalesced spec travels inside a batch body, so the identity
-		// that normally rides request headers must ride the spec itself.
-		ride := spec
-		if ride.RequestID == "" {
-			ride.RequestID = requestIDFrom(ctx)
-		}
-		if ride.Tenant == "" {
-			ride.Tenant = tenantFrom(ctx)
-		}
-		if out, joined := g.coalesce.submit(ctx, ride); joined {
-			if out.res != nil {
-				relay(w, out.res)
-				g.releaseResult(out.res)
-				return
-			}
-			// direct fallback: fall through to the ordinary path.
-		} else if ctx.Err() != nil {
-			writeJSON(w, http.StatusGatewayTimeout, apiError{Error: "submit timed out in coalescing window"})
-			return
-		}
-	}
 	// A single submit is a batch of one: a one-job frame to the owner.
 	frame, err := jobFrame([]server.JobSpec{spec})
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, apiError{Error: "encoding job spec: " + err.Error()})
 		return
 	}
-	g.proxy(ctx, w, spec.ID, postFrame("/v1/jobs", frame, ""), false, "no replica accepted the job")
+	g.proxy(ctx, w, spec.ID, postFrame("/v1/jobs", frame), false, "no replica accepted the job")
 }
 
 // proxy answers the client with whatever forward gets for req: the
@@ -428,15 +399,15 @@ func (g *Gateway) handleGetJob(w http.ResponseWriter, r *http.Request) {
 	g.proxy(ctx, w, r.PathValue("id"), proxyReq{method: http.MethodGet, path: r.URL.Path, rawQuery: r.URL.RawQuery}, true, "no replica reachable")
 }
 
-// readWaitAllowance extends the proxy deadline by the client's ?wait
-// long-poll so the gateway does not cut a poll short.
+// readWaitAllowance extends the proxy deadline by the long-poll dmwd
+// will hold for the client's ?wait (the wait, clamped to server.MaxWait
+// as dmwd clamps it) so the gateway does not cut a poll short.
 func readWaitAllowance(r *http.Request) time.Duration {
-	if s := r.URL.Query().Get("wait"); s != "" {
-		if d, err := time.ParseDuration(s); err == nil && d > 0 && d < time.Minute {
-			return d
-		}
+	d, err := time.ParseDuration(r.URL.Query().Get("wait"))
+	if err != nil || d <= 0 {
+		return 0
 	}
-	return 0
+	return min(d, server.MaxWait)
 }
 
 // relay writes a buffered backend response to the client. Retry-After
@@ -546,7 +517,7 @@ func (g *Gateway) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 			// is the same for all of them. The shard goes out as a job
 			// frame; the answer stays JSON because the client-facing
 			// merge below is JSON anyway.
-			res, err := g.forward(ctx, sh.specs[0].ID, postFrame("/v1/jobs/batch", sh.frame, ""), false)
+			res, err := g.forward(ctx, sh.specs[0].ID, postFrame("/v1/jobs/batch", sh.frame), false)
 			if err == nil {
 				var items []server.BatchItem
 				if res.status == http.StatusOK && json.Unmarshal(res.body, &items) == nil && len(items) == len(sh.indices) {

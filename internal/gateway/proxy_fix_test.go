@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"dmw/internal/server"
 )
 
 // jsonBody marshals v for a request body.
@@ -141,5 +143,52 @@ func TestOversizedBackendResponseIs502(t *testing.T) {
 	}
 	if len(body) > 1<<16 {
 		t.Errorf("error body is %d bytes; the oversized payload leaked through", len(body))
+	}
+}
+
+// TestReadWaitAllowance: the proxy deadline grows by the poll dmwd will
+// actually hold — the client's wait, clamped to server.MaxWait like dmwd
+// clamps it — and by nothing for a wait dmwd refuses or ignores.
+func TestReadWaitAllowance(t *testing.T) {
+	for wait, want := range map[string]time.Duration{
+		"":     0,
+		"-1s":  0,
+		"10s":  10 * time.Second,
+		"30s":  server.MaxWait,
+		"2m":   server.MaxWait,
+		"junk": 0,
+	} {
+		r := httptest.NewRequest(http.MethodGet, "/v1/jobs/x?wait="+wait, nil)
+		if got := readWaitAllowance(r); got != want {
+			t.Errorf("wait=%q: allowance %v, want %v", wait, got, want)
+		}
+	}
+}
+
+// TestLongPollPastServerCapIsServed: dmwd serves ?wait=2m as its 30s
+// cap, so through a gateway whose RequestTimeout is far shorter than
+// the job, ?wait=2m must ride out a running job exactly like ?wait=30s
+// does — it used to get no allowance at all and answer 502.
+func TestLongPollPastServerCapIsServed(t *testing.T) {
+	rep := startReplica(t)
+	_, front := startGateway(t, []*replica{rep}, func(c *Config) {
+		c.RequestTimeout = 300 * time.Millisecond
+	})
+	for i, wait := range []string{"30s", "2m"} {
+		spec := tinySpec(int64(90 + i))
+		spec.ID = "longpoll-" + wait
+		spec.LinkDelayMS = 150 // several rounds: the job outlives RequestTimeout
+		if status, body := postJSON(t, front.URL+"/v1/jobs", spec); status != http.StatusAccepted {
+			t.Fatalf("submit: HTTP %d: %s", status, body)
+		}
+		start := time.Now()
+		status, body := getJSON(t, front.URL+"/v1/jobs/"+spec.ID+"?wait="+wait)
+		var view server.JobView
+		if err := json.Unmarshal(body, &view); status != http.StatusOK || err != nil || view.State != server.StateDone {
+			t.Errorf("wait=%s: HTTP %d %s, want 200 with the finished job", wait, status, body)
+		}
+		if held := time.Since(start); held <= 300*time.Millisecond {
+			t.Errorf("wait=%s: answered after %v; the job did not outlive RequestTimeout, nothing was tested", wait, held)
+		}
 	}
 }

@@ -26,9 +26,7 @@ func jobFrame(specs []server.JobSpec) ([]byte, error) {
 }
 
 // postFrame is the one shape every submit takes on its way into the
-// fleet: a job frame POSTed to path. accept optionally asks for the
-// binary result frame back.
-func postFrame(path string, frame []byte, accept string) proxyReq {
-	return proxyReq{method: http.MethodPost, path: path, body: frame,
-		contentType: wire.ContentTypeJobFrame, accept: accept}
+// fleet: a job frame POSTed to path.
+func postFrame(path string, frame []byte) proxyReq {
+	return proxyReq{method: http.MethodPost, path: path, body: frame}
 }

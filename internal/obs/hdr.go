@@ -10,17 +10,18 @@ import (
 	"sync/atomic"
 )
 
-// This file is the tail-latency tier of the metrics layer: an HDR-style
-// log-bucketed histogram whose relative error is bounded by the bucket
-// growth factor (~5% at 24 buckets per decade), plus exemplars — each
-// tail bucket remembers the most recent request that landed in it, so a
-// p999 outlier on /metrics resolves to a concrete X-Request-Id and a
-// fetchable /v1/jobs/{id}/trace. The exposition contract is identical
-// to Histogram (cumulative buckets, le last, +Inf == _count), which is
-// what lets the gateway's le-keyed fleet aggregation sum HDR series
-// from replicas without knowing they are HDR. Because every HDR in the
-// fleet shares one bucket geometry, cross-replica merge is EXACT:
-// bucket counts add with no re-binning error.
+// This file is the metrics layer's one histogram: by default an
+// HDR-style log-bucketed histogram whose relative error is bounded by
+// the bucket growth factor (~5% at 24 buckets per decade), plus
+// exemplars — each tail bucket remembers the most recent request that
+// landed in it, so a p999 outlier on /metrics resolves to a concrete
+// X-Request-Id and a fetchable /v1/jobs/{id}/trace. The exposition is
+// the Prometheus text contract (cumulative buckets, le last, +Inf ==
+// _count; TestMetricsHistogramContract pins it against a parser), which
+// is what lets the gateway's le-keyed fleet aggregation sum histogram
+// series from replicas. Because every latency HDR in the fleet shares
+// one bucket geometry, cross-replica merge is EXACT: bucket counts add
+// with no re-binning error.
 
 // hdrBucketsPerDecade fixes the default geometry: 24 log-spaced buckets
 // per decade gives a growth factor g = 10^(1/24) ~ 1.101, and the
@@ -80,9 +81,9 @@ type Exemplar struct {
 	Value float64
 }
 
-// HDR is a log-bucketed histogram with atomic counters, per-bucket
-// exemplar slots, and the same cumulative text exposition as Histogram.
-// The zero value is not usable; call NewHDR.
+// HDR is a bucketed histogram with atomic counters, per-bucket exemplar
+// slots, and a cumulative text exposition. The zero value is not
+// usable; call NewHDR or NewHDRBounds.
 type HDR struct {
 	// bounds is shared across instances built from the same generator
 	// call (see defaultHDRBounds) — snapshot merge relies on identity
@@ -90,8 +91,8 @@ type HDR struct {
 	bounds  []float64
 	buckets []atomic.Int64
 	count   atomic.Int64
-	// sumMicro accumulates in millionths of the unit, like Histogram,
-	// so _sum stays integral under concurrent adds.
+	// sumMicro accumulates in millionths of the unit, so _sum stays
+	// integral under concurrent adds.
 	sumMicro atomic.Int64
 	// ex[i] is the most recent exemplar observed into bucket i (last
 	// writer wins; tail buckets see few writes, so "most recent" is
@@ -104,8 +105,11 @@ type HDR struct {
 // merge exactly.
 func NewHDR() *HDR { return NewHDRBounds(defaultHDRBounds) }
 
-// NewHDRBounds builds an HDR over explicit ascending bounds (tests use
-// tiny geometries; production code should use NewHDR).
+// NewHDRBounds builds an HDR over explicit ascending upper bounds, for
+// series whose unit is not a latency (batch sizes) or whose hand-picked
+// le labels dashboards already key on; latency series should use
+// NewHDR. bounds is retained, not copied. Panics on unordered bounds:
+// that is a programming error, not an operational condition.
 func NewHDRBounds(bounds []float64) *HDR {
 	for i := 1; i < len(bounds); i++ {
 		if bounds[i] <= bounds[i-1] {
@@ -120,8 +124,9 @@ func NewHDRBounds(bounds []float64) *HDR {
 }
 
 // bucketIndex returns the bucket for value v: the first bound >= v, or
-// the +Inf overflow slot. Binary search — the HDR has ~200 buckets, so
-// the linear scan Histogram uses would be a hot-path regression.
+// the +Inf overflow slot — so a value equal to a bound lands in that
+// bound's bucket (le is inclusive). Binary search: the default geometry
+// has ~200 buckets.
 func (h *HDR) bucketIndex(v float64) int {
 	return sort.SearchFloat64s(h.bounds, v)
 }
@@ -177,8 +182,9 @@ func (h *HDR) Snapshot() HDRSnapshot {
 }
 
 // Write renders the exposition for series name with optional constant
-// labels, honoring the exact Histogram contract (cumulative buckets,
-// le label last, +Inf == _count, fixed-point _sum), then appends
+// labels (e.g. `phase="bidding"`; empty for none) — cumulative buckets,
+// le label last so the gateway's bucket-aware aggregation sort works,
+// +Inf == _count, fixed-point _sum — then appends
 // exemplar lines as Prometheus-style comments:
 //
 //	# exemplar name{le="0.512",request_id="req-..",job_id="job-..",tenant="acme",traced="1"} 0.497
@@ -189,30 +195,9 @@ func (h *HDR) Snapshot() HDRSnapshot {
 // exemplars, keeping the exposition small and the exemplars pointed at
 // outliers rather than the bulk of the distribution.
 func (h *HDR) Write(w io.Writer, name, labels string) {
-	sep := ""
-	if labels != "" {
-		sep = ","
-	}
-	counts := make([]int64, len(h.buckets))
-	var total int64
-	for i := range h.buckets {
-		counts[i] = h.buckets[i].Load()
-		total += counts[i]
-	}
-	var cum int64
-	for i, ub := range h.bounds {
-		cum += counts[i]
-		fmt.Fprintf(w, "%s_bucket{%s%sle=\"%g\"} %d\n", name, labels, sep, ub, cum)
-	}
-	cum += counts[len(h.bounds)]
-	fmt.Fprintf(w, "%s_bucket{%s%sle=\"+Inf\"} %d\n", name, labels, sep, cum)
-	suffix := ""
-	if labels != "" {
-		suffix = "{" + labels + "}"
-	}
-	fmt.Fprintf(w, "%s_sum%s %s\n", name, suffix, strconv.FormatFloat(h.Sum(), 'f', 6, 64))
-	fmt.Fprintf(w, "%s_count%s %d\n", name, suffix, total)
-
+	snap := h.Snapshot()
+	snap.Write(w, name, labels)
+	counts, total := snap.Counts, snap.Count
 	if total == 0 {
 		return
 	}
@@ -323,11 +308,11 @@ type HDRSnapshot struct {
 // Sum returns the snapshot's value sum in the histogram unit.
 func (s HDRSnapshot) Sum() float64 { return float64(s.SumMicro) / 1e6 }
 
-// Write renders the snapshot under the same exposition contract as
-// HDR.Write (cumulative buckets, le last, +Inf == _count, fixed-point
-// _sum), minus exemplar lines — snapshots do not carry exemplars. This
-// is the fleet-rollup path: merged replica snapshots render exactly
-// like a live histogram. A zero snapshot emits only the +Inf bucket,
+// Write renders the bucket, _sum and _count lines (cumulative buckets,
+// le last, +Inf == _count, fixed-point _sum) — the one writer: HDR.Write
+// is this plus exemplar lines, which snapshots do not carry, so the
+// fleet rollup's merged replica snapshots render exactly like a live
+// histogram. A zero snapshot emits only the +Inf bucket,
 // which every parser in the repo accepts.
 func (s HDRSnapshot) Write(w io.Writer, name, labels string) {
 	sep := ""

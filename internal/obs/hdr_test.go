@@ -44,10 +44,10 @@ func TestLogBucketsShape(t *testing.T) {
 	}
 }
 
-// TestHDRWriteContract pins that HDR exposes the exact same cumulative
-// text contract as Histogram: le-labeled cumulative buckets with le
-// last, +Inf equal to _count, fixed-point _sum — and that exemplar
-// lines are comments.
+// TestHDRWriteContract pins HDR's cumulative text contract on the
+// default geometry: le-labeled cumulative buckets with le last, +Inf
+// equal to _count, fixed-point _sum — and that exemplar lines are
+// comments.
 func TestHDRWriteContract(t *testing.T) {
 	h := NewHDR()
 	vals := []float64{0.0001, 0.001, 0.001, 0.25, 2.5, 500}

@@ -13,9 +13,10 @@
 //     (Recorder) the DMW run instruments its four phases with, JSONL
 //     export for GET /v1/jobs/{id}/trace, and a text waterfall renderer
 //     behind cmd/dmwtrace;
-//   - telemetry primitives: a cumulative-bucket histogram with a
-//     Prometheus-style plain-text exposition (Histogram), Go runtime
-//     gauges (WriteRuntimeMetrics), and the ldflags-stamped
+//   - telemetry primitives: one histogram type (HDR: cumulative
+//     buckets, tail exemplars, Prometheus-style plain-text exposition;
+//     log-spaced by default, explicit bounds for count-valued series),
+//     Go runtime gauges (WriteRuntimeMetrics), and the ldflags-stamped
 //     <daemon>_build_info gauge (WriteBuildInfo).
 //
 // Everything span-related is nil-safe: a nil *Recorder (and the nil

@@ -184,7 +184,7 @@ func TestWaterfallRendering(t *testing.T) {
 }
 
 func TestHistogramCumulativeContract(t *testing.T) {
-	h := NewHistogram([]float64{1, 5, 10})
+	h := NewHDRBounds([]float64{1, 5, 10})
 	for _, v := range []float64{0.5, 0.7, 3, 7, 50, 10} { // 10 lands in le="10"
 		h.Observe(v)
 	}
@@ -224,7 +224,7 @@ func TestHistogramBadBoundsPanic(t *testing.T) {
 			t.Error("unordered bounds did not panic")
 		}
 	}()
-	NewHistogram([]float64{1, 1})
+	NewHDRBounds([]float64{1, 1})
 }
 
 func TestRuntimeAndBuildInfo(t *testing.T) {
@@ -318,7 +318,7 @@ func parseExposition(t *testing.T, text string) map[string]float64 {
 // +Inf == _count, and _sum present and consistent with the bucket
 // bounds. It is exported to the test binary style used by the server
 // and gateway suites via copy — the canonical implementation lives
-// here next to Histogram.
+// here next to HDR.
 func AssertHistogramContract(t *testing.T, series map[string]float64, name, labels string) {
 	t.Helper()
 	prefix := name + "_bucket{"

@@ -29,8 +29,10 @@ const (
 	maxBatchJobs      = 256
 )
 
-// maxWait caps the ?wait long-poll on GET /v1/jobs/{id}.
-const maxWait = 30 * time.Second
+// MaxWait caps the ?wait long-poll on GET /v1/jobs/{id}: a longer wait
+// is served as this one. Exported so the gateway can size its proxy
+// deadline to the poll dmwd will actually hold.
+const MaxWait = 30 * time.Second
 
 // Handler returns the daemon's HTTP API:
 //
@@ -247,15 +249,7 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	stampIdentity(r, specs)
-	items := s.SubmitBatch(specs)
-	// The gateway's submit coalescer asks for the binary result encoding
-	// so it can fan pre-marshaled per-item bodies back to its waiters
-	// without parsing them; everyone else gets the JSON item array.
-	if r.Header.Get("Accept") == wire.ContentTypeResultFrame {
-		s.writeResultFrame(w, items)
-		return
-	}
-	writeJSON(w, http.StatusOK, items)
+	writeJSON(w, http.StatusOK, s.SubmitBatch(specs))
 }
 
 func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
@@ -273,8 +267,8 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusBadRequest, apiError{Error: "invalid wait duration"})
 			return
 		}
-		if d > maxWait {
-			d = maxWait
+		if d > MaxWait {
+			d = MaxWait
 		}
 		job.WaitDone(d)
 	}

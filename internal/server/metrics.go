@@ -85,7 +85,7 @@ type metrics struct {
 	slowCaptures atomic.Int64
 	// verifyBatch records the item count of every combined pass the
 	// share-verification coalescer ran (dmwd_verify_batch_size_*).
-	verifyBatch *obs.Histogram
+	verifyBatch *obs.HDR
 
 	// replicaAccepted counts terminal-record copies stored for ring
 	// predecessors; replicaReads counts reads served from those copies
@@ -95,9 +95,9 @@ type metrics struct {
 	// each replication RPC carried on the way out and in.
 	replicaAccepted    atomic.Int64
 	replicaReads       atomic.Int64
-	replicaPush        *obs.Histogram
-	replicaPushBatch   *obs.Histogram
-	replicaAcceptBatch *obs.Histogram
+	replicaPush        *obs.HDR
+	replicaPushBatch   *obs.HDR
+	replicaAcceptBatch *obs.HDR
 
 	// wireRequests counts frame-encoded requests served on the fleet
 	// endpoints; wireErrors counts frame bodies refused as corrupt or
@@ -122,10 +122,10 @@ func newMetrics() *metrics {
 	m := &metrics{
 		latencyHDR:         obs.NewHDR(),
 		phases:             make(map[string]*obs.HDR, len(phaseOrder)),
-		verifyBatch:        obs.NewHistogram(verifyBatchBuckets),
-		replicaPush:        obs.NewHistogram(phaseBucketsS),
-		replicaPushBatch:   obs.NewHistogram(pushBatchBuckets),
-		replicaAcceptBatch: obs.NewHistogram(pushBatchBuckets),
+		verifyBatch:        obs.NewHDRBounds(verifyBatchBuckets),
+		replicaPush:        obs.NewHDRBounds(phaseBucketsS),
+		replicaPushBatch:   obs.NewHDRBounds(pushBatchBuckets),
+		replicaAcceptBatch: obs.NewHDRBounds(pushBatchBuckets),
 		tenantAdmitted:     make(map[string]int64),
 		tenantRejected:     make(map[string]map[string]int64),
 	}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -193,6 +194,69 @@ func TestMetricsHistogramContract(t *testing.T) {
 	for _, g := range []string{"dmwd_go_goroutines", "dmwd_go_heap_bytes", "dmwd_go_gc_runs_total"} {
 		if _, ok := series[g]; !ok {
 			t.Errorf("missing runtime gauge %s", g)
+		}
+	}
+}
+
+// TestFixedBoundHistogramsGolden pins the exposition of the four series
+// that keep hand-picked bounds (they moved from the retired fixed-bucket
+// type to obs.HDR over the same bounds): exactly these le labels in
+// this order, le the only label, +Inf == _count, fixed-point _sum, and
+// no exemplar lines — dashboards and the gateway's fleet sum key on it.
+func TestFixedBoundHistogramsGolden(t *testing.T) {
+	s, ts := startHTTP(t, testConfig())
+	pow2 := []string{"1", "2", "4", "8", "16", "32", "64", "128", "256"}
+	golden := []struct {
+		name string
+		h    *obs.HDR
+		obs  []float64
+		le   []string
+		sum  string
+	}{
+		{"dmwd_verify_batch_size", s.metrics.verifyBatch, []float64{1, 3, 2000},
+			slices.Concat(pow2, []string{"512", "1024"}), "2004.000000"},
+		{"dmwd_replica_push_seconds", s.metrics.replicaPush, []float64{0.0001, 0.003, 45},
+			[]string{"0.0001", "0.00025", "0.0005", "0.001", "0.0025", "0.005", "0.01", "0.025", "0.05", "0.1", "0.25", "0.5", "1", "2.5", "5", "10", "30"}, "45.003100"},
+		{"dmwd_replica_push_batch_size", s.metrics.replicaPushBatch, []float64{1, 5, 300}, pow2, "306.000000"},
+		{"dmwd_replica_accept_batch_size", s.metrics.replicaAcceptBatch, []float64{1, 2, 256}, pow2, "259.000000"},
+	}
+	for _, g := range golden {
+		for _, v := range g.obs {
+			g.h.Observe(v)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	lines := strings.Split(string(raw), "\n")
+	series := parseExposition(t, string(raw))
+	for _, g := range golden {
+		var got []string
+		for _, line := range lines {
+			if rest, ok := strings.CutPrefix(line, g.name+`_bucket{le="`); ok {
+				le, _, _ := strings.Cut(rest, `"} `)
+				got = append(got, le)
+			}
+			if strings.HasPrefix(line, obs.ExemplarPrefix+g.name+"{") {
+				t.Errorf("%s: unexpected exemplar line %q", g.name, line)
+			}
+		}
+		if want := append(slices.Clone(g.le), "+Inf"); !slices.Equal(got, want) {
+			t.Errorf("%s: le labels\n got  %v\n want %v", g.name, got, want)
+		}
+		_, count := assertHistogramContract(t, series, g.name, "")
+		if count != float64(len(g.obs)) {
+			t.Errorf("%s: _count %g, want %d", g.name, count, len(g.obs))
+		}
+		// Each first observation equals the first bound: le is inclusive.
+		if first := series[g.name+`_bucket{le="`+g.le[0]+`"}`]; first != 1 {
+			t.Errorf("%s: le=%s bucket holds %g, want 1 (the observation equal to the bound)", g.name, g.le[0], first)
+		}
+		if !strings.Contains(string(raw), g.name+"_sum "+g.sum+"\n") {
+			t.Errorf("%s: want _sum line %q", g.name, g.name+"_sum "+g.sum)
 		}
 	}
 }

@@ -81,11 +81,6 @@ type Config struct {
 	// artifact is rewritten for the next boot. /healthz reports
 	// table_build_seconds either way.
 	ParamsCache string
-	// VerifyMaxTerms caps one combined pass of the cross-job share-
-	// verification coalescer (zero selects commit.DefaultMaxBatchTerms).
-	// The coalescer has no other tuning: passes form from whatever
-	// arrives while one is running.
-	VerifyMaxTerms int
 	// QueueDepth bounds the admission queue (default 64).
 	QueueDepth int
 	// Workers is the job-level concurrency (default 2).
@@ -126,8 +121,6 @@ type Config struct {
 	// negative disables automatic compaction (a final snapshot is still
 	// taken on shutdown).
 	SnapshotEvery int
-	// SegmentBytes caps a WAL segment before rotation (default 4 MiB).
-	SegmentBytes int64
 
 	// Tenants is the multi-tenant admission policy (the parsed -tenants
 	// file; see internal/tenant and docs/TENANCY.md). The zero value
@@ -139,9 +132,6 @@ type Config struct {
 	// (default tenant.DefaultPriceTau; tests shrink it to reprice
 	// instantly).
 	PriceTau time.Duration
-	// DrainTau overrides the drain-rate smoothing constant (default
-	// tenant.DefaultRateTau).
-	DrainTau time.Duration
 
 	// SLOs are the declared latency objectives (the parsed -slo flag,
 	// e.g. "p99<250ms@30d"), evaluated against the job-latency HDR
@@ -311,12 +301,12 @@ func New(cfg Config) (*Server, error) {
 		registry:   tenant.NewRegistry(cfg.Tenants),
 		hub:        tenant.NewHub(),
 		price:      tenant.NewMeter(cfg.PriceTau),
-		drainRate:  tenant.NewRateEstimator(cfg.DrainTau),
+		drainRate:  tenant.NewRateEstimator(0),
 		queue:      tenant.NewQueue[*Job](cfg.QueueDepth),
 	}
 	s.paramsCacheLoaded = cacheLoaded
 	s.sloEngine = slo.NewEngine(cfg.SLOs, s.metrics.latencyHDR.Snapshot)
-	s.verifier = commit.NewCoalescer(grp, 0, cfg.VerifyMaxTerms, func(items int) {
+	s.verifier = commit.NewCoalescer(grp, 0, 0, func(items int) {
 		s.metrics.verifyBatch.Observe(float64(items))
 	})
 	mem := newMemStore()
@@ -445,7 +435,6 @@ func (s *Server) openJournal(mem *memStore) error {
 		Dir:          cfg.DataDir,
 		Sync:         pol,
 		SyncInterval: cfg.FsyncInterval,
-		SegmentBytes: cfg.SegmentBytes,
 		Logf:         cfg.Logf,
 	})
 	if err != nil {
@@ -841,10 +830,8 @@ type BatchItem struct {
 	// per-tenant refusals (those never get a job record).
 	Job *JobView `json:"job,omitempty"`
 	// Status is the HTTP status of this item as a single submit
-	// (202/400/429/503/500) — what lets a gateway that coalesced
-	// independent single submits into one batch fan each item back with
-	// exactly the status, Retry-After, and admission price of its own
-	// answer, never the batch envelope's.
+	// (202/400/429/503/500): POST /v1/jobs answers with it, and a batch
+	// client reads it per item — the batch envelope is always 200.
 	Status int `json:"status,omitempty"`
 	// RetryAfterSec and Price carry the per-item refusal guidance for
 	// 429/503 items: what a single submit renders into the Retry-After
@@ -1134,11 +1121,13 @@ func (s *Server) runJob(job *Job) {
 		root.SetAttr("state", string(StateFailed))
 		root.End()
 		job.setTrace(rec.Spans())
+		// Latency is observed before finish wakes the job's waiters, so
+		// a scrape that follows a completed long-poll already counts it.
+		s.observeJobLatency(job, rec != nil, now)
 		job.finish(StateFailed, nil, nil, err.Error(), now, s.cfg.ResultTTL)
 		s.store.Finished(job)
 		s.replicateTerminal(job)
 		s.metrics.failed.Add(1)
-		s.observeJobLatency(job, rec != nil, now)
 		s.publish(job, tenant.Event{Type: tenant.EventFailed, Time: now,
 			Tenant: job.Spec.Tenant, JobID: job.ID, Error: err.Error()})
 		s.cfg.Logf("job %s failed: %v", job.ID, err)
@@ -1156,6 +1145,7 @@ func (s *Server) runJob(job *Job) {
 		job.setTrace(rec.Spans())
 		s.metrics.traced.Add(1)
 	}
+	s.observeJobLatency(job, rec != nil, now)
 	job.finish(StateDone, jr, res.Transcript, "", now, s.cfg.ResultTTL)
 	s.store.Finished(job)
 	s.replicateTerminal(job)
@@ -1165,7 +1155,6 @@ func (s *Server) runJob(job *Job) {
 	s.metrics.groupMul.Add(jr.GroupMul)
 	s.metrics.groupMultiExps.Add(jr.GroupMultiExps)
 	s.metrics.groupMultiExpTerms.Add(jr.GroupMultiExpTerms)
-	s.observeJobLatency(job, rec != nil, now)
 	s.publish(job, tenant.Event{Type: tenant.EventDone, Time: now,
 		Tenant: job.Spec.Tenant, JobID: job.ID})
 	s.cfg.Logger.Info("job done",

@@ -1,10 +1,8 @@
 package server
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
-	"sync"
 
 	"dmw/internal/replica"
 	"dmw/internal/wire"
@@ -14,8 +12,8 @@ import (
 // and docs/SCALING.md). Two kinds of caller reach the submit endpoints,
 // so those decode both encodings: clients post JSON, the gateway posts
 // job frames; the request Content-Type selects the decoder and the
-// Accept header selects the batch-result encoder. The replica RPC has
-// one kind of caller — another dmwd — and takes record frames only.
+// answer is JSON either way. The replica RPC has one kind of caller —
+// another dmwd — and takes record frames only.
 // Every response to a frame-typed request carries the X-DMW-Wire
 // capability header, success or error.
 
@@ -71,18 +69,6 @@ func SpecFromWire(j wire.Job) JobSpec {
 	return s
 }
 
-// frameBufPool holds result-frame assembly buffers; one buffer serves
-// one batch response and is returned after the write, so steady-state
-// batch traffic re-encodes with no per-request buffer allocation.
-var frameBufPool = sync.Pool{
-	New: func() any { b := make([]byte, 0, 16<<10); return &b },
-}
-
-// maxPooledFrameBuf bounds the capacity the pool retains: a buffer
-// grown by one huge batch is dropped to the GC instead of pinning
-// megabytes for every future small batch.
-const maxPooledFrameBuf = 1 << 20
-
 // readFrameBody buffers a frame-typed request body. Frames are not
 // streamable the way a JSON decoder is, so the body is read whole under
 // the same size bound the JSON path enforces.
@@ -116,44 +102,6 @@ func (s *Server) decodeJobFrameBody(w http.ResponseWriter, r *http.Request, limi
 		specs[i] = SpecFromWire(jobs[i])
 	}
 	return specs, true
-}
-
-// writeResultFrame renders batch items as a binary result frame. Job
-// views are marshaled once here — the gateway relays the bytes to each
-// coalesced waiter without re-parsing them.
-func (s *Server) writeResultFrame(w http.ResponseWriter, items []BatchItem) {
-	bufp := frameBufPool.Get().(*[]byte)
-	defer func() {
-		if cap(*bufp) <= maxPooledFrameBuf {
-			frameBufPool.Put(bufp)
-		}
-	}()
-	frameItems := make([]wire.ResultItem, len(items))
-	for i := range items {
-		it := &items[i]
-		frameItems[i] = wire.ResultItem{
-			Status:        it.Status,
-			RetryAfterSec: it.RetryAfterSec,
-			Price:         it.Price,
-			ErrMsg:        it.Error,
-		}
-		if it.Job != nil {
-			view, err := json.Marshal(it.Job)
-			if err != nil {
-				// A view that cannot marshal would have failed the JSON
-				// path identically; surface it per item.
-				frameItems[i].Status = http.StatusInternalServerError
-				frameItems[i].ErrMsg = "encoding job view: " + err.Error()
-				continue
-			}
-			frameItems[i].Body = view
-		}
-	}
-	*bufp = wire.AppendResultFrame((*bufp)[:0], frameItems)
-	w.Header().Set("Content-Type", wire.ContentTypeResultFrame)
-	w.Header().Set(wire.HeaderWire, wire.WireV1)
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(*bufp)
 }
 
 // decodeRecordFrameBody is the binary branch of the replica RPC.

@@ -41,9 +41,10 @@ func TestWireSpecRoundTrip(t *testing.T) {
 
 // TestWireSubmitNegotiation drives the binary branch of the submit
 // endpoints end to end: a framed single submit is admitted identically
-// to JSON, a framed batch with a result-frame Accept answers a binary
-// result frame with per-item statuses, and the capability header rides
-// every response to a frame-typed request.
+// to JSON, a framed batch answers the JSON item array with per-item
+// statuses whatever the Accept header asks for (the result-frame
+// encoding is gone; the header is ignored, pinned here), and the
+// capability header rides every response to a frame-typed request.
 func TestWireSubmitNegotiation(t *testing.T) {
 	_, ts := startHTTP(t, testConfig())
 
@@ -69,8 +70,9 @@ func TestWireSubmitNegotiation(t *testing.T) {
 		t.Fatalf("framed submit answered %s (err %v), want JSON view for wire-1", body, err)
 	}
 
-	// Batch: one valid spec, one invalid, asking for the binary result
-	// encoding. Per-item statuses must mirror what single submits earn.
+	// Batch: one valid spec, one invalid, asking for the retired binary
+	// result encoding. Per-item statuses must mirror what single submits
+	// earn.
 	batch, err := wire.EncodeJobFrame([]wire.Job{
 		SpecToWire(JobSpec{ID: "wire-2", Random: &RandomSpec{Agents: 5, Tasks: 2}, W: []int{1, 2, 3}, Seed: 2}),
 		SpecToWire(JobSpec{ID: "wire-bad"}), // no bids, no random: invalid
@@ -93,25 +95,24 @@ func TestWireSubmitNegotiation(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("framed batch: status %d, body %s", resp.StatusCode, body)
 	}
-	if ct := resp.Header.Get("Content-Type"); ct != wire.ContentTypeResultFrame {
-		t.Fatalf("framed batch: content type %q, want %q", ct, wire.ContentTypeResultFrame)
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("framed batch: content type %q, want application/json", ct)
 	}
-	items, err := wire.DecodeResultFrame(body)
-	if err != nil {
-		t.Fatalf("decoding result frame: %v", err)
+	if got := resp.Header.Get(wire.HeaderWire); got != wire.WireV1 {
+		t.Errorf("framed batch: %s header %q, want %q", wire.HeaderWire, got, wire.WireV1)
+	}
+	var items []BatchItem
+	if err := json.Unmarshal(body, &items); err != nil {
+		t.Fatalf("decoding item array: %v", err)
 	}
 	if len(items) != 2 {
-		t.Fatalf("result frame carries %d items, want 2", len(items))
+		t.Fatalf("batch answer carries %d items, want 2", len(items))
 	}
-	if items[0].Status != http.StatusAccepted {
-		t.Errorf("item 0: status %d, want 202", items[0].Status)
+	if items[0].Status != http.StatusAccepted || items[0].Job == nil || items[0].Job.ID != "wire-2" {
+		t.Errorf("item 0: %+v, want 202 with the job view for wire-2", items[0])
 	}
-	var itemView JobView
-	if err := json.Unmarshal(items[0].Body, &itemView); err != nil || itemView.ID != "wire-2" {
-		t.Errorf("item 0 body %q undecodable as job view (err %v)", items[0].Body, err)
-	}
-	if items[1].Status != http.StatusBadRequest || items[1].ErrMsg == "" {
-		t.Errorf("item 1: status %d err %q, want 400 with message", items[1].Status, items[1].ErrMsg)
+	if items[1].Status != http.StatusBadRequest || items[1].Error == "" {
+		t.Errorf("item 1: status %d err %q, want 400 with message", items[1].Status, items[1].Error)
 	}
 }
 
@@ -153,8 +154,8 @@ func TestWireCorruptFrameLoud400(t *testing.T) {
 
 // TestBatchItemStatuses pins the per-item status/guidance fields on the
 // JSON batch path: 429 items carry the refusing gate's own RetryAfter
-// and price, 503 items the queue-drain guidance — the values a gateway
-// fans back to coalesced single submitters.
+// and price, 503 items the queue-drain guidance — the values a single
+// submit renders into its status and headers.
 func TestBatchItemStatuses(t *testing.T) {
 	cfg := testConfig()
 	cfg.Tenants = tenant.Config{

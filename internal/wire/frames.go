@@ -1,8 +1,9 @@
 // Frames: the intra-fleet binary encoding on the fleet's existing HTTP
-// endpoints (gateway→dmwd job submits, dmwd→gateway batch results,
-// dmwd→dmwd replica write-through). JSON is the external representation
-// only; the fleet speaks frames to itself unconditionally — there is no
-// negotiation and no JSON fallback between fleet members.
+// endpoints (gateway→dmwd job submits, dmwd→dmwd replica write-through;
+// the result frame has no endpoint left, see ResultItem). JSON is the
+// external representation only; the fleet speaks frames to itself
+// unconditionally — there is no negotiation and no JSON fallback
+// between fleet members.
 //
 //	frame    := 'D' 'W' version:u8 type:u8 count:u32 item*
 //	str      := len:u16 utf8
@@ -96,10 +97,13 @@ type Job struct {
 // HTTP status the item maps to on a single submit (202/400/429/503),
 // the derived retry/price guidance for refusals, and the item's
 // single-submit JSON body (a job view for 202/503, empty for 400/429 —
-// the relay rebuilds the small error envelope from ErrMsg). Carrying
-// the body as pre-marshaled JSON is what makes the gateway relay
-// zero-copy: it slices bytes out of the frame and writes them to each
-// waiting client without parsing them.
+// a reader rebuilds the small error envelope from ErrMsg).
+//
+// No endpoint produces or reads this frame any more: dmwd's batch
+// endpoint always answers JSON, and the gateway submit coalescer that
+// asked for result frames is gone. The codec stays only because the
+// benchmark harness's codec layer (wire.result_frame_rt_us) compiles
+// against it; it goes when a [benchmark] PR drops that layer.
 type ResultItem struct {
 	Status        int
 	RetryAfterSec int
