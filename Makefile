@@ -95,14 +95,15 @@ latency-smoke:
 
 # allocs-gate enforces the allocation budgets on the hot paths (batched
 # share verification, wire codec, the in-place scalar kernel, share
-# evaluation, interpolation, and a whole dmw.Run at the benchmark's
-# proto-small shape). Runs WITHOUT -race: the race detector's
-# instrumentation allocates, so the budget tests skip themselves under
-# it (see race_on_test.go in each package). CI runs this on every push,
-# next to the e2e and smoke gates.
+# evaluation, interpolation, a whole dmw.Run at the benchmark's
+# proto-small shape, and the server's own per-job work around the run:
+# one Submit and one terminal transition at the fleet-submit shape).
+# Runs WITHOUT -race: the race detector's instrumentation allocates, so
+# the budget tests skip themselves under it (see race_on_test.go in each
+# package). CI runs this on every push, next to the e2e and smoke gates.
 allocs-gate:
 	$(GO) test -run 'TestAllocBudget' -count=1 -v ./internal/commit ./internal/wire ./internal/gateway \
-		./internal/field ./internal/poly ./internal/bidcode ./internal/dmw
+		./internal/field ./internal/poly ./internal/bidcode ./internal/dmw ./internal/server
 
 # bench-harness vets and tests the benchmark harness; measuring is
 # `bash benchmark/run.sh --workload <name>` (see benchmark/README.md).

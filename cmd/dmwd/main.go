@@ -141,7 +141,6 @@ func run() error {
 		AuctionParallelism: *auctPar,
 		ResultTTL:          *ttl,
 		Limits:             server.Limits{MaxAgents: *maxN, MaxTasks: *maxM},
-		Logf:               logf,
 		Logger:             slogger,
 		DataDir:            *dataDir,
 		Fsync:              *fsync,

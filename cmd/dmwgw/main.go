@@ -170,7 +170,6 @@ func run() error {
 		Replication:    *replFactor,
 		SLOs:           objectives,
 		SlowThreshold:  *slowThr,
-		Logf:           logf,
 		Logger:         slogger,
 	})
 	if err != nil {

@@ -108,11 +108,11 @@ type Config struct {
 	// than it with a structured slow_request log line (request_id,
 	// backend, elapsed) and the dmwgw_slow_requests_total counter.
 	SlowThreshold time.Duration
-	// Logf receives lifecycle logs; nil discards.
-	Logf func(format string, args ...any)
 	// Logger receives structured logs (access lines, failover hops,
 	// scrape failures), each carrying the request's correlation ID where
-	// one applies. Nil discards.
+	// one applies, and — through the printf sink New derives from it
+	// (obs.Logf) — the membership and health lifecycle lines. Nil
+	// discards.
 	Logger *slog.Logger
 }
 
@@ -149,9 +149,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SLOSampleInterval <= 0 {
 		c.SLOSampleInterval = 15 * time.Second
-	}
-	if c.Logf == nil {
-		c.Logf = func(string, ...any) {}
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -215,7 +212,10 @@ func (b *backend) release() { <-b.sem }
 
 // Gateway routes the dmwd HTTP API across a replica fleet.
 type Gateway struct {
-	cfg  Config
+	cfg Config
+	// logf is the printf sink derived from cfg.Logger (a no-op when none
+	// was configured): membership and health transitions only.
+	logf func(format string, args ...any)
 	ring *ring.Ring
 
 	// bmu guards backends and order. The fleet is no longer immutable
@@ -260,9 +260,11 @@ type Gateway struct {
 // New builds a gateway over cfg.Backends and starts the health prober.
 // Call Close to stop it.
 func New(cfg Config) (*Gateway, error) {
+	logf := obs.Logf(cfg.Logger) // before the discard-logger default: no logger, no formatting
 	cfg = cfg.withDefaults()
 	g := &Gateway{
 		cfg:        cfg,
+		logf:       logf,
 		ring:       ring.New(cfg.VirtualNodes),
 		backends:   make(map[string]*backend, len(cfg.Backends)),
 		leases:     membership.NewTable(cfg.LeaseTTL),

@@ -66,7 +66,7 @@ func (g *Gateway) probe(b *backend) {
 			// event is worth a log line and a counter for operators
 			// watching a crash-looping replica.
 			g.metrics.replicaRestarts.Add(1)
-			g.cfg.Logf("gateway: backend %s changed replica identity %s -> %s", b.name, b.replicaID, rid)
+			g.logf("gateway: backend %s changed replica identity %s -> %s", b.name, b.replicaID, rid)
 		}
 		b.replicaID = rid
 	}
@@ -80,7 +80,7 @@ func (g *Gateway) probe(b *backend) {
 				g.ring.Add(b.name, int(b.weight.Load()))
 				g.epoch.Add(1)
 				g.metrics.readmitted.Add(1)
-				g.cfg.Logf("gateway: backend %s re-admitted to ring (epoch %d)", b.name, g.epoch.Load())
+				g.logf("gateway: backend %s re-admitted to ring (epoch %d)", b.name, g.epoch.Load())
 			}
 		}
 		return
@@ -92,7 +92,7 @@ func (g *Gateway) probe(b *backend) {
 		g.ring.Remove(b.name)
 		g.epoch.Add(1)
 		g.metrics.ejected.Add(1)
-		g.cfg.Logf("gateway: backend %s ejected after %d failed probes (epoch %d)", b.name, b.fails, g.epoch.Load())
+		g.logf("gateway: backend %s ejected after %d failed probes (epoch %d)", b.name, b.fails, g.epoch.Load())
 	}
 }
 

@@ -91,7 +91,7 @@ func (g *Gateway) admitLeased(l membership.Lease, u *url.URL) {
 	g.ring.Add(l.Name, l.Weight)
 	epoch := g.epoch.Add(1)
 	g.metrics.leaseJoins.Add(1)
-	g.cfg.Logf("gateway: member %s joined via lease (%s, weight %d) — ring epoch %d", l.Name, l.URL, l.Weight, epoch)
+	g.logf("gateway: member %s joined via lease (%s, weight %d) — ring epoch %d", l.Name, l.URL, l.Weight, epoch)
 }
 
 // repointLeased applies a renewal that changed the member's URL or
@@ -106,7 +106,7 @@ func (g *Gateway) repointLeased(l membership.Lease, u *url.URL) {
 	if int(b.weight.Swap(int32(l.Weight))) != l.Weight {
 		g.ring.Add(l.Name, l.Weight)
 		epoch := g.epoch.Add(1)
-		g.cfg.Logf("gateway: member %s re-weighted to %d — ring epoch %d", l.Name, l.Weight, epoch)
+		g.logf("gateway: member %s re-weighted to %d — ring epoch %d", l.Name, l.Weight, epoch)
 	}
 }
 
@@ -130,7 +130,7 @@ func (g *Gateway) removeLeased(name, reason string) {
 	g.ring.Remove(name)
 	epoch := g.epoch.Add(1)
 	b.client.CloseIdleConnections()
-	g.cfg.Logf("gateway: member %s left (%s) — ring epoch %d", name, reason, epoch)
+	g.logf("gateway: member %s left (%s) — ring epoch %d", name, reason, epoch)
 }
 
 // sweepLeases ejects members whose lease expired; called from the

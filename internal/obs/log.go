@@ -46,10 +46,12 @@ func NewLogger(w io.Writer, level, format string) (*slog.Logger, error) {
 	return nil, fmt.Errorf("obs: unknown log format %q (want text|json)", format)
 }
 
-// Logf adapts a structured logger to the printf-style Logf sinks the
-// server and gateway configs grew up with, so every legacy lifecycle
-// line flows through the same handler (and the same -log-format) as
-// the structured events. A nil logger returns a discard func.
+// Logf adapts a structured logger to a printf-style sink: the server
+// and the gateway derive theirs from Config.Logger (the server hands it
+// on to the journal and replicator it owns, whose configs take such a
+// sink), so every lifecycle line flows through the same handler (and
+// the same -log-format) as the structured events. A nil logger returns
+// a discard func.
 func Logf(l *slog.Logger) func(format string, args ...any) {
 	if l == nil {
 		return func(string, ...any) {}

@@ -3,8 +3,8 @@
 //
 //   - structured logging: log/slog constructors behind the daemons'
 //     -log-level/-log-format flags (NewLogger), plus a printf adapter
-//     (Logf) so the existing Config.Logf plumbing keeps working while
-//     every line flows through one handler;
+//     (Logf) the server and gateway derive from their one Logger, so
+//     every printf-style lifecycle line flows through the same handler;
 //   - request correlation: generation and sanitization of the
 //     X-Request-Id values that tie a gateway log line, a backend log
 //     line, and a job record to the same client call (NewRequestID,

@@ -40,7 +40,7 @@ func snapshotServer(s *Server) serverSnapshot {
 		TenantAdmitted: map[string]int64{},
 		TenantRejected: map[string]map[string]int64{},
 	}
-	for _, j := range s.mem.snapshotJobs() {
+	for _, j := range s.store.snapshotJobs() {
 		snap.Store[j.ID] = j.State()
 	}
 	s.metrics.tenantMu.Lock()

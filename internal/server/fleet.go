@@ -11,8 +11,8 @@ import (
 
 // Fleet integration: this file is the server half of the replicated
 // results tier (internal/replica). The membership agent feeds lease
-// grants in through ApplyFleetView; workers push terminal records out
-// through replicateTerminal; peers' pushes land in AcceptReplica; and
+// grants in through ApplyFleetView; workers offer terminal records out
+// through finishJob; peers' pushes land in AcceptReplica; and
 // reads that miss the primary store fall through to replicaJob — which
 // is what lets a gateway read of an acknowledged job succeed from a
 // ring successor after the owner died or left.
@@ -31,37 +31,15 @@ func (s *Server) ApplyFleetView(v replica.View) {
 // FleetView returns the currently installed fleet view.
 func (s *Server) FleetView() replica.View { return s.repl.CurrentView() }
 
-// terminalRecord snapshots j into a replication record. Only completed
-// and failed jobs replicate: a rejected record is a transient
-// backpressure marker, not acknowledged work.
-func (s *Server) terminalRecord(j *Job) (replica.Record, bool) {
-	r := j.record()
-	if !r.State.Terminal() || r.State == StateRejected {
-		return replica.Record{}, false
-	}
-	payload, err := json.Marshal(r)
-	if err != nil {
-		s.cfg.Logf("replica: encoding record %s: %v", r.ID, err)
-		return replica.Record{}, false
-	}
+// replicaRecord wraps the encoded bytes of a completed or failed job's
+// terminal record — the very bytes its WAL entry holds — for the
+// replication tier.
+func (s *Server) replicaRecord(id string, payload []byte) replica.Record {
 	return replica.Record{
-		ID:      r.ID,
+		ID:      id,
 		Origin:  s.replicaID,
 		Epoch:   s.repl.CurrentView().Epoch,
 		Payload: payload,
-	}, true
-}
-
-// replicateTerminal offers job's terminal record for asynchronous push
-// to its R-1 ring successors. Never blocks the worker: the record is
-// already durable locally (WAL when journal-backed), so a dropped offer
-// only costs read locality until the next handoff.
-func (s *Server) replicateTerminal(job *Job) {
-	if !s.repl.Ready() {
-		return
-	}
-	if rec, ok := s.terminalRecord(job); ok {
-		s.repl.Offer(rec)
 	}
 }
 
@@ -75,11 +53,11 @@ func (s *Server) AcceptReplica(recs []replica.Record) int {
 	for _, rec := range recs {
 		var r jobRecord
 		if err := json.Unmarshal(rec.Payload, &r); err != nil {
-			s.cfg.Logf("replica: skipping undecodable copy %q from %s: %v", rec.ID, rec.Origin, err)
+			s.logf("replica: skipping undecodable copy %q from %s: %v", rec.ID, rec.Origin, err)
 			continue
 		}
 		if r.ID != rec.ID || !r.State.Terminal() || r.State == StateRejected {
-			s.cfg.Logf("replica: skipping copy %q from %s: not a terminal record", rec.ID, rec.Origin)
+			s.logf("replica: skipping copy %q from %s: not a terminal record", rec.ID, rec.Origin)
 			continue
 		}
 		if !r.Expires.IsZero() && now.After(r.Expires) {
@@ -104,7 +82,7 @@ func (s *Server) replicaJob(id string) (*Job, bool) {
 	}
 	var r jobRecord
 	if err := json.Unmarshal(rec.Payload, &r); err != nil {
-		s.cfg.Logf("replica: held copy %q undecodable: %v", id, err)
+		s.logf("replica: held copy %q undecodable: %v", id, err)
 		return nil, false
 	}
 	if !r.State.Terminal() {
@@ -135,14 +113,20 @@ func (s *Server) handoffReplicas() {
 	now := time.Now()
 	seen := make(map[string]bool)
 	var recs []replica.Record
-	for _, j := range s.mem.snapshotJobs() {
-		if j.expired(now) {
+	for _, j := range s.store.snapshotJobs() {
+		// Only completed and failed jobs are acknowledged work; a rejected
+		// record is a transient backpressure marker.
+		r := j.record()
+		if !r.State.Terminal() || r.State == StateRejected || now.After(r.Expires) {
 			continue
 		}
-		if rec, ok := s.terminalRecord(j); ok {
-			seen[rec.ID] = true
-			recs = append(recs, rec)
+		payload, err := encodeRecord(r)
+		if err != nil {
+			s.logf("replica: %v", err)
+			continue
 		}
+		seen[r.ID] = true
+		recs = append(recs, s.replicaRecord(r.ID, payload))
 	}
 	for _, rec := range s.replStore.All() {
 		if !seen[rec.ID] {
@@ -152,7 +136,7 @@ func (s *Server) handoffReplicas() {
 	if len(recs) == 0 {
 		return
 	}
-	s.cfg.Logf("replica: handing off %d records before leaving", len(recs))
+	s.logf("replica: handing off %d records before leaving", len(recs))
 	s.repl.Handoff(recs)
 }
 

@@ -295,7 +295,7 @@ func (s *Server) handleTranscript(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	if err := audit.Save(w, s.params, tr); err != nil {
 		// Headers are already out; best effort.
-		s.cfg.Logf("job %s: writing transcript: %v", job.ID, err)
+		s.logf("job %s: writing transcript: %v", job.ID, err)
 	}
 }
 
@@ -320,7 +320,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	if err := obs.WriteJSONL(w, spans); err != nil {
-		s.cfg.Logf("job %s: writing trace: %v", job.ID, err)
+		s.logf("job %s: writing trace: %v", job.ID, err)
 	}
 }
 
@@ -448,6 +448,6 @@ func (s *Server) handleParamsCache(w http.ResponseWriter, r *http.Request) {
 		// Headers are gone; all we can do is log and cut the stream so
 		// the client sees a truncated (checksum-failing) body, never a
 		// silently wrong one.
-		s.cfg.Logf("params-cache: serving tables: %v", err)
+		s.logf("params-cache: serving tables: %v", err)
 	}
 }

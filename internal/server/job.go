@@ -451,28 +451,6 @@ func (j *Job) Events() []tenant.Event {
 	return out
 }
 
-// startedAt returns the running-transition timestamp.
-func (j *Job) startedAt() time.Time {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.started
-}
-
-// finishedRecord snapshots the terminal transition for journaling.
-func (j *Job) finishedRecord() finishedRecord {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return finishedRecord{
-		ID:         j.ID,
-		State:      j.state,
-		Result:     j.result,
-		Transcript: j.transcript,
-		Error:      j.errMsg,
-		Finished:   j.finished,
-		Expires:    j.expires,
-	}
-}
-
 func (j *Job) setRunning(now time.Time) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -480,23 +458,34 @@ func (j *Job) setRunning(now time.Time) {
 	j.started = now
 }
 
-func (j *Job) finish(state JobState, res *JobResult, tr *protocol.Transcript, errMsg string, now time.Time, ttl time.Duration) {
+// terminalRecord is j's durable form as it will stand once it ends in
+// state: the record the terminal transition journals, replicates, and
+// then applies with finish. errMsg is empty for a done job; res and tr
+// are nil for anything else. The TTL clock starts here, at completion.
+func (j *Job) terminalRecord(state JobState, res *JobResult, tr *protocol.Transcript, errMsg string, now time.Time, ttl time.Duration) jobRecord {
+	r := j.record()
+	r.State, r.Result, r.Transcript, r.Error = state, res, tr, errMsg
+	r.Finished, r.Expires = now, now.Add(ttl)
+	return r
+}
+
+// finish applies a terminal record to the job and wakes every waiter.
+// It is the only way a job becomes terminal: the worker's and the
+// rejection's transition (through store.Finish, after the WAL append),
+// a drain refusal born terminal, and a job rebuilt from its record.
+func (j *Job) finish(r *jobRecord) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state.Terminal() {
 		return
 	}
-	j.state = state
-	j.result = res
-	j.transcript = tr
-	j.errMsg = errMsg
-	j.finished = now
-	j.expires = now.Add(ttl)
+	j.state = r.State
+	j.result = r.Result
+	j.transcript = r.Transcript
+	j.errMsg = r.Error
+	j.finished = r.Finished
+	j.expires = r.Expires
 	close(j.done)
-}
-
-func (j *Job) reject(reason string, now time.Time, ttl time.Duration) {
-	j.finish(StateRejected, nil, nil, reason, now, ttl)
 }
 
 // expired reports whether the job is terminal and past its retention.
@@ -512,7 +501,7 @@ func (j *Job) expired(now time.Time) bool {
 // durable "refused, retry later" marker, and matching it would poison
 // the ID — a client retrying after queue-full/draining would get the
 // stale rejection back forever instead of running the job. Admission
-// replaces rejected records (see Store.PutBatchIfAbsent).
+// replaces rejected records (see store.PutBatchIfAbsent).
 func (j *Job) matchesResubmit(now time.Time) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()

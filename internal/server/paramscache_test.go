@@ -2,8 +2,9 @@ package server
 
 import (
 	"bytes"
-	"fmt"
+
 	"io"
+	"log/slog"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -22,9 +23,7 @@ func cacheConfig(t *testing.T, path string) (Config, *strings.Builder) {
 	var logs strings.Builder
 	cfg := testConfig()
 	cfg.ParamsCache = path
-	cfg.Logf = func(format string, args ...any) {
-		fmt.Fprintf(&logs, format+"\n", args...)
-	}
+	cfg.Logger = slog.New(slog.NewTextHandler(&logs, nil))
 	return cfg, &logs
 }
 

@@ -9,28 +9,16 @@ import (
 	"dmw/internal/journal"
 )
 
-// Journal record kinds. The journal itself is payload-agnostic; these
-// tags define dmwd's job-lifecycle log:
-//
-//	recKindJob      full job record — admission (state queued or
-//	                rejected) and every snapshot entry
-//	recKindStarted  queued -> running transition {id, started}
-//	recKindFinished terminal transition {id, state, result, error,
-//	                finished, expires}
-//
-// The admission append for a job always precedes its lifecycle appends
-// (Submit journals before the job reaches the worker queue), but
-// recovery still tolerates unknown-ID lifecycle records defensively:
-// they are logged and skipped.
-const (
-	recKindJob      byte = 1
-	recKindStarted  byte = 2
-	recKindFinished byte = 3
-)
+// recKindJob tags the one record dmwd journals: a full jobRecord,
+// written at admission (state queued or rejected), again at the
+// terminal transition (with the result in it), and for every snapshot
+// entry. The journal itself is payload-agnostic; replay skips any other
+// kind (see replayEntries).
+const recKindJob byte = 1
 
 // jobRecord is the durable form of a Job. Timestamps are absolute so
 // the TTL clock survives restarts: Expires is measured from completion,
-// not from recovery (see the store contract in store.go). Transcripts
+// not from recovery (see the TTL contract in store.go). Transcripts
 // ride the terminal record (Transcript is nil until completion and for
 // unrecorded jobs), so a transcript the client was told exists survives
 // kill -9 exactly like the result does; jobRecord is also the
@@ -51,23 +39,6 @@ type jobRecord struct {
 	Started   time.Time `json:"started,omitempty"`
 	Finished  time.Time `json:"finished,omitempty"`
 	Expires   time.Time `json:"expires,omitempty"`
-}
-
-// startedRecord journals a queued -> running transition.
-type startedRecord struct {
-	ID      string    `json:"id"`
-	Started time.Time `json:"started"`
-}
-
-// finishedRecord journals a terminal transition.
-type finishedRecord struct {
-	ID         string               `json:"id"`
-	State      JobState             `json:"state"`
-	Result     *JobResult           `json:"result,omitempty"`
-	Transcript *protocol.Transcript `json:"transcript,omitempty"`
-	Error      string               `json:"error,omitempty"`
-	Finished   time.Time            `json:"finished"`
-	Expires    time.Time            `json:"expires"`
 }
 
 // record snapshots the job into its durable form.
@@ -99,106 +70,55 @@ func jobFromRecord(r jobRecord) *Job {
 		ID:        r.ID,
 		Spec:      r.Spec,
 		bids:      r.Bids,
+		state:     StateQueued,
 		submitted: r.Submitted,
 		done:      make(chan struct{}),
 	}
 	if r.State.Terminal() {
-		j.state = r.State
-		j.errMsg = r.Error
-		j.result = r.Result
-		j.transcript = r.Transcript
 		j.started = r.Started
-		j.finished = r.Finished
-		j.expires = r.Expires
-		close(j.done)
-	} else {
-		j.state = StateQueued
+		j.finish(&r)
 	}
 	return j
 }
 
-// applyStarted / applyFinished fold lifecycle records onto a replayed
-// job record during recovery.
-func (r *jobRecord) applyStarted(sr startedRecord) {
-	if !r.State.Terminal() {
-		r.State = StateRunning
-		r.Started = sr.Started
-	}
-}
-
-func (r *jobRecord) applyFinished(fr finishedRecord) {
-	if r.State.Terminal() {
-		return
-	}
-	r.State = fr.State
-	r.Result = fr.Result
-	r.Transcript = fr.Transcript
-	r.Error = fr.Error
-	r.Finished = fr.Finished
-	r.Expires = fr.Expires
-}
-
-// encodeRecord marshals v into a journal entry of the given kind.
-func encodeRecord(kind byte, v any) (journal.Entry, error) {
-	data, err := json.Marshal(v)
+// encodeRecord is the one place a jobRecord is marshalled: the bytes it
+// returns are the WAL entry, the snapshot entry and the replica payload.
+func encodeRecord(r jobRecord) ([]byte, error) {
+	data, err := json.Marshal(r)
 	if err != nil {
-		return journal.Entry{}, fmt.Errorf("server: encoding journal record: %w", err)
+		return nil, fmt.Errorf("server: encoding job record %s: %w", r.ID, err)
 	}
-	return journal.Entry{Kind: kind, Data: data}, nil
+	return data, nil
 }
 
-// replayEntries folds a recovery's entry stream into the final
-// per-job records, preserving first-submission order. Unknown-ID
-// lifecycle records are counted in skipped (and logged by the caller).
+// replayEntries folds a recovery's entry stream into the final per-job
+// records, preserving first-submission order: every entry is a full
+// record, so the last one per ID wins — a terminal record over its
+// admission, a re-admission over the rejection it replaces, a snapshot
+// entry over whatever preceded it. Entries of any other kind or that do
+// not decode come from outside this program (a tail written by an older
+// build, a damaged payload behind a valid CRC): they are logged and
+// counted in skipped, never fatal — the job they described re-runs from
+// its admission record to the same result.
 func replayEntries(entries []journal.Entry, logf func(string, ...any)) (ordered []*jobRecord, skipped int) {
 	byID := make(map[string]*jobRecord)
 	for _, e := range entries {
-		switch e.Kind {
-		case recKindJob:
-			var r jobRecord
-			if err := json.Unmarshal(e.Data, &r); err != nil {
-				logf("recovery: skipping undecodable job record: %v", err)
-				skipped++
-				continue
-			}
-			if prev, ok := byID[r.ID]; ok {
-				*prev = r // later full record (e.g. snapshot) wins
-			} else {
-				rc := r
-				byID[r.ID] = &rc
-				ordered = append(ordered, &rc)
-			}
-		case recKindStarted:
-			var sr startedRecord
-			if err := json.Unmarshal(e.Data, &sr); err != nil {
-				logf("recovery: skipping undecodable started record: %v", err)
-				skipped++
-				continue
-			}
-			r, ok := byID[sr.ID]
-			if !ok {
-				logf("recovery: started record for unknown job %s (out-of-order crash artifact); skipping", sr.ID)
-				skipped++
-				continue
-			}
-			r.applyStarted(sr)
-		case recKindFinished:
-			var fr finishedRecord
-			if err := json.Unmarshal(e.Data, &fr); err != nil {
-				logf("recovery: skipping undecodable finished record: %v", err)
-				skipped++
-				continue
-			}
-			r, ok := byID[fr.ID]
-			if !ok {
-				logf("recovery: finished record for unknown job %s (out-of-order crash artifact); skipping", fr.ID)
-				skipped++
-				continue
-			}
-			r.applyFinished(fr)
-		default:
+		if e.Kind != recKindJob {
 			logf("recovery: skipping record of unknown kind %d", e.Kind)
 			skipped++
+			continue
+		}
+		r := new(jobRecord)
+		if err := json.Unmarshal(e.Data, r); err != nil {
+			logf("recovery: skipping undecodable job record: %v", err)
+			skipped++
+			continue
+		}
+		if prev, ok := byID[r.ID]; ok {
+			*prev = *r
+		} else {
+			byID[r.ID] = r
+			ordered = append(ordered, r)
 		}
 	}
 	return ordered, skipped

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"os"
 	"os/exec"
@@ -43,8 +44,8 @@ func (s *Server) crashForTest() {
 		}
 	}
 	s.mu.Unlock()
-	if s.jstore != nil {
-		_ = s.jstore.j.Close() // abrupt: skips the shutdown snapshot
+	if s.store.wal != nil {
+		_ = s.store.wal.Close() // abrupt: skips the shutdown snapshot
 	}
 }
 
@@ -202,13 +203,7 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 
 	var logs strings.Builder
 	cfg := journalConfig(dir)
-	prevLogf := cfg.Logf
-	cfg.Logf = func(format string, args ...any) {
-		fmt.Fprintf(&logs, format+"\n", args...)
-		if prevLogf != nil {
-			prevLogf(format, args...)
-		}
-	}
+	cfg.Logger = slog.New(slog.NewTextHandler(&logs, nil))
 	s2 := startServer(t, cfg)
 	if !strings.Contains(logs.String(), "torn") {
 		t.Errorf("recovery should log a torn-tail warning; got:\n%s", logs.String())

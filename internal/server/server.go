@@ -2,8 +2,8 @@
 // bounded admission queue with backpressure, a worker pool that executes
 // jobs via the distributed protocol (internal/dmw) against SHARED
 // precomputed group parameters and fixed-base tables, a result store
-// with TTL eviction (in-memory by default; write-through to a WAL-
-// backed journal when Config.DataDir is set — see internal/journal and
+// with TTL eviction (in-memory by default; write-through to a WAL when
+// Config.DataDir is set — see store.go, internal/journal and
 // docs/DURABILITY.md), and a plain-text metrics surface.
 //
 // The paper frames MinWork as "a set of parallel and independent Vickrey
@@ -93,19 +93,17 @@ type Config struct {
 	ResultTTL time.Duration
 	// Limits bound admissible job sizes (default 64 agents, 64 tasks).
 	Limits Limits
-	// Logf receives lifecycle logs; nil discards them. cmd/dmwd routes
-	// this through the same slog handler as Logger (obs.Logf), so every
-	// legacy printf line obeys -log-format too.
-	Logf func(format string, args ...any)
 	// Logger receives structured events (HTTP access lines, job
-	// lifecycle transitions) with request_id correlation attributes;
-	// nil discards them.
+	// lifecycle transitions) with request_id correlation attributes, and
+	// — through the printf sink New derives from it (obs.Logf) — every
+	// lifecycle line of the server and of the journal and replicator it
+	// owns, so those obey -log-format too; nil discards them all.
 	Logger *slog.Logger
 
-	// DataDir enables durable persistence: every job lifecycle
-	// transition is written through a CRC-framed WAL (internal/journal)
-	// before it becomes visible, and New replays the journal so a
-	// restart loses no accepted job. Empty (the default) keeps the
+	// DataDir enables durable persistence: a job's record is written
+	// through a CRC-framed WAL (internal/journal) at admission and again
+	// at its terminal transition, each before it becomes visible, and
+	// New replays the journal so a restart loses no accepted job. Empty (the default) keeps the
 	// purely in-memory store.
 	DataDir string
 	// Fsync is the WAL flush policy: "always" (durable at the ack,
@@ -175,9 +173,6 @@ func (c Config) withDefaults() Config {
 	if c.Limits.MaxTasks == 0 {
 		c.Limits.MaxTasks = 64
 	}
-	if c.Logf == nil {
-		c.Logf = func(string, ...any) {}
-	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
@@ -205,8 +200,13 @@ type Server struct {
 	// artifact (vs building tables); grp.TableBuildTime() has the cost.
 	paramsCacheLoaded bool
 
+	// logf is the printf sink derived from cfg.Logger (a no-op when none
+	// was configured). Nothing on the per-job success path calls it:
+	// janitor, compaction, recovery and failure lines only.
+	logf func(format string, args ...any)
+
 	queue   *tenant.Queue[*Job]
-	store   Store
+	store   *store
 	metrics *metrics
 	// sloEngine computes multi-window burn rates over the job-latency
 	// HDR series; nil when no SLOs are declared (all methods nil-safe).
@@ -227,9 +227,6 @@ type Server struct {
 	// a different backend appearing behind a reused address.
 	replicaID string
 
-	// mem is the in-memory index underneath store (identical to store
-	// unless journal-backed); retained for drain-time handoff enumeration.
-	mem *memStore
 	// repl places and pushes terminal-record copies onto ring successors;
 	// replStore guards the copies this node holds for its predecessors.
 	// Both exist unconditionally (inert without a fleet view), so a
@@ -237,9 +234,6 @@ type Server struct {
 	repl      *replica.Replicator
 	replStore *replica.Store
 
-	// jstore is non-nil when the store is journal-backed (DataDir set);
-	// it is only consulted for stats — all operations go through store.
-	jstore *journalStore
 	// replayedJobs / recoveries / tailTruncated describe the recovery
 	// New performed (zero for a fresh or in-memory server).
 	replayedJobs int
@@ -261,6 +255,7 @@ type Server struct {
 // once: preset-backed servers share the package-level table cache
 // (group.SharedFor), explicit parameters get a private group.
 func New(cfg Config) (*Server, error) {
+	logf := obs.Logf(cfg.Logger) // before the discard-logger default: no logger, no formatting
 	cfg = cfg.withDefaults()
 	var (
 		params      *group.Params
@@ -277,7 +272,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server: resolving group parameters: %w", err)
 	}
 	if cfg.ParamsCache != "" {
-		grp, cacheLoaded = loadParamsCache(cfg.ParamsCache, params, cfg.Logf)
+		grp, cacheLoaded = loadParamsCache(cfg.ParamsCache, params, logf)
 	}
 	if grp == nil {
 		if cfg.Params != nil {
@@ -289,11 +284,13 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("server: resolving group parameters: %w", err)
 		}
 		if cfg.ParamsCache != "" {
-			saveParamsCache(cfg.ParamsCache, grp, cfg.Logf)
+			saveParamsCache(cfg.ParamsCache, grp, logf)
 		}
 	}
 	s := &Server{
 		cfg:        cfg,
+		logf:       logf,
+		store:      newStore(),
 		params:     params,
 		grp:        grp,
 		metrics:    newMetrics(),
@@ -309,12 +306,9 @@ func New(cfg Config) (*Server, error) {
 	s.verifier = commit.NewCoalescer(grp, 0, 0, func(items int) {
 		s.metrics.verifyBatch.Observe(float64(items))
 	})
-	mem := newMemStore()
-	s.store = mem
-	s.mem = mem
 	s.replStore = replica.NewStore()
 	s.repl = replica.NewReplicator(replica.Config{
-		Logf: cfg.Logf,
+		Logf: logf,
 		ObservePush: func(seconds float64) {
 			s.metrics.replicaPush.Observe(seconds)
 		},
@@ -323,7 +317,7 @@ func New(cfg Config) (*Server, error) {
 		},
 	})
 	if cfg.DataDir != "" {
-		if err := s.openJournal(mem); err != nil {
+		if err := s.openJournal(); err != nil {
 			s.repl.Close()
 			return nil, err
 		}
@@ -332,7 +326,7 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		s.repl.Close()
 		if cerr := s.store.Close(); cerr != nil {
-			cfg.Logf("closing store after replica-id failure: %v", cerr)
+			logf("closing store after replica-id failure: %v", cerr)
 		}
 		return nil, err
 	}
@@ -425,7 +419,7 @@ func (s *Server) ReplicaID() string { return s.replicaID }
 // openJournal opens the WAL in cfg.DataDir, replays prior state into
 // the in-memory index, re-enqueues jobs that were queued or running at
 // crash time, and compacts the recovered log into one fresh snapshot.
-func (s *Server) openJournal(mem *memStore) error {
+func (s *Server) openJournal() error {
 	cfg := s.cfg
 	pol, err := journal.ParseSyncPolicy(cfg.Fsync)
 	if err != nil {
@@ -435,15 +429,14 @@ func (s *Server) openJournal(mem *memStore) error {
 		Dir:          cfg.DataDir,
 		Sync:         pol,
 		SyncInterval: cfg.FsyncInterval,
-		Logf:         cfg.Logf,
+		Logf:         s.logf,
 	})
 	if err != nil {
 		return fmt.Errorf("server: opening journal: %w", err)
 	}
-	js := newJournalStore(mem, jnl, cfg.SnapshotEvery, cfg.Logf)
-	s.store, s.jstore = js, js
+	s.store.wal, s.store.snapshotEvery, s.store.logf = jnl, uint64(cfg.SnapshotEvery), s.logf
 
-	records, skipped := replayEntries(rec.Entries, cfg.Logf)
+	records, skipped := replayEntries(rec.Entries, s.logf)
 	now := time.Now()
 	var requeue []*Job
 	restored, expired := 0, 0
@@ -458,7 +451,7 @@ func (s *Server) openJournal(mem *memStore) error {
 		} else {
 			requeue = append(requeue, job)
 		}
-		mem.insert(job)
+		s.store.insert(job)
 	}
 
 	// The queue must hold every re-enqueued job even if it exceeds the
@@ -476,17 +469,17 @@ func (s *Server) openJournal(mem *memStore) error {
 	if rec.Recovered {
 		s.recoveries = 1
 		s.replayedJobs = restored + len(requeue)
-		cfg.Logf("recovery: replayed %d jobs from %s (%d results restored, %d re-enqueued, %d expired, %d records skipped)%s",
+		s.logf("recovery: replayed %d jobs from %s (%d results restored, %d re-enqueued, %d expired, %d records skipped)%s",
 			s.replayedJobs, cfg.DataDir, restored, len(requeue), expired, skipped,
 			map[bool]string{true: "; torn log tail truncated", false: ""}[rec.TailTruncated])
 		// Compact immediately: the next start replays one snapshot
 		// instead of the accumulated tail, and the truncated/duplicate
 		// history is garbage-collected now.
-		if err := js.compactNow(); err != nil {
-			cfg.Logf("recovery: post-recovery snapshot: %v", err)
+		if err := s.store.compactNow(); err != nil {
+			s.logf("recovery: post-recovery snapshot: %v", err)
 		}
 	} else {
-		cfg.Logf("journal: initialized %s (fsync=%s)", cfg.DataDir, pol)
+		s.logf("journal: initialized %s (fsync=%s)", cfg.DataDir, pol)
 	}
 	return nil
 }
@@ -529,10 +522,10 @@ func (s *Server) Start() {
 			select {
 			case now := <-t.C:
 				if n := s.store.Sweep(now); n > 0 {
-					s.cfg.Logf("janitor: evicted %d expired jobs", n)
+					s.logf("janitor: evicted %d expired jobs", n)
 				}
 				if n := s.replStore.Sweep(now); n > 0 {
-					s.cfg.Logf("janitor: evicted %d expired replica copies", n)
+					s.logf("janitor: evicted %d expired replica copies", n)
 				}
 			case <-s.stopSweeps:
 				return
@@ -559,7 +552,7 @@ func (s *Server) Start() {
 			}
 		}()
 	}
-	s.cfg.Logf("server started: preset=%s workers=%d queue=%d auction-parallelism=%d ttl=%s",
+	s.logf("server started: preset=%s workers=%d queue=%d auction-parallelism=%d ttl=%s",
 		s.cfg.Preset, s.cfg.Workers, s.cfg.QueueDepth, s.cfg.AuctionParallelism, s.cfg.ResultTTL)
 }
 
@@ -640,27 +633,23 @@ func (s *Server) throttle(tn *tenant.Tenant, maxPrice float64, now time.Time) *R
 	return nil
 }
 
-// rejectTenant finishes a per-tenant refusal: counters, event, error.
-// No job record is created — a 429 is "your budget, not my capacity",
-// so there is nothing for the client to poll and nothing to journal.
-func (s *Server) rejectTenant(jobID string, rej *Rejection, now time.Time) error {
+// refuse counts and announces one admission refusal and returns it as
+// the error to serve. job is nil for a per-tenant refusal: a 429 is
+// "your budget, not my capacity", so no job record is created — there
+// is nothing for the client to poll and nothing to journal. A global
+// (503) refusal names the rejected record it left behind.
+func (s *Server) refuse(job *Job, jobID string, rej *Rejection, now time.Time) error {
 	s.metrics.rejected.Add(1)
 	s.metrics.noteRejected(rej.Tenant, rej.Reason)
-	s.publish(nil, tenant.Event{Type: tenant.EventRejected, Time: now,
+	s.publish(job, tenant.Event{Type: tenant.EventRejected, Time: now,
 		Tenant: rej.Tenant, JobID: jobID, Reason: rej.Reason, Price: rej.Price})
 	return rej
 }
 
-// rejectBackpressure finishes a global (503) refusal for a job that
-// already has a store record: terminal rejected state, counters, event.
-func (s *Server) rejectBackpressure(job *Job, sentinel error, reason string, now time.Time) *Rejection {
-	rej := &Rejection{Err: sentinel, Reason: reason, Tenant: job.Spec.Tenant,
+// backpressure builds the global (503) refusal of job.
+func (s *Server) backpressure(job *Job, sentinel error, reason string, now time.Time) *Rejection {
+	return &Rejection{Err: sentinel, Reason: reason, Tenant: job.Spec.Tenant,
 		RetryAfter: s.drainRetryAfter(now), Price: s.observePrice(now)}
-	s.metrics.rejected.Add(1)
-	s.metrics.noteRejected(job.Spec.Tenant, reason)
-	s.publish(job, tenant.Event{Type: tenant.EventRejected, Time: now,
-		Tenant: job.Spec.Tenant, JobID: job.ID, Reason: reason, Price: rej.Price})
-	return rej
 }
 
 // admission is one spec's outcome of admitBatch. err is nil for an
@@ -682,8 +671,8 @@ type admission struct {
 // append batch, so one fsync under the always policy), the bounded
 // dispatch queue, and the admitted event. Ordering invariant: the
 // admission record reaches the store (and the WAL) BEFORE the job can
-// reach a worker, so a job's lifecycle appends always follow its
-// admission append in the log.
+// reach a worker, so a job's terminal record always follows its
+// admission record in the log.
 func (s *Server) admitBatch(specs []JobSpec) []admission {
 	now := time.Now()
 	out := make([]admission, len(specs))
@@ -731,7 +720,7 @@ func (s *Server) admitBatch(specs []JobSpec) []admission {
 		if !draining {
 			tn = s.registry.Get(spec.Tenant)
 			if rej := s.throttle(tn, spec.MaxPrice, now); rej != nil {
-				out[i].err = s.rejectTenant(spec.ID, rej, now)
+				out[i].err = s.refuse(nil, spec.ID, rej, now)
 				continue
 			}
 			// The quota reservation is held from here: released on every
@@ -750,7 +739,8 @@ func (s *Server) admitBatch(specs []JobSpec) []admission {
 			// Journal the refusal as one terminal record. The store still
 			// arbitrates: an ID naming a live non-rejected job must not be
 			// clobbered by the rejection.
-			job.reject(ErrDraining.Error(), now, s.cfg.ResultTTL)
+			rec := job.terminalRecord(StateRejected, nil, nil, ErrDraining.Error(), now, s.cfg.ResultTTL)
+			job.finish(&rec)
 		}
 		out[i].job = job
 		fresh = append(fresh, job)
@@ -765,7 +755,7 @@ func (s *Server) admitBatch(specs []JobSpec) []admission {
 	// existing jobs and dedupe.
 	existing, err := s.store.PutBatchIfAbsent(fresh, now)
 	if err != nil && draining {
-		s.cfg.Logf("admit: persisting drain rejection: %v", err)
+		s.logf("admit: persisting drain rejection: %v", err)
 	}
 	for k, job := range fresh {
 		a, tn := &out[held[k].slot], held[k].tn
@@ -784,7 +774,7 @@ func (s *Server) admitBatch(specs []JobSpec) []admission {
 			s.metrics.deduped.Add(1)
 			a.job = existing[k]
 		case draining:
-			a.err = s.rejectBackpressure(job, ErrDraining, tenant.ReasonDraining, now)
+			a.err = s.refuse(job, job.ID, s.backpressure(job, ErrDraining, tenant.ReasonDraining, now), now)
 		default:
 			a.err = s.enqueue(job, tn, now)
 		}
@@ -814,9 +804,9 @@ func (s *Server) enqueue(job *Job, tn *tenant.Tenant, now time.Time) error {
 	if errors.Is(pushErr, tenant.ErrQueueClosed) {
 		sentinel, reason = ErrDraining, tenant.ReasonDraining
 	}
-	job.reject(sentinel.Error(), now, s.cfg.ResultTTL)
-	s.store.Finished(job)
-	return s.rejectBackpressure(job, sentinel, reason, now)
+	rej := s.backpressure(job, sentinel, reason, now)
+	s.finishJob(job, StateRejected, nil, nil, rej, now)
+	return rej
 }
 
 // BatchItem is the per-spec outcome of SubmitBatch, and what POST
@@ -936,9 +926,7 @@ func (s *Server) WriteMetrics(w io.Writer) {
 	g.fleetReplication = view.Replication
 	g.replicaRecords = s.replStore.Len()
 	g.replicaPushes, g.replicaPushErrors, g.replicaDropped = s.repl.Stats()
-	if s.jstore != nil {
-		g.journalEnabled = true
-		g.journal = s.jstore.j.Stats()
+	if g.journal, g.journalEnabled = s.JournalStats(); g.journalEnabled {
 		g.journalReplayed = int64(s.replayedJobs)
 		g.journalRecoveries = int64(s.recoveries)
 	}
@@ -966,10 +954,10 @@ func (s *Server) SLOVerdicts() []slo.Verdict {
 // JournalStats returns the WAL counters and true when the server is
 // journal-backed; (zero, false) for the in-memory store.
 func (s *Server) JournalStats() (journal.Stats, bool) {
-	if s.jstore == nil {
+	if s.store.wal == nil {
 		return journal.Stats{}, false
 	}
-	return s.jstore.j.Stats(), true
+	return s.store.wal.Stats(), true
 }
 
 // RecoveryStats reports how many jobs the last Open replayed and
@@ -992,7 +980,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		default:
 			close(s.stopSweeps)
 		}
-		s.cfg.Logf("shutdown: draining %d queued jobs", s.queue.Len())
+		s.logf("shutdown: draining %d queued jobs", s.queue.Len())
 	}
 	started := s.started
 	s.mu.Unlock()
@@ -1003,7 +991,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.repl.Close()
 		s.closeStore.Do(func() {
 			if err := s.store.Close(); err != nil {
-				s.cfg.Logf("shutdown: closing store: %v", err)
+				s.logf("shutdown: closing store: %v", err)
 			}
 		})
 		return nil
@@ -1020,14 +1008,14 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.repl.Close()
 		s.closeStore.Do(func() {
 			if err := s.store.Close(); err != nil {
-				s.cfg.Logf("shutdown: closing store: %v", err)
+				s.logf("shutdown: closing store: %v", err)
 			}
 		})
 		close(done)
 	}()
 	select {
 	case <-done:
-		s.cfg.Logf("shutdown: drained")
+		s.logf("shutdown: drained")
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
@@ -1038,7 +1026,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 func (s *Server) runJob(job *Job) {
 	start := time.Now()
 	job.setRunning(start)
-	s.store.Started(job)
 	s.metrics.observePhase(PhaseQueueWait, start.Sub(job.submitted))
 	// The quota reservation taken at admission is returned when the job
 	// leaves the live set, and every completion feeds the drain-rate
@@ -1117,52 +1104,82 @@ func (s *Server) runJob(job *Job) {
 				DurationMS: float64(p.Duration) / float64(time.Millisecond)})
 		}
 	}
-	if err != nil {
-		root.SetAttr("state", string(StateFailed))
-		root.End()
-		job.setTrace(rec.Spans())
-		// Latency is observed before finish wakes the job's waiters, so
-		// a scrape that follows a completed long-poll already counts it.
-		s.observeJobLatency(job, rec != nil, now)
-		job.finish(StateFailed, nil, nil, err.Error(), now, s.cfg.ResultTTL)
-		s.store.Finished(job)
-		s.replicateTerminal(job)
-		s.metrics.failed.Add(1)
-		s.publish(job, tenant.Event{Type: tenant.EventFailed, Time: now,
-			Tenant: job.Spec.Tenant, JobID: job.ID, Error: err.Error()})
-		s.cfg.Logf("job %s failed: %v", job.ID, err)
-		s.cfg.Logger.Error("job failed",
-			"job_id", job.ID, "request_id", job.Spec.RequestID, "tenant", job.Spec.Tenant,
-			"error", err.Error(),
-			"elapsed_ms", float64(now.Sub(job.submitted))/float64(time.Millisecond))
-		return
+	state, jr, tr := StateFailed, (*JobResult)(nil), (*protocol.Transcript)(nil)
+	if err == nil {
+		state, jr, tr = StateDone, buildResult(res, matchesCentralized(res, job.bids)), res.Transcript
 	}
-	matches := matchesCentralized(res, job.bids)
-	jr := buildResult(res, matches)
-	root.SetAttr("state", string(StateDone))
+	root.SetAttr("state", string(state))
 	root.End()
 	if rec != nil {
 		job.setTrace(rec.Spans())
-		s.metrics.traced.Add(1)
+		if err == nil {
+			s.metrics.traced.Add(1)
+		}
 	}
+	// Latency is observed before the finish wakes the job's waiters, so
+	// a scrape that follows a completed long-poll already counts it.
 	s.observeJobLatency(job, rec != nil, now)
-	job.finish(StateDone, jr, res.Transcript, "", now, s.cfg.ResultTTL)
-	s.store.Finished(job)
-	s.replicateTerminal(job)
-	s.metrics.completed.Add(1)
-	s.metrics.auctions.Add(int64(job.Tasks()))
-	s.metrics.groupExp.Add(jr.GroupExp)
-	s.metrics.groupMul.Add(jr.GroupMul)
-	s.metrics.groupMultiExps.Add(jr.GroupMultiExps)
-	s.metrics.groupMultiExpTerms.Add(jr.GroupMultiExpTerms)
-	s.publish(job, tenant.Event{Type: tenant.EventDone, Time: now,
-		Tenant: job.Spec.Tenant, JobID: job.ID})
-	s.cfg.Logger.Info("job done",
-		"job_id", job.ID, "request_id", job.Spec.RequestID, "tenant", job.Spec.Tenant,
-		"agents", job.Agents(), "tasks", job.Tasks(),
-		"matches_centralized", matches,
-		"queue_wait_ms", float64(start.Sub(job.submitted))/float64(time.Millisecond),
-		"run_ms", float64(now.Sub(start))/float64(time.Millisecond))
+	s.finishJob(job, state, jr, tr, err, now)
+}
+
+// finishJob is the one terminal transition, for a worker's done or
+// failed job (cause is the run error, nil for done) and for the
+// queue-full/closed rejection of an admitted one (cause is the
+// *Rejection being served). In order: build the terminal record; append
+// it to the WAL; only then make the job observable as terminal (done
+// closes, long-pollers wake); offer the same bytes to the ring
+// successors; count; publish; log. The record is encoded once, and only
+// when something consumes the bytes — a WAL or an installed fleet view;
+// a bare in-memory server encodes nothing. Only completed and failed
+// jobs replicate: a rejected record is a transient backpressure marker,
+// not acknowledged work. The offer never blocks the worker: the record
+// is already durable locally, so a dropped offer only costs read
+// locality until the next handoff.
+func (s *Server) finishJob(job *Job, state JobState, jr *JobResult, tr *protocol.Transcript, cause error, now time.Time) {
+	var errMsg string
+	if cause != nil {
+		errMsg = cause.Error()
+	}
+	rec := job.terminalRecord(state, jr, tr, errMsg, now, s.cfg.ResultTTL)
+	replicate := state != StateRejected && s.repl.Ready()
+	var data []byte
+	if s.store.wal != nil || replicate {
+		var err error
+		if data, err = encodeRecord(rec); err != nil {
+			s.logf("job %s: %v", job.ID, err)
+		}
+	}
+	s.store.Finish(job, &rec, data)
+	if replicate && data != nil {
+		s.repl.Offer(s.replicaRecord(job.ID, data))
+	}
+	switch state {
+	case StateDone:
+		s.metrics.completed.Add(1)
+		s.metrics.auctions.Add(int64(job.Tasks()))
+		s.metrics.groupExp.Add(jr.GroupExp)
+		s.metrics.groupMul.Add(jr.GroupMul)
+		s.metrics.groupMultiExps.Add(jr.GroupMultiExps)
+		s.metrics.groupMultiExpTerms.Add(jr.GroupMultiExpTerms)
+		s.publish(job, tenant.Event{Type: tenant.EventDone, Time: now,
+			Tenant: job.Spec.Tenant, JobID: job.ID})
+		s.cfg.Logger.Info("job done",
+			"job_id", job.ID, "request_id", job.Spec.RequestID, "tenant", job.Spec.Tenant,
+			"agents", job.Agents(), "tasks", job.Tasks(),
+			"matches_centralized", jr.MatchesCentralized,
+			"queue_wait_ms", float64(rec.Started.Sub(rec.Submitted))/float64(time.Millisecond),
+			"run_ms", float64(now.Sub(rec.Started))/float64(time.Millisecond))
+	case StateFailed:
+		s.metrics.failed.Add(1)
+		s.publish(job, tenant.Event{Type: tenant.EventFailed, Time: now,
+			Tenant: job.Spec.Tenant, JobID: job.ID, Error: errMsg})
+		s.cfg.Logger.Error("job failed",
+			"job_id", job.ID, "request_id", job.Spec.RequestID, "tenant", job.Spec.Tenant,
+			"error", errMsg,
+			"elapsed_ms", float64(now.Sub(rec.Submitted))/float64(time.Millisecond))
+	case StateRejected:
+		s.refuse(job, job.ID, cause.(*Rejection), now)
+	}
 }
 
 // observeJobLatency records one terminal job's end-to-end latency into

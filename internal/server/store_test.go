@@ -33,7 +33,7 @@ func TestSweepPreservesRestoredTTL(t *testing.T) {
 	finished := now.Add(-5 * time.Minute)
 	expires := finished.Add(ttl)
 
-	st := newMemStore()
+	st := newStore()
 	st.insert(restoredJob("job-restored", StateDone, finished, expires))
 
 	// Before the original deadline the job must survive every sweep,
@@ -63,7 +63,7 @@ func TestSweepPreservesRestoredTTL(t *testing.T) {
 // come back as queued with a zero expires) are never swept, no matter
 // how old they are.
 func TestSweepIgnoresNonTerminal(t *testing.T) {
-	st := newMemStore()
+	st := newStore()
 	old := time.Now().Add(-24 * time.Hour)
 	st.insert(restoredJob("job-requeued", StateRunning, time.Time{}, time.Time{}))
 	job, err := newJob(JobSpec{Bids: [][]int{{1}, {2}, {3}, {3}}, W: []int{1, 2, 3}}, [][]int{{1}, {2}, {3}, {3}}, old)
@@ -83,7 +83,7 @@ func TestSweepIgnoresNonTerminal(t *testing.T) {
 // TestGetEvictsLazily checks the lookup path enforces the same
 // completion-anchored deadline as the janitor sweep.
 func TestGetEvictsLazily(t *testing.T) {
-	st := newMemStore()
+	st := newStore()
 	finished := time.Now().Add(-time.Hour)
 	expires := finished.Add(time.Minute)
 	st.insert(restoredJob("job-stale", StateDone, finished, expires))
