@@ -123,11 +123,13 @@ bench-smoke:
 # fuzz-smoke runs every fuzz target for a few seconds each (seed corpus
 # plus a short mutation burst) so the fuzzers cannot bit-rot; CI runs
 # this on every push. Go allows one -fuzz pattern per invocation, hence
-# one line per target.
+# one line per target. FuzzRecover opens a journal over arbitrary
+# segment bytes: the data dir is input from outside the program.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzDecodeMessage -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzJobFrameRoundTrip -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzMultiExp -fuzztime $(FUZZTIME) ./internal/group
 	$(GO) test -run xxx -fuzz FuzzRecordRoundTrip -fuzztime $(FUZZTIME) ./internal/journal
+	$(GO) test -run xxx -fuzz FuzzRecover -fuzztime $(FUZZTIME) ./internal/journal
 
 ci: build vet test-race e2e-shard e2e-tenant e2e-elastic obs-smoke latency-smoke allocs-gate bench-smoke bench-harness fuzz-smoke

@@ -10,7 +10,7 @@
 //	     [-queue 64] [-workers n] [-auction-parallel k]
 //	     [-ttl 15m] [-max-n 64] [-max-m 64] [-q]
 //	     [-data-dir dir] [-fsync always|interval|never]
-//	     [-fsync-interval 100ms] [-snapshot-every 1024]
+//	     [-fsync-interval 100ms]
 //	     [-tenants tenants.json]
 //	     [-slo 'p99<250ms@30d'] [-slow-threshold 0]
 //	     [-join http://gw:7800] [-advertise http://host:7700]
@@ -37,8 +37,9 @@
 // CRC-framed write-ahead log before they are acknowledged, and a
 // restart (even after kill -9) replays the journal: completed results
 // come back with their original TTL clocks and jobs that were queued or
-// running are re-enqueued and re-run. Without it the store is purely
-// in-memory, exactly as before.
+// running are re-enqueued and re-run. A segment is deleted once every
+// record in it (and in every older one) has been superseded or has
+// expired. Without it the store is purely in-memory, exactly as before.
 //
 // Quickstart:
 //
@@ -103,10 +104,9 @@ func run() error {
 		logFormat = flag.String("log-format", obs.LogFormatText, "log output format: text | json; see docs/OBSERVABILITY.md")
 		addrFile  = flag.String("addr-file", "", "write the bound listen address to this file (use with -addr :0)")
 
-		dataDir   = flag.String("data-dir", "", "enable durable persistence: WAL + snapshots in this directory (empty = in-memory)")
-		fsync     = flag.String("fsync", "interval", "WAL fsync policy: always | interval | never")
-		fsyncInt  = flag.Duration("fsync-interval", 100*time.Millisecond, "flush period under -fsync interval")
-		snapEvery = flag.Int("snapshot-every", 1024, "WAL appends between snapshot compactions (-1 disables)")
+		dataDir  = flag.String("data-dir", "", "enable durable persistence: a segmented WAL in this directory, dead segments deleted as their records expire (empty = in-memory)")
+		fsync    = flag.String("fsync", "interval", "WAL fsync policy: always | interval | never")
+		fsyncInt = flag.Duration("fsync-interval", 100*time.Millisecond, "flush period under -fsync interval")
 
 		tenantsFile = flag.String("tenants", "", "per-tenant limits JSON (rate/burst/quota/weight); empty = single unlimited default tenant; see docs/TENANCY.md")
 
@@ -145,7 +145,6 @@ func run() error {
 		DataDir:            *dataDir,
 		Fsync:              *fsync,
 		FsyncInterval:      *fsyncInt,
-		SnapshotEvery:      *snapEvery,
 		ParamsCache:        *paramsCache,
 		SlowThreshold:      *slowThr,
 	}

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 
 	"dmw/internal/sched"
-	"dmw/internal/trace"
 )
 
 // runApprox validates the n-approximation claim: MinWork's makespan never
@@ -21,7 +20,7 @@ func runApprox(cfg Config) (*Report, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	randTab := &trace.Table{
+	randTab := &Table{
 		Title:   "makespan ratio MinWork/OPT by workload family",
 		Headers: []string{"family", "n", "instances", "mean-ratio", "max-ratio", "bound-n"},
 	}
@@ -60,7 +59,7 @@ func runApprox(cfg Config) (*Report, error) {
 		}
 	}
 
-	worstTab := &trace.Table{
+	worstTab := &Table{
 		Title:   "adversarial family (1 vs 2 costs): ratio grows linearly in n",
 		Headers: []string{"n", "minwork-makespan", "opt-makespan", "ratio"},
 	}

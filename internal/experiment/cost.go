@@ -12,7 +12,6 @@ import (
 	"dmw/internal/dmw"
 	"dmw/internal/group"
 	"dmw/internal/relaynet"
-	"dmw/internal/trace"
 )
 
 // costRun executes one honest DMW run and returns the result.
@@ -73,7 +72,7 @@ func runT1Comm(cfg Config) (*Report, error) {
 
 	// Sweep n at fixed m.
 	const fixedM = 2
-	nTab := &trace.Table{
+	nTab := &Table{
 		Title:   fmt.Sprintf("messages vs n (m = %d)", fixedM),
 		Headers: []string{"n", "minwork-msgs", "dmw-msgs", "dmw-bytes"},
 	}
@@ -87,14 +86,14 @@ func runT1Comm(cfg Config) (*Report, error) {
 		xs = append(xs, float64(n))
 		ys = append(ys, float64(res.Stats.Messages()))
 	}
-	fitN, err := trace.FitPowerLaw(xs, ys)
+	fitN, err := FitPowerLaw(xs, ys)
 	if err != nil {
 		return nil, err
 	}
 
 	// Sweep m at fixed n.
 	const fixedN = 8
-	mTab := &trace.Table{
+	mTab := &Table{
 		Title:   fmt.Sprintf("messages vs m (n = %d)", fixedN),
 		Headers: []string{"m", "minwork-msgs", "dmw-msgs", "dmw-bytes"},
 	}
@@ -108,7 +107,7 @@ func runT1Comm(cfg Config) (*Report, error) {
 		xs = append(xs, float64(m))
 		ys = append(ys, float64(res.Stats.Messages()))
 	}
-	fitM, err := trace.FitPowerLaw(xs, ys)
+	fitM, err := FitPowerLaw(xs, ys)
 	if err != nil {
 		return nil, err
 	}
@@ -133,7 +132,7 @@ func runT1Comm(cfg Config) (*Report, error) {
 // measureTCPDeployments runs the centralized auctioneer and the
 // distributed relay on loopback TCP with the same workload and reports
 // the measured message counts.
-func measureTCPDeployments(cfg Config, params *group.Params, w []int) (*trace.Table, error) {
+func measureTCPDeployments(cfg Config, params *group.Params, w []int) (*Table, error) {
 	const n, m = 6, 2
 	rng := rand.New(rand.NewSource(cfg.Seed + 900))
 	bids := make([][]int, n)
@@ -207,7 +206,7 @@ func measureTCPDeployments(cfg Config, params *group.Params, w []int) (*trace.Ta
 		}
 	}
 
-	tab := &trace.Table{
+	tab := &Table{
 		Title:   fmt.Sprintf("measured on loopback TCP (n = %d, m = %d)", n, m),
 		Headers: []string{"deployment", "messages", "bytes"},
 	}
@@ -242,7 +241,7 @@ func runT1Comp(cfg Config) (*Report, error) {
 	}
 
 	const fixedM = 2
-	nTab := &trace.Table{
+	nTab := &Table{
 		Title:   fmt.Sprintf("group ops per agent vs n (m = %d)", fixedM),
 		Headers: []string{"n", "minwork-ops", "dmw-ops/agent"},
 	}
@@ -257,13 +256,13 @@ func runT1Comp(cfg Config) (*Report, error) {
 		xs = append(xs, float64(n))
 		ys = append(ys, ops)
 	}
-	fitN, err := trace.FitPowerLaw(xs, ys)
+	fitN, err := FitPowerLaw(xs, ys)
 	if err != nil {
 		return nil, err
 	}
 
 	const fixedN = 8
-	mTab := &trace.Table{
+	mTab := &Table{
 		Title:   fmt.Sprintf("group ops per agent vs m (n = %d)", fixedN),
 		Headers: []string{"m", "minwork-ops", "dmw-ops/agent"},
 	}
@@ -278,7 +277,7 @@ func runT1Comp(cfg Config) (*Report, error) {
 		xs = append(xs, float64(m))
 		ys = append(ys, ops)
 	}
-	fitM, err := trace.FitPowerLaw(xs, ys)
+	fitM, err := FitPowerLaw(xs, ys)
 	if err != nil {
 		return nil, err
 	}
@@ -288,7 +287,7 @@ func runT1Comp(cfg Config) (*Report, error) {
 	if cfg.Quick {
 		presets = presets[:3]
 	}
-	pTab := &trace.Table{
+	pTab := &Table{
 		Title:   "wall time vs parameter size (n = 6, m = 2)",
 		Headers: []string{"preset", "p-bits", "time-ms"},
 	}

@@ -9,7 +9,6 @@ import (
 	"dmw/internal/group"
 	"dmw/internal/mechanism"
 	"dmw/internal/sched"
-	"dmw/internal/trace"
 	"dmw/internal/transport"
 )
 
@@ -54,7 +53,7 @@ func runF1(cfg Config) (*Report, error) {
 		trials = 5
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	tab := &trace.Table{
+	tab := &Table{
 		Title:   "distributed vs centralized outcome",
 		Headers: []string{"trial", "tasks", "alloc-match", "price-match", "payment-match"},
 	}
@@ -107,7 +106,7 @@ func runF2(cfg Config) (*Report, error) {
 		return nil, err
 	}
 	log := res.RoundLogs[0]
-	tab := &trace.Table{Title: "auction 0 round log (agent 0)", Headers: []string{"step", "event"}}
+	tab := &Table{Title: "auction 0 round log (agent 0)", Headers: []string{"step", "event"}}
 	for i, line := range log {
 		tab.AddRow(i+1, line)
 	}
@@ -127,7 +126,7 @@ func runF2(cfg Config) (*Report, error) {
 	// Message-kind counts per phase must match the protocol's shape:
 	// shares n(n-1), commitments n(n-1), etc.
 	n := int64(game.Bid.N)
-	kt := &trace.Table{Title: "message counts by kind (1 task)", Headers: []string{"kind", "count", "expected"}}
+	kt := &Table{Title: "message counts by kind (1 task)", Headers: []string{"kind", "count", "expected"}}
 	type exp struct {
 		kind  string
 		count int64

@@ -10,8 +10,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"dmw/internal/trace"
 )
 
 // Config controls experiment scale.
@@ -30,7 +28,7 @@ type Report struct {
 	// Title describes the paper artifact being reproduced.
 	Title string
 	// Tables holds the regenerated rows/series.
-	Tables []*trace.Table
+	Tables []*Table
 	// Notes carry paper-vs-measured commentary.
 	Notes []string
 	// Pass reports whether the measured behaviour matches the paper's

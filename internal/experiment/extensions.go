@@ -6,7 +6,6 @@ import (
 	"dmw/internal/mechanism"
 	"dmw/internal/oneparam"
 	"dmw/internal/sched"
-	"dmw/internal/trace"
 )
 
 // runRelated covers the paper's named future work (Section 5: distribute
@@ -27,7 +26,7 @@ func runRelated(cfg Config) (*Report, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	// 1. FastestMachine + Myerson is truthful.
-	truthTab := &trace.Table{
+	truthTab := &Table{
 		Title:   "FastestMachine + Myerson payments: misreport gains",
 		Headers: []string{"trials", "max-gain", "min-utility"},
 	}
@@ -63,7 +62,7 @@ func runRelated(cfg Config) (*Report, error) {
 	truthTab.AddRow(trials, maxGain, minU)
 
 	// 2. OptMakespan is non-monotone: find a witness.
-	witTab := &trace.Table{
+	witTab := &Table{
 		Title:   "OptMakespan monotonicity violation (Archer-Tardos motivation)",
 		Headers: []string{"agent", "lo-bid", "lo-work", "hi-bid", "hi-work"},
 	}
@@ -92,7 +91,7 @@ func runRelated(cfg Config) (*Report, error) {
 	}
 
 	// 3. The makespan price of truthfulness: FastestMachine vs LPT.
-	costTab := &trace.Table{
+	costTab := &Table{
 		Title:   "makespan: truthful FastestMachine vs non-truthful LPT (identical machines)",
 		Headers: []string{"n", "tasks", "fastest-makespan", "lpt-makespan"},
 	}
@@ -184,7 +183,7 @@ func runTwoRand(cfg Config) (*Report, error) {
 			}
 		}
 	}
-	tab := &trace.Table{
+	tab := &Table{
 		Title:   "biased randomized mechanism (beta = 4/3)",
 		Headers: []string{"instances", "worst-expected-ratio", "bound-7/4", "truthfulness-violations"},
 	}

@@ -5,7 +5,6 @@ import (
 
 	"dmw/internal/mechanism"
 	"dmw/internal/sched"
-	"dmw/internal/trace"
 )
 
 // runFrugal studies the payment side of the mechanism, the "frugality"
@@ -28,7 +27,7 @@ func runFrugal(cfg Config) (*Report, error) {
 		trials = 30
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	tab := &trace.Table{
+	tab := &Table{
 		Title:   "second-price overpayment factor (m = 4, times uniform in [1,10])",
 		Headers: []string{"n", "mean-overpayment", "max-overpayment"},
 	}

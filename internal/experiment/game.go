@@ -7,7 +7,6 @@ import (
 	"dmw/internal/mechanism"
 	"dmw/internal/sched"
 	"dmw/internal/strategy"
-	"dmw/internal/trace"
 )
 
 // runTruth validates Theorem 2 (MinWork is truthful): across random
@@ -23,7 +22,7 @@ func runTruth(cfg Config) (*Report, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	candidates := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	tab := &trace.Table{
+	tab := &Table{
 		Title:   "best deviation gain per instance (all agents, all single-task misreports)",
 		Headers: []string{"trials", "agents-checked", "max-gain", "positive-gains"},
 	}
@@ -80,7 +79,7 @@ func runFaith(cfg Config) (*Report, error) {
 	if cfg.Quick {
 		games = 2
 	}
-	tab := &trace.Table{
+	tab := &Table{
 		Title:   "deviation catalog: utility delta (deviating - suggested), worst case over games and deviators",
 		Headers: []string{"strategy", "worst-delta", "runs"},
 	}
@@ -139,7 +138,7 @@ func runSVP(cfg Config) (*Report, error) {
 	if cfg.Quick {
 		games = 2
 	}
-	tab := &trace.Table{
+	tab := &Table{
 		Title:   "minimum honest-agent utility under each deviation",
 		Headers: []string{"strategy", "min-honest-utility", "runs"},
 	}

@@ -8,7 +8,6 @@ import (
 	"dmw/internal/bidcode"
 	"dmw/internal/dmw"
 	"dmw/internal/group"
-	"dmw/internal/trace"
 )
 
 // runLatency measures the protocol's end-to-end time under a
@@ -38,7 +37,7 @@ func runLatency(cfg Config) (*Report, error) {
 		ns = []int{4, 8}
 	}
 
-	tab := &trace.Table{
+	tab := &Table{
 		Title:   "simulated completion time (m = 2 parallel auctions)",
 		Headers: []string{"profile", "n", "rounds", "dmw-time", "minwork-time(2 rounds)"},
 	}

@@ -9,7 +9,6 @@ import (
 	"dmw/internal/group"
 	"dmw/internal/poly"
 	"dmw/internal/privacy"
-	"dmw/internal/trace"
 )
 
 // runPriv validates Theorem 10: coalitions of at most c agents recover no
@@ -40,7 +39,7 @@ func runPriv(cfg Config) (*Report, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	tab := &trace.Table{
+	tab := &Table{
 		Title:   "fraction of random bids recovered by a k-coalition (c = 2, sigma = 7)",
 		Headers: []string{"k", "via-e", "via-f", "wrong-recoveries"},
 	}
@@ -134,7 +133,7 @@ func runDegres(cfg Config) (*Report, error) {
 	}
 	rate := float64(hits) / float64(trials)
 	expected := 1.0 / float64(q)
-	tab := &trace.Table{
+	tab := &Table{
 		Title:   "false resolution rate (degree 5 polynomial, 4 interpolation points)",
 		Headers: []string{"q", "trials", "false-successes", "measured-rate", "1/q"},
 	}

@@ -6,7 +6,6 @@ import (
 	"dmw/internal/bidcode"
 	"dmw/internal/mechanism"
 	"dmw/internal/sched"
-	"dmw/internal/trace"
 )
 
 // runQuant quantifies the cost of DMW's discrete-bid design constraint.
@@ -29,7 +28,7 @@ func runQuant(cfg Config) (*Report, error) {
 
 	// scale embeds continuous values into int64 (3 decimal digits).
 	const scale = 1000
-	tab := &trace.Table{
+	tab := &Table{
 		Title:   "MinWork on continuous vs W-discretized types (n = 6, m = 4)",
 		Headers: []string{"|W|", "alloc-changed", "mean-work-overhead", "max-work-overhead"},
 	}

@@ -1,20 +1,21 @@
 // Package journal is an append-only, CRC32C-framed write-ahead log with
-// segment rotation, snapshot compaction, and a crash-recovery path that
-// tolerates a torn or corrupt final record.
+// segment rotation, caller-driven retirement of dead segments, and a
+// crash-recovery path that tolerates a torn or corrupt final record.
 //
 // The journal is payload-agnostic: callers append Entry values (a one
 // byte kind tag plus opaque bytes) and get the same entries back, in
 // order, from recovery at the next Open. dmwd layers its job lifecycle
-// records on top (see internal/server); nothing in this package knows
-// about jobs.
+// records on top (see internal/server) and decides which segments are
+// dead; nothing in this package knows about jobs.
 //
 // On-disk layout inside the data directory:
 //
-//	wal-0000000000000000.seg   frame stream (active + sealed segments)
-//	wal-0000000000000001.seg
-//	snap-0000000000000001.snap frame stream: full state as of the start
-//	                           of segment 1 (replay = snapshot + every
-//	                           segment with seq >= 1)
+//	wal-0000000000000004.seg   frame stream (sealed segments, oldest
+//	wal-0000000000000005.seg   first; the highest is active)
+//
+// A data dir written by an older build may also hold one
+// snap-N.snap (the same frame stream: full state as of the start of
+// segment N); recovery replays it before the segments >= N.
 //
 // Each frame is
 //

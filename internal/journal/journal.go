@@ -61,8 +61,8 @@ type Options struct {
 	// SyncInterval is the flush period under SyncInterval (default 100ms).
 	SyncInterval time.Duration
 	// SegmentBytes rotates the active segment once it exceeds this size
-	// (default 4 MiB). Rotation bounds both replay work and the disk
-	// space reclaimed lazily by compaction.
+	// (default 4 MiB). A segment is the unit Retire reclaims, so this is
+	// also the granularity of disk reclamation.
 	SegmentBytes int64
 	// Logf receives recovery warnings and lifecycle logs; nil discards.
 	Logf func(format string, args ...any)
@@ -85,17 +85,16 @@ func (o Options) withDefaults() Options {
 type Stats struct {
 	// Appends counts entries appended (batch entries count individually).
 	Appends uint64
-	// Fsyncs counts file flushes issued (appends, rotations, snapshots).
+	// Fsyncs counts file flushes issued (appends, rotations, retirements).
 	Fsyncs uint64
 	// Bytes counts frame bytes written to segments since Open.
 	Bytes uint64
 	// Segments is the current number of live WAL segment files.
 	Segments int
-	// Snapshots counts snapshot compactions taken since Open.
-	Snapshots uint64
-	// AppendsSinceSnapshot counts appends since the last compaction
-	// (or Open); dmwd uses it to drive -snapshot-every.
-	AppendsSinceSnapshot uint64
+	// Active is the sequence number of the active segment: the one the
+	// last append landed in, and the one the next append goes to unless
+	// it rotates first.
+	Active uint64
 }
 
 // ErrClosed is returned by operations on a closed journal.
@@ -114,6 +113,10 @@ type Journal struct {
 	size   int64    // bytes in the active segment
 	closed bool
 	dirty  bool // unsynced appends (interval policy)
+	// failed is set when a failed write left torn bytes that could not be
+	// truncated away: every later append is refused until reopen, whose
+	// recovery cuts the torn tail.
+	failed error
 
 	stats Stats
 
@@ -123,11 +126,11 @@ type Journal struct {
 
 // Recovery reports what Open found on disk.
 type Recovery struct {
-	// Entries is the full replay: snapshot entries (if any) followed by
-	// every post-snapshot WAL entry in append order.
+	// Entries is the full replay: a legacy snapshot's entries (if one is
+	// left) followed by every segment's entries in append order.
 	Entries []Entry
-	// Recovered is true when any prior state (snapshot or non-empty
-	// segment) existed, i.e. this Open performed a recovery.
+	// Recovered is true when any prior state (legacy snapshot or
+	// non-empty segment) existed, i.e. this Open performed a recovery.
 	Recovered bool
 	// TailTruncated is true when the final record of the last segment
 	// was torn or corrupt and recovery dropped it (logged as a warning).
@@ -166,6 +169,8 @@ func Open(opts Options) (*Journal, *Recovery, error) {
 }
 
 // segmentName / snapshotName are the on-disk file names for sequence s.
+// Snapshots are only read (and retired): older builds wrote them at
+// compaction, and a data dir they shut down cleanly holds one.
 func segmentName(s uint64) string  { return fmt.Sprintf("wal-%016d.seg", s) }
 func snapshotName(s uint64) string { return fmt.Sprintf("snap-%016d.snap", s) }
 
@@ -195,18 +200,28 @@ func (j *Journal) AppendBatch(entries []Entry) error {
 	if j.closed {
 		return ErrClosed
 	}
+	if j.failed != nil {
+		return j.failed
+	}
 	if j.size >= j.opts.SegmentBytes {
 		if err := j.rotateLocked(); err != nil {
 			return err
 		}
 	}
 	if _, err := j.f.Write(buf); err != nil {
+		// A short write (ENOSPC, EIO, EFBIG) leaves a torn frame, and the
+		// segment is O_APPEND: the next append would land behind it, where
+		// recovery — which cuts the log at the first torn frame — drops it,
+		// or refuses to start once a rotation has sealed the torn frame
+		// into a non-tail segment. Cut the torn bytes off now.
+		if terr := j.f.Truncate(j.size); terr != nil {
+			j.failed = fmt.Errorf("journal: %s holds a torn frame that could not be truncated (%v); appends refused until reopen", j.f.Name(), terr)
+		}
 		return fmt.Errorf("journal: appending to %s: %w", j.f.Name(), err)
 	}
 	j.size += int64(len(buf))
 	j.stats.Bytes += uint64(len(buf))
 	j.stats.Appends += uint64(len(entries))
-	j.stats.AppendsSinceSnapshot += uint64(len(entries))
 	switch j.opts.Sync {
 	case SyncAlways:
 		if err := j.syncLocked(); err != nil {
@@ -262,7 +277,7 @@ func (j *Journal) openSegmentLocked(seq uint64) error {
 		return fmt.Errorf("journal: stat segment: %w", err)
 	}
 	j.f, j.seq, j.size = f, seq, st.Size()
-	j.stats.Segments = j.countSegmentsLocked()
+	j.stats.Segments, j.stats.Active = j.countSegmentsLocked(), seq
 	return j.syncDir()
 }
 
@@ -290,88 +305,58 @@ func (j *Journal) syncDir() error {
 	return nil
 }
 
-// Snapshot performs snapshot compaction: it atomically writes the full
-// state (the caller-provided entries), rotates to a fresh segment, and
-// deletes every segment and snapshot the new snapshot supersedes.
-// Recovery after a Snapshot replays exactly state + the new segments.
+// Retire deletes every sealed segment with sequence <= through, and any
+// legacy snapshot at or below it. The caller vouches that none of them
+// holds a record recovery still needs; the journal never retires on its
+// own.
 //
-// The caller must guarantee that state reflects every entry appended so
-// far (dmwd serializes appends and snapshots behind one store mutex);
-// entries appended concurrently with Snapshot could otherwise land in a
-// deleted segment.
-func (j *Journal) Snapshot(state []Entry) error {
+// The active segment is fsynced first: the records that supersede the
+// retired ones must be durable before their predecessors go. Files are
+// then unlinked in replay order (snapshot N replays before segment N),
+// so a crash after any prefix of unlinks leaves a gap-free suffix that
+// replays to the same live state. The first failed unlink stops the
+// walk; a later Retire deletes what it left.
+func (j *Journal) Retire(through uint64) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
 		return ErrClosed
 	}
-
-	newSeq := j.seq + 1
-
-	// 1. Write the snapshot to a temp file and rename it into place:
-	// a crash mid-write leaves only a *.tmp that recovery ignores.
-	var buf []byte
-	for _, e := range state {
-		buf = AppendFrame(buf, e)
+	if through >= j.seq {
+		return fmt.Errorf("journal: cannot retire through segment %d: segment %d is active", through, j.seq)
 	}
-	tmp := filepath.Join(j.dir, "snap.tmp")
-	if err := writeFileSync(tmp, buf); err != nil {
-		return err
-	}
-	final := filepath.Join(j.dir, snapshotName(newSeq))
-	if err := os.Rename(tmp, final); err != nil {
-		return fmt.Errorf("journal: publishing snapshot: %w", err)
-	}
-	if err := j.syncDir(); err != nil {
-		return err
-	}
-
-	// 2. Rotate so post-snapshot appends land in segment newSeq.
 	if err := j.syncLocked(); err != nil {
 		return err
 	}
-	if err := j.f.Close(); err != nil {
-		return fmt.Errorf("journal: sealing segment: %w", err)
-	}
-	if err := j.openSegmentLocked(newSeq); err != nil {
-		return err
-	}
-
-	// 3. Drop superseded files. Best-effort: a leftover old segment is
-	// harmless (recovery replays snapshot + segments >= newSeq only).
-	j.removeSuperseded(newSeq)
-	j.stats.Segments = j.countSegmentsLocked()
-	j.stats.Snapshots++
-	j.stats.AppendsSinceSnapshot = 0
-	j.opts.Logf("journal: snapshot seq=%d (%d entries, %d bytes)", newSeq, len(state), len(buf))
-	return nil
-}
-
-// removeSuperseded deletes segments with seq < keep and snapshots with
-// seq < keep.
-func (j *Journal) removeSuperseded(keep uint64) {
 	segs, snaps, _, err := scanDir(j.dir)
 	if err != nil {
-		j.opts.Logf("journal: compaction scan: %v", err)
-		return
+		return err
 	}
-	for _, s := range segs {
-		if s < keep {
-			if err := os.Remove(filepath.Join(j.dir, segmentName(s))); err != nil {
-				j.opts.Logf("journal: removing superseded segment %d: %v", s, err)
-			}
+	var doomed []string
+	for _, s := range segs { // ends at the active segment, > through
+		for len(snaps) > 0 && snaps[0] <= s && snaps[0] <= through {
+			doomed = append(doomed, snapshotName(snaps[0]))
+			snaps = snaps[1:]
+		}
+		if s > through {
+			break
+		}
+		doomed = append(doomed, segmentName(s))
+	}
+	for _, name := range doomed {
+		if err = os.Remove(filepath.Join(j.dir, name)); err != nil {
+			err = fmt.Errorf("journal: retiring %s: %w", name, err)
+			break
 		}
 	}
-	for _, s := range snaps {
-		if s < keep {
-			if err := os.Remove(filepath.Join(j.dir, snapshotName(s))); err != nil {
-				j.opts.Logf("journal: removing superseded snapshot %d: %v", s, err)
-			}
-		}
+	j.stats.Segments = j.countSegmentsLocked()
+	if derr := j.syncDir(); err == nil {
+		err = derr
 	}
-	if err := j.syncDir(); err != nil {
-		j.opts.Logf("journal: compaction dir fsync: %v", err)
+	if err == nil {
+		j.opts.Logf("journal: retired %d file(s) through segment %d", len(doomed), through)
 	}
+	return err
 }
 
 // Stats returns current counters.
@@ -429,24 +414,4 @@ func (j *Journal) flushLoop() {
 			return
 		}
 	}
-}
-
-// writeFileSync writes data to path and fsyncs it before returning.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("journal: creating %s: %w", path, err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return fmt.Errorf("journal: writing %s: %w", path, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("journal: fsync %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("journal: closing %s: %w", path, err)
-	}
-	return nil
 }

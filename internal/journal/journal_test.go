@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -99,51 +101,154 @@ func TestSegmentRotation(t *testing.T) {
 	wantEntries(t, rec.Entries, want)
 }
 
-// TestSnapshotCompaction checks replay after a snapshot is exactly
-// state + post-snapshot appends, and superseded files are deleted.
-func TestSnapshotCompaction(t *testing.T) {
-	dir := t.TempDir()
+// segmented fills a fresh journal with tiny segments and returns it with
+// the entries each segment holds, keyed by sequence number.
+func segmented(t *testing.T, dir string) (*Journal, map[uint64][]Entry) {
+	t.Helper()
 	j, _ := openT(t, dir, func(o *Options) { o.SegmentBytes = 64 })
-	for i := 0; i < 20; i++ {
-		if err := j.Append(entry(1, fmt.Sprintf("pre-%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	state := []Entry{entry(7, "state-a"), entry(7, "state-b")}
-	if err := j.Snapshot(state); err != nil {
-		t.Fatal(err)
-	}
-	if st := j.Stats(); st.Snapshots != 1 || st.AppendsSinceSnapshot != 0 {
-		t.Fatalf("stats after snapshot = %+v", st)
-	}
-	post := []Entry{entry(1, "post-0"), entry(1, "post-1")}
-	for _, e := range post {
+	bySeg := make(map[uint64][]Entry)
+	for i := 0; i < 30; i++ {
+		e := entry(1, fmt.Sprintf("record-%03d", i))
 		if err := j.Append(e); err != nil {
 			t.Fatal(err)
 		}
+		seg := j.Stats().Active
+		bySeg[seg] = append(bySeg[seg], e)
+	}
+	if j.Stats().Active < 4 {
+		t.Fatalf("only %d rotations; the test needs at least 4", j.Stats().Active)
+	}
+	return j, bySeg
+}
+
+// segsOnDisk lists the segment sequence numbers present in dir.
+func segsOnDisk(t *testing.T, dir string) []uint64 {
+	t.Helper()
+	segs, _, _, err := scanDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return segs
+}
+
+func seqRange(from, to uint64) []uint64 {
+	var out []uint64
+	for s := from; s <= to; s++ {
+		out = append(out, s)
+	}
+	return out
+}
+
+// TestRetire pins the retirement contract: Retire refuses the active
+// segment, deletes exactly the prefix through the segment it is given,
+// fsyncs the active segment before it unlinks anything, and unlinks in
+// ascending order, stopping at the first failure, so no gap is ever
+// left; the next Open replays exactly the segments kept.
+func TestRetire(t *testing.T) {
+	t.Run("prefix", func(t *testing.T) {
+		dir := t.TempDir()
+		j, bySeg := segmented(t, dir)
+		active := j.Stats().Active
+		if err := j.Retire(active); err == nil {
+			t.Fatal("Retire accepted the active segment")
+		}
+		if got := segsOnDisk(t, dir); !reflect.DeepEqual(got, seqRange(0, active)) {
+			t.Fatalf("a refused Retire left segments %v", got)
+		}
+		if err := j.Retire(1); err != nil {
+			t.Fatal(err)
+		}
+		if got := segsOnDisk(t, dir); !reflect.DeepEqual(got, seqRange(2, active)) || j.Stats().Segments != len(got) {
+			t.Fatalf("after Retire(1): segments %v (stats %d), want %v", got, j.Stats().Segments, seqRange(2, active))
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		j2, rec := openT(t, dir, nil)
+		defer j2.Close()
+		var want []Entry
+		for _, s := range seqRange(2, active) {
+			want = append(want, bySeg[s]...)
+		}
+		wantEntries(t, rec.Entries, want)
+	})
+
+	t.Run("syncs-active-first", func(t *testing.T) {
+		dir := t.TempDir()
+		j, _ := segmented(t, dir)
+		active := j.Stats().Active
+		_ = j.f.Close() // the active segment's fsync now fails
+		if err := j.Retire(active - 1); err == nil {
+			t.Fatal("Retire succeeded although the active segment could not be synced")
+		}
+		if got := segsOnDisk(t, dir); !reflect.DeepEqual(got, seqRange(0, active)) {
+			t.Fatalf("Retire unlinked before syncing the active segment: segments %v", got)
+		}
+		_ = j.Close()
+	})
+
+	t.Run("stops-at-first-failed-unlink", func(t *testing.T) {
+		dir := t.TempDir()
+		j, _ := segmented(t, dir)
+		defer j.Close()
+		active := j.Stats().Active
+		// A non-empty directory under segment 2's name cannot be unlinked.
+		stuck := filepath.Join(dir, segmentName(2))
+		if err := os.Remove(stuck); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Join(stuck, "pin"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Retire(active - 1); err == nil {
+			t.Fatal("Retire reported success past an unlink that failed")
+		}
+		if got := segsOnDisk(t, dir); !reflect.DeepEqual(got, seqRange(2, active)) {
+			t.Fatalf("segments after a failed unlink: %v, want the gap-free suffix %v", got, seqRange(2, active))
+		}
+	})
+}
+
+// TestAppendAfterFailedWrite: a write cut short by the file-size limit
+// (EFBIG; the Go runtime ignores SIGXFSZ, so the write genuinely returns
+// short) must not leave its torn bytes in front of the next append —
+// recovery cuts the log at the first torn frame and would drop that
+// later, acknowledged record with it.
+func TestAppendAfterFailedWrite(t *testing.T) {
+	dir := t.TempDir()
+	j, _ := openT(t, dir, func(o *Options) { o.Sync = SyncAlways })
+	before, after := entry(1, "acknowledged-before"), entry(1, "acknowledged-after")
+	if err := j.Append(before); err != nil {
+		t.Fatal(err)
+	}
+	var lim syscall.Rlimit
+	if err := syscall.Getrlimit(syscall.RLIMIT_FSIZE, &lim); err != nil {
+		t.Skipf("RLIMIT_FSIZE unavailable: %v", err)
+	}
+	small := lim
+	small.Cur = j.Stats().Bytes + 5 // room for part of the next frame's header only
+	if err := syscall.Setrlimit(syscall.RLIMIT_FSIZE, &small); err != nil {
+		t.Skipf("cannot lower RLIMIT_FSIZE: %v", err)
+	}
+	err := j.Append(entry(1, "cut-short-by-the-limit"))
+	if rerr := syscall.Setrlimit(syscall.RLIMIT_FSIZE, &lim); rerr != nil {
+		t.Fatal(rerr)
+	}
+	if err == nil {
+		t.Fatal("an append across the file-size limit succeeded")
+	}
+	if err := j.Append(after); err != nil {
+		t.Fatalf("append after a failed write: %v", err)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	// Old segments must be gone: replay sees only snapshot + tail.
 	j2, rec := openT(t, dir, nil)
 	defer j2.Close()
-	wantEntries(t, rec.Entries, append(append([]Entry{}, state...), post...))
-
-	// Exactly one snapshot file and one live segment chain remain.
-	segs, snaps, _, err := scanDir(dir)
-	if err != nil {
-		t.Fatal(err)
+	if rec.TailTruncated {
+		t.Error("recovery found a torn frame: the failed write's bytes were left in the segment")
 	}
-	if len(snaps) != 1 {
-		t.Fatalf("snapshots on disk = %v, want exactly 1", snaps)
-	}
-	for _, s := range segs {
-		if s < snaps[0] {
-			t.Fatalf("superseded segment %d not compacted (segments %v, snapshot %v)", s, segs, snaps)
-		}
-	}
+	wantEntries(t, rec.Entries, []Entry{before, after})
 }
 
 // TestTornTailTruncateAndContinue simulates a crash mid-append: the
@@ -311,9 +416,9 @@ func TestParseSyncPolicy(t *testing.T) {
 	}
 }
 
-// TestSnapshotCrashLeavesTmp simulates a crash mid-snapshot: a leftover
-// snap.tmp must be ignored and removed, and the pre-snapshot log still
-// replays in full.
+// TestSnapshotCrashLeavesTmp: a data dir an older build crashed in
+// mid-snapshot holds a leftover snap.tmp; it must be ignored and
+// removed, and the log still replays in full.
 func TestSnapshotCrashLeavesTmp(t *testing.T) {
 	dir := t.TempDir()
 	j, _ := openT(t, dir, nil)

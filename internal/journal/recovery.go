@@ -41,18 +41,19 @@ func parseSeq(name, prefix, suffix string) (uint64, bool) {
 	return s, err == nil
 }
 
-// recover replays snapshot + WAL state from j.dir and positions the
-// journal for appending. Policy:
+// recover replays WAL state from j.dir and positions the journal for
+// appending. Policy:
 //
-//   - The newest snapshot (atomic rename, so never partial) is loaded
-//     fully; any decode error there is fatal — see docs/DURABILITY.md
-//     for the operator runbook.
+//   - The newest snapshot an older build left (it compacted into
+//     snap-N.snap) is loaded fully; any decode error there is fatal —
+//     see docs/DURABILITY.md for the operator runbook.
 //   - Segments with seq >= snapshot seq are replayed in order. A torn
 //     or corrupt record at the very tail of the LAST segment is a crash
 //     artifact: it is logged, the file is truncated at the last good
 //     frame, and recovery continues. The same failure anywhere else is
 //     real corruption and fails recovery.
-//   - Leftover snap.tmp files (crash mid-snapshot) are deleted.
+//   - Leftover *.tmp files (an older build's interrupted snapshot) are
+//     deleted.
 func (j *Journal) recover() (*Recovery, error) {
 	segs, snaps, tmps, err := scanDir(j.dir)
 	if err != nil {
@@ -65,7 +66,7 @@ func (j *Journal) recover() (*Recovery, error) {
 
 	rec := &Recovery{}
 
-	// Load the newest snapshot, if any.
+	// Load the newest legacy snapshot, if any.
 	var startSeq uint64
 	if len(snaps) > 0 {
 		snapSeq := snaps[len(snaps)-1]

@@ -377,7 +377,6 @@ type journalView struct {
 	Fsyncs       uint64 `json:"journal_fsyncs"`
 	Bytes        uint64 `json:"journal_bytes"`
 	Segments     int    `json:"journal_segments"`
-	Snapshots    uint64 `json:"journal_snapshots"`
 	ReplayedJobs int    `json:"journal_replayed_jobs"`
 	Recoveries   int    `json:"journal_recoveries"`
 }
@@ -407,7 +406,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			Fsyncs:       st.Fsyncs,
 			Bytes:        st.Bytes,
 			Segments:     st.Segments,
-			Snapshots:    st.Snapshots,
 			ReplayedJobs: replayed,
 			Recoveries:   recoveries,
 		}

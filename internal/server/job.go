@@ -295,6 +295,9 @@ type Job struct {
 	Spec JobSpec
 
 	bids [][]int
+	// seg is the WAL segment holding the job's last journaled record.
+	// Written and read only by the store, under store.mu.
+	seg uint64
 
 	mu         sync.Mutex
 	state      JobState

@@ -297,7 +297,6 @@ func (m *metrics) writeTo(w io.Writer, g snapshotGauges) {
 		p("dmwd_journal_fsyncs_total %d\n", g.journal.Fsyncs)
 		p("dmwd_journal_bytes_total %d\n", g.journal.Bytes)
 		p("dmwd_journal_segments %d\n", g.journal.Segments)
-		p("dmwd_journal_snapshots_total %d\n", g.journal.Snapshots)
 		p("dmwd_journal_replayed_jobs %d\n", g.journalReplayed)
 		p("dmwd_journal_recoveries_total %d\n", g.journalRecoveries)
 	} else {

@@ -149,12 +149,12 @@ func foldRecords(t *testing.T, entries []journal.Entry) (map[string]string, []jo
 	return byID, state
 }
 
-// TestReplayIsLastWriterWins is the licence for a fuzzy snapshot
-// (ROADMAP item 1): because every record is a full record and the last
-// one per ID wins, a snapshot may be captured at ANY point c at or after
-// the segment rotation r it is filed under — replaying
-// snapshot(state at c) followed by history[r:] folds to exactly what
-// replaying the whole history does, for every r <= c. Histories are
+// TestReplayIsLastWriterWins: because every record is a full record and
+// the last one per ID wins, a state folded at ANY point c may stand in
+// for every record before any r <= c — replaying state(c) followed by
+// history[r:] folds to exactly what replaying the whole history does.
+// That is why recovery may replay an older build's snapshot followed by
+// whatever segments remain after it. Histories are
 // seeded random walks over a handful of IDs: admissions, re-admissions
 // after a rejection, done/failed/rejected finishes, verbatim duplicates,
 // undecodable payloads and frames of unknown kinds.
@@ -223,7 +223,7 @@ func TestReplayIsLastWriterWins(t *testing.T) {
 }
 
 // TestParentFormatTailIsSkippedAndRerun: a WAL tail written by the
-// build before this one (and cut by kill -9 before any snapshot) holds
+// build before the one-record journal (and cut by kill -9) holds
 // kind-2 {id, started} and kind-3 {id, state, result, ...} delta frames.
 // They are input from outside the program now: recovery counts both as
 // skipped, re-enqueues the job from its admission record, and the
@@ -296,7 +296,7 @@ func TestRestartKeepsLatencyDecomposition(t *testing.T) {
 		t.Fatal("job did not finish")
 	}
 	before := job.View()
-	s1.crashForTest() // no final snapshot: recovery reads the terminal WAL record
+	s1.crashForTest() // recovery reads the terminal WAL record
 
 	s2 := startServer(t, journalConfig(dir))
 	restored, ok := s2.Get(job.ID)

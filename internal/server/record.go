@@ -10,10 +10,10 @@ import (
 )
 
 // recKindJob tags the one record dmwd journals: a full jobRecord,
-// written at admission (state queued or rejected), again at the
-// terminal transition (with the result in it), and for every snapshot
-// entry. The journal itself is payload-agnostic; replay skips any other
-// kind (see replayEntries).
+// written at admission (state queued or rejected) and again at the
+// terminal transition (with the result in it); an older build's
+// snapshot holds the same records. The journal itself is
+// payload-agnostic; replay skips any other kind (see replayEntries).
 const recKindJob byte = 1
 
 // jobRecord is the durable form of a Job. Timestamps are absolute so
@@ -82,7 +82,7 @@ func jobFromRecord(r jobRecord) *Job {
 }
 
 // encodeRecord is the one place a jobRecord is marshalled: the bytes it
-// returns are the WAL entry, the snapshot entry and the replica payload.
+// returns are the WAL entry and the replica payload.
 func encodeRecord(r jobRecord) ([]byte, error) {
 	data, err := json.Marshal(r)
 	if err != nil {
@@ -94,8 +94,8 @@ func encodeRecord(r jobRecord) ([]byte, error) {
 // replayEntries folds a recovery's entry stream into the final per-job
 // records, preserving first-submission order: every entry is a full
 // record, so the last one per ID wins — a terminal record over its
-// admission, a re-admission over the rejection it replaces, a snapshot
-// entry over whatever preceded it. Entries of any other kind or that do
+// admission, a re-admission over the rejection it replaces, any segment
+// entry over a legacy snapshot's. Entries of any other kind or that do
 // not decode come from outside this program (a tail written by an older
 // build, a damaged payload behind a valid CRC): they are logged and
 // counted in skipped, never fatal — the job they described re-runs from

@@ -28,10 +28,9 @@ func journalConfig(dir string) Config {
 }
 
 // crashForTest simulates a hard stop (kill -9) of the service core: the
-// WAL is sealed abruptly with NO final snapshot and NO drain, admission
-// stops, and in-flight workers are abandoned — anything they complete
-// after this point never reaches the journal, exactly like work lost in
-// a real crash.
+// WAL is sealed abruptly with NO drain, admission stops, and in-flight
+// workers are abandoned — anything they complete after this point never
+// reaches the journal, exactly like work lost in a real crash.
 func (s *Server) crashForTest() {
 	s.mu.Lock()
 	if !s.draining {
@@ -45,7 +44,7 @@ func (s *Server) crashForTest() {
 	}
 	s.mu.Unlock()
 	if s.store.wal != nil {
-		_ = s.store.wal.Close() // abrupt: skips the shutdown snapshot
+		_ = s.store.wal.Close() // abrupt: skips the drain
 	}
 }
 
@@ -90,7 +89,7 @@ func assertMatchesDirectRun(t *testing.T, job *Job) {
 
 // TestCrashRecoveryNoJobLost is the crash-recovery integration test:
 // submit N jobs against a journal-backed server, hard-stop it mid-
-// workload (no drain, no final snapshot), restart on the same data
+// workload (no drain), restart on the same data
 // directory, and require that every accepted job reaches a terminal
 // done state with a result identical to a direct dmw.Run of its seed —
 // no accepted job lost, no duplicate IDs.
@@ -214,9 +213,9 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 	}
 }
 
-// TestRestartAfterCleanShutdown pins the graceful path: SIGTERM-style
-// drain snapshots the final state, and the next start serves every
-// terminal result without re-running anything.
+// TestRestartAfterCleanShutdown pins the graceful path: after a
+// SIGTERM-style drain the next start serves every terminal result from
+// the WAL without re-running anything.
 func TestRestartAfterCleanShutdown(t *testing.T) {
 	dir := t.TempDir()
 	cfg := journalConfig(dir)

@@ -114,11 +114,6 @@ type Config struct {
 	// FsyncInterval is the flush period under the interval policy
 	// (default 100ms).
 	FsyncInterval time.Duration
-	// SnapshotEvery compacts the WAL (full-state snapshot + truncation
-	// of superseded segments) after this many appends. Default 1024;
-	// negative disables automatic compaction (a final snapshot is still
-	// taken on shutdown).
-	SnapshotEvery int
 
 	// Tenants is the multi-tenant admission policy (the parsed -tenants
 	// file; see internal/tenant and docs/TENANCY.md). The zero value
@@ -176,11 +171,6 @@ func (c Config) withDefaults() Config {
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-	if c.SnapshotEvery == 0 {
-		c.SnapshotEvery = 1024
-	} else if c.SnapshotEvery < 0 {
-		c.SnapshotEvery = 0 // disabled
-	}
 	if c.SLOSampleInterval <= 0 {
 		c.SLOSampleInterval = 15 * time.Second
 	}
@@ -202,7 +192,7 @@ type Server struct {
 
 	// logf is the printf sink derived from cfg.Logger (a no-op when none
 	// was configured). Nothing on the per-job success path calls it:
-	// janitor, compaction, recovery and failure lines only.
+	// janitor, segment retirement, recovery and failure lines only.
 	logf func(format string, args ...any)
 
 	queue   *tenant.Queue[*Job]
@@ -417,8 +407,9 @@ func loadOrCreateReplicaID(dataDir string) (string, error) {
 func (s *Server) ReplicaID() string { return s.replicaID }
 
 // openJournal opens the WAL in cfg.DataDir, replays prior state into
-// the in-memory index, re-enqueues jobs that were queued or running at
-// crash time, and compacts the recovered log into one fresh snapshot.
+// the in-memory index and re-enqueues jobs that were queued or running
+// at crash time. It writes nothing: the replayed segments stay until
+// the janitor retires them (store.retire).
 func (s *Server) openJournal() error {
 	cfg := s.cfg
 	pol, err := journal.ParseSyncPolicy(cfg.Fsync)
@@ -434,25 +425,7 @@ func (s *Server) openJournal() error {
 	if err != nil {
 		return fmt.Errorf("server: opening journal: %w", err)
 	}
-	s.store.wal, s.store.snapshotEvery, s.store.logf = jnl, uint64(cfg.SnapshotEvery), s.logf
-
-	records, skipped := replayEntries(rec.Entries, s.logf)
-	now := time.Now()
-	var requeue []*Job
-	restored, expired := 0, 0
-	for _, r := range records {
-		job := jobFromRecord(*r)
-		if job.State().Terminal() {
-			if job.expired(now) {
-				expired++ // past its TTL deadline: stay dead
-				continue
-			}
-			restored++
-		} else {
-			requeue = append(requeue, job)
-		}
-		s.store.insert(job)
-	}
+	requeue, restored, expired, skipped := s.store.open(jnl, rec.Entries, s.logf, time.Now())
 
 	// The queue must hold every re-enqueued job even if it exceeds the
 	// configured depth — accepted work is never shed (ForcePush skips
@@ -472,12 +445,6 @@ func (s *Server) openJournal() error {
 		s.logf("recovery: replayed %d jobs from %s (%d results restored, %d re-enqueued, %d expired, %d records skipped)%s",
 			s.replayedJobs, cfg.DataDir, restored, len(requeue), expired, skipped,
 			map[bool]string{true: "; torn log tail truncated", false: ""}[rec.TailTruncated])
-		// Compact immediately: the next start replays one snapshot
-		// instead of the accumulated tail, and the truncated/duplicate
-		// history is garbage-collected now.
-		if err := s.store.compactNow(); err != nil {
-			s.logf("recovery: post-recovery snapshot: %v", err)
-		}
 	} else {
 		s.logf("journal: initialized %s (fsync=%s)", cfg.DataDir, pol)
 	}
@@ -524,6 +491,7 @@ func (s *Server) Start() {
 				if n := s.store.Sweep(now); n > 0 {
 					s.logf("janitor: evicted %d expired jobs", n)
 				}
+				s.store.retire()
 				if n := s.replStore.Sweep(now); n > 0 {
 					s.logf("janitor: evicted %d expired replica copies", n)
 				}
@@ -1003,7 +971,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		// Drain complete: every accepted job is terminal. Hand the
 		// records this node holds to the surviving ring (the lease is
 		// still held, so placement excludes only self), then seal the
-		// store — the final snapshot captures a quiescent state.
+		// store.
 		s.handoffReplicas()
 		s.repl.Close()
 		s.closeStore.Do(func() {

@@ -19,9 +19,9 @@ import (
 // Terminal jobs are retained for the configured TTL so clients can
 // poll results, then evicted by the janitor (and opportunistically on
 // lookup, so a stopped janitor — e.g. in tests — still converges).
-// Evicted jobs are not individually journaled: they simply stop
-// appearing in the next compaction snapshot, and recovery re-drops any
-// replayed record whose TTL deadline has already passed.
+// Evicted jobs are not individually journaled: their records simply
+// stop pinning the segments they sit in (see retire), and recovery
+// re-drops any replayed record whose TTL deadline has already passed.
 //
 // TTL contract (pinned by TestSweepPreservesRestoredTTL): a terminal
 // job's retention clock is measured from its COMPLETION time — expires
@@ -34,40 +34,90 @@ import (
 // dropped during replay instead of being resurrected. Sweep never
 // touches non-terminal jobs.
 type store struct {
-	// mu guards jobs and nothing else; it is never held across a disk
-	// write. Lock order is wmu -> mu and wmu -> Job.mu; mu and Job.mu
-	// are never held together, and Job methods never call back into the
-	// store.
+	// mu guards jobs, live, oldest and every Job.seg; it is never held
+	// across a disk write. Lock order is wmu -> mu and wmu -> Job.mu; mu
+	// and Job.mu are never held together, and Job methods never call
+	// back into the store.
 	mu   sync.Mutex
 	jobs map[string]*Job
+	// live counts, per WAL segment, the indexed jobs whose last
+	// journaled record lives there (Job.seg); oldest is the lowest
+	// segment not yet retired. A record is live while it is the last one
+	// of a job still in the index, so a sealed segment whose count is
+	// zero — and every older one with it — holds nothing recovery needs.
+	// nil for the in-memory store.
+	live   map[uint64]int
+	oldest uint64
 
 	// wmu serializes every write — admission and terminal transition —
-	// against each other and against snapshot compaction: an append that
-	// slipped between reading the in-memory state and journal.Snapshot
-	// would land in a segment the snapshot deletes, and a state change
-	// applied before its append would be observable without being
-	// durable. It is also what makes admission's lookup/insert pair
-	// atomic per ID. (Sweep and lazy Get-eviction bypass wmu but only
-	// ever delete expired records, which would not have deduped anyway.)
-	wmu sync.Mutex
-	wal *journal.Journal
-	// snapshotEvery triggers compaction after this many appends
-	// (0 disables automatic compaction).
-	snapshotEvery uint64
-	logf          func(format string, args ...any)
+	// against each other and against retire, which therefore reads
+	// counts that match the records on disk exactly: no append sits
+	// between landing in a segment and recharging its job. Every write
+	// appends before it applies: a state change applied first would be
+	// observable without being durable. wmu is also what makes
+	// admission's lookup/insert pair atomic per ID. (Sweep and lazy
+	// Get-eviction bypass wmu but only ever delete expired records,
+	// which would not have deduped anyway.)
+	wmu  sync.Mutex
+	wal  *journal.Journal
+	logf func(format string, args ...any)
 }
 
 func newStore() *store {
 	return &store{jobs: make(map[string]*Job)}
 }
 
+// open makes jnl the store's WAL and indexes what it replayed: the last
+// record per ID, minus terminal jobs already past their TTL deadline
+// (they stay dead, as an uninterrupted janitor would have left them).
+// Every recovered job is charged to the segment active at open, so no
+// replayed file is retired before every recovered job is superseded or
+// evicted, and startup writes nothing. It returns the non-terminal jobs
+// for the caller to re-enqueue.
+func (s *store) open(jnl *journal.Journal, entries []journal.Entry, logf func(string, ...any), now time.Time) (requeue []*Job, restored, expired, skipped int) {
+	s.wal, s.logf = jnl, logf
+	s.live, s.oldest = make(map[uint64]int), jnl.Stats().Active
+	records, skipped := replayEntries(entries, logf)
+	for _, r := range records {
+		job := jobFromRecord(*r)
+		if job.State().Terminal() {
+			if job.expired(now) {
+				expired++
+				continue
+			}
+			restored++
+		} else {
+			requeue = append(requeue, job)
+		}
+		s.insert(job)
+	}
+	return requeue, restored, expired, skipped
+}
+
 // insert indexes jobs unconditionally: recovery reinserting replayed
-// records. Admission goes through PutBatchIfAbsent.
+// records, each charged to the segment active at open. Admission goes
+// through PutBatchIfAbsent.
 func (s *store) insert(jobs ...*Job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, j := range jobs {
 		s.jobs[j.ID] = j
+		s.charge(j, s.oldest)
+	}
+}
+
+// charge records that job's last journaled record is in segment seg;
+// drop forgets it. Caller holds mu. Both are no-ops in memory.
+func (s *store) charge(job *Job, seg uint64) {
+	if s.live != nil {
+		job.seg = seg
+		s.live[seg]++
+	}
+}
+
+func (s *store) drop(job *Job) {
+	if s.live != nil {
+		s.live[job.seg]--
 	}
 }
 
@@ -103,6 +153,7 @@ func (s *store) PutBatchIfAbsent(jobs []*Job, now time.Time) ([]*Job, error) {
 			entries = append(entries, journal.Entry{Kind: recKindJob, Data: data})
 		}
 	}
+	var seg uint64
 	if len(entries) > 0 {
 		if err := s.wal.AppendBatch(entries); err == journal.ErrClosed {
 			// Shutdown race: the WAL is already sealed. The only admissions
@@ -112,16 +163,20 @@ func (s *store) PutBatchIfAbsent(jobs []*Job, now time.Time) ([]*Job, error) {
 		} else if err != nil {
 			return nil, fmt.Errorf("server: journaling admission: %w", err)
 		}
+		seg = s.wal.Stats().Active
 	}
 	s.mu.Lock()
 	for i, job := range jobs {
 		if existing[i] == nil {
 			// Absent, expired, or rejected: (re-)admit job in its place.
+			if old, ok := s.jobs[job.ID]; ok {
+				s.drop(old)
+			}
 			s.jobs[job.ID] = job
+			s.charge(job, seg)
 		}
 	}
 	s.mu.Unlock()
-	s.maybeCompactLocked()
 	return existing, nil
 }
 
@@ -131,8 +186,8 @@ func (s *store) PutBatchIfAbsent(jobs []*Job, now time.Time) ([]*Job, error) {
 // state) before the record that says so is in the WAL. The append is
 // best-effort: the job is already durable as queued, so a failed append
 // degrades to "result recomputed on recovery" — safe because runs are
-// deterministic in spec and seed. Compaction runs after the apply, so
-// the snapshot it takes already holds the terminal state.
+// deterministic in spec and seed — and leaves the job charged to the
+// segment of its admission record.
 func (s *store) Finish(job *Job, rec *jobRecord, data []byte) {
 	if s.wal == nil || data == nil {
 		job.finish(rec)
@@ -141,11 +196,16 @@ func (s *store) Finish(job *Job, rec *jobRecord, data []byte) {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	err := s.wal.Append(journal.Entry{Kind: recKindJob, Data: data})
-	if err != nil && err != journal.ErrClosed {
+	if err == nil {
+		seg := s.wal.Stats().Active
+		s.mu.Lock()
+		s.drop(job)
+		s.charge(job, seg)
+		s.mu.Unlock()
+	} else if err != journal.ErrClosed {
 		s.logf("journal: terminal record for %s: %v", job.ID, err)
 	}
 	job.finish(rec)
-	s.maybeCompactLocked()
 }
 
 // Get looks a job up, evicting it lazily when expired.
@@ -157,17 +217,25 @@ func (s *store) Get(id string, now time.Time) (*Job, bool) {
 		return nil, false
 	}
 	if j.expired(now) {
-		s.mu.Lock()
-		// Re-check identity: a concurrent re-admission may have replaced
-		// the expired record since we released the lock; never evict the
-		// replacement.
-		if s.jobs[id] == j {
-			delete(s.jobs, id)
-		}
-		s.mu.Unlock()
+		s.evict(j)
 		return nil, false
 	}
 	return j, true
+}
+
+// evict removes j from the index and reports whether it did. The
+// identity re-check matters: a concurrent re-admission may have replaced
+// the expired record since the caller looked; never evict the
+// replacement.
+func (s *store) evict(j *Job) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.jobs[j.ID] != j {
+		return false
+	}
+	delete(s.jobs, j.ID)
+	s.drop(j)
+	return true
 }
 
 // Len counts indexed jobs without evicting: expired terminal jobs the
@@ -187,23 +255,16 @@ func (s *store) Len() int {
 func (s *store) Sweep(now time.Time) int {
 	removed := 0
 	for _, j := range s.snapshotJobs() {
-		if j.expired(now) { // takes j.mu; never held together with s.mu
-			s.mu.Lock()
-			// Same identity re-check as Get: only evict the job we
-			// examined, not a re-admitted replacement under the same ID.
-			if s.jobs[j.ID] == j {
-				delete(s.jobs, j.ID)
-				removed++
-			}
-			s.mu.Unlock()
+		if j.expired(now) && s.evict(j) { // expired takes j.mu; never held together with s.mu
+			removed++
 		}
 	}
 	return removed
 }
 
 // snapshotJobs returns every indexed job (live or expired; the caller
-// filters): the sweep's work list, the compaction snapshot's input, and
-// the drain-time handoff enumeration.
+// filters): the sweep's work list and the drain-time handoff
+// enumeration.
 func (s *store) snapshotJobs() []*Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -214,56 +275,44 @@ func (s *store) snapshotJobs() []*Job {
 	return out
 }
 
-// maybeCompactLocked snapshots the full live state and truncates
-// superseded segments once enough appends have accumulated. It runs
-// synchronously on the appending goroutine (worker or submitter):
-// snapshots are small (the live job set) and running under wmu keeps
-// the log/snapshot ordering trivially consistent.
-func (s *store) maybeCompactLocked() {
-	if s.wal == nil || s.snapshotEvery == 0 {
+// retire reclaims WAL space: it deletes the oldest run of sealed
+// segments that hold no live record. Nothing is re-encoded or copied
+// forward — every record dies on its own, superseded by a later record
+// of its job or evicted at its TTL — so the work done under wmu is a
+// walk over the counts, not over the retained set. The deletion itself
+// (an fsync of the active segment, the unlinks, a directory fsync)
+// runs after wmu and mu are released.
+func (s *store) retire() {
+	if s.wal == nil {
 		return
 	}
-	if s.wal.Stats().AppendsSinceSnapshot < s.snapshotEvery {
-		return
-	}
-	if err := s.compactLocked(); err != nil && err != journal.ErrClosed {
-		s.logf("journal: snapshot compaction: %v", err)
-	}
-}
-
-// compactNow forces a snapshot compaction (used right after recovery
-// and by tests).
-func (s *store) compactNow() error {
 	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	return s.compactLocked()
-}
-
-// compactLocked writes a full-state snapshot now. Caller holds wmu.
-func (s *store) compactLocked() error {
-	jobs := s.snapshotJobs()
-	entries := make([]journal.Entry, 0, len(jobs))
-	for _, job := range jobs {
-		data, err := encodeRecord(job.record())
-		if err != nil {
-			return err
-		}
-		entries = append(entries, journal.Entry{Kind: recKindJob, Data: data})
+	active := s.wal.Stats().Active
+	s.mu.Lock()
+	from := s.oldest
+	for s.oldest < active && s.live[s.oldest] == 0 {
+		delete(s.live, s.oldest)
+		s.oldest++
 	}
-	return s.wal.Snapshot(entries)
+	kept := s.oldest
+	s.mu.Unlock()
+	s.wmu.Unlock()
+	if kept == from {
+		return
+	}
+	// A failed Retire leaves dead files behind the cursor; they are
+	// harmless to replay, and a later Retire deletes them.
+	if err := s.wal.Retire(kept - 1); err != nil && err != journal.ErrClosed {
+		s.logf("journal: retiring segments before %d: %v", kept, err)
+	}
 }
 
-// Close takes a final snapshot (so the next start replays one compact
-// file instead of the whole tail) and seals the WAL. Called after the
-// drain completes, so every job is quiescent. In memory it is a no-op.
+// Close seals the WAL; in memory it is a no-op. Called after the drain
+// completes, so every job is quiescent. Nothing is written: the next
+// start replays the segments as they stand.
 func (s *store) Close() error {
 	if s.wal == nil {
 		return nil
-	}
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	if err := s.compactLocked(); err != nil && err != journal.ErrClosed {
-		s.logf("journal: final snapshot: %v", err)
 	}
 	return s.wal.Close()
 }
