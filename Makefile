@@ -125,10 +125,13 @@ bench-smoke:
 # this on every push. Go allows one -fuzz pattern per invocation, hence
 # one line per target. FuzzRecover opens a journal over arbitrary
 # segment bytes: the data dir is input from outside the program.
+# FuzzResolveDegree checks the bisecting degree resolver against the
+# ascending-scan oracle.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzDecodeMessage -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzJobFrameRoundTrip -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzMultiExp -fuzztime $(FUZZTIME) ./internal/group
+	$(GO) test -run xxx -fuzz FuzzResolveDegree -fuzztime $(FUZZTIME) ./internal/commit
 	$(GO) test -run xxx -fuzz FuzzRecordRoundTrip -fuzztime $(FUZZTIME) ./internal/journal
 	$(GO) test -run xxx -fuzz FuzzRecover -fuzztime $(FUZZTIME) ./internal/journal
 

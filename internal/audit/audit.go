@@ -91,21 +91,11 @@ func Verify(params *group.Params, tr *protocol.Transcript) (*Report, error) {
 	for i, a := range alphas {
 		powers[i] = commit.PowersOf(f, a, sigma)
 	}
-	// Hoist the Lagrange-at-zero coefficient vectors out of the per-task
-	// resolutions, mirroring the engine's own precomputation: each vector
-	// depends only on the pseudonym prefix, and resolution runs twice per
-	// audited auction. Candidates needing more nodes than agents keep a
-	// nil entry; resolveExponent reports those itself.
-	cands := tr.Bid.DegreeCandidates()
-	rhos := make([][]*big.Int, len(cands))
-	for i, d := range cands {
-		if need := d + 1; need <= len(alphas) {
-			rho, err := f.LagrangeAtZero(alphas[:need])
-			if err != nil {
-				return nil, fmt.Errorf("audit: precomputing resolution coefficients for degree %d: %w", d, err)
-			}
-			rhos[i] = rho
-		}
+	// The engine's own resolver: the auditor re-derives exactly the
+	// degrees the agents resolved, chance successes included.
+	resolver, err := commit.NewResolver(f, tr.Bid.DegreeCandidates(), alphas)
+	if err != nil {
+		return nil, fmt.Errorf("audit: %w", err)
 	}
 
 	rep := &Report{PaymentsOK: true}
@@ -114,7 +104,7 @@ func Verify(params *group.Params, tr *protocol.Transcript) (*Report, error) {
 		if at.Claimed.Aborted {
 			continue
 		}
-		out := verifyAuction(rep, g, f, tr.Bid, alphas, powers, rhos, at)
+		out := verifyAuction(rep, g, f, tr.Bid, alphas, powers, resolver, at)
 		derived[at.Task] = out
 		if out != nil && *out != at.Claimed {
 			rep.addf(at.Task, -1, "claimed outcome %+v differs from derived %+v", at.Claimed, *out)
@@ -152,7 +142,7 @@ func Verify(params *group.Params, tr *protocol.Transcript) (*Report, error) {
 // published record is too inconsistent to derive an outcome (findings are
 // recorded).
 func verifyAuction(rep *Report, g *group.Group, f *field.Field, cfg bidcode.Config,
-	alphas []*big.Int, powers, rhos [][]*big.Int, at *protocol.AuctionTranscript) *protocol.AuctionOutcome {
+	alphas []*big.Int, powers [][]*big.Int, resolver *commit.Resolver, at *protocol.AuctionTranscript) *protocol.AuctionOutcome {
 
 	n := cfg.N
 	task := at.Task
@@ -191,7 +181,7 @@ func verifyAuction(rep *Report, g *group.Group, f *field.Field, cfg bidcode.Conf
 		}
 	}
 	// First-price resolution (equation (12)).
-	firstDeg, err := resolveExponent(g, f, cfg, alphas, rhos, at.Lambda)
+	firstDeg, err := resolver.Resolve(g, at.Lambda, nil)
 	if err != nil {
 		rep.addf(task, -1, "first-price resolution: %v", err)
 		return nil
@@ -256,7 +246,7 @@ func verifyAuction(rep *Report, g *group.Group, f *field.Field, cfg bidcode.Conf
 			return nil
 		}
 	}
-	secondDeg, err := resolveExponent(g, f, cfg, alphas, rhos, at.BarLambda)
+	secondDeg, err := resolver.Resolve(g, at.BarLambda, nil)
 	if err != nil {
 		rep.addf(task, -1, "second-price resolution: %v", err)
 		return nil
@@ -267,41 +257,4 @@ func verifyAuction(rep *Report, g *group.Group, f *field.Field, cfg bidcode.Conf
 		FirstPrice:  firstPrice,
 		SecondPrice: cfg.Sigma() - secondDeg,
 	}
-}
-
-// resolveExponent mirrors the engine's distributed degree resolution over
-// published z1^{E(alpha_k)} values: one (d+1)-term multi-exponentiation
-// per candidate over the hoisted rho vectors (nil entries fall back to
-// recomputing the vector, for callers without the precomputation).
-func resolveExponent(g *group.Group, f *field.Field, cfg bidcode.Config, alphas []*big.Int, rhos [][]*big.Int, lambdas []*big.Int) (int, error) {
-	for ci, d := range cfg.DegreeCandidates() {
-		need := d + 1
-		if need > len(alphas) {
-			return 0, poly.ErrDegreeUnresolved
-		}
-		var rho []*big.Int
-		if ci < len(rhos) {
-			rho = rhos[ci]
-		}
-		if rho == nil {
-			var err error
-			rho, err = f.LagrangeAtZero(alphas[:need])
-			if err != nil {
-				return 0, err
-			}
-		}
-		for k := 0; k < need; k++ {
-			if lambdas[k] == nil {
-				return 0, poly.ErrDegreeUnresolved
-			}
-		}
-		prod, err := g.MultiExp(lambdas[:need], rho[:need])
-		if err != nil {
-			return 0, err
-		}
-		if g.IsOne(prod) {
-			return d, nil
-		}
-	}
-	return 0, poly.ErrDegreeUnresolved
 }

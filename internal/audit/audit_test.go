@@ -1,12 +1,17 @@
 package audit
 
 import (
+	"fmt"
 	"math/big"
+	"math/rand"
 	"testing"
 
 	"dmw/internal/bidcode"
+	"dmw/internal/commit"
 	protocol "dmw/internal/dmw"
 	"dmw/internal/group"
+	"dmw/internal/payment"
+	"dmw/internal/poly"
 )
 
 var auditParams = group.MustPreset(group.PresetTest64)
@@ -162,6 +167,172 @@ func TestVerifyValidatesInputs(t *testing.T) {
 	bad.Bid = bidcode.Config{}
 	if _, err := Verify(auditParams, &bad); err == nil {
 		t.Error("invalid bid config accepted")
+	}
+}
+
+// chanceTranscript publishes one honest-looking auction whose summed
+// e-polynomial breaks the monotonicity degree resolution relies on. With
+// tau = sigma - y* the true degree, the sum is
+//
+//	E = P + (x - alpha_0)...(x - alpha_d0) * S,   P(0) = S(0) = 0, deg P <= d0
+//
+// so the first d0+1 pseudonyms interpolate E to P(0) = 0: the probe at
+// d0 < tau succeeds, as it would by chance with probability ~1/q. Agent 0
+// bids y* and absorbs the crafted sum; every published value is what
+// honest agents holding these polynomials would publish, and the claimed
+// outcome is the one commit.Resolver derives from them.
+func chanceTranscript(t *testing.T, d0 int) (*protocol.Transcript, bidcode.Config, *poly.Poly) {
+	t.Helper()
+	g := group.MustNew(auditParams)
+	f := g.Scalars()
+	cfg := bidcode.Config{W: []int{1, 2, 3, 4, 5, 6}, C: 0, N: 7} // sigma 7, candidates 1..6
+	bids := []int{1, 3, 5, 2, 6, 4, 6}
+	sigma, n := cfg.Sigma(), cfg.N
+	tau := sigma - bids[0]
+	alphas, err := bidcode.Pseudonyms(f, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(int64(d0)))
+	encs := make([]*bidcode.EncodedBid, n)
+	for i, y := range bids {
+		if encs[i], err = bidcode.Encode(cfg, y, f, rng); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p, err := poly.NewRandomZeroConst(f, d0, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := poly.NewRandomZeroConst(f, tau-d0-1, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := s
+	for _, a := range alphas[:d0+1] {
+		target = target.Mul(poly.New(f, []*big.Int{new(big.Int).Neg(a), big.NewInt(1)}))
+	}
+	target = target.Add(p)
+	others := poly.New(f, nil)
+	for _, enc := range encs[1:] {
+		others = others.Add(enc.E)
+	}
+	encs[0].E = target.Add(others.Mul(poly.New(f, []*big.Int{big.NewInt(-1)})))
+
+	at := &protocol.AuctionTranscript{
+		Commitments: make([]*commit.Commitments, n),
+		Lambda:      make([]*big.Int, n), Psi: make([]*big.Int, n),
+		Disclosures: map[int][]*big.Int{},
+		BarLambda:   make([]*big.Int, n), BarPsi: make([]*big.Int, n),
+	}
+	for i, enc := range encs {
+		if at.Commitments[i], err = commit.New(g, enc, sigma); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pair := func(k, exclude int) (*big.Int, *big.Int) {
+		esum, hsum := new(big.Int), new(big.Int)
+		for i, enc := range encs {
+			if i != exclude {
+				esum, hsum = f.Add(esum, enc.E.Eval(alphas[k])), f.Add(hsum, enc.H.Eval(alphas[k]))
+			}
+		}
+		return g.Pow1(esum), g.Pow2(hsum)
+	}
+	for k := range alphas {
+		at.Lambda[k], at.Psi[k] = pair(k, -1)
+	}
+	r, err := commit.NewResolver(f, cfg.DegreeCandidates(), alphas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := r.Resolve(g, at.Lambda, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	price := sigma - first
+	for k := 0; k <= price; k++ {
+		at.Disclosures[k] = make([]*big.Int, n)
+		for l, enc := range encs {
+			at.Disclosures[k][l] = enc.F.Eval(alphas[k])
+		}
+	}
+	winner := 0
+	for bids[winner] > price {
+		winner++
+	}
+	for k := range alphas {
+		at.BarLambda[k], at.BarPsi[k] = pair(k, winner)
+	}
+	second, err := r.Resolve(g, at.BarLambda, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at.Claimed = protocol.AuctionOutcome{Winner: winner, FirstPrice: price, SecondPrice: sigma - second}
+	payments := make([]int64, n)
+	payments[winner] = int64(at.Claimed.SecondPrice)
+	tr := &protocol.Transcript{Bid: cfg, Auctions: []*protocol.AuctionTranscript{at}}
+	for i := 0; i < n; i++ {
+		tr.Claims = append(tr.Claims, payment.Claim{From: i, Payments: payments})
+	}
+	return tr, cfg, target
+}
+
+// TestVerifyAcceptsChanceResolution pins what the bisecting resolver does
+// when a chance success below tau makes the probe non-monotone, and that
+// the auditor, running the same resolver, accepts the outcome the agents
+// derived. With W = {1..6} (candidates 1..6, u = 6) the bisection probes
+// index 3 (d = 4) first: a chance success at d0 = 2 lies off its path and
+// it resolves the true degree 6 where the ascending scan stopped at 2; a
+// chance success at d0 = 4 is on its path and both resolve 4.
+func TestVerifyAcceptsChanceResolution(t *testing.T) {
+	for _, tc := range []struct{ d0, firstPrice, scanPrice int }{
+		{d0: 2, firstPrice: 1, scanPrice: 5},
+		{d0: 4, firstPrice: 3, scanPrice: 3},
+	} {
+		t.Run(fmt.Sprintf("d0=%d", tc.d0), func(t *testing.T) {
+			tr, cfg, target := chanceTranscript(t, tc.d0)
+			// The crafted sum's probes: true at d0 and from tau on, false
+			// everywhere else, so the scan's answer is d0.
+			alphas, err := bidcode.Pseudonyms(target.Field(), cfg.N)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range cfg.DegreeCandidates() {
+				pts := make([]poly.Share, d+1)
+				for k := range pts {
+					pts[k] = poly.Share{Node: alphas[k], Value: target.Eval(alphas[k])}
+				}
+				v, err := poly.InterpolateAtZero(target.Field(), pts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := d == tc.d0 || d >= cfg.Sigma()-1; (v.Sign() == 0) != want {
+					t.Fatalf("probe at d=%d is %v, want %v", d, v.Sign() == 0, want)
+				}
+			}
+			if got := cfg.Sigma() - tc.d0; got != tc.scanPrice {
+				t.Fatalf("fixture: scan price %d, want %d", got, tc.scanPrice)
+			}
+
+			at := tr.Auctions[0]
+			if at.Claimed.FirstPrice != tc.firstPrice {
+				t.Fatalf("bisection resolved first price %d, want %d", at.Claimed.FirstPrice, tc.firstPrice)
+			}
+			rep, err := Verify(auditParams, tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.OK() || rep.AuctionsChecked != 1 {
+				t.Fatalf("auditor rejected the agents' outcome %+v: %v", at.Claimed, rep.Findings)
+			}
+			if tc.scanPrice != tc.firstPrice {
+				at.Claimed.FirstPrice = tc.scanPrice
+				if rep, err := Verify(auditParams, tr); err != nil || rep.OK() {
+					t.Fatalf("auditor accepted the scan's first price %d (err %v)", tc.scanPrice, err)
+				}
+			}
+		})
 	}
 }
 

@@ -1,0 +1,154 @@
+package commit
+
+import (
+	"fmt"
+	"math/big"
+	"slices"
+	"sync"
+
+	"dmw/internal/field"
+	"dmw/internal/group"
+	"dmw/internal/poly"
+)
+
+// Resolver is the distributed degree resolution of equation (12), the one
+// implementation the protocol engine and the offline auditor share. Given
+// the published values Lambda_k = z1^{E(alpha_k)} of the summed
+// e-polynomial E, it resolves the smallest candidate degree d whose first
+// d+1 pseudonyms interpolate E to zero at the origin, checked as one
+// (d+1)-term multi-exponentiation (a probe):
+//
+//	prod_{k<=d} Lambda_k^{rho_k} = 1,   rho = LagrangeAtZero(alpha_0..alpha_d)
+//
+// The probe is monotone in d, so the resolver bisects instead of scanning.
+// Equation (11) binds every published Lambda to E, which has zero constant
+// term and degree tau = sigma - y*: for every d >= tau the d+1 nodes
+// determine E, so the probe is true; below tau it is true only when the
+// interpolant's constant term vanishes by chance (probability ~1/q,
+// PAPER.md P10). A lower-bound bisection over the u usable candidates
+// therefore resolves what the ascending scan resolves, in at most
+// ceil(log2(u+1)) probes instead of up to u. A chance success below tau
+// breaks monotonicity, and then the two may resolve different degrees;
+// every agent and the auditor run this same bisection, so they agree.
+//
+// A Resolver is read-only after NewResolver and safe for concurrent use.
+type Resolver struct {
+	cands []int
+	n     int // pseudonyms
+	// rhos[i] is LagrangeAtZero over the first cands[i]+1 pseudonyms, nil
+	// when there are fewer pseudonyms than that.
+	rhos [][]*big.Int
+}
+
+// NewResolver precomputes the coefficient vector of every candidate degree
+// once, so a run's resolutions share one inversion chain per candidate.
+// cands must ascend, as bidcode.Config.DegreeCandidates returns them.
+func NewResolver(f *field.Field, cands []int, alphas []*big.Int) (*Resolver, error) {
+	r := &Resolver{cands: cands, n: len(alphas), rhos: make([][]*big.Int, len(cands))}
+	for i, d := range cands {
+		if d+1 > len(alphas) {
+			break
+		}
+		rho, err := f.LagrangeAtZero(alphas[:d+1])
+		if err != nil {
+			return nil, fmt.Errorf("commit: resolution coefficients for degree %d: %w", d, err)
+		}
+		r.rhos[i] = rho
+	}
+	return r, nil
+}
+
+// Resolve returns the resolved degree of lambdas, one published value per
+// pseudonym, nil where none is usable. A candidate d is usable when there
+// are d+1 pseudonyms and lambdas[0..d] are all present; usability only
+// shrinks as d grows, so the usable candidates are a prefix and the
+// bisection runs over it. When no usable candidate passes, the error says
+// why the next candidate cannot be tried, exactly as the ascending scan
+// reports its first unusable candidate, and is poly.ErrDegreeUnresolved
+// when every candidate was usable.
+//
+// shared, when non-nil, resolves each distinct vector once per auction
+// (see SharedResolutions).
+func (r *Resolver) Resolve(g *group.Group, lambdas []*big.Int, shared *SharedResolutions) (int, error) {
+	if shared == nil {
+		return r.search(g, lambdas)
+	}
+	e := shared.entry(lambdas)
+	e.once.Do(func() { e.deg, e.err = r.search(g, lambdas) })
+	return e.deg, e.err
+}
+
+func (r *Resolver) search(g *group.Group, lambdas []*big.Int) (int, error) {
+	have := 0 // leading present values
+	for have < len(lambdas) && have < r.n && lambdas[have] != nil {
+		have++
+	}
+	u := 0
+	for u < len(r.cands) && r.cands[u]+1 <= have {
+		u++
+	}
+	lo, hi := 0, u
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		prod, err := g.MultiExp(lambdas[:r.cands[mid]+1], r.rhos[mid])
+		if err != nil {
+			return 0, err
+		}
+		if g.IsOne(prod) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	switch {
+	case lo < u:
+		return r.cands[lo], nil
+	case u == len(r.cands):
+		return 0, poly.ErrDegreeUnresolved
+	case r.cands[u]+1 > r.n:
+		return 0, fmt.Errorf("candidate degree %d needs %d nodes, have %d agents: %w",
+			r.cands[u], r.cands[u]+1, r.n, poly.ErrDegreeUnresolved)
+	default:
+		return 0, fmt.Errorf("missing resolution input from agent %d: %w", have, poly.ErrDegreeUnresolved)
+	}
+}
+
+// SharedResolutions resolves each published vector once per auction. The
+// n agents of an auction resolve the same broadcast objects, twice (first
+// and second price), so the first agent to arrive computes and every agent
+// holding an identical vector waits for its result, error included. As
+// with gammaKey, identity is the exact *big.Int objects: an equivocating
+// medium, or second-price vectors whose nil entries differ, get entries of
+// their own, each computed from its own receiver's values.
+//
+// No strategy hook reaches resolution (deviations change what is
+// published, and that already separates the entries), so no agent needs
+// to bypass the share. Runs that meter per-agent work (RunConfig.CountOps)
+// must not attach one, as with SharedGammaCache. The zero value is ready
+// to use and safe for concurrent use.
+type SharedResolutions struct {
+	mu sync.Mutex
+	// entries holds one resolution per distinct vector, normally two per
+	// auction, so a linear walk is the whole index.
+	entries []*resolution
+}
+
+type resolution struct {
+	lambdas []*big.Int
+	once    sync.Once
+	deg     int
+	err     error
+}
+
+func (s *SharedResolutions) entry(lambdas []*big.Int) *resolution {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, e := range s.entries {
+		if slices.Equal(e.lambdas, lambdas) { // pointer identity
+			return e
+		}
+	}
+	e := &resolution{lambdas: slices.Clone(lambdas)}
+	s.entries = append(s.entries, e)
+	return e
+}

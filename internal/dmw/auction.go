@@ -12,7 +12,6 @@ import (
 	"dmw/internal/field"
 	"dmw/internal/group"
 	"dmw/internal/obs"
-	"dmw/internal/poly"
 	"dmw/internal/strategy"
 	"dmw/internal/transport"
 )
@@ -47,13 +46,8 @@ type auctionEnv struct {
 	alphas []*big.Int
 	// powers[k] = [alpha_k^1 .. alpha_k^sigma], precomputed once.
 	powers [][]*big.Int
-	// rhos[i] holds the Lagrange-at-zero coefficient vector for candidate
-	// degree DegreeCandidates()[i] over the first d+1 pseudonyms,
-	// precomputed once per run (see precomputeRhos); entries for
-	// candidates needing more nodes than agents stay nil. resolveDegree
-	// consumed one LagrangeAtZero inversion chain per candidate per task
-	// before the hoist.
-	rhos [][]*big.Int
+	// resolver runs equation (12); built once per run.
+	resolver *commit.Resolver
 	// echo enables the digest-exchange hardening of echo.go.
 	echo bool
 	// verifier, when non-nil, routes round-2 share verification through
@@ -65,6 +59,9 @@ type auctionEnv struct {
 	// broadcast commitments), so only the first agent to need an entry
 	// computes it. Nil when per-agent ops are being metered.
 	gammaCache *commit.SharedGammaCache
+	// resolutions, when non-nil, resolves each published vector once for
+	// this task's agents; nil exactly when gammaCache is.
+	resolutions *commit.SharedResolutions
 	// clock, when non-nil, receives the round-1 barrier crossing of
 	// every agent so the run-level bidding phase ends with its slowest
 	// auction (see phaseClock).
@@ -243,7 +240,7 @@ func (a *agentRun) run() (*AuctionOutcome, error) {
 	firstDeg := -1
 	if reason == "" {
 		var err error
-		firstDeg, err = a.resolveDegree(a.lambdas, -1)
+		firstDeg, err = a.resolveDegree(a.lambdas)
 		if err != nil {
 			reason = fmt.Sprintf("first-price resolution failed: %v", err)
 		}
@@ -516,55 +513,23 @@ func (a *agentRun) verifyLambdaPsi() string {
 }
 
 // resolveDegree runs the distributed degree resolution of equation (12)
-// over the published Lambda values (or the winner-excluded values in the
-// second-price step when exclude >= 0): for each candidate degree d in
-// ascending order it checks prod_{k=1}^{d+1} Lambda_k^{rho_k} = 1 using
-// the first d+1 pseudonyms, as one (d+1)-term multi-exponentiation over
-// the precomputed rho vectors of the environment.
+// over the published Lambda values, or over the winner-excluded values in
+// the second-price step. commit.Resolver bisects the candidate degrees
+// instead of scanning them: the probe "the first d+1 pseudonyms
+// interpolate Lambda to the identity" is true for every d >= tau once
+// equation (11) binds Lambda, and false below tau except with
+// probability ~1/q, so O(log |W|) probes find the first true one. The
+// auction's agents share each resolution through env.resolutions.
 //
-// Winner-exclusion contract: exclude identifies the winner whose e-share
-// was removed from the SUMS inside the published bar-Lambda values by
-// their publishers (equation (15)). It does NOT remove the winner's NODE
-// from the resolution — every agent, the winner included, still
+// Winner-exclusion contract: in the second-price pass the winner's
+// e-share was removed from the SUMS inside the published bar-Lambda
+// values by their publishers (equation (15)). The winner's NODE is not
+// removed from the resolution: every agent, the winner included, still
 // publishes a pair, and the first d+1 pseudonyms are used regardless of
-// which agent won. The parameter exists to pin that contract at the call
-// sites (and for symmetric audit replay); the arithmetic here is
-// identical for both passes. TestResolveDegreeSecondPriceSemantics
-// pins this behavior.
-func (a *agentRun) resolveDegree(lambdas []*big.Int, exclude int) (int, error) {
-	env := a.env
-	for ci, d := range env.cfg.DegreeCandidates() {
-		need := d + 1
-		if need > env.n {
-			return 0, fmt.Errorf("candidate degree %d needs %d nodes, have %d agents: %w",
-				d, need, env.n, poly.ErrDegreeUnresolved)
-		}
-		var rho []*big.Int
-		if ci < len(env.rhos) {
-			rho = env.rhos[ci]
-		}
-		if rho == nil {
-			// Environments built without precomputation (defensive).
-			var err error
-			rho, err = a.f.LagrangeAtZero(env.alphas[:need])
-			if err != nil {
-				return 0, err
-			}
-		}
-		for k := 0; k < need; k++ {
-			if lambdas[k] == nil {
-				return 0, fmt.Errorf("missing resolution input from agent %d: %w", k, poly.ErrDegreeUnresolved)
-			}
-		}
-		prod, err := a.g.MultiExp(lambdas[:need], rho[:need])
-		if err != nil {
-			return 0, err
-		}
-		if a.g.IsOne(prod) {
-			return d, nil
-		}
-	}
-	return 0, poly.ErrDegreeUnresolved
+// which agent won, so the arithmetic is identical for both passes.
+// TestResolveDegreeSecondPriceSemantics pins this behavior.
+func (a *agentRun) resolveDegree(lambdas []*big.Int) (int, error) {
+	return a.env.resolver.Resolve(a.g, lambdas, a.env.resolutions)
 }
 
 // discloseAndFindWinner runs the dynamic disclosure loop of step III.3:
@@ -803,7 +768,7 @@ func (a *agentRun) resolveSecondPrice(winner int) (int, string, error) {
 			barLambda[k] = nil
 		}
 	}
-	deg, err := a.resolveDegree(barLambda, winner)
+	deg, err := a.resolveDegree(barLambda)
 	if err != nil {
 		return 0, fmt.Sprintf("second-price resolution failed: %v", err), nil
 	}

@@ -227,10 +227,10 @@ func Run(cfg RunConfig) (*Result, error) {
 		return nil, err
 	}
 	sigma := cfg.Bid.Sigma()
-	// Precompute pseudonym powers and resolution coefficient vectors
-	// once; they are shared read-only by every auction goroutine.
+	// Precompute pseudonym powers and the degree resolver once; they are
+	// shared read-only by every auction goroutine.
 	sharedPowers := precomputePowers(g, alphas, sigma)
-	sharedRhos, err := precomputeRhos(g, cfg.Bid, alphas)
+	resolver, err := commit.NewResolver(f, cfg.Bid.DegreeCandidates(), alphas)
 	if err != nil {
 		return nil, err
 	}
@@ -311,17 +311,18 @@ func Run(cfg RunConfig) (*Result, error) {
 				cfg:      cfg.Bid,
 				alphas:   alphas,
 				powers:   sharedPowers,
-				rhos:     sharedRhos,
+				resolver: resolver,
 				echo:     cfg.EchoVerification,
 				clock:    clock,
 				verifier: cfg.Verifier,
 			}
 			if counters == nil {
-				// Cross-agent amortization of the public Gamma table;
-				// per-agent op metering must see each agent do its own
-				// work, so CountOps runs leave this nil (as with the
-				// coalescing verifier above).
+				// Cross-agent amortization of the public Gamma table and
+				// degree resolutions; per-agent op metering must see each
+				// agent do its own work, so CountOps runs leave these nil
+				// (as with the coalescing verifier above).
 				env.gammaCache = commit.NewSharedGammaCache()
+				env.resolutions = new(commit.SharedResolutions)
 			}
 			var agentWG sync.WaitGroup
 			logs := make([][]string, n)
@@ -570,31 +571,6 @@ func precomputePowers(g *group.Group, alphas []*big.Int, sigma int) [][]*big.Int
 		out[i] = commit.PowersOf(g.Scalars(), a, sigma)
 	}
 	return out
-}
-
-// precomputeRhos computes the Lagrange-at-zero coefficient vectors used
-// by resolveDegree, one vector per candidate degree, once per run. The
-// vectors depend only on the pseudonym prefix (the first d+1 alphas), so
-// hoisting them out of per-task resolution saves one inversion chain per
-// candidate per task — resolution runs twice per auction (first- and
-// second-price passes). Candidates that would need more nodes than there
-// are agents keep a nil entry; resolveDegree reports those itself.
-func precomputeRhos(g *group.Group, cfg bidcode.Config, alphas []*big.Int) ([][]*big.Int, error) {
-	f := g.Scalars()
-	cands := cfg.DegreeCandidates()
-	out := make([][]*big.Int, len(cands))
-	for i, d := range cands {
-		need := d + 1
-		if need > len(alphas) {
-			continue
-		}
-		rho, err := f.LagrangeAtZero(alphas[:need])
-		if err != nil {
-			return nil, fmt.Errorf("dmw: precomputing resolution coefficients for degree %d: %w", d, err)
-		}
-		out[i] = rho
-	}
-	return out, nil
 }
 
 // subSeed derives a per-(agent, task) seed from the master seed with a

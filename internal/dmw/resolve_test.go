@@ -3,7 +3,9 @@ package dmw
 import (
 	"fmt"
 	"math/big"
+	"math/bits"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -14,8 +16,8 @@ import (
 )
 
 // resolveFixture builds a minimal agentRun (no transport) whose
-// environment carries precomputed powers and rho vectors, exactly as Run
-// and RunAgentSession construct it.
+// environment carries precomputed powers and the run's resolver, exactly
+// as RunAgentSession constructs it.
 func resolveFixture(t *testing.T, cfg bidcode.Config) *agentRun {
 	t.Helper()
 	g, err := group.New(testParams)
@@ -27,26 +29,25 @@ func resolveFixture(t *testing.T, cfg bidcode.Config) *agentRun {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rhos, err := precomputeRhos(g, cfg, alphas)
+	resolver, err := commit.NewResolver(f, cfg.DegreeCandidates(), alphas)
 	if err != nil {
 		t.Fatal(err)
 	}
 	env := &auctionEnv{
-		task:   0,
-		n:      cfg.N,
-		cfg:    cfg,
-		alphas: alphas,
-		powers: precomputePowers(g, alphas, cfg.Sigma()),
-		rhos:   rhos,
+		task:     0,
+		n:        cfg.N,
+		cfg:      cfg,
+		alphas:   alphas,
+		powers:   precomputePowers(g, alphas, cfg.Sigma()),
+		resolver: resolver,
 	}
 	return &agentRun{env: env, me: 0, g: g, f: f}
 }
 
 // TestResolveDegreeSecondPriceSemantics pins the winner-exclusion
-// contract of resolveDegree (referenced by its doc comment): the
-// `exclude` parameter marks the winner whose e-shares were removed from
-// the SUMS inside the published bar-Lambda values (equation (15)), NOT a
-// node removed from the resolution. Every agent — the winner included —
+// contract of resolveDegree (referenced by its doc comment): the winner's
+// e-shares are removed from the SUMS inside the published bar-Lambda
+// values (equation (15)); its node is NOT removed from the resolution. Every agent — the winner included —
 // still publishes a bar-Lambda over its own pseudonym, and the first d+1
 // pseudonyms are consumed in order regardless of who won. The resolved
 // degree of the winner-less sum is sigma - y**, so the second price is
@@ -87,8 +88,8 @@ func TestResolveDegreeSecondPriceSemantics(t *testing.T) {
 		return out
 	}
 
-	// First-price pass: all senders included, exclude = -1.
-	firstDeg, err := a.resolveDegree(lambdasOver(-1), -1)
+	// First-price pass: all senders included.
+	firstDeg, err := a.resolveDegree(lambdasOver(-1))
 	if err != nil {
 		t.Fatalf("first-price resolution: %v", err)
 	}
@@ -103,7 +104,7 @@ func TestResolveDegreeSecondPriceSemantics(t *testing.T) {
 	if barLambda[winner] == nil {
 		t.Fatal("fixture bug: winner's node must still publish a bar-Lambda")
 	}
-	secondDeg, err := a.resolveDegree(barLambda, winner)
+	secondDeg, err := a.resolveDegree(barLambda)
 	if err != nil {
 		t.Fatalf("second-price resolution: %v", err)
 	}
@@ -111,16 +112,99 @@ func TestResolveDegreeSecondPriceSemantics(t *testing.T) {
 		t.Fatalf("second price = %d, want %d (resolved degree %d)", got, want, secondDeg)
 	}
 
-	// Dropping the winner's NODE (the wrong reading of `exclude`) shifts
-	// which pseudonyms fill the first d+1 slots and must not be what the
-	// implementation does: nulling the winner's entry makes resolution
+	// Dropping the winner's NODE (the wrong reading of winner exclusion)
+	// shifts which pseudonyms fill the first d+1 slots and must not be what
+	// the implementation does: nulling the winner's entry makes resolution
 	// fail, proving the node is genuinely consumed.
 	broken := lambdasOver(winner)
 	broken[winner] = nil
-	if _, err := a.resolveDegree(broken, winner); err == nil {
-		t.Fatal("resolution succeeded without the winner's node; exclude must not remove nodes")
+	if _, err := a.resolveDegree(broken); err == nil {
+		t.Fatal("resolution succeeded without the winner's node; exclusion must not remove nodes")
 	} else if !strings.Contains(err.Error(), "missing resolution input from agent 1") {
 		t.Fatalf("missing-node error = %v, want attribution to agent 1", err)
+	}
+}
+
+// bisectProbes is the resolver's probe sequence in closed form: the
+// candidate indices its lower-bound bisection over u usable candidates
+// visits when the first passing index is r. There are at most
+// ceil(log2(u+1)) of them.
+func bisectProbes(u, r int) []int {
+	var probes []int
+	for lo, hi := 0, u; lo < hi; {
+		mid := int(uint(lo+hi) >> 1)
+		probes = append(probes, mid)
+		if mid >= r {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return probes
+}
+
+// TestResolutionOpsClosedForm pins Theorem 12's resolution term exactly.
+// Under CountOps no resolution is shared, so every agent's counter holds
+// its own: per pass, one (d_i+1)-term multi-exponentiation for each index
+// i of bisectProbes(u, r), where r indexes the resolved degree. The
+// ascending scan it replaced cost r+1 of them, i = 0..r. Each case's
+// scan* fields are one agent's counts at the same seed under the scan, so
+// the test also shows that resolution is the only work that moved.
+func TestResolutionOpsClosedForm(t *testing.T) {
+	for _, tc := range []struct {
+		name                          string
+		preset                        string
+		n, m                          int
+		w                             []int
+		scanCalls, scanTerms, scanExp uint64
+	}{
+		{"proto-crypto", group.PresetSim256, 12, 1, []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, 205, 2628, 2634},
+		{"W={1,2,3}", group.PresetTest64, 5, 2, []int{1, 2, 3}, 93, 476, 489},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := group.MustSharedFor(tc.preset)
+			rng := rand.New(rand.NewSource(1))
+			bids := make([][]int, tc.n)
+			for i := range bids {
+				bids[i] = make([]int, tc.m)
+				for j := range bids[i] {
+					bids[i][j] = tc.w[rng.Intn(len(tc.w))]
+				}
+			}
+			cfg := bidcode.Config{W: tc.w, N: tc.n}
+			res := mustRun(t, RunConfig{Params: g.Params(), Group: g, Bid: cfg, TrueBids: bids, Seed: 1, CountOps: true})
+
+			cands := cfg.DegreeCandidates()
+			u := len(cands)
+			bound := bits.Len(uint(u)) // ceil(log2(u+1))
+			calls, terms := tc.scanCalls, tc.scanTerms
+			for _, a := range res.Auctions {
+				if a.Aborted {
+					t.Fatalf("auction %d aborted: %s", a.Task, a.AbortReason)
+				}
+				for _, price := range []int{a.FirstPrice, a.SecondPrice} {
+					r := sort.SearchInts(cands, cfg.Sigma()-price)
+					for i := 0; i <= r; i++ {
+						calls, terms = calls-1, terms-uint64(cands[i]+1)
+					}
+					probes := bisectProbes(u, r)
+					if len(probes) > bound {
+						t.Fatalf("%d probes over %d candidates, bound %d", len(probes), u, bound)
+					}
+					for _, i := range probes {
+						calls, terms = calls+1, terms+uint64(cands[i]+1)
+					}
+				}
+			}
+			exp := tc.scanExp - tc.scanTerms + terms
+			for i, c := range res.AgentOps {
+				if c.MultiExps() != calls || c.MultiExpTerms() != terms || c.Exp() != exp {
+					t.Errorf("agent %d: %d multi-exps, %d terms, %d exps; closed form %d, %d, %d",
+						i, c.MultiExps(), c.MultiExpTerms(), c.Exp(), calls, terms, exp)
+				}
+			}
+			t.Logf("per agent: %d multi-exps, %d terms (scan: %d, %d)", calls, terms, tc.scanCalls, tc.scanTerms)
+		})
 	}
 }
 
@@ -172,53 +256,5 @@ func TestBatchedVerificationAttributesTamperedShare(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestResolveDegreeWithoutPrecomputedRhos pins the defensive fallback:
-// an environment built without rho hoisting (env.rhos nil) must resolve
-// identically via on-the-fly LagrangeAtZero.
-func TestResolveDegreeWithoutPrecomputedRhos(t *testing.T) {
-	cfg := bidcode.Config{W: []int{1, 2, 3, 4}, C: 1, N: 6}
-	a := resolveFixture(t, cfg)
-	f, env := a.f, a.env
-
-	bids := []int{3, 2, 4, 2, 3, 4}
-	rng := rand.New(rand.NewSource(7))
-	lambdas := make([]*big.Int, env.n)
-	for k := range lambdas {
-		lambdas[k] = new(big.Int)
-	}
-	sums := make([]*big.Int, env.n)
-	for k := range sums {
-		sums[k] = new(big.Int)
-	}
-	for _, y := range bids {
-		enc, err := bidcode.Encode(cfg, y, f, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k := 0; k < env.n; k++ {
-			sums[k] = f.Add(sums[k], enc.E.Eval(env.alphas[k]))
-		}
-	}
-	for k := range lambdas {
-		lambdas[k] = a.g.Pow1(sums[k])
-	}
-
-	want, err := a.resolveDegree(lambdas, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env.rhos = nil // simulate an environment without the hoist
-	got, err := a.resolveDegree(lambdas, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("fallback resolved %d, precomputed resolved %d", got, want)
-	}
-	if got, wantP := cfg.Sigma()-want, 2; got != wantP {
-		t.Fatalf("resolved price = %d, want %d", got, wantP)
 	}
 }

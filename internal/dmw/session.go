@@ -7,6 +7,7 @@ import (
 	"math/rand"
 
 	"dmw/internal/bidcode"
+	"dmw/internal/commit"
 	"dmw/internal/group"
 	"dmw/internal/strategy"
 	"dmw/internal/transport"
@@ -95,7 +96,7 @@ func RunAgentSession(cfg SessionConfig, me int, conn transport.Conn) (*SessionRe
 		return nil, err
 	}
 	powers := precomputePowers(g, alphas, cfg.Bid.Sigma())
-	rhos, err := precomputeRhos(g, cfg.Bid, alphas)
+	resolver, err := commit.NewResolver(g.Scalars(), cfg.Bid.DegreeCandidates(), alphas)
 	if err != nil {
 		return nil, err
 	}
@@ -115,13 +116,13 @@ func RunAgentSession(cfg SessionConfig, me int, conn transport.Conn) (*SessionRe
 			continue
 		}
 		env := &auctionEnv{
-			task:   task,
-			n:      cfg.Bid.N,
-			cfg:    cfg.Bid,
-			alphas: alphas,
-			powers: powers,
-			rhos:   rhos,
-			echo:   cfg.EchoVerification,
+			task:     task,
+			n:        cfg.Bid.N,
+			cfg:      cfg.Bid,
+			alphas:   alphas,
+			powers:   powers,
+			resolver: resolver,
+			echo:     cfg.EchoVerification,
 		}
 		var rng io.Reader // nil means crypto/rand inside bidcode.Encode
 		if !cfg.CryptoRand {

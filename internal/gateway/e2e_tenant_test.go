@@ -61,6 +61,12 @@ func TestE2ETenantIsolationAndStreamSurvival(t *testing.T) {
 	submitAs := func(tenantID, id string, seed int64) (int, http.Header) {
 		sp := tinySpec(seed)
 		sp.ID = id
+		if tenantID == "burst" {
+			// Each round of a burst job waits 100 ms of real time, so every
+			// admitted burst job is still live while the next submissions
+			// arrive and quota 2 is exceeded however fast the host runs jobs.
+			sp.LinkDelayMS = 100
+		}
 		req, err := http.NewRequest(http.MethodPost, front.URL+"/v1/jobs", jsonBody(t, sp))
 		if err != nil {
 			t.Fatal(err)
