@@ -19,13 +19,13 @@
 //	     [-log-level info] [-log-format text|json] [-addr-file path]
 //
 // With -join, the daemon becomes an elastic fleet member: it acquires a
-// renewable lease from the dmwgw gateway(s), which places it on the
-// routing ring automatically (no gateway config edit or restart), and
-// every lease grant installs the fleet view that drives the replicated
-// results tier — terminal job records are pushed to ring successors so
-// reads of acknowledged jobs survive resizes and owner death. On
-// SIGTERM the daemon drains, hands its records to the survivors, and
-// releases its lease. See docs/SCALING.md.
+// renewable lease from every listed dmwgw gateway, each of which places
+// it on its routing ring automatically (no gateway config edit or
+// restart), and every heartbeat's grant installs the fleet view that
+// drives the replicated results tier — terminal job records are pushed
+// to ring successors so reads of acknowledged jobs survive resizes and
+// owner death. On SIGTERM the daemon drains, hands its records to the
+// survivors, and releases its lease. See docs/SCALING.md.
 //
 // Logs are structured (log/slog): -log-format json emits one JSON
 // object per line for machine consumption, each carrying the
@@ -115,7 +115,7 @@ func run() error {
 		sloSpec = flag.String("slo", "", "comma-separated latency objectives, e.g. 'p99<250ms@30d,p999<2s@30d'; burn-rate gauges on /metrics, verdicts on /healthz; see docs/OBSERVABILITY.md")
 		slowThr = flag.Duration("slow-threshold", 0, "force trace capture and log slow_request for jobs queued longer than this (0 = off)")
 
-		join         = flag.String("join", "", "comma-separated dmwgw base URLs to lease fleet membership from (empty = static deployment); see docs/SCALING.md")
+		join         = flag.String("join", "", "comma-separated dmwgw base URLs; the daemon leases fleet membership from every one (empty = static deployment); see docs/SCALING.md")
 		advertise    = flag.String("advertise", "", "base URL peers and the gateway reach this daemon at (default http://<bound addr>, with unspecified hosts rewritten to 127.0.0.1)")
 		memberName   = flag.String("member-name", "", "fleet member name for the lease (default: the replica ID, stable across restarts with -data-dir)")
 		memberWeight = flag.Int("member-weight", 1, "relative ring weight of this member (capacity hint)")
@@ -206,7 +206,7 @@ func run() error {
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 
-	// Elastic membership: lease a ring slot from the gateway(s) and feed
+	// Elastic membership: lease a ring slot from every gateway and feed
 	// every grant's peer list into the replica tier. Started only after
 	// the listener is bound, so the advertised URL is always reachable
 	// by the time the gateway routes to it.

@@ -17,15 +17,17 @@
 //	      [-slo 'p99<250ms@30d'] [-slow-threshold 0]
 //	      [-log-level info] [-log-format text|json]
 //
-// Backends join in two ways: statically via -backend flags, or
-// elastically by leasing membership (dmwd -join http://this-gateway).
-// Leased members are placed on the ring the moment their lease is
-// granted and removed when they release it or let it expire (-lease-ttl
-// bounds how long a silent member stays routable); every membership
-// change bumps the ring epoch exposed on /healthz and /metrics. A
-// gateway may start with zero static backends and grow entirely from
-// leases. -replication is the R factor granted to members for the
-// replicated results tier. See docs/SCALING.md.
+// Backends join in two ways: statically via -backend flags — a lease
+// that never expires — or elastically by leasing membership (dmwd -join
+// http://this-gateway). Leased members are placed on the ring the
+// moment their lease is granted and removed when they release it or let
+// it expire (-lease-ttl bounds how long a silent member stays
+// routable); every membership change bumps the ring epoch exposed on
+// /healthz and /metrics. One rule covers every name: a lease renewal
+// re-points it, a release removes it. A gateway may start with zero
+// static backends and grow entirely from leases. -replication is the R
+// factor granted to members for the replicated results tier. See
+// docs/SCALING.md.
 //
 // Logs are structured (log/slog); -log-format json emits one JSON
 // object per line. Every proxied request carries an X-Request-Id
@@ -40,12 +42,13 @@
 // heterogeneous replicas.
 //
 // The gateway holds no durable state: jobs live in the replicas and
-// their WALs. Its one piece of soft state is the lease table — a
-// restarted gateway routes to its static -backend list at once, and to
-// leased members again after their next renewal (at most a third of
-// -lease-ttl). See docs/SCALING.md for topology, gateway redundancy,
-// failover semantics, and how placement interacts with per-replica
-// WALs.
+// their WALs. Its one piece of soft state is the lease table. Members
+// renew with every gateway on their -join list, so any gateway holds
+// the full ring; a restarted one routes to its static -backend list at
+// once and to leased members after their next renewal (at most a third
+// of -lease-ttl), answering 503 with Retry-After until then. See
+// docs/SCALING.md for topology, gateway redundancy, failover semantics,
+// and how placement interacts with per-replica WALs.
 package main
 
 import (

@@ -156,12 +156,10 @@ func TestFailoverKillNineZeroLoss(t *testing.T) {
 	// crash interrupted.
 	childA2 := spawnChild(t, dirA)
 	if childA2.url != childA.url {
-		// New ephemeral port: real deployments pin ports; the test
-		// re-points the backend the same way an operator's config would.
-		t.Logf("replica A moved %s -> %s; updating backend", childA.url, childA2.url)
-		if err := g.SetBackendURL("A", childA2.url); err != nil {
-			t.Fatal(err)
-		}
+		// New ephemeral port: a lease for "A" at the new URL re-points the
+		// static backend, the move a restarted dmwd -join makes by itself.
+		t.Logf("replica A moved %s -> %s; re-pointing it by lease", childA.url, childA2.url)
+		acquireLease(t, front.URL, "A", childA2.url, 1)
 	}
 
 	// Zero loss: every acknowledged job reaches a terminal state

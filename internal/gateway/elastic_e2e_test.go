@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -12,6 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"dmw/internal/membership"
+	replpkg "dmw/internal/replica"
 	"dmw/internal/server"
 )
 
@@ -350,5 +353,112 @@ func TestE2EElasticKillNineTranscript(t *testing.T) {
 	}
 	if !bytes.Equal(original, viaGW) {
 		t.Error("gateway-served transcript changed across the crash/recovery cycle")
+	}
+}
+
+// TestE2EElasticTwoGateways: two gateways in front of one leased fleet,
+// each member's agent renewing with both. Every acknowledged job stays
+// readable — zero 502 — through the second gateway after the first one
+// dies, and a gateway rebuilt at the first one's address is told the
+// full ring by the members' next renewal, answering 503 (never 502)
+// until then.
+func TestE2EElasticTwoGateways(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs two gateways and lease agents on real timers")
+	}
+	const ttl = 1500 * time.Millisecond
+	newGateway := func() *Gateway {
+		g, err := New(Config{
+			HealthInterval: 25 * time.Millisecond,
+			HealthTimeout:  time.Second,
+			RequestTimeout: 10 * time.Second,
+			LeaseTTL:       ttl,
+			Replication:    2,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(g.Close)
+		return g
+	}
+	g1, g2 := newGateway(), newGateway()
+	front1, front2 := httptest.NewServer(g1.Handler()), httptest.NewServer(g2.Handler())
+	defer front2.Close()
+
+	for _, name := range []string{"r0", "r1"} {
+		rep := startReplica(t)
+		agent, err := membership.NewAgent(membership.AgentConfig{
+			Gateways: []string{front1.URL, front2.URL},
+			Name:     name,
+			URL:      rep.url(),
+			OnGrant: func(gr membership.LeaseGrant) {
+				peers := make([]replpkg.Peer, len(gr.Peers))
+				for i, p := range gr.Peers {
+					peers[i] = replpkg.Peer{Name: p.Name, URL: p.URL, Weight: p.Weight}
+				}
+				rep.srv.ApplyFleetView(replpkg.View{Epoch: gr.Epoch, Self: name, Replication: gr.Replication, Peers: peers})
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		agent.Start()
+		t.Cleanup(agent.Stop)
+	}
+	for _, g := range []*Gateway{g1, g2} {
+		waitMember(t, g, "r0", true)
+		waitMember(t, g, "r1", true)
+	}
+
+	// Acknowledge jobs through gateway 1 and see each one finish.
+	var ids []string
+	for i := 0; i < 16; i++ {
+		sp := tinySpec(int64(i))
+		sp.ID = fmt.Sprintf("two-gw-%02d", i)
+		if status, body := postJSON(t, front1.URL+"/v1/jobs", sp); status != http.StatusAccepted {
+			t.Fatalf("submit %s via gateway 1: HTTP %d: %s", sp.ID, status, body)
+		}
+		if status, body := getJSON(t, front1.URL+"/v1/jobs/"+sp.ID+"?wait=10s"); status != http.StatusOK {
+			t.Fatalf("read %s via gateway 1: HTTP %d: %s", sp.ID, status, body)
+		}
+		ids = append(ids, sp.ID)
+	}
+
+	// Gateway 1 dies; gateway 2 already holds the full ring.
+	addr := front1.Listener.Addr().String()
+	front1.Close()
+	g1.Close()
+	for _, id := range ids {
+		if status, body := getJSON(t, front2.URL+"/v1/jobs/"+id); status != http.StatusOK {
+			t.Errorf("read %s via gateway 2 after gateway 1 died: HTTP %d: %s", id, status, body)
+		}
+	}
+
+	// Rebuild gateway 1 at its old address: it warms (503, never 502)
+	// until one renewal period has passed, then holds both members.
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Skipf("old gateway address %s not reusable: %v", addr, err)
+	}
+	g3 := newGateway()
+	front3 := httptest.NewUnstartedServer(g3.Handler())
+	front3.Listener.Close()
+	front3.Listener = ln
+	front3.Start()
+	defer front3.Close()
+	deadline := time.Now().Add(ttl/3 + 500*time.Millisecond)
+	for g3.ring.Len() < 2 {
+		if status, body := getJSON(t, front3.URL+"/v1/jobs/"+ids[0]); status == http.StatusBadGateway {
+			t.Fatalf("rebuilt gateway answered 502 while warming: %s", body)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("rebuilt gateway has %d of 2 members after one renewal period", g3.ring.Len())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	for _, id := range ids {
+		if status, body := getJSON(t, front3.URL+"/v1/jobs/"+id); status != http.StatusOK {
+			t.Errorf("read %s via the rebuilt gateway: HTTP %d: %s", id, status, body)
+		}
 	}
 }

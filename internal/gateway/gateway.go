@@ -17,11 +17,13 @@
 //
 // The gateway holds no durable state: jobs live in the replicas (and
 // their WALs), and restarting it loses none of them. Its soft state is
-// the lease table — a restarted gateway routes to leased members again
-// only after their next renewal (docs/SCALING.md, "Gateway
-// redundancy"). Reads route by the same ring placement, falling through
-// to successors so jobs submitted during a failover window remain
-// findable.
+// the lease table, which is the backend map itself: a static backend is
+// a lease that never expires, and leased members renew with every
+// gateway they list, so any gateway holds the full ring. A restarted
+// gateway has it back after one renewal and, until then, answers 503
+// with Retry-After (docs/SCALING.md, "Gateway redundancy"). Reads route
+// by the same ring placement, falling through to successors so jobs
+// submitted during a failover window remain findable.
 package gateway
 
 import (
@@ -59,10 +61,11 @@ type Backend struct {
 
 // Config configures New.
 type Config struct {
-	// Backends is the static replica fleet. It may be empty: the fleet
-	// then forms entirely from membership leases (see
-	// internal/membership), and the gateway answers 502/"no backend
-	// candidates" until the first replica leases in.
+	// Backends is the static replica fleet: leases that never expire. It
+	// may be empty: the fleet then forms entirely from membership leases
+	// (see internal/membership), and the gateway answers 503 with
+	// Retry-After until the first replica leases in — 502 once it has
+	// been up for a LeaseTTL with still no member.
 	Backends []Backend
 	// LeaseTTL is the lifetime of membership leases this gateway issues
 	// (default membership.DefaultTTL). Expired leases are swept on the
@@ -159,9 +162,9 @@ func (c Config) withDefaults() Config {
 // backend is the runtime state for one replica.
 type backend struct {
 	name string
-	// base is the replica address; atomic so SetBackendURL can re-point
-	// a backend (replica moved hosts/ports) under live traffic. The
-	// ring identity is the name, so re-pointing never reshuffles
+	// base is the replica address; atomic so a lease renewal can
+	// re-point a backend (replica moved hosts/ports) under live traffic.
+	// The ring identity is the name, so re-pointing never reshuffles
 	// placement.
 	base atomic.Pointer[url.URL]
 	// weight is the ring share; atomic because a lease renewal may
@@ -179,9 +182,9 @@ type backend struct {
 	// the fleet rollup.
 	reqHist *obs.HDR
 
-	// leased marks a backend that joined via a membership lease rather
-	// than static config; it leaves the fleet on release or expiry.
-	leased bool
+	// expires is the lease deadline, guarded by Gateway.bmu; the zero
+	// value never expires, which is what a static backend is.
+	expires time.Time
 
 	// wireSeen latches the first answer from this replica that carried
 	// the X-DMW-Wire capability header; it only feeds the
@@ -218,17 +221,16 @@ type Gateway struct {
 	logf func(format string, args ...any)
 	ring *ring.Ring
 
-	// bmu guards backends and order. The fleet is no longer immutable
-	// after New: membership leases add and remove backends at runtime.
-	// Readers take snapshots (snapshotBackends) rather than holding the
-	// lock across network I/O.
+	// bmu guards backends (the lease table: each backend carries its
+	// deadline) and order, and serializes every change to them with the
+	// matching ring and epoch change — acquire, release, the expiry sweep
+	// and prober eject/readmit each run as one critical section. Readers
+	// take snapshots (snapshotBackends) rather than holding the lock
+	// across network I/O.
 	bmu      sync.RWMutex
 	backends map[string]*backend // by name
 	order    []string            // join order, for stable /healthz output
 
-	// leases is the membership ledger; the sweep on the health tick
-	// turns expirations into ring removals.
-	leases *membership.Table
 	// epoch numbers ring rebuilds: every membership change (lease
 	// join/release/expiry, prober eject/readmit) increments it. Grants
 	// and /metrics expose it so operators and replicas can watch a
@@ -267,7 +269,6 @@ func New(cfg Config) (*Gateway, error) {
 		logf:       logf,
 		ring:       ring.New(cfg.VirtualNodes),
 		backends:   make(map[string]*backend, len(cfg.Backends)),
-		leases:     membership.NewTable(cfg.LeaseTTL),
 		relayBufs:  newRelayPool(),
 		start:      time.Now(),
 		stop:       make(chan struct{}),
@@ -284,10 +285,7 @@ func New(cfg Config) (*Gateway, error) {
 		if err != nil || u.Scheme == "" || u.Host == "" {
 			return nil, fmt.Errorf("gateway: backend %q: invalid URL %q", bc.Name, bc.URL)
 		}
-		b := g.newBackend(bc.Name, u, bc.Weight, false)
-		g.backends[bc.Name] = b
-		g.order = append(g.order, bc.Name)
-		g.ring.Add(bc.Name, int(b.weight.Load()))
+		g.admit(bc.Name, u, bc.Weight, time.Time{})
 	}
 	// Epoch 1 is "the ring as configured at boot"; every later
 	// membership change increments.
@@ -311,15 +309,11 @@ func (g *Gateway) fleetLatencySnapshot() obs.HDRSnapshot {
 	return s
 }
 
-// newBackend builds the runtime state for one replica (static or
-// leased). Callers insert it into g.backends and the ring themselves.
-func (g *Gateway) newBackend(name string, u *url.URL, weight int, leased bool) *backend {
-	if weight < 1 {
-		weight = 1
-	}
+// newBackend builds the runtime state for one replica; admit places it
+// in the fleet.
+func (g *Gateway) newBackend(name string, u *url.URL, weight int) *backend {
 	b := &backend{
 		name:    name,
-		leased:  leased,
 		sem:     make(chan struct{}, g.cfg.MaxInFlight),
 		reqHist: obs.NewHDR(),
 		client: &http.Client{
@@ -363,19 +357,12 @@ func (g *Gateway) snapshotBackends() []*backend {
 	return out
 }
 
-// getBackend looks up one backend by name.
-func (g *Gateway) getBackend(name string) (*backend, bool) {
-	g.bmu.RLock()
-	defer g.bmu.RUnlock()
-	b, ok := g.backends[name]
-	return b, ok
-}
-
 // candidates returns the failover order for key: the ring owner first,
 // then its distinct successors. Ejected backends are already off the
 // ring; if every backend is ejected, fall back to the full fleet (a
 // best-effort attempt beats a guaranteed 503). With an empty fleet
-// (before the first lease) the list is empty and callers answer 502.
+// (before the first lease) the list is empty and callers answer
+// through unrouted.
 func (g *Gateway) candidates(key string) []*backend {
 	names := g.ring.Successors(key, 0)
 	g.bmu.RLock()
@@ -411,21 +398,4 @@ func (b *backend) joinPath(path, rawQuery string) string {
 	u.Path = strings.TrimSuffix(u.Path, "/") + path
 	u.RawQuery = rawQuery
 	return u.String()
-}
-
-// SetBackendURL re-points an existing backend at a new address — the
-// operator move for a replica that came back on a different host/port.
-// Placement is untouched (the ring keys on the backend name); only the
-// dial target changes.
-func (g *Gateway) SetBackendURL(name, rawURL string) error {
-	b, ok := g.getBackend(name)
-	if !ok {
-		return fmt.Errorf("gateway: unknown backend %q", name)
-	}
-	u, err := url.Parse(rawURL)
-	if err != nil || u.Scheme == "" || u.Host == "" {
-		return fmt.Errorf("gateway: backend %q: invalid URL %q", name, rawURL)
-	}
-	b.base.Store(u)
-	return nil
 }

@@ -76,11 +76,10 @@ func (g *Gateway) probe(b *backend) {
 			b.oks++
 			if b.oks >= g.cfg.RecoverAfter {
 				b.oks = 0
-				b.up.Store(true)
-				g.ring.Add(b.name, int(b.weight.Load()))
-				g.epoch.Add(1)
-				g.metrics.readmitted.Add(1)
-				g.logf("gateway: backend %s re-admitted to ring (epoch %d)", b.name, g.epoch.Load())
+				if epoch, ok := g.setUp(b, true); ok {
+					g.metrics.readmitted.Add(1)
+					g.logf("gateway: backend %s re-admitted to ring (epoch %d)", b.name, epoch)
+				}
 			}
 		}
 		return
@@ -88,12 +87,30 @@ func (g *Gateway) probe(b *backend) {
 	b.oks = 0
 	b.fails++
 	if b.up.Load() && b.fails >= g.cfg.FailAfter {
-		b.up.Store(false)
-		g.ring.Remove(b.name)
-		g.epoch.Add(1)
-		g.metrics.ejected.Add(1)
-		g.logf("gateway: backend %s ejected after %d failed probes (epoch %d)", b.name, b.fails, g.epoch.Load())
+		if epoch, ok := g.setUp(b, false); ok {
+			g.metrics.ejected.Add(1)
+			g.logf("gateway: backend %s ejected after %d failed probes (epoch %d)", b.name, b.fails, epoch)
+		}
 	}
+}
+
+// setUp moves b onto (up) or off the ring and returns the bumped epoch.
+// It runs under bmu like every other membership change, and does
+// nothing (ok false) if b has left the fleet since it was probed, so a
+// late probe cannot put a released or expired member back on the ring.
+func (g *Gateway) setUp(b *backend, up bool) (epoch uint64, ok bool) {
+	g.bmu.Lock()
+	defer g.bmu.Unlock()
+	if g.backends[b.name] != b {
+		return 0, false
+	}
+	b.up.Store(up)
+	if up {
+		g.ring.Add(b.name, int(b.weight.Load()))
+	} else {
+		g.ring.Remove(b.name)
+	}
+	return g.epoch.Add(1), true
 }
 
 // checkOnce performs one /healthz GET. A replica that answers 200 is
@@ -136,11 +153,9 @@ type backendStatus struct {
 	Weight    int    `json:"weight"`
 	Up        bool   `json:"up"`
 	ReplicaID string `json:"replica_id,omitempty"`
-	// Source is "static" (config) or "lease" (membership protocol).
-	Source string `json:"source"`
-	// LeaseExpiresSecs is the remaining lease lifetime for leased
-	// members (absent for static ones). Negative means the sweep is
-	// about to remove it.
+	// LeaseExpiresSecs is the remaining lease lifetime, absent for a
+	// member that never expires (a static backend). Negative means the
+	// sweep is about to remove it.
 	LeaseExpiresSecs *float64 `json:"lease_expires_seconds,omitempty"`
 }
 
@@ -163,14 +178,10 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		}
 		bs := backendStatus{
 			Name: b.name, URL: b.base.Load().String(), Weight: int(b.weight.Load()), Up: alive, ReplicaID: rid,
-			Source: "static",
 		}
-		if b.leased {
-			bs.Source = "lease"
-			if l, ok := g.leases.Get(b.name); ok {
-				rem := l.Expires.Sub(now).Seconds()
-				bs.LeaseExpiresSecs = &rem
-			}
+		if left, ok := g.leaseLeft(b, now); ok {
+			rem := left.Seconds()
+			bs.LeaseExpiresSecs = &rem
 		}
 		hv.Backends = append(hv.Backends, bs)
 	}

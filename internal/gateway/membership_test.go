@@ -5,7 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"slices"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -140,8 +145,9 @@ func TestLeaseExpirySweep(t *testing.T) {
 	}
 }
 
-// TestLeaseValidation: a lease may not shadow a static backend's name,
-// and malformed names/URLs are rejected before touching the ring.
+// TestLeaseValidation: malformed names/URLs are rejected before touching
+// the ring, and renewing a static name with a new URL re-points it while
+// it stays a lease that never expires.
 func TestLeaseValidation(t *testing.T) {
 	rep0 := startReplica(t)
 	g, front := startGateway(t, []*replica{rep0}, nil)
@@ -152,7 +158,6 @@ func TestLeaseValidation(t *testing.T) {
 		req  membership.LeaseRequest
 		want int
 	}{
-		{"static shadow", membership.LeaseRequest{Name: "rep0", URL: "http://10.0.0.9:1"}, http.StatusConflict},
 		{"bad name", membership.LeaseRequest{Name: "no spaces allowed", URL: "http://x:1"}, http.StatusBadRequest},
 		{"empty name", membership.LeaseRequest{Name: "", URL: "http://x:1"}, http.StatusBadRequest},
 		{"bad url", membership.LeaseRequest{Name: "ok-name", URL: "not a url"}, http.StatusBadRequest},
@@ -165,6 +170,44 @@ func TestLeaseValidation(t *testing.T) {
 	if g.RingEpoch() != epoch0 || g.ring.Len() != 1 {
 		t.Errorf("rejected leases changed membership: epoch %d ring %d", g.RingEpoch(), g.ring.Len())
 	}
+
+	moved := startReplica(t)
+	acquireLease(t, front.URL, "rep0", moved.url(), 1)
+	if got := g.backends["rep0"].base.Load().String(); got != moved.url() {
+		t.Errorf("renewed static rep0 dials %s, want %s", got, moved.url())
+	}
+	if g.RingEpoch() != epoch0 || g.ring.Len() != 1 {
+		t.Errorf("re-pointing a static name changed membership: epoch %d ring %d", g.RingEpoch(), g.ring.Len())
+	}
+	if hb := healthzBackends(t, front.URL)["rep0"]; hb.LeaseExpiresSecs != nil {
+		t.Errorf("renewed static rep0 carries lease_expires_seconds %g", *hb.LeaseExpiresSecs)
+	}
+}
+
+// healthzBackend is the part of a /healthz backend entry tests read.
+type healthzBackend struct {
+	URL              string   `json:"url"`
+	LeaseExpiresSecs *float64 `json:"lease_expires_seconds"`
+}
+
+// healthzBackends fetches /healthz and indexes its backends by name.
+func healthzBackends(t *testing.T, frontURL string) map[string]healthzBackend {
+	t.Helper()
+	_, body := getJSON(t, frontURL+"/healthz")
+	var hv struct {
+		Backends []struct {
+			Name string `json:"name"`
+			healthzBackend
+		} `json:"backends"`
+	}
+	if err := json.Unmarshal(body, &hv); err != nil {
+		t.Fatalf("decoding /healthz: %v", err)
+	}
+	out := make(map[string]healthzBackend, len(hv.Backends))
+	for _, b := range hv.Backends {
+		out[b.Name] = b.healthzBackend
+	}
+	return out
 }
 
 // TestEmptyFleetGrowsFromLease: a gateway may boot with zero static
@@ -173,12 +216,12 @@ func TestLeaseValidation(t *testing.T) {
 func TestEmptyFleetGrowsFromLease(t *testing.T) {
 	g, front := startGateway(t, nil, nil)
 
-	// Before any member: health says down, submits are unrouted.
+	// Before any member: health says down, submits are told to retry.
 	if st, _ := getJSON(t, front.URL+"/healthz"); st != http.StatusServiceUnavailable {
 		t.Errorf("empty fleet /healthz: HTTP %d, want 503", st)
 	}
-	if st, _ := postJSON(t, front.URL+"/v1/jobs", tinySpec(1)); st != http.StatusBadGateway && st != http.StatusServiceUnavailable {
-		t.Errorf("submit to empty fleet: HTTP %d, want 502/503", st)
+	if st, _ := postJSON(t, front.URL+"/v1/jobs", tinySpec(1)); st != http.StatusServiceUnavailable {
+		t.Errorf("submit to a warming empty fleet: HTTP %d, want 503", st)
 	}
 
 	rep := startReplica(t)
@@ -200,8 +243,9 @@ func TestEmptyFleetGrowsFromLease(t *testing.T) {
 }
 
 // TestHealthzAndMetricsExposeLeaseState: /healthz carries the ring
-// epoch and per-backend source/lease expiry, and /metrics exposes
-// dmwgw_ring_epoch plus dmwgw_backend_lease_seconds for leased members.
+// epoch and each leased member's remaining lease (absent for a member
+// that never expires), and /metrics exposes dmwgw_ring_epoch plus
+// dmwgw_backend_lease_seconds for leased members.
 func TestHealthzAndMetricsExposeLeaseState(t *testing.T) {
 	rep0 := startReplica(t)
 	g, front := startGateway(t, []*replica{rep0}, nil)
@@ -214,11 +258,6 @@ func TestHealthzAndMetricsExposeLeaseState(t *testing.T) {
 	}
 	var hv struct {
 		RingEpoch uint64 `json:"ring_epoch"`
-		Backends  []struct {
-			Name             string   `json:"name"`
-			Source           string   `json:"source"`
-			LeaseExpiresSecs *float64 `json:"lease_expires_seconds"`
-		} `json:"backends"`
 	}
 	if err := json.Unmarshal(body, &hv); err != nil {
 		t.Fatalf("decoding /healthz: %v", err)
@@ -226,19 +265,18 @@ func TestHealthzAndMetricsExposeLeaseState(t *testing.T) {
 	if hv.RingEpoch != g.RingEpoch() {
 		t.Errorf("healthz ring_epoch = %d, want %d", hv.RingEpoch, g.RingEpoch())
 	}
-	sources := map[string]string{}
-	for _, b := range hv.Backends {
-		sources[b.Name] = b.Source
-		if b.Name == "els-obs" {
-			if b.LeaseExpiresSecs == nil || *b.LeaseExpiresSecs <= 0 {
-				t.Errorf("leased member missing positive lease_expires_seconds: %+v", b)
-			}
-		} else if b.LeaseExpiresSecs != nil {
-			t.Errorf("static member %s carries lease_expires_seconds", b.Name)
-		}
+	bs := healthzBackends(t, front.URL)
+	if len(bs) != 2 {
+		t.Errorf("/healthz lists %d backends, want 2", len(bs))
 	}
-	if sources["rep0"] != "static" || sources["els-obs"] != "lease" {
-		t.Errorf("backend sources = %v, want rep0:static els-obs:lease", sources)
+	if left := bs["els-obs"].LeaseExpiresSecs; left == nil || *left <= 0 {
+		t.Errorf("leased member missing positive lease_expires_seconds: %+v", bs["els-obs"])
+	}
+	if bs["rep0"].LeaseExpiresSecs != nil {
+		t.Error("static member rep0 carries lease_expires_seconds")
+	}
+	if strings.Contains(string(body), `"source"`) {
+		t.Errorf("/healthz still carries a source field:\n%s", body)
 	}
 
 	_, mb := getJSON(t, front.URL+"/metrics")
@@ -333,14 +371,15 @@ func TestFirehoseSurvivesEpochChange(t *testing.T) {
 	}
 }
 
-// TestGatewayRestartForgetsLeasesUntilRenewal pins ROADMAP item 6's
-// known gap as it behaves today: the lease table lives in one gateway's
-// memory, so a NEW gateway on the same config starts with an empty ring.
-// Reads of a job the leased member durably holds answer 502 "no backend
-// candidates" — not 404, nothing is lost — until that member's next
-// renewal (the agent heartbeats every TTL/3) re-admits it. Sleep-free:
+// TestGatewayRestartWarmsUntilRenewal: a NEW gateway in front of a
+// lease-only fleet starts with an empty ring — leases live in gateway
+// memory — but it is warming, not broken: for its first LeaseTTL every
+// submit, read, batch and job-event request answers 503 with a
+// Retry-After of at most TTL/3, never 502, and one renewal per member
+// (the agent heartbeats every TTL/3) restores the full ring. Past one
+// TTL an empty fleet is a 502 again. Sleep-free up to that last check:
 // the renewal is the test's own POST, not a timer.
-func TestGatewayRestartForgetsLeasesUntilRenewal(t *testing.T) {
+func TestGatewayRestartWarmsUntilRenewal(t *testing.T) {
 	rep := startReplica(t)
 	_, front := startGateway(t, nil, nil)
 	acquireLease(t, front.URL, "m1", rep.url(), 1)
@@ -355,19 +394,267 @@ func TestGatewayRestartForgetsLeasesUntilRenewal(t *testing.T) {
 	if n := g2.ring.Len(); n != 0 {
 		t.Fatalf("restarted gateway's ring has %d members, want 0 (leases are not persisted)", n)
 	}
-	status, body := getJSON(t, front2.URL+"/v1/jobs/"+spec.ID)
-	if status != http.StatusBadGateway || !strings.Contains(string(body), "no backend candidates") {
-		t.Fatalf("read through restarted gateway: HTTP %d %s, want 502 no backend candidates", status, body)
+	ttl := g2.cfg.LeaseTTL
+	requests := map[string]func() (*http.Response, error){
+		"read": func() (*http.Response, error) { return http.Get(front2.URL + "/v1/jobs/" + spec.ID) },
+		"submit": func() (*http.Response, error) {
+			return http.Post(front2.URL+"/v1/jobs", "application/json", strings.NewReader(`{"bids":[[1],[3],[2],[3]],"w":[1,2,3]}`))
+		},
+		"batch": func() (*http.Response, error) {
+			return http.Post(front2.URL+"/v1/jobs/batch", "application/json", strings.NewReader(`[{"bids":[[1],[3],[2],[3]],"w":[1,2,3]}]`))
+		},
+		"events": func() (*http.Response, error) { return http.Get(front2.URL + "/v1/jobs/" + spec.ID + "/events") },
 	}
-	if status, _ := postJSON(t, front2.URL+"/v1/jobs", tinySpec(4)); status != http.StatusBadGateway {
-		t.Errorf("submit through restarted gateway: HTTP %d, want 502", status)
+	for name, do := range requests {
+		resp, err := do()
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		ra, _ := strconv.Atoi(resp.Header.Get("Retry-After"))
+		if resp.StatusCode != http.StatusServiceUnavailable || ra < 1 || time.Duration(ra)*time.Second > ttl/3 {
+			t.Errorf("%s through warming gateway: HTTP %d Retry-After %q, want 503 with 1..%s",
+				name, resp.StatusCode, resp.Header.Get("Retry-After"), ttl/3)
+		}
 	}
 
-	// The member's next heartbeat lands on the new gateway and re-admits
-	// it; the job was on the replica all along.
+	// The member's next heartbeat lands on the new gateway and restores
+	// the full ring; the job was on the replica all along.
 	acquireLease(t, front2.URL, "m1", rep.url(), 1)
+	if n := g2.ring.Len(); n != 1 {
+		t.Fatalf("ring has %d members after one renewal, want 1", n)
+	}
 	if status, body := getJSON(t, front2.URL+"/v1/jobs/"+spec.ID+"?wait=10s"); status != http.StatusOK {
 		t.Fatalf("read after renewal: HTTP %d: %s", status, body)
+	}
+
+	// Past one TTL with still no member, the fleet is broken: 502.
+	g3, front3 := startGateway(t, nil, func(c *Config) { c.LeaseTTL = 30 * time.Millisecond })
+	time.Sleep(g3.cfg.LeaseTTL - time.Since(g3.start) + 5*time.Millisecond)
+	if status, body := getJSON(t, front3.URL+"/v1/jobs/"+spec.ID); status != http.StatusBadGateway {
+		t.Errorf("read through an empty gateway past one TTL: HTTP %d %s, want 502", status, body)
+	}
+}
+
+// memberURL parses a test member address.
+func memberURL(t *testing.T, raw string) *url.URL {
+	t.Helper()
+	u, err := url.Parse(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return u
+}
+
+// quietGateway is a gateway whose health tick never fires, so a test
+// drives the lease sweep itself at chosen times.
+func quietGateway(t *testing.T, ttl time.Duration) *Gateway {
+	t.Helper()
+	g, _ := startGateway(t, nil, func(c *Config) {
+		c.LeaseTTL = ttl
+		c.HealthInterval = time.Hour
+	})
+	return g
+}
+
+// checkTable asserts the one-table invariant: the map, the join order
+// and the ring hold the same names, so every name with a live lease is
+// routable. It reads all three under bmu, the lock every membership
+// change holds.
+func checkTable(t *testing.T, g *Gateway) {
+	t.Helper()
+	g.bmu.RLock()
+	defer g.bmu.RUnlock()
+	if len(g.order) != len(g.backends) || g.ring.Len() != len(g.backends) {
+		t.Errorf("table drift: %d backends, %d in join order, %d on the ring", len(g.backends), len(g.order), g.ring.Len())
+	}
+	for _, name := range g.order {
+		if _, ok := g.backends[name]; !ok {
+			t.Errorf("%s is in the join order but not the table", name)
+		}
+		if _, on := g.ring.Weight(name); !on {
+			t.Errorf("%s holds a live lease but is off the ring", name)
+		}
+	}
+}
+
+// checkGrant asserts that the grant's peer list is exactly names.
+func checkGrant(t *testing.T, g *Gateway, names ...string) {
+	t.Helper()
+	var peers []string
+	for _, p := range g.grant().Peers {
+		peers = append(peers, p.Name)
+	}
+	if !slices.Equal(peers, names) {
+		t.Errorf("grant peers = %v, want %v", peers, names)
+	}
+}
+
+// TestLeaseAcquireRenewRelease: the first acquire of a name is a join
+// with a deadline exactly one TTL out; a renewal is not a join and
+// moves the deadline; a renewal with a new URL re-points the member and
+// one with a new weight (clamped to >= 1) re-keys the ring; a release
+// drops the name and a second release finds nothing.
+func TestLeaseAcquireRenewRelease(t *testing.T) {
+	g := quietGateway(t, time.Second)
+	now := time.Now()
+	if !g.acquire("a", memberURL(t, "http://x:1"), 1, now) {
+		t.Fatal("first acquire is not a join")
+	}
+	if left, ok := g.leaseLeft(g.backends["a"], now); !ok || left != time.Second {
+		t.Fatalf("lease left %s (leased %v), want 1s", left, ok)
+	}
+	epoch := g.RingEpoch()
+
+	if g.acquire("a", memberURL(t, "http://x:1"), 1, now.Add(500*time.Millisecond)) {
+		t.Fatal("renewal counted as a join")
+	}
+	if left, _ := g.leaseLeft(g.backends["a"], now); left != 1500*time.Millisecond {
+		t.Fatalf("renewal left the lease at %s from the first acquire, want 1.5s", left)
+	}
+	if g.RingEpoch() != epoch {
+		t.Errorf("plain renewal moved the epoch %d -> %d", epoch, g.RingEpoch())
+	}
+
+	g.acquire("a", memberURL(t, "http://x:2"), 1, now)
+	if got := g.backends["a"].base.Load().String(); got != "http://x:2" {
+		t.Errorf("re-pointed member dials %s, want http://x:2", got)
+	}
+	g.acquire("a", memberURL(t, "http://x:2"), 3, now)
+	if w, _ := g.ring.Weight("a"); w != 3 || g.RingEpoch() != epoch+1 {
+		t.Errorf("re-weight: ring weight %d epoch %d, want 3 and %d", w, g.RingEpoch(), epoch+1)
+	}
+	g.acquire("a", memberURL(t, "http://x:2"), 0, now)
+	if w, _ := g.ring.Weight("a"); w != 1 {
+		t.Errorf("weight 0 kept ring weight %d, want clamped to 1", w)
+	}
+	checkTable(t, g)
+	checkGrant(t, g, "a")
+
+	for i, want := range []int{http.StatusNoContent, http.StatusNotFound} {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodDelete, membership.LeasePath+"/a", nil)
+		req.SetPathValue("name", "a")
+		g.handleLeaseRelease(rec, req)
+		if rec.Code != want {
+			t.Errorf("release %d: HTTP %d, want %d", i+1, rec.Code, want)
+		}
+	}
+	checkTable(t, g)
+	checkGrant(t, g)
+}
+
+// TestLeaseExpiryRemovesOnlyPastDeadline: the sweep removes nothing
+// before a deadline, then exactly the members past theirs, and an
+// expired member is gone from the table, the ring and the grant.
+func TestLeaseExpiryRemovesOnlyPastDeadline(t *testing.T) {
+	g := quietGateway(t, time.Second)
+	now := time.Now()
+	g.acquire("b", memberURL(t, "http://x:2"), 1, now)
+	g.acquire("a", memberURL(t, "http://x:1"), 1, now)
+	g.acquire("c", memberURL(t, "http://x:3"), 1, now.Add(5*time.Second))
+
+	g.sweepLeases(now.Add(500 * time.Millisecond))
+	if n := g.metrics.leaseExpiries.Load(); n != 0 {
+		t.Fatalf("premature sweep expired %d leases", n)
+	}
+	g.sweepLeases(now.Add(2 * time.Second))
+	if n := g.metrics.leaseExpiries.Load(); n != 2 {
+		t.Fatalf("sweep expired %d leases, want 2 (a, b)", n)
+	}
+	checkTable(t, g)
+	checkGrant(t, g, "c")
+}
+
+// TestLeaseSweepAndRenewalInEitherOrder is the regression test for the
+// split-lock gap: an expiry sweep and the expiring member's renewal
+// interleave, in both orders, and after every step each name with a
+// live lease is on the ring and in the grant. When the lease table sat
+// beside the backend map under its own lock, a renewal landing between
+// the sweep's two halves left the member renewing successfully forever
+// while off the ring.
+func TestLeaseSweepAndRenewalInEitherOrder(t *testing.T) {
+	g := quietGateway(t, time.Second)
+	u := memberURL(t, "http://x:1")
+	t0 := time.Now()
+	g.acquire("m", u, 1, t0)
+	g.acquire("other", memberURL(t, "http://x:2"), 1, t0.Add(time.Hour))
+
+	// Sweep first, past m's deadline, then m's renewal: it rejoins.
+	late := t0.Add(2 * time.Second)
+	g.sweepLeases(late)
+	checkTable(t, g)
+	checkGrant(t, g, "other")
+	if !g.acquire("m", u, 1, late) {
+		t.Error("renewal after the sweep is not a join")
+	}
+	checkTable(t, g)
+	checkGrant(t, g, "other", "m")
+
+	// Renewal first, then a sweep past m's previous deadline: the
+	// renewal moved it, so m stays.
+	g.acquire("m", u, 1, late.Add(900*time.Millisecond))
+	g.sweepLeases(late.Add(1500 * time.Millisecond))
+	checkTable(t, g)
+	checkGrant(t, g, "other", "m")
+	for i := 0; i < 3; i++ {
+		g.acquire("m", u, 1, late.Add(time.Second))
+		checkTable(t, g)
+		checkGrant(t, g, "other", "m")
+	}
+}
+
+// TestLeaseSweepRacesRenewals: 8 members renew against a tight sweep
+// loop with a 1 ms TTL, so expiries and rejoins interleave constantly;
+// the table, join order and ring never drift apart, and once the sweep
+// stops one renewal each puts all 8 back on the ring. Meaningful under
+// -race.
+func TestLeaseSweepRacesRenewals(t *testing.T) {
+	g := quietGateway(t, time.Millisecond)
+	const members = 8
+	var names []string
+	for i := 0; i < members; i++ {
+		names = append(names, fmt.Sprintf("m%d", i))
+	}
+	stop := make(chan struct{})
+	swept := make(chan struct{})
+	go func() {
+		defer close(swept)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			g.sweepLeases(time.Now())
+			checkTable(t, g)
+		}
+	}()
+	u := memberURL(t, "http://x:1")
+	var wg sync.WaitGroup
+	for _, name := range names {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 60; j++ {
+				g.acquire(name, u, 1+j%2, time.Now())
+				time.Sleep(time.Duration(j%3) * time.Millisecond)
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-swept
+	if g.metrics.leaseExpiries.Load() == 0 {
+		t.Error("no lease expired: the sweep never raced a renewal")
+	}
+	for _, name := range names {
+		g.acquire(name, u, 1, time.Now())
+	}
+	checkTable(t, g)
+	peers := g.grant().Peers
+	if len(peers) != members {
+		t.Errorf("grant lists %d peers after the race, want %d", len(peers), members)
 	}
 }
 

@@ -90,13 +90,10 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	now := time.Now()
 	for _, b := range backends {
 		b.reqHist.Write(w, "dmwgw_backend_request_seconds", `backend="`+b.name+`"`)
-		if b.leased {
-			if l, ok := g.leases.Get(b.name); ok {
-				// Remaining lease lifetime; operators watch this sink
-				// toward zero on a wedged replica before the expiry sweep
-				// fires.
-				p("dmwgw_backend_lease_seconds{backend=%q} %.3f\n", b.name, l.Expires.Sub(now).Seconds())
-			}
+		if left, ok := g.leaseLeft(b, now); ok {
+			// Remaining lease lifetime; operators watch this sink toward
+			// zero on a wedged replica before the expiry sweep fires.
+			p("dmwgw_backend_lease_seconds{backend=%q} %.3f\n", b.name, left.Seconds())
 		}
 	}
 	// Fleet rollup: every backend's request HDR merged exactly (shared

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
@@ -331,9 +332,27 @@ func (g *Gateway) forward(ctx context.Context, key string, req proxyReq, notFoun
 	}
 	g.releaseResult(lastMiss)
 	if lastErr == nil {
-		lastErr = errors.New("no backend candidates")
+		lastErr = errNoCandidates
 	}
 	return nil, lastErr
+}
+
+// errNoCandidates is the walk's error when the fleet is empty.
+var errNoCandidates = errors.New("no backend candidates")
+
+// unrouted answers a request no replica served: a 502 saying why. The
+// exception is an empty fleet on a gateway younger than one LeaseTTL —
+// a fresh or restarted gateway whose members have not renewed here yet
+// — which answers 503 with a Retry-After of one renew period (a third
+// of the TTL): retry, the fleet is on its way, not broken.
+func (g *Gateway) unrouted(w http.ResponseWriter, err error, failure string) {
+	g.metrics.unrouted.Add(1)
+	if errors.Is(err, errNoCandidates) && time.Since(g.start) < g.cfg.LeaseTTL {
+		w.Header().Set("Retry-After", strconv.Itoa(max(1, int(g.cfg.LeaseTTL/3/time.Second))))
+		writeJSON(w, http.StatusServiceUnavailable, apiError{Error: failure + ": gateway warming up, " + err.Error()})
+		return
+	}
+	writeJSON(w, http.StatusBadGateway, apiError{Error: failure + ": " + err.Error()})
 }
 
 func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -364,13 +383,12 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // proxy answers the client with whatever forward gets for req: the
-// first definitive backend response relayed as is, or a 502 saying why
-// nobody gave one.
+// first definitive backend response relayed as is, or unrouted's answer
+// saying why nobody gave one.
 func (g *Gateway) proxy(ctx context.Context, w http.ResponseWriter, key string, req proxyReq, notFoundFallthrough bool, failure string) {
 	res, err := g.forward(ctx, key, req, notFoundFallthrough)
 	if err != nil {
-		g.metrics.unrouted.Add(1)
-		writeJSON(w, http.StatusBadGateway, apiError{Error: failure + ": " + err.Error()})
+		g.unrouted(w, err, failure)
 		return
 	}
 	relay(w, res)
@@ -472,12 +490,15 @@ func (g *Gateway) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		owner, ok := g.ring.Owner(specs[i].ID)
 		if !ok {
-			// Fleet fully ejected (or empty): best effort via any member.
-			// The forwarding walk visits the full candidate list per shard
-			// anyway; with zero members it answers per-item errors below.
-			if bs := g.snapshotBackends(); len(bs) > 0 {
-				owner = bs[0].name
+			// Fleet fully ejected: best effort via any member. The
+			// forwarding walk visits the full candidate list per shard
+			// anyway.
+			bs := g.snapshotBackends()
+			if len(bs) == 0 {
+				g.unrouted(w, errNoCandidates, "no replica accepted the batch")
+				return
 			}
+			owner = bs[0].name
 		}
 		owners[i] = owner
 		counts[owner]++

@@ -155,12 +155,10 @@ func (g *Gateway) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, apiError{Error: "unknown job id"})
 		return
 	}
-	g.metrics.unrouted.Add(1)
-	msg := "no backend candidates"
-	if lastErr != nil {
-		msg = lastErr.Error()
+	if lastErr == nil {
+		lastErr = errNoCandidates
 	}
-	writeJSON(w, http.StatusBadGateway, apiError{Error: "no replica reachable: " + msg})
+	g.unrouted(w, lastErr, "no replica reachable")
 }
 
 // handleFirehose merges every live replica's event firehose into one

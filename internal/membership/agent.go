@@ -15,8 +15,9 @@ import (
 
 // AgentConfig configures a replica-side lease agent.
 type AgentConfig struct {
-	// Gateways are the gateway base URLs, tried in order on every
-	// heartbeat. At least one is required.
+	// Gateways are the gateway base URLs; every heartbeat renews the
+	// lease at all of them, so each one holds the full ring. At least one
+	// is required.
 	Gateways []string
 	// Name is the ring identity to lease (see LeaseRequest.Name).
 	Name string
@@ -33,17 +34,18 @@ type AgentConfig struct {
 	// Logf receives lifecycle lines (joined, lost contact, released);
 	// nil discards.
 	Logf func(format string, args ...any)
-	// OnGrant observes every successful acquire/renew — the hook the
-	// server uses to rebuild its replication view. Called from the
-	// agent's goroutine; keep it fast.
+	// OnGrant observes one grant per successful heartbeat — the first
+	// answer in Gateways order — and is the hook the server uses to
+	// rebuild its replication view. Called from the agent's goroutine;
+	// keep it fast.
 	OnGrant func(LeaseGrant)
 }
 
-// Agent keeps one replica's lease alive: acquire at Start, renew at
-// ~TTL/3 (with fast retry while the gateway is unreachable), release on
-// Stop. The agent never gives up — a gateway restart just looks like a
-// streak of failed renewals followed by a fresh join, which is exactly
-// the lease protocol's recovery story.
+// Agent keeps one replica's lease alive at every gateway: acquire at
+// Start, renew at ~TTL/3 (with fast retry while no gateway answers),
+// release on Stop. The agent never gives up — a gateway restart just
+// looks like a streak of failed renewals there followed by a fresh
+// join, which is exactly the lease protocol's recovery story.
 type Agent struct {
 	cfg AgentConfig
 
@@ -99,21 +101,18 @@ func (a *Agent) loop() {
 			return
 		case <-timer.C:
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		grant, gw, err := a.acquire(ctx)
-		cancel()
+		// Beats are paced from their start: a beat spent waiting out a
+		// hung gateway does not push back the next renewal elsewhere.
+		start := time.Now()
+		grant, gw, err := a.renew(interval)
 		if err != nil {
 			if joined {
 				a.cfg.Logf("membership: lease renewal failed (will retry): %v", err)
 				joined = false
 			}
 			// Retry fast while out of contact: every missed beat eats
-			// into the TTL the gateway is counting down.
-			retry := interval / 3
-			if retry < 25*time.Millisecond {
-				retry = 25 * time.Millisecond
-			}
-			timer.Reset(retry)
+			// into the TTL the gateways are counting down.
+			timer.Reset(max(interval/3, 25*time.Millisecond) - time.Since(start))
 			continue
 		}
 		if !joined {
@@ -121,82 +120,120 @@ func (a *Agent) loop() {
 				gw, grant.Epoch, grant.TTL(), len(grant.Peers))
 			joined = true
 		}
-		if a.cfg.Interval <= 0 && grant.TTLMillis > 0 {
-			interval = grant.TTL() / 3
-			if interval < 20*time.Millisecond {
-				interval = 20 * time.Millisecond
-			}
-		}
+		interval = a.period(grant, interval)
 		if a.cfg.OnGrant != nil {
 			a.cfg.OnGrant(grant)
 		}
-		timer.Reset(interval)
+		timer.Reset(interval - time.Since(start))
 	}
 }
 
-// acquire tries each gateway in order, returning the first grant.
-func (a *Agent) acquire(ctx context.Context) (LeaseGrant, string, error) {
+// period is the renewal interval after grant: Interval when configured,
+// else a third of the grant's TTL (at least 20ms), else current.
+func (a *Agent) period(grant LeaseGrant, current time.Duration) time.Duration {
+	if a.cfg.Interval > 0 || grant.TTLMillis <= 0 {
+		return current
+	}
+	return max(grant.TTL()/3, 20*time.Millisecond)
+}
+
+// each runs f once per gateway, concurrently, and returns when every
+// call has: one slow gateway delays none of the others.
+func (a *Agent) each(f func(i int, gw string)) {
+	var wg sync.WaitGroup
+	for i, gw := range a.cfg.Gateways {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f(i, gw)
+		}()
+	}
+	wg.Wait()
+}
+
+// renew POSTs the lease to every gateway at once and returns the first
+// grant in Gateways order. A gateway gets at most one renewal period to
+// answer — the one the first grant implies once it arrives — so a hung
+// gateway cannot hold the beat past the next renewal due elsewhere.
+func (a *Agent) renew(deadline time.Duration) (LeaseGrant, string, error) {
 	body, err := json.Marshal(LeaseRequest{Name: a.cfg.Name, URL: a.cfg.URL, Weight: a.cfg.Weight})
 	if err != nil {
 		return LeaseGrant{}, "", err
 	}
-	var lastErr error
-	for _, gw := range a.cfg.Gateways {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-			strings.TrimSuffix(gw, "/")+LeasePath, bytes.NewReader(body))
-		if err != nil {
-			lastErr = err
-			continue
+	start := time.Now()
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	grants := make([]LeaseGrant, len(a.cfg.Gateways))
+	errs := make([]error, len(a.cfg.Gateways))
+	var first sync.Once
+	var cutoff *time.Timer
+	a.each(func(i int, gw string) {
+		grants[i], errs[i] = a.post(ctx, gw, body)
+		if errs[i] == nil {
+			first.Do(func() { cutoff = time.AfterFunc(a.period(grants[i], deadline)-time.Since(start), cancel) })
 		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := a.cfg.Client.Do(req)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		resp.Body.Close()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
-			lastErr = fmt.Errorf("gateway %s: HTTP %d: %s", gw, resp.StatusCode, strings.TrimSpace(string(data)))
-			continue
-		}
-		var grant LeaseGrant
-		if err := json.Unmarshal(data, &grant); err != nil {
-			lastErr = fmt.Errorf("gateway %s: decoding grant: %w", gw, err)
-			continue
-		}
-		return grant, gw, nil
+	})
+	if cutoff != nil {
+		cutoff.Stop()
 	}
-	return LeaseGrant{}, "", lastErr
+	for i, gw := range a.cfg.Gateways {
+		if errs[i] == nil {
+			return grants[i], gw, nil
+		}
+	}
+	return LeaseGrant{}, "", errors.Join(errs...)
 }
 
-// Stop halts the heartbeat loop and releases the lease on every
-// gateway (best effort — an unreachable gateway will expire the lease
-// on its own). Idempotent; safe to call before Start.
+// post sends one acquire/renew to gw and decodes its grant.
+func (a *Agent) post(ctx context.Context, gw string, body []byte) (LeaseGrant, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
+		strings.TrimSuffix(gw, "/")+LeasePath, bytes.NewReader(body))
+	if err != nil {
+		return LeaseGrant{}, err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := a.cfg.Client.Do(req)
+	if err != nil {
+		return LeaseGrant{}, err
+	}
+	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	resp.Body.Close()
+	if err != nil {
+		return LeaseGrant{}, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return LeaseGrant{}, fmt.Errorf("gateway %s: HTTP %d: %s", gw, resp.StatusCode, strings.TrimSpace(string(data)))
+	}
+	var grant LeaseGrant
+	if err := json.Unmarshal(data, &grant); err != nil {
+		return LeaseGrant{}, fmt.Errorf("gateway %s: decoding grant: %w", gw, err)
+	}
+	return grant, nil
+}
+
+// Stop halts the heartbeat loop and releases the lease at every
+// gateway concurrently (best effort — an unreachable gateway will
+// expire the lease on its own). Idempotent; safe to call before Start.
 func (a *Agent) Stop() {
 	a.stopOnce.Do(func() {
 		close(a.stop)
 		a.wg.Wait()
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
-		for _, gw := range a.cfg.Gateways {
+		a.each(func(_ int, gw string) {
 			req, err := http.NewRequestWithContext(ctx, http.MethodDelete,
 				strings.TrimSuffix(gw, "/")+LeasePath+"/"+a.cfg.Name, nil)
 			if err != nil {
-				continue
+				return
 			}
 			resp, err := a.cfg.Client.Do(req)
 			if err != nil {
 				a.cfg.Logf("membership: lease release to %s failed (lease will expire): %v", gw, err)
-				continue
+				return
 			}
 			io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 			resp.Body.Close()
 			a.cfg.Logf("membership: lease %s released at %s", a.cfg.Name, gw)
-		}
+		})
 	})
 }

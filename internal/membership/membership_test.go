@@ -2,76 +2,15 @@ package membership
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
-
-func TestTableAcquireRenewRelease(t *testing.T) {
-	tab := NewTable(time.Second)
-	now := time.Now()
-
-	l, isNew, changed := tab.Acquire("a", "http://x:1", 1, now)
-	if !isNew || changed {
-		t.Fatalf("first acquire: isNew=%v changed=%v, want true,false", isNew, changed)
-	}
-	if l.Expires.Sub(now) != time.Second {
-		t.Fatalf("lease expiry %s from now, want 1s", l.Expires.Sub(now))
-	}
-
-	// Renewal: same URL and weight extends the lease without change.
-	l2, isNew, changed := tab.Acquire("a", "http://x:1", 1, now.Add(500*time.Millisecond))
-	if isNew || changed {
-		t.Fatalf("renewal: isNew=%v changed=%v, want false,false", isNew, changed)
-	}
-	if !l2.Expires.After(l.Expires) {
-		t.Fatal("renewal did not extend the lease")
-	}
-	if l2.Renewals != 1 {
-		t.Fatalf("renewals = %d, want 1", l2.Renewals)
-	}
-
-	// Re-pointing: a changed URL reports changed (restart on a new port).
-	if _, isNew, changed := tab.Acquire("a", "http://x:2", 1, now); isNew || !changed {
-		t.Fatalf("re-point: isNew=%v changed=%v, want false,true", isNew, changed)
-	}
-	// Weight clamps to >= 1 and a weight change reports changed.
-	if l, _, changed := tab.Acquire("a", "http://x:2", 0, now); !changed && l.Weight != 1 {
-		t.Fatalf("weight clamp: got weight %d changed=%v", l.Weight, changed)
-	}
-
-	if _, ok := tab.Release("a"); !ok {
-		t.Fatal("release of held lease returned false")
-	}
-	if _, ok := tab.Release("a"); ok {
-		t.Fatal("double release returned true")
-	}
-}
-
-func TestTableExpiry(t *testing.T) {
-	tab := NewTable(time.Second)
-	now := time.Now()
-	tab.Acquire("b", "http://x:2", 1, now)
-	tab.Acquire("a", "http://x:1", 1, now)
-	tab.Acquire("c", "http://x:3", 1, now.Add(5*time.Second))
-
-	if exp := tab.ExpireBefore(now.Add(500 * time.Millisecond)); len(exp) != 0 {
-		t.Fatalf("premature expiry of %d leases", len(exp))
-	}
-	exp := tab.ExpireBefore(now.Add(2 * time.Second))
-	if len(exp) != 2 || exp[0].Name != "a" || exp[1].Name != "b" {
-		t.Fatalf("expired %+v, want [a b] (sorted)", exp)
-	}
-	if tab.Len() != 1 {
-		t.Fatalf("%d leases remain, want 1 (c)", tab.Len())
-	}
-	if _, ok := tab.Get("a"); ok {
-		t.Fatal("expired lease still readable")
-	}
-}
 
 func TestAgentAcquiresRenewsAndReleases(t *testing.T) {
 	var acquires, releases atomic.Int64
@@ -166,6 +105,73 @@ func TestAgentRetriesAcrossGateways(t *testing.T) {
 			t.Fatal("agent never acquired via the fallback gateway")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestAgentRenewsPastHungGateway: the first gateway on the list hangs
+// for 5s on every call; the agent still renews at the second one every
+// TTL/3, because each beat POSTs to both at once and waits for a
+// straggler no longer than one renewal period.
+func TestAgentRenewsPastHungGateway(t *testing.T) {
+	const ttl = 900 * time.Millisecond
+	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			io.Copy(io.Discard, r.Body) // a drained request notices its client leaving
+			select {
+			case <-time.After(5 * time.Second):
+			case <-r.Context().Done():
+			}
+		}
+		w.WriteHeader(http.StatusNoContent)
+	}))
+	defer hung.Close()
+	var mu sync.Mutex
+	var renewals []time.Time
+	live := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			mu.Lock()
+			renewals = append(renewals, time.Now())
+			mu.Unlock()
+			_ = json.NewEncoder(w).Encode(LeaseGrant{Epoch: 1, TTLMillis: ttl.Milliseconds(), Replication: 1})
+			return
+		}
+		w.WriteHeader(http.StatusNoContent)
+	}))
+	defer live.Close()
+
+	var grants atomic.Int64
+	agent, err := NewAgent(AgentConfig{
+		Gateways: []string{hung.URL, live.URL},
+		Name:     "n3",
+		URL:      "http://x:3",
+		OnGrant:  func(LeaseGrant) { grants.Add(1) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	agent.Start()
+	seen := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(renewals)
+	}
+	for deadline := time.Now().Add(3 * time.Second); seen() < 6; {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d renewals reached the live gateway in 3s (TTL %s)", seen(), ttl)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	agent.Stop()
+
+	mu.Lock()
+	defer mu.Unlock()
+	for i := 1; i < len(renewals); i++ {
+		if gap := renewals[i].Sub(renewals[i-1]); gap > ttl/3+100*time.Millisecond {
+			t.Errorf("renewal %d came %s after the previous one, want about TTL/3 = %s", i, gap, ttl/3)
+		}
+	}
+	if grants.Load() == 0 {
+		t.Error("OnGrant never saw the live gateway's grant")
 	}
 }
 
