@@ -1,5 +1,5 @@
-# Development targets; CI runs build + vet + test-race + bench-smoke +
-# bench-harness + fuzz-smoke (see .github/workflows/ci.yml).
+# Development targets; CI runs build + vet + test-race + test-386 +
+# bench-smoke + bench-harness + fuzz-smoke (see .github/workflows/ci.yml).
 
 GO ?= go
 # VERSION is stamped into every binary via -ldflags (dmwd/dmwgw expose
@@ -11,7 +11,7 @@ LDFLAGS = -ldflags "-X dmw/internal/obs.Version=$(VERSION)"
 # manually with `go test -fuzz <Target> <pkg>`.
 FUZZTIME ?= 3s
 
-.PHONY: all build bin vet test test-race test-server e2e-shard e2e-tenant e2e-elastic obs-smoke latency-smoke bench-smoke bench-harness allocs-gate fuzz-smoke ci
+.PHONY: all build bin vet test test-386 test-race test-server e2e-shard e2e-tenant e2e-elastic obs-smoke latency-smoke bench-smoke bench-harness allocs-gate fuzz-smoke ci
 
 all: build vet test
 
@@ -40,6 +40,12 @@ test:
 
 test-race:
 	$(GO) test -race ./...
+
+# test-386 runs the modular arithmetic on a 32-bit target: big.Word is
+# then 32 bits wide, and the word conversions between big.Int and the
+# Montgomery kernels' uint64 limbs take their separate 32-bit path.
+test-386:
+	GOARCH=386 $(GO) test ./internal/field ./internal/group ./internal/mont
 
 # The tier the dmwd acceptance criteria name explicitly.
 test-server:
@@ -94,8 +100,8 @@ latency-smoke:
 	$(GO) test -race -run 'TestLatencySmoke' -v -count=1 ./cmd/dmwload
 
 # allocs-gate enforces the allocation budgets on the hot paths (batched
-# share verification, wire codec, the in-place scalar kernel, share
-# evaluation, interpolation, a whole dmw.Run at the benchmark's
+# share verification, wire codec, the in-place scalar kernel, the group's
+# MulInto and multi-exponentiation, share evaluation, interpolation, a whole dmw.Run at the benchmark's
 # proto-small shape, and the server's own per-job work around the run:
 # one Submit and one terminal transition at the fleet-submit shape).
 # Runs WITHOUT -race: the race detector's instrumentation allocates, so
@@ -103,7 +109,7 @@ latency-smoke:
 # package). CI runs this on every push, next to the e2e and smoke gates.
 allocs-gate:
 	$(GO) test -run 'TestAllocBudget' -count=1 -v ./internal/commit ./internal/wire ./internal/gateway \
-		./internal/field ./internal/poly ./internal/bidcode ./internal/dmw ./internal/server
+		./internal/field ./internal/group ./internal/poly ./internal/bidcode ./internal/dmw ./internal/server
 
 # bench-harness vets and tests the benchmark harness; measuring is
 # `bash benchmark/run.sh --workload <name>` (see benchmark/README.md).
@@ -126,13 +132,15 @@ bench-smoke:
 # one line per target. FuzzRecover opens a journal over arbitrary
 # segment bytes: the data dir is input from outside the program.
 # FuzzResolveDegree checks the bisecting degree resolver against the
-# ascending-scan oracle.
+# ascending-scan oracle; FuzzMontMul checks the fixed-width Montgomery
+# kernels against the generic loop and big.Int.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzDecodeMessage -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzJobFrameRoundTrip -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzMultiExp -fuzztime $(FUZZTIME) ./internal/group
+	$(GO) test -run xxx -fuzz FuzzMontMul -fuzztime $(FUZZTIME) ./internal/mont
 	$(GO) test -run xxx -fuzz FuzzResolveDegree -fuzztime $(FUZZTIME) ./internal/commit
 	$(GO) test -run xxx -fuzz FuzzRecordRoundTrip -fuzztime $(FUZZTIME) ./internal/journal
 	$(GO) test -run xxx -fuzz FuzzRecover -fuzztime $(FUZZTIME) ./internal/journal
 
-ci: build vet test-race e2e-shard e2e-tenant e2e-elastic obs-smoke latency-smoke allocs-gate bench-smoke bench-harness fuzz-smoke
+ci: build vet test-race test-386 e2e-shard e2e-tenant e2e-elastic obs-smoke latency-smoke allocs-gate bench-smoke bench-harness fuzz-smoke

@@ -91,7 +91,10 @@ type agentRun struct {
 
 	abortSeen   bool
 	abortReason string
-	roundLog    []string
+	// keepLog is set for the one agent whose round log the caller keeps;
+	// every other agent skips formatting it.
+	keepLog  bool
+	roundLog []string
 
 	// rec, when non-nil, captures the published values for offline
 	// verification (package audit). Only one agent records per auction.
@@ -112,10 +115,11 @@ type agentRun struct {
 
 // runAgentAuction executes the full DMW auction for one task from one
 // agent's perspective. It always keeps its communication rounds aligned
-// with the other agents (see package strategy).
+// with the other agents (see package strategy). The round log it returns
+// is nil unless keepLog is set.
 func runAgentAuction(env *auctionEnv, me int, g *group.Group, ep transport.Conn,
 	hooks *strategy.Hooks, truthBid int, rng io.Reader, rec *AuctionTranscript,
-	tr *auctionTracer) (*AuctionOutcome, []string, error) {
+	tr *auctionTracer, keepLog bool) (*AuctionOutcome, []string, error) {
 
 	if hooks == nil {
 		hooks = &strategy.Hooks{}
@@ -131,6 +135,7 @@ func runAgentAuction(env *auctionEnv, me int, g *group.Group, ep transport.Conn,
 		hooks:    hooks,
 		rng:      rng,
 		truthBid: truthBid,
+		keepLog:  keepLog,
 		shares:   make([]*bidcode.Share, env.n),
 		comms:    make([]*commit.Commitments, env.n),
 		lambdas:  make([]*big.Int, env.n),
@@ -178,7 +183,9 @@ func (a *agentRun) aborted(reason string) *AuctionOutcome {
 }
 
 func (a *agentRun) logf(format string, args ...any) {
-	a.roundLog = append(a.roundLog, fmt.Sprintf(format, args...))
+	if a.keepLog {
+		a.roundLog = append(a.roundLog, fmt.Sprintf(format, args...))
+	}
 }
 
 func (a *agentRun) run() (*AuctionOutcome, error) {

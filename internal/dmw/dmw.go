@@ -325,7 +325,6 @@ func Run(cfg RunConfig) (*Result, error) {
 				env.resolutions = new(commit.SharedResolutions)
 			}
 			var agentWG sync.WaitGroup
-			logs := make([][]string, n)
 			for i := 0; i < n; i++ {
 				ep, err := nw.Endpoint(i)
 				if err != nil {
@@ -348,19 +347,21 @@ func Run(cfg RunConfig) (*Result, error) {
 					if cfg.Trace != nil && i == 0 {
 						tr = &auctionTracer{rec: cfg.Trace, parent: asp.ID()}
 					}
-					view, log, err := runAgentAuction(env, i, ag, ep, cfg.strategyFor(i), cfg.TrueBids[i][task], rng, rec, tr)
+					// Only agent 0's round log is kept (Result.RoundLogs).
+					view, log, err := runAgentAuction(env, i, ag, ep, cfg.strategyFor(i), cfg.TrueBids[i][task], rng, rec, tr, i == 0)
 					if err != nil {
 						recordErr(err)
 						ep.Crash()
 						view = &AuctionOutcome{Task: task, Aborted: true, AbortReason: "internal error", Winner: -1}
 					}
 					viewsByAgent[i][task] = view
-					logs[i] = log
+					if i == 0 {
+						roundLogs[task] = log
+					}
 				}(i, ep)
 			}
 			agentWG.Wait()
 			stats.Merge(nw.Stats())
-			roundLogs[task] = logs[0]
 			if v := viewsByAgent[0][task]; v != nil {
 				if v.Aborted {
 					asp.SetAttr("aborted", v.AbortReason)

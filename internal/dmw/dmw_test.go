@@ -2,6 +2,7 @@ package dmw
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -228,6 +229,33 @@ func TestRoundLogsRecordProtocolSequence(t *testing.T) {
 			if !strings.Contains(joined, want) {
 				t.Errorf("task %d log missing %q:\n%s", j, want, joined)
 			}
+		}
+	}
+}
+
+// TestRoundLogsPinned pins Result.RoundLogs line for line at one seed
+// (experiment F2 reads it against Fig. 2). Run formats only agent 0's
+// log, the one it returns; a session returns its own agent's log, and at
+// the same seed every agent narrates the same rounds.
+func TestRoundLogsPinned(t *testing.T) {
+	auction := func(winner string) []string {
+		return []string{
+			"round 1 (bidding): sent shares and commitments",
+			"round 2 (allocating): published Lambda/Psi",
+			"resolved first price y* = 1 (degree 5)",
+			"round 3 (allocating): disclosure round, 2 designated",
+			"winner identified: agent " + winner,
+			"round (allocating): published second-price pair excluding winner " + winner,
+			"resolved second price y** = 2",
+		}
+	}
+	want := [][]string{auction("0"), auction("4"), auction("3")}
+	if got := mustRun(t, baseConfig(15)).RoundLogs; !reflect.DeepEqual(got, want) {
+		t.Errorf("Run round logs:\n got %q\nwant %q", got, want)
+	}
+	for i, res := range runSessions(t, baseConfig(15).TrueBids, nil, 15) {
+		if !reflect.DeepEqual(res.RoundLogs, want) {
+			t.Errorf("agent %d session round logs:\n got %q\nwant %q", i, res.RoundLogs, want)
 		}
 	}
 }

@@ -128,7 +128,7 @@ func RunAgentSession(cfg SessionConfig, me int, conn transport.Conn) (*SessionRe
 		if !cfg.CryptoRand {
 			rng = rand.New(rand.NewSource(subSeed(cfg.Seed, me, task)))
 		}
-		view, log, err := runAgentAuction(env, me, g, conn, hooks, cfg.MyBids[task], rng, nil, nil)
+		view, log, err := runAgentAuction(env, me, g, conn, hooks, cfg.MyBids[task], rng, nil, nil, true)
 		if err != nil {
 			return nil, fmt.Errorf("dmw: auction %d: %w", task, err)
 		}

@@ -17,6 +17,13 @@
 // The value-returning methods (Reduce, Add, Sub, Neg, Mul, ...) are thin
 // wrappers that run the same kernel into a fresh big.Int. Neither layer
 // mutates an argument it was not handed as the destination.
+//
+// Operands already in [0, q) — everything the kernel itself returns —
+// take the division-free path: products run on a Montgomery context over
+// q (package mont) up to mont.MaxPlainWords words of q, and sums and
+// differences need one conditional subtraction or addition. Any other
+// operand (negative, q or larger) takes the big.Int reduction, with the
+// same result.
 package field
 
 import (
@@ -25,13 +32,16 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+
+	"dmw/internal/mont"
 )
 
 // Field is the prime field Z_q. The zero value is unusable; construct one
 // with New.
 type Field struct {
 	q   *big.Int
-	qm1 *big.Int // q-1, the exclusive bound RandNonZero draws below
+	qm1 *big.Int  // q-1, the exclusive bound RandNonZero draws below
+	m   *mont.Ctx // products of reduced operands; nil for q = 2 and wide q
 }
 
 var one = big.NewInt(1)
@@ -67,7 +77,13 @@ func New(q *big.Int) (*Field, error) {
 	if !q.ProbablyPrime(32) {
 		return nil, ErrNotPrime
 	}
-	return &Field{q: new(big.Int).Set(q), qm1: new(big.Int).Sub(q, big.NewInt(1))}, nil
+	f := &Field{q: new(big.Int).Set(q), qm1: new(big.Int).Sub(q, big.NewInt(1))}
+	if q.Bit(0) == 1 {
+		if m := mont.New(f.q); m.Words() <= mont.MaxPlainWords {
+			f.m = m
+		}
+	}
+	return f, nil
 }
 
 // MustNew is like New but panics on error. It is intended for package-level
@@ -86,18 +102,25 @@ func (f *Field) Q() *big.Int { return new(big.Int).Set(f.q) }
 // BitLen returns the bit length of the modulus.
 func (f *Field) BitLen() int { return f.q.BitLen() }
 
-// Scratch is the working storage of the in-place kernel: the unreduced
-// product and the quotient that reduction discards. The zero value is ready
-// to use. A Scratch must not be shared between goroutines; a hot loop holds
-// one for its duration so that, once the backing words have grown to the
-// operand size, the arithmetic allocates nothing.
+// Scratch is the working storage of the in-place kernel: the Montgomery
+// staging words, and for operands outside [0, q) the unreduced product and
+// the quotient that reduction discards. The zero value is ready to use. A
+// Scratch must not be shared between goroutines; a hot loop holds one for
+// its duration so that, once the backing words have grown to the operand
+// size, the arithmetic allocates nothing.
 type Scratch struct {
+	m      mont.Scratch
 	t, quo big.Int
+}
+
+// reduced reports whether x lies in [0, q).
+func (f *Field) reduced(x *big.Int) bool {
+	return x.Sign() >= 0 && x.Cmp(f.q) < 0
 }
 
 // ReduceInto sets z = x mod q in [0, q) and returns z. z may alias x.
 func (f *Field) ReduceInto(z, x *big.Int, s *Scratch) *big.Int {
-	if x.Sign() >= 0 && x.Cmp(f.q) < 0 {
+	if f.reduced(x) {
 		return z.Set(x)
 	}
 	// QuoRem truncates toward zero, so a negative x leaves a remainder in
@@ -111,11 +134,23 @@ func (f *Field) ReduceInto(z, x *big.Int, s *Scratch) *big.Int {
 
 // AddInto sets z = a+b mod q and returns z. z may alias a or b.
 func (f *Field) AddInto(z, a, b *big.Int, s *Scratch) *big.Int {
+	if f.reduced(a) && f.reduced(b) {
+		if z.Add(a, b).Cmp(f.q) >= 0 {
+			z.Sub(z, f.q)
+		}
+		return z
+	}
 	return f.ReduceInto(z, z.Add(a, b), s)
 }
 
 // SubInto sets z = a-b mod q and returns z. z may alias a or b.
 func (f *Field) SubInto(z, a, b *big.Int, s *Scratch) *big.Int {
+	if f.reduced(a) && f.reduced(b) {
+		if z.Sub(a, b).Sign() < 0 {
+			z.Add(z, f.q)
+		}
+		return z
+	}
 	return f.ReduceInto(z, z.Sub(a, b), s)
 }
 
@@ -123,6 +158,9 @@ func (f *Field) SubInto(z, a, b *big.Int, s *Scratch) *big.Int {
 // product is then staged in s (big.Int.Mul would allocate a temporary to
 // multiply into an operand).
 func (f *Field) MulInto(z, a, b *big.Int, s *Scratch) *big.Int {
+	if f.m != nil && f.reduced(a) && f.reduced(b) {
+		return f.m.MulInto(z, a, b, &s.m)
+	}
 	t := z
 	if z == a || z == b {
 		t = &s.t
@@ -133,6 +171,9 @@ func (f *Field) MulInto(z, a, b *big.Int, s *Scratch) *big.Int {
 // MulAddInto sets z = a*b + c mod q and returns z: one Horner step with a
 // single reduction. z may alias any argument.
 func (f *Field) MulAddInto(z, a, b, c *big.Int, s *Scratch) *big.Int {
+	if f.m != nil && f.reduced(a) && f.reduced(b) && f.reduced(c) {
+		return f.m.MulAddInto(z, a, b, c, &s.m)
+	}
 	t := z
 	if z == a || z == b || z == c {
 		t = &s.t
@@ -277,7 +318,7 @@ func (f *Field) LagrangeAtZero(nodes []*big.Int) ([]*big.Int, error) {
 	red := make([]*big.Int, n)
 	for i, a := range nodes {
 		red[i] = a // only read below
-		if a.Sign() < 0 || a.Cmp(f.q) >= 0 {
+		if !f.reduced(a) {
 			red[i] = f.Reduce(a)
 		}
 		if red[i].Sign() == 0 {

@@ -27,7 +27,7 @@ func kernelFields(t *testing.T) []*Field {
 // operand draws from the classes the property is quantified over.
 func operand(f *Field, r *rand.Rand) *big.Int {
 	x, _ := f.Rand(r)
-	switch r.Intn(6) {
+	switch r.Intn(8) {
 	case 0:
 		return new(big.Int) // zero
 	case 1:
@@ -38,6 +38,10 @@ func operand(f *Field, r *rand.Rand) *big.Int {
 		return x.Neg(x.Mul(x, f.q)) // negative multiple-ish of q
 	case 4:
 		return new(big.Int).Sub(f.q, big.NewInt(1)) // q-1
+	case 5:
+		return x.Add(x, f.q) // in [q, 2q)
+	case 6:
+		return new(big.Int).Set(f.q) // q itself
 	default:
 		return x // reduced
 	}

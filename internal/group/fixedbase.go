@@ -3,19 +3,21 @@ package group
 import (
 	"math/big"
 	"math/bits"
+
+	"dmw/internal/mont"
 )
 
 // fixedBase precomputes windowed power tables for one base of order q,
 // turning each exponentiation into ~ceil(qBits/window) modular
 // multiplications with no squarings. The table entries live in the
-// Montgomery domain (montgomery.go), so each step is a division-free
+// Montgomery domain (package mont), so each step is a division-free
 // CIOS multiplication; only the final result is converted back. The
 // protocol exponentiates z1 and z2 thousands of times per auction
 // (commitments, verification equations, Lambda/Psi), so the fixed bases
 // dominate Theorem 12's cost in practice; BenchmarkFixedBaseSpeedup
 // quantifies the gain.
 type fixedBase struct {
-	m      *mont
+	m      *mont.Ctx
 	window uint
 	// table[i][d] = base^(d << (window*i)), Montgomery form.
 	table [][][]uint64
@@ -28,26 +30,26 @@ type fixedBase struct {
 const fixedBaseWindow = 4
 
 // newFixedBase builds the table for a base of order q mod p.
-func newFixedBase(m *mont, base, q *big.Int) *fixedBase {
+func newFixedBase(m *mont.Ctx, base, q *big.Int) *fixedBase {
 	numWindows := (q.BitLen() + fixedBaseWindow - 1) / fixedBaseWindow
 	fb := &fixedBase{
 		m:      m,
 		window: fixedBaseWindow,
 		table:  make([][][]uint64, numWindows),
 	}
-	t := m.scratch()
-	cur := m.toMont(base, t) // base^(2^(window*i)) as i advances
+	t := m.Temp()
+	cur := m.ToMont(base, t) // base^(2^(window*i)) as i advances
 	for i := 0; i < numWindows; i++ {
 		row := make([][]uint64, 1<<fixedBaseWindow)
-		row[0] = m.set(m.one)
+		row[0] = m.Set(m.One())
 		for d := 1; d < len(row); d++ {
-			row[d] = m.newElem()
-			m.mul(row[d], row[d-1], cur, t)
+			row[d] = m.NewElem()
+			m.Mul(row[d], row[d-1], cur, t)
 		}
 		fb.table[i] = row
 		// Advance cur to base^(2^(window*(i+1))).
-		next := m.newElem()
-		m.mul(next, row[len(row)-1], cur, t)
+		next := m.NewElem()
+		m.Mul(next, row[len(row)-1], cur, t)
 		cur = next
 	}
 	return fb
@@ -56,9 +58,9 @@ func newFixedBase(m *mont, base, q *big.Int) *fixedBase {
 // exp computes base^e mod p for a reduced exponent e in [0, q).
 func (fb *fixedBase) exp(e *big.Int) *big.Int {
 	m := fb.m
-	ws := m.acquire()
-	acc := ws.acc
-	copy(acc, m.one)
+	ws := m.Acquire()
+	acc := ws.Acc
+	copy(acc, m.One())
 	words := e.Bits()
 	numWindows := (e.BitLen() + fixedBaseWindow - 1) / fixedBaseWindow
 	for i := 0; i < numWindows; i++ {
@@ -69,10 +71,10 @@ func (fb *fixedBase) exp(e *big.Int) *big.Int {
 		if i >= len(fb.table) {
 			break // cannot happen for e < q
 		}
-		m.mul(acc, acc, fb.table[i][d], ws.t)
+		m.Mul(acc, acc, fb.table[i][d], ws.T)
 	}
-	out := m.fromMontDestr(acc, ws.t)
-	m.release(ws)
+	out := m.FromMontInto(new(big.Int), acc, ws.T)
+	m.Release(ws)
 	return out
 }
 
@@ -113,7 +115,7 @@ func digitViaBit(e *big.Int, offset uint, mask uint) uint {
 // operation of the Bidding phase. BenchmarkCommitJointBase quantifies
 // the gain.
 type jointBase struct {
-	m      *mont
+	m      *mont.Ctx
 	window uint
 	table  [][][]uint64
 }
@@ -130,7 +132,7 @@ func newJointBase(fb1, fb2 *fixedBase) *jointBase {
 	m := fb1.m
 	jb := &jointBase{m: m, window: fixedBaseWindow, table: make([][][]uint64, n)}
 	size := 1 << fixedBaseWindow
-	t := m.scratch()
+	t := m.Temp()
 	for i := 0; i < n; i++ {
 		row := make([][]uint64, size*size)
 		r1, r2 := fb1.table[i], fb2.table[i]
@@ -143,8 +145,8 @@ func newJointBase(fb1, fb2 *fixedBase) *jointBase {
 				case d2 == 0:
 					row[d1] = r1[d1]
 				default:
-					v := m.newElem()
-					m.mul(v, r1[d1], base2, t)
+					v := m.NewElem()
+					m.Mul(v, r1[d1], base2, t)
 					row[d1|d2<<fixedBaseWindow] = v
 				}
 			}
@@ -158,9 +160,9 @@ func newJointBase(fb1, fb2 *fixedBase) *jointBase {
 // joint table; x and r must be reduced exponents in [0, q).
 func (jb *jointBase) commit(x, r *big.Int) *big.Int {
 	m := jb.m
-	ws := m.acquire()
-	acc := ws.acc
-	copy(acc, m.one)
+	ws := m.Acquire()
+	acc := ws.Acc
+	copy(acc, m.One())
 	wx, wr := x.Bits(), r.Bits()
 	maxBits := x.BitLen()
 	if l := r.BitLen(); l > maxBits {
@@ -176,9 +178,9 @@ func (jb *jointBase) commit(x, r *big.Int) *big.Int {
 		if i >= len(jb.table) {
 			break // cannot happen for reduced exponents
 		}
-		m.mul(acc, acc, jb.table[i][d], ws.t)
+		m.Mul(acc, acc, jb.table[i][d], ws.T)
 	}
-	out := m.fromMontDestr(acc, ws.t)
-	m.release(ws)
+	out := m.FromMontInto(new(big.Int), acc, ws.T)
+	m.Release(ws)
 	return out
 }

@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"math/big"
 	"math/bits"
+	"sync"
+
+	"dmw/internal/mont"
 )
 
 // This file implements the multi-exponentiation engine behind the
@@ -46,18 +49,11 @@ var ErrMultiExpInput = errors.New("group: invalid multi-exp input")
 // independent Exp calls) and is additionally recorded in the dedicated
 // multi-exp counters.
 func (g *Group) MultiExp(bases, exps []*big.Int) (*big.Int, error) {
-	if len(bases) != len(exps) {
-		return nil, fmt.Errorf("%w: %d bases vs %d exponents", ErrMultiExpInput, len(bases), len(exps))
-	}
-	red := make([]*big.Int, len(exps))
-	for i, e := range exps {
-		if e == nil || bases[i] == nil {
-			return nil, fmt.Errorf("%w: nil term at index %d", ErrMultiExpInput, i)
-		}
-		red[i] = g.reduced(e)
+	if err := checkTerms(bases, exps, false); err != nil {
+		return nil, err
 	}
 	g.countMultiExp(len(bases))
-	return multiExpCore(g.mont, bases, red), nil
+	return multiExpInto(g.mont, new(big.Int), bases, exps, g.params.Q), nil
 }
 
 // MultiExpNoReduce is MultiExp without the mod-q exponent reduction:
@@ -68,55 +64,82 @@ func (g *Group) MultiExp(bases, exps []*big.Int) (*big.Int, error) {
 // mod q is only sound for order-q elements, whereas integer-exponent
 // identities hold unconditionally in Z_p^*.
 func (g *Group) MultiExpNoReduce(bases, exps []*big.Int) (*big.Int, error) {
+	if err := checkTerms(bases, exps, true); err != nil {
+		return nil, err
+	}
+	g.countMultiExp(len(bases))
+	return multiExpInto(g.mont, new(big.Int), bases, exps, nil), nil
+}
+
+// checkTerms rejects mismatched lengths, nil terms and, when
+// nonNegative is set, negative exponents.
+func checkTerms(bases, exps []*big.Int, nonNegative bool) error {
 	if len(bases) != len(exps) {
-		return nil, fmt.Errorf("%w: %d bases vs %d exponents", ErrMultiExpInput, len(bases), len(exps))
+		return fmt.Errorf("%w: %d bases vs %d exponents", ErrMultiExpInput, len(bases), len(exps))
 	}
 	for i, e := range exps {
 		if e == nil || bases[i] == nil {
-			return nil, fmt.Errorf("%w: nil term at index %d", ErrMultiExpInput, i)
+			return fmt.Errorf("%w: nil term at index %d", ErrMultiExpInput, i)
 		}
-		if e.Sign() < 0 {
-			return nil, fmt.Errorf("%w: negative exponent at index %d", ErrMultiExpInput, i)
+		if nonNegative && e.Sign() < 0 {
+			return fmt.Errorf("%w: negative exponent at index %d", ErrMultiExpInput, i)
 		}
 	}
-	g.countMultiExp(len(bases))
-	return multiExpCore(g.mont, bases, exps), nil
+	return nil
 }
 
-// multiExpCore dispatches to the cheaper algorithm for the input shape.
-// Exponents must be non-negative; bases are reduced mod p internally.
-func multiExpCore(m *mont, bases, exps []*big.Int) *big.Int {
-	p := m.p
+// terms is the working list of a multi-exponentiation's nonzero terms,
+// pooled so that a warm call allocates nothing for it.
+type terms struct{ bases, exps []*big.Int }
+
+var termsPool = sync.Pool{New: func() any { return new(terms) }}
+
+// multiExpInto sets z to the product, dispatching to the cheaper
+// algorithm for the input shape, and returns z. Bases are reduced mod p
+// internally; exponents are reduced mod q when q is non-nil and must be
+// non-negative otherwise. In-range inputs and a warm z cost no
+// allocation.
+func multiExpInto(m *mont.Ctx, z *big.Int, bases, exps []*big.Int, q *big.Int) *big.Int {
+	p := m.Modulus()
 	// Drop zero-exponent terms up front: they contribute the identity and
 	// would only pad the tables.
-	nb := make([]*big.Int, 0, len(bases))
-	ne := make([]*big.Int, 0, len(exps))
+	ts := termsPool.Get().(*terms)
+	defer func() {
+		clear(ts.bases)
+		clear(ts.exps)
+		ts.bases, ts.exps = ts.bases[:0], ts.exps[:0]
+		termsPool.Put(ts)
+	}()
 	maxBits := 0
-	for i := range bases {
-		if exps[i].Sign() == 0 {
+	for i, e := range exps {
+		if q != nil && (e.Sign() < 0 || e.Cmp(q) >= 0) {
+			e = new(big.Int).Mod(e, q)
+		}
+		if e.Sign() == 0 {
 			continue
 		}
 		b := bases[i]
 		if b.Sign() < 0 || b.Cmp(p) >= 0 {
 			b = new(big.Int).Mod(b, p)
 		}
-		nb = append(nb, b)
-		ne = append(ne, exps[i])
-		if l := exps[i].BitLen(); l > maxBits {
+		ts.bases = append(ts.bases, b)
+		ts.exps = append(ts.exps, e)
+		if l := e.BitLen(); l > maxBits {
 			maxBits = l
 		}
 	}
+	nb, ne := ts.bases, ts.exps
 	switch len(nb) {
 	case 0:
-		return big.NewInt(1)
+		return z.SetInt64(1)
 	case 1:
-		return new(big.Int).Exp(nb[0], ne[0], p)
+		return z.Exp(nb[0], ne[0], p)
 	}
 	method, w := planMultiExp(len(nb), maxBits)
 	if method == methodPippenger {
-		return pippengerMont(m, nb, ne, w, maxBits)
+		return pippengerMont(m, z, nb, ne, w, maxBits)
 	}
-	return strausMont(m, nb, ne, w, maxBits)
+	return strausMont(m, z, nb, ne, w, maxBits)
 }
 
 const (
@@ -170,51 +193,52 @@ func windowDigit(words []big.Word, offset, width uint) uint {
 }
 
 // strausMultiExp is the big.Int-facing wrapper used by tests to force
-// the Straus path; production calls flow through multiExpCore with the
+// the Straus path; production calls flow through multiExpInto with the
 // Group's cached Montgomery context.
 func strausMultiExp(p *big.Int, bases, exps []*big.Int, w uint, maxBits int) *big.Int {
-	return strausMont(newMont(p), bases, exps, w, maxBits)
+	return strausMont(mont.New(p), new(big.Int), bases, exps, w, maxBits)
 }
 
 // pippengerMultiExp is the big.Int-facing wrapper used by tests to force
 // the bucket path.
 func pippengerMultiExp(p *big.Int, bases, exps []*big.Int, w uint, maxBits int) *big.Int {
-	return pippengerMont(newMont(p), bases, exps, w, maxBits)
+	return pippengerMont(mont.New(p), new(big.Int), bases, exps, w, maxBits)
 }
 
 // strausMont interleaves windowed exponentiations over a shared squaring
 // chain: per window, w squarings total (not per term) plus one table
-// multiplication per term with a nonzero digit. All arithmetic runs in
-// the Montgomery domain (see montgomery.go); bases must be in [0, p).
-func strausMont(m *mont, bases, exps []*big.Int, w uint, maxBits int) *big.Int {
-	ws := m.acquire()
-	defer m.release(ws)
-	t := ws.t
-	k := m.k
+// multiplication per term with a nonzero digit, and writes the product
+// into z. All arithmetic runs in the Montgomery domain (package mont);
+// bases must be in [0, p).
+func strausMont(m *mont.Ctx, z *big.Int, bases, exps []*big.Int, w uint, maxBits int) *big.Int {
+	ws := m.Acquire()
+	defer m.Release(ws)
+	t := ws.T
+	k := m.Words()
 	// Per-term power tables live in one arena slab: entry (i, d) at
 	// word offset (i*rowLen + d-1)*k holds bases[i]^d in Montgomery
 	// form, for d = 1..2^w-1.
 	rowLen := (1 << w) - 1
-	tab := ws.take(len(bases) * rowLen * k)
+	tab := ws.Take(len(bases) * rowLen * k)
 	entry := func(i, d int) []uint64 {
 		off := (i*rowLen + d - 1) * k
 		return tab[off : off+k]
 	}
 	for i, b := range bases {
-		m.toMontInto(entry(i, 1), b, ws)
+		m.ToMontInto(entry(i, 1), b, ws)
 		for d := 2; d <= rowLen; d++ {
-			m.mul(entry(i, d), entry(i, d-1), entry(i, 1), t)
+			m.Mul(entry(i, d), entry(i, d-1), entry(i, 1), t)
 		}
 	}
 
-	acc := ws.acc
-	copy(acc, m.one)
+	acc := ws.Acc
+	copy(acc, m.One())
 	started := false
 	numWindows := (maxBits + int(w) - 1) / int(w)
 	for win := numWindows - 1; win >= 0; win-- {
 		if started {
 			for s := uint(0); s < w; s++ {
-				m.mul(acc, acc, acc, t)
+				m.Mul(acc, acc, acc, t)
 			}
 		}
 		offset := uint(win) * w
@@ -223,46 +247,46 @@ func strausMont(m *mont, bases, exps []*big.Int, w uint, maxBits int) *big.Int {
 			if d == 0 {
 				continue
 			}
-			m.mul(acc, acc, entry(i, int(d)), t)
+			m.Mul(acc, acc, entry(i, int(d)), t)
 			started = true
 		}
 	}
-	return m.fromMontDestr(acc, t)
+	return m.FromMontInto(z, acc, t)
 }
 
 // pippengerMont is the bucket method: per window, each term is
 // multiplied into the bucket of its digit, and the buckets are folded
 // with the running-product trick (prod_d bucket[d]^d computed in
 // 2*(2^w - 1) multiplications), over the same shared squaring chain.
-func pippengerMont(m *mont, bases, exps []*big.Int, w uint, maxBits int) *big.Int {
-	ws := m.acquire()
-	defer m.release(ws)
-	t := ws.t
-	k := m.k
-	mb := ws.take(len(bases) * k)
+func pippengerMont(m *mont.Ctx, z *big.Int, bases, exps []*big.Int, w uint, maxBits int) *big.Int {
+	ws := m.Acquire()
+	defer m.Release(ws)
+	t := ws.T
+	k := m.Words()
+	mb := ws.Take(len(bases) * k)
 	for i, b := range bases {
-		m.toMontInto(mb[i*k:(i+1)*k], b, ws)
+		m.ToMontInto(mb[i*k:(i+1)*k], b, ws)
 	}
 	// Buckets live in one flat arena slab. Occupancy is tracked by a
 	// per-window generation stamp instead of a reset pass: bucket d is
 	// live in window win iff stamp[d] == win+1 (the initial zeros match
 	// no window).
-	store := ws.take((1 << w) * k)
-	stamp := ws.take(1 << w)
-	running := ws.take(k)
+	store := ws.Take((1 << w) * k)
+	stamp := ws.Take(1 << w)
+	running := ws.Take(k)
 	for d := range stamp {
 		stamp[d] = 0
 	}
 	bucket := func(d uint) []uint64 { return store[int(d)*k : (int(d)+1)*k] }
 
-	acc := ws.acc
-	copy(acc, m.one)
+	acc := ws.Acc
+	copy(acc, m.One())
 	started := false
 	numWindows := (maxBits + int(w) - 1) / int(w)
 	for win := numWindows - 1; win >= 0; win-- {
 		if started {
 			for s := uint(0); s < w; s++ {
-				m.mul(acc, acc, acc, t)
+				m.Mul(acc, acc, acc, t)
 			}
 		}
 		offset := uint(win) * w
@@ -277,7 +301,7 @@ func pippengerMont(m *mont, bases, exps []*big.Int, w uint, maxBits int) *big.In
 				copy(bucket(d), mb[i*k:(i+1)*k])
 				stamp[d] = gen
 			} else {
-				m.mul(bucket(d), bucket(d), mb[i*k:(i+1)*k], t)
+				m.Mul(bucket(d), bucket(d), mb[i*k:(i+1)*k], t)
 			}
 			used = true
 		}
@@ -285,18 +309,18 @@ func pippengerMont(m *mont, bases, exps []*big.Int, w uint, maxBits int) *big.In
 			continue
 		}
 		// running = prod_{e >= d} bucket[e]; window sum = prod_d bucket[d]^d.
-		copy(running, m.one)
+		copy(running, m.One())
 		haveRunning := false
 		for d := len(stamp) - 1; d >= 1; d-- {
 			if stamp[d] == gen {
-				m.mul(running, running, bucket(uint(d)), t)
+				m.Mul(running, running, bucket(uint(d)), t)
 				haveRunning = true
 			}
 			if haveRunning {
-				m.mul(acc, acc, running, t)
+				m.Mul(acc, acc, running, t)
 			}
 		}
 		started = true
 	}
-	return m.fromMontDestr(acc, t)
+	return m.FromMontInto(z, acc, t)
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"dmw/internal/field"
+	"dmw/internal/mont"
 )
 
 // This file serializes a Group's precomputed tables — the (z1, z2)
@@ -59,7 +60,7 @@ func SaveTables(w io.Writer, g *Group) error {
 		buf.Write(b)
 	}
 	buf.WriteByte(fixedBaseWindow)
-	appendU16(&buf, uint16(g.mont.k))
+	appendU16(&buf, uint16(g.mont.Words()))
 	writeTable := func(t [][][]uint64) {
 		appendU32(&buf, uint32(len(t)))
 		for _, row := range t {
@@ -124,9 +125,9 @@ func LoadTables(r io.Reader) (*Group, error) {
 	if err != nil {
 		return nil, fmt.Errorf("group: exponent field: %w", err)
 	}
-	m := newMont(pr.P)
-	if m.k != k {
-		return nil, fmt.Errorf("%w: %d-word elements for a %d-word modulus", ErrTablesArtifact, k, m.k)
+	m := mont.New(pr.P)
+	if m.Words() != k {
+		return nil, fmt.Errorf("%w: %d-word elements for a %d-word modulus", ErrTablesArtifact, k, m.Words())
 	}
 	numWindows := (pr.Q.BitLen() + fixedBaseWindow - 1) / fixedBaseWindow
 	readTable := func(entries int) [][][]uint64 {

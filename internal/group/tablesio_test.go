@@ -149,7 +149,7 @@ func TestTablesSpotCheckCatchesCrossWiredTables(t *testing.T) {
 		buf.Write(b)
 	}
 	buf.WriteByte(fixedBaseWindow)
-	appendU16(&buf, uint16(g.mont.k))
+	appendU16(&buf, uint16(g.mont.Words()))
 	writeTable := func(t [][][]uint64) {
 		appendU32(&buf, uint32(len(t)))
 		for _, row := range t {
