@@ -103,40 +103,64 @@ func (c *Coalescer) Group() *group.Group { return c.g }
 // VerifyShares is the coalescing equivalent of BatchVerifyShares: same
 // arguments, same results (nil acceptance, *VerifyError attribution,
 // first-failure semantics), but the combined pass may span other
-// goroutines' concurrent requests. The call blocks for the pass that
-// covers it and, if one was already running on arrival, for the rest of
-// that one. rng, when non-nil, must not be used by the caller until the
-// call returns (the pass leader draws this request's coefficients from
-// it).
+// goroutines' concurrent requests. It is VerifyBatch over one request.
 func (c *Coalescer) VerifyShares(alphaPowers []*big.Int, items []BatchItem, rng io.Reader) error {
-	if len(items) == 0 {
-		return nil
+	return c.VerifyBatch([]Request{{AlphaPowers: alphaPowers, Items: items, Rng: rng}})[0]
+}
+
+// VerifyBatch verifies several requests — typically one per receiver of
+// an auction whose agents are stepped on the calling goroutine — and
+// returns one verdict per request, each exactly what VerifyShares would
+// return for it alone. The requests join the queue together, so they
+// share a pass with each other and with other goroutines' concurrent
+// requests. The call blocks for the pass that covers them and, if one was
+// already running on arrival, for the rest of that one. Every non-nil
+// Rng must not be used by the caller until the call returns (the pass
+// leader draws that request's coefficients from it).
+func (c *Coalescer) VerifyBatch(reqs []Request) []error {
+	errs := make([]error, len(reqs))
+	batch := make([]*pendingReq, 0, len(reqs))
+	idx := make([]int, 0, len(reqs))
+	for i, req := range reqs {
+		if len(req.Items) == 0 {
+			continue
+		}
+		// Structural failures are attributed immediately and never join a
+		// combined pass.
+		if verr := req.validate(); verr != nil {
+			errs[i] = verr
+			continue
+		}
+		batch = append(batch, &pendingReq{req: req, wake: make(chan wakeup, 1)})
+		idx = append(idx, i)
 	}
-	req := Request{AlphaPowers: alphaPowers, Items: items, Rng: rng}
-	// Structural failures are attributed immediately and never join a
-	// combined pass.
-	if verr := req.validate(); verr != nil {
-		return verr
+	if len(batch) == 0 {
+		return errs
 	}
-	p := &pendingReq{req: req, wake: make(chan wakeup, 1)}
 	c.mu.Lock()
 	idle := !c.running
 	if idle {
 		c.running = true
 	} else {
-		c.pending = append(c.pending, p)
+		// Appended in one critical section, the batch is never split by
+		// a handoff: only its head can be handed leadership.
+		c.pending = append(c.pending, batch...)
 	}
 	c.mu.Unlock()
 	if idle {
-		c.lead([]*pendingReq{p})
+		c.lead(batch)
 	}
-	for {
-		w := <-p.wake
-		if w.lead == nil {
-			return w.err
+	for k, p := range batch {
+		for {
+			w := <-p.wake
+			if w.lead == nil {
+				errs[idx[k]] = w.err
+				break
+			}
+			c.lead(w.lead)
 		}
-		c.lead(w.lead)
 	}
+	return errs
 }
 
 // lead runs one pass over batch, then passes leadership to the head of

@@ -121,35 +121,60 @@ func hashPayload(h interface{ Write([]byte) (int, error) }, payload any) {
 	}
 }
 
-// echoRound runs one digest-exchange round over the published messages
-// the agent observed (its own publications included via ownDigestInput).
-// It returns a non-empty abort reason when any peer's digest differs.
-// Deviating digests are injected through the strategy's TamperEcho hook.
-func (a *agentRun) echoRound(observed []transport.Message) (string, error) {
-	digest := digestPublished(observed)
+// echo ends a delivered round: with echo verification off the agent goes
+// straight on to next; with it on, it first broadcasts the digest of the
+// round's published values (its own publications included) and holds the
+// round's deliveries for next, which runs once the digest round is
+// delivered and matches (stepEcho). Deviating digests are injected
+// through the strategy's TamperEcho hook.
+func (a *agentRun) echo(inbox []transport.Message, next state) (yield, error) {
+	a.state = next
+	if !a.env.echo {
+		return yieldNext, nil
+	}
+	a.held = append(append(a.held[:0], inbox...), a.published...)
+	a.digest = digestPublished(a.held)
+	a.held = a.held[:len(inbox)]
+	a.published = a.published[:0]
 	if a.hooks.TamperEcho != nil {
-		a.hooks.TamperEcho(a.env.task, digest[:])
+		a.hooks.TamperEcho(a.env.task, a.digest[:])
 	}
-	if err := a.ep.Broadcast(transport.KindEcho, a.env.task, EchoPayload{Digest: digest}); err != nil {
-		return "", err
-	}
-	msgs := a.ep.FinishRound()
+	a.afterEcho, a.state = next, stEcho
+	return yieldRound, a.ep.Broadcast(transport.KindEcho, a.env.task, EchoPayload{Digest: a.digest})
+}
+
+// stepEcho checks a delivered digest round and hands the held round to
+// the state after it. Any peer digest that differs, or an abort seen by
+// then, makes the agent disengage (crash) so the remaining agents abort
+// on missing data; the auction then ends on that reason, except after an
+// announced abort, which ends on its own.
+func (a *agentRun) stepEcho(inbox []transport.Message) (yield, []transport.Message) {
 	a.logf("echo round: broadcast digest of published values")
-	for _, m := range msgs {
+	reason := ""
+scan:
+	for _, m := range inbox {
 		if m.Task != a.env.task {
 			continue
 		}
 		switch p := m.Payload.(type) {
 		case EchoPayload:
-			if p.Digest != digest {
-				return "echo digest mismatch with agent (equivocation or tampered broadcast)", nil
+			if p.Digest != a.digest {
+				reason = "echo digest mismatch with agent (equivocation or tampered broadcast)"
+				break scan
 			}
 		case AbortPayload:
 			a.abortSeen = true
 		}
 	}
-	if a.abortSeen {
-		return "peer aborted during echo verification", nil
+	if reason == "" && a.abortSeen {
+		reason = "peer aborted during echo verification"
 	}
-	return "", nil
+	a.state = a.afterEcho
+	if reason != "" {
+		a.ep.Crash()
+		if a.state != stAborted {
+			return a.finish(a.aborted(reason)), nil
+		}
+	}
+	return yieldNext, a.held
 }

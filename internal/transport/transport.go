@@ -12,8 +12,12 @@
 // deterministically — it simply is not among the round's deliveries —
 // without wall-clock timeouts.
 //
-// Each agent runs in its own goroutine; a Network is safe for concurrent
-// use by its endpoints.
+// Network is the blocking fabric: each agent runs in its own goroutine
+// (one process per agent in a real deployment, see package relaynet), and
+// a Network is safe for concurrent use by its endpoints. Co-located runs
+// (package dmw's Run) do not use it: they step every agent of an auction
+// on one goroutine over a lockstep fabric with the same semantics and the
+// same cost accounting, counted in a Tally.
 package transport
 
 import (
@@ -100,9 +104,10 @@ type Message struct {
 	Payload any
 }
 
-// Stats accumulates communication costs. Safe for concurrent use.
-type Stats struct {
-	mu       sync.Mutex
+// Tally is the lock-free core of Stats: the counts of a fabric driven by
+// one goroutine (package dmw's lockstep driver steps a whole auction on
+// one), merged into a shared Stats once with Stats.Add.
+type Tally struct {
 	byKind   [numKinds]int64
 	messages int64
 	bytes    int64
@@ -112,19 +117,37 @@ type Stats struct {
 	virtual time.Duration
 }
 
+// Record counts one point-to-point message.
+func (t *Tally) Record(k Kind, payload any) {
+	if k >= 0 && int(k) < numKinds {
+		t.byKind[k]++
+	}
+	t.messages++
+	if sz, ok := payload.(Sizer); ok && sz != nil {
+		t.bytes += int64(sz.WireSize())
+	}
+}
+
+// RecordRound counts one completed round whose slowest message took
+// virtual under the delay model (0 without one).
+func (t *Tally) RecordRound(virtual time.Duration) {
+	t.rounds++
+	t.virtual += virtual
+}
+
+// Stats accumulates communication costs. Safe for concurrent use.
+type Stats struct {
+	mu sync.Mutex
+	t  Tally
+}
+
 // Record counts one point-to-point message. It is exported so external
 // round fabrics (e.g. the TCP relay in package relaynet) can account
 // messages with the same cost model as the in-memory network.
 func (s *Stats) Record(k Kind, payload any) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if k >= 0 && int(k) < numKinds {
-		s.byKind[k]++
-	}
-	s.messages++
-	if sz, ok := payload.(Sizer); ok && sz != nil {
-		s.bytes += int64(sz.WireSize())
-	}
+	s.t.Record(k, payload)
 }
 
 // RecordRound counts one completed communication round (used for the
@@ -133,21 +156,21 @@ func (s *Stats) Record(k Kind, payload any) {
 func (s *Stats) RecordRound() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.rounds++
+	s.t.rounds++
 }
 
 // Rounds returns the number of completed communication rounds.
 func (s *Stats) Rounds() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.rounds
+	return s.t.rounds
 }
 
 // recordVirtual accumulates simulated time.
 func (s *Stats) recordVirtual(d time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.virtual += d
+	s.t.virtual += d
 }
 
 // VirtualTime returns the simulated end-to-end time under the latency
@@ -156,21 +179,21 @@ func (s *Stats) recordVirtual(d time.Duration) {
 func (s *Stats) VirtualTime() time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.virtual
+	return s.t.virtual
 }
 
 // Messages returns the total point-to-point message count.
 func (s *Stats) Messages() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.messages
+	return s.t.messages
 }
 
 // Bytes returns the total payload bytes (for payloads implementing Sizer).
 func (s *Stats) Bytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.bytes
+	return s.t.bytes
 }
 
 // ByKind returns the message count for one kind.
@@ -180,7 +203,7 @@ func (s *Stats) ByKind(k Kind) int64 {
 	if k < 0 || int(k) >= numKinds {
 		return 0
 	}
-	return s.byKind[k]
+	return s.t.byKind[k]
 }
 
 // ByPhase aggregates message counts by protocol phase.
@@ -189,7 +212,7 @@ func (s *Stats) ByPhase() map[string]int64 {
 	defer s.mu.Unlock()
 	out := make(map[string]int64)
 	for k := 0; k < numKinds; k++ {
-		out[Kind(k).Phase()] += s.byKind[k]
+		out[Kind(k).Phase()] += s.t.byKind[k]
 	}
 	return out
 }
@@ -197,21 +220,25 @@ func (s *Stats) ByPhase() map[string]int64 {
 // Merge adds another Stats' totals into s.
 func (s *Stats) Merge(o *Stats) {
 	o.mu.Lock()
-	byKind := o.byKind
-	messages, bytes, rounds, virtual := o.messages, o.bytes, o.rounds, o.virtual
+	t := o.t
 	o.mu.Unlock()
+	s.Add(&t)
+}
+
+// Add merges a tally into s.
+func (s *Stats) Add(t *Tally) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for k := range byKind {
-		s.byKind[k] += byKind[k]
+	for k := range t.byKind {
+		s.t.byKind[k] += t.byKind[k]
 	}
-	s.messages += messages
-	s.bytes += bytes
-	s.rounds += rounds
-	if virtual > s.virtual {
+	s.t.messages += t.messages
+	s.t.bytes += t.bytes
+	s.t.rounds += t.rounds
+	if t.virtual > s.t.virtual {
 		// Parallel auctions overlap in time: the session's virtual time
 		// is the slowest auction's, not the sum.
-		s.virtual = virtual
+		s.t.virtual = t.virtual
 	}
 }
 
