@@ -1,4 +1,4 @@
-# Development targets; CI runs build + vet + test-race + test-386 +
+# Development targets; CI runs build + vet + test-race + test-386 + test-engine +
 # bench-smoke + bench-harness + fuzz-smoke (see .github/workflows/ci.yml).
 
 GO ?= go
@@ -11,7 +11,7 @@ LDFLAGS = -ldflags "-X dmw/internal/obs.Version=$(VERSION)"
 # manually with `go test -fuzz <Target> <pkg>`.
 FUZZTIME ?= 3s
 
-.PHONY: all build bin vet test test-386 test-race test-server e2e-shard e2e-tenant e2e-elastic obs-smoke latency-smoke bench-smoke bench-harness allocs-gate fuzz-smoke ci
+.PHONY: all build bin vet test test-386 test-engine test-race test-server e2e-shard e2e-tenant e2e-elastic obs-smoke latency-smoke bench-smoke bench-harness allocs-gate fuzz-smoke ci
 
 all: build vet test
 
@@ -46,6 +46,15 @@ test-race:
 # Montgomery kernels' uint64 limbs take their separate 32-bit path.
 test-386:
 	GOARCH=386 $(GO) test ./internal/field ./internal/group ./internal/mont
+
+# test-engine races the protocol engine's concurrency: parallel lockstep
+# auctions (each stepping its agents on one goroutine) against the shared
+# Gamma cache and resolutions, and batched coalescer passes against
+# concurrent jobs, at one and four CPUs, three times over. It covers the
+# driver-equivalence table (lockstep Run vs blocking sessions), replay
+# from a seed and the goroutine gate.
+test-engine:
+	$(GO) test -race -count=3 -cpu 1,4 -run 'Driver|SessionsMatchMonolithicRun|Replay|Determinism|Coalescer|NoAgentGoroutines' ./internal/dmw ./internal/commit
 
 # The tier the dmwd acceptance criteria name explicitly.
 test-server:
@@ -143,4 +152,4 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzRecordRoundTrip -fuzztime $(FUZZTIME) ./internal/journal
 	$(GO) test -run xxx -fuzz FuzzRecover -fuzztime $(FUZZTIME) ./internal/journal
 
-ci: build vet test-race test-386 e2e-shard e2e-tenant e2e-elastic obs-smoke latency-smoke allocs-gate bench-smoke bench-harness fuzz-smoke
+ci: build vet test-race test-386 test-engine e2e-shard e2e-tenant e2e-elastic obs-smoke latency-smoke allocs-gate bench-smoke bench-harness fuzz-smoke

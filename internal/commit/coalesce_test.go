@@ -330,3 +330,73 @@ func TestCoalescerConcurrentStress(t *testing.T) {
 		}
 	}
 }
+
+// TestCoalescerVerifyBatch: a batch of requests (one auction's receivers,
+// as the lockstep driver hands them over) runs as one pass, and each
+// request's verdict is exactly BatchVerifyShares': nil for the honest
+// ones, the guilty sender for the corrupt one, the structural failure
+// attributed without a pass, nil for an empty request. Concurrent
+// batches join one queue and all accept.
+func TestCoalescerVerifyBatch(t *testing.T) {
+	g, jobs, powers := receiverJobs(t)
+	const corrupt, guilty, malformed, empty = 2, 5, 4, 6
+	for idx, it := range jobs[corrupt] {
+		if it.Sender == guilty {
+			s := it.S.Clone()
+			s.H.Add(s.H, big.NewInt(1))
+			jobs[corrupt][idx].S = s
+		}
+	}
+	s := jobs[malformed][0].S.Clone()
+	s.F = nil
+	jobs[malformed][0].S = s
+	jobs[empty] = nil
+
+	reqs := make([]Request, len(jobs))
+	for i := range jobs {
+		reqs[i] = Request{AlphaPowers: powers[i], Items: jobs[i], Rng: rand.New(rand.NewSource(int64(i)))}
+	}
+	var passes, items int
+	c := NewCoalescer(g, 0, 0, func(n int) { passes++; items += n })
+	got := c.VerifyBatch(reqs)
+	for i := range jobs {
+		want := BatchVerifyShares(g, powers[i], jobs[i], rand.New(rand.NewSource(int64(i))))
+		var wantV, gotV *VerifyError
+		switch {
+		case want == nil:
+			if got[i] != nil {
+				t.Errorf("request %d: %v, want nil", i, got[i])
+			}
+		case !errors.As(want, &wantV) || !errors.As(got[i], &gotV):
+			t.Errorf("request %d: %v, want %v", i, got[i], want)
+		case gotV.Sender != wantV.Sender || gotV.Err.Error() != wantV.Err.Error():
+			t.Errorf("request %d: (%d, %v), want (%d, %v)", i, gotV.Sender, gotV.Err, wantV.Sender, wantV.Err)
+		}
+	}
+	if wantItems := len(jobs)*(len(jobs)-1) - 2*(len(jobs)-1); passes != 1 || items != wantItems {
+		t.Errorf("%d passes over %d items, want 1 over %d", passes, items, wantItems)
+	}
+
+	_, honest, hpowers := receiverJobs(t)
+	var wg sync.WaitGroup
+	verdicts := make([][]error, 4)
+	for b := range verdicts {
+		wg.Add(1)
+		go func(b int) {
+			defer wg.Done()
+			reqs := make([]Request, len(honest))
+			for i := range honest {
+				reqs[i] = Request{AlphaPowers: hpowers[i], Items: honest[i], Rng: rand.New(rand.NewSource(int64(b*100 + i)))}
+			}
+			verdicts[b] = c.VerifyBatch(reqs)
+		}(b)
+	}
+	wg.Wait()
+	for b, errs := range verdicts {
+		for i, err := range errs {
+			if err != nil {
+				t.Errorf("concurrent batch %d request %d: %v", b, i, err)
+			}
+		}
+	}
+}

@@ -403,7 +403,8 @@ func TestGatewayRestartWarmsUntilRenewal(t *testing.T) {
 		"batch": func() (*http.Response, error) {
 			return http.Post(front2.URL+"/v1/jobs/batch", "application/json", strings.NewReader(`[{"bids":[[1],[3],[2],[3]],"w":[1,2,3]}]`))
 		},
-		"events": func() (*http.Response, error) { return http.Get(front2.URL + "/v1/jobs/" + spec.ID + "/events") },
+		"events":   func() (*http.Response, error) { return http.Get(front2.URL + "/v1/jobs/" + spec.ID + "/events") },
+		"firehose": func() (*http.Response, error) { return http.Get(front2.URL + "/v1/events") },
 	}
 	for name, do := range requests {
 		resp, err := do()
@@ -431,8 +432,10 @@ func TestGatewayRestartWarmsUntilRenewal(t *testing.T) {
 	// Past one TTL with still no member, the fleet is broken: 502.
 	g3, front3 := startGateway(t, nil, func(c *Config) { c.LeaseTTL = 30 * time.Millisecond })
 	time.Sleep(g3.cfg.LeaseTTL - time.Since(g3.start) + 5*time.Millisecond)
-	if status, body := getJSON(t, front3.URL+"/v1/jobs/"+spec.ID); status != http.StatusBadGateway {
-		t.Errorf("read through an empty gateway past one TTL: HTTP %d %s, want 502", status, body)
+	for _, path := range []string{"/v1/jobs/" + spec.ID, "/v1/events"} {
+		if status, body := getJSON(t, front3.URL+path); status != http.StatusBadGateway {
+			t.Errorf("GET %s through an empty gateway past one TTL: HTTP %d %s, want 502", path, status, body)
+		}
 	}
 }
 

@@ -211,8 +211,15 @@ func (g *Gateway) handleFirehose(w http.ResponseWriter, r *http.Request) {
 		return conn{b: b, resp: resp}, true
 	}
 
+	fleet := g.snapshotBackends()
+	if len(fleet) == 0 {
+		// An empty fleet answers like submit and read: 503 + Retry-After
+		// while a restarted gateway waits for its members' renewals.
+		g.unrouted(w, errNoCandidates, "event stream")
+		return
+	}
 	var conns []conn
-	for _, b := range g.snapshotBackends() {
+	for _, b := range fleet {
 		if !b.up.Load() {
 			continue
 		}
