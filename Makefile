@@ -140,9 +140,11 @@ bench-smoke:
 # this on every push. Go allows one -fuzz pattern per invocation, hence
 # one line per target. FuzzRecover opens a journal over arbitrary
 # segment bytes: the data dir is input from outside the program.
-# FuzzResolveDegree checks the bisecting degree resolver against the
-# ascending-scan oracle; FuzzMontMul checks the fixed-width Montgomery
-# kernels against the generic loop and big.Int.
+# FuzzDecodeRecord feeds arbitrary bytes to dmwd's one job-record
+# decoder (WAL entries and replica payloads are input from outside the
+# program too). FuzzResolveDegree checks the bisecting degree resolver
+# against the ascending-scan oracle; FuzzMontMul checks the fixed-width
+# Montgomery kernels against the generic loop and big.Int.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzDecodeMessage -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzJobFrameRoundTrip -fuzztime $(FUZZTIME) ./internal/wire
@@ -151,5 +153,6 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzResolveDegree -fuzztime $(FUZZTIME) ./internal/commit
 	$(GO) test -run xxx -fuzz FuzzRecordRoundTrip -fuzztime $(FUZZTIME) ./internal/journal
 	$(GO) test -run xxx -fuzz FuzzRecover -fuzztime $(FUZZTIME) ./internal/journal
+	$(GO) test -run xxx -fuzz FuzzDecodeRecord -fuzztime $(FUZZTIME) ./internal/server
 
 ci: build vet test-race test-386 test-engine e2e-shard e2e-tenant e2e-elastic obs-smoke latency-smoke allocs-gate bench-smoke bench-harness fuzz-smoke

@@ -16,10 +16,11 @@ import (
 // (Test64, n=4, m=1, record:true) on a journal-backed server with a
 // fleet view installed: (i) one Submit — validation, tenant gates, one
 // record encoding, one WAL append, the queue push, the admitted event —
-// and (ii) one terminal transition — ONE encoding of the full record,
-// whose bytes are both the WAL entry and the replica payload, plus the
+// (ii) applying the running record, which allocates nothing, and (iii)
+// one terminal transition — ONE encoding of the full record, whose
+// bytes are both the WAL entry and the replica payload, plus the
 // append, the offer and the done event. A second encoding of the record
-// (≈ 80 allocations at this shape) blows budget (ii).
+// (≈ 80 allocations at this shape) blows budget (iii).
 //
 // The budgets are per job whatever the server retains: the retained
 // case keeps 5,000 terminal jobs at the default 15 min TTL and measures
@@ -72,6 +73,12 @@ func TestAllocBudgetJobLifecycle(t *testing.T) {
 				t.Fatal(err)
 			}
 			jr := buildResult(res, true)
+			// start applies the running record, as runJob does.
+			start := func(job *Job) {
+				r := job.record()
+				r.State, r.Started = StateRunning, time.Now()
+				job.apply(&r)
+			}
 			submitN := func(n int) []*Job {
 				jobs := make([]*Job, 0, n)
 				for len(jobs) < n {
@@ -79,12 +86,12 @@ func TestAllocBudgetJobLifecycle(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					job.setRunning(time.Now())
 					jobs = append(jobs, job)
 				}
 				return jobs
 			}
 			for _, job := range submitN(tc.retained) {
+				start(job)
 				s.finishJob(job, StateDone, jr, res.Transcript, nil, time.Now())
 			}
 
@@ -95,6 +102,14 @@ func TestAllocBudgetJobLifecycle(t *testing.T) {
 			})
 			jobs := submitN(tc.runs + 1)
 			k := 0
+			running := testing.AllocsPerRun(tc.runs, func() {
+				start(jobs[k])
+				k++
+			})
+			if st := jobs[tc.runs].State(); st != StateRunning {
+				t.Fatalf("the running record left the job %s", st)
+			}
+			k = 0
 			finish := testing.AllocsPerRun(tc.runs, func() {
 				s.finishJob(jobs[k], StateDone, jr, res.Transcript, nil, time.Now())
 				k++
@@ -107,10 +122,13 @@ func TestAllocBudgetJobLifecycle(t *testing.T) {
 			}
 
 			// Measured 28 and 93; a second encoding of the record reads ≈ 170.
-			t.Logf("Submit: %.0f allocs/op; terminal transition: %.0f allocs/op", submit, finish)
+			t.Logf("Submit: %.0f allocs/op; start: %.0f allocs/op; terminal transition: %.0f allocs/op", submit, running, finish)
 			const submitBudget, finishBudget = 32, 105
 			if submit > submitBudget {
 				t.Errorf("Submit: %.0f allocs/op, budget %d", submit, submitBudget)
+			}
+			if running != 0 {
+				t.Errorf("start: %.0f allocs/op, want 0", running)
 			}
 			if finish > finishBudget {
 				t.Errorf("terminal transition: %.0f allocs/op, budget %d (one record encoding, not two)", finish, finishBudget)

@@ -1,8 +1,11 @@
 package server
 
 import (
-	"encoding/json"
+	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
+	"strings"
 	"time"
 
 	"dmw/internal/replica"
@@ -15,7 +18,37 @@ import (
 // through finishJob; peers' pushes land in AcceptReplica; and
 // reads that miss the primary store fall through to replicaJob — which
 // is what lets a gateway read of an acknowledged job succeed from a
-// ring successor after the owner died or left.
+// ring successor after the owner died or left. The replica ID below is
+// the identity the fleet knows this instance by.
+
+// loadOrCreateReplicaID resolves the instance identity surfaced by
+// /healthz. With a data dir the ID lives in <dir>/replica_id and is
+// STABLE across restarts — a gateway seeing the same address answer
+// with a different replica_id knows the backend (and its WAL history)
+// was swapped, not restarted. Without a data dir every process start
+// draws a fresh random ID.
+func loadOrCreateReplicaID(dataDir string) (string, error) {
+	fresh, err := randomID("rep-")
+	if err != nil {
+		return "", err
+	}
+	if dataDir == "" {
+		return fresh, nil
+	}
+	path := filepath.Join(dataDir, "replica_id")
+	if raw, err := os.ReadFile(path); err == nil {
+		if id := strings.TrimSpace(string(raw)); id != "" {
+			return id, nil
+		}
+	}
+	if err := os.WriteFile(path, []byte(fresh+"\n"), 0o644); err != nil {
+		return "", fmt.Errorf("server: persisting replica id: %w", err)
+	}
+	return fresh, nil
+}
+
+// ReplicaID returns this instance's identity (see loadOrCreateReplicaID).
+func (s *Server) ReplicaID() string { return s.replicaID }
 
 // maxReplicaBodyBytes bounds one replication POST body. Handoff batches
 // are chunked at 256 records, but records carry full results and
@@ -27,9 +60,6 @@ const maxReplicaBodyBytes = 32 << 20
 func (s *Server) ApplyFleetView(v replica.View) {
 	s.repl.Update(v)
 }
-
-// FleetView returns the currently installed fleet view.
-func (s *Server) FleetView() replica.View { return s.repl.CurrentView() }
 
 // replicaRecord wraps the encoded bytes of a completed or failed job's
 // terminal record — the very bytes its WAL entry holds — for the
@@ -44,31 +74,26 @@ func (s *Server) replicaRecord(id string, payload []byte) replica.Record {
 }
 
 // AcceptReplica stores pushed copies from ring predecessors, returning
-// how many were accepted. Malformed, non-terminal, ID-mismatched, and
-// already-expired payloads are skipped (logged), never fatal: the RPC
-// is best-effort redundancy, not a consistency protocol.
+// how many were accepted. Undecodable, ID-mismatched and unservable
+// payloads (jobRecord.servable) are skipped (logged), never fatal: the
+// RPC is best-effort redundancy, not a consistency protocol.
 func (s *Server) AcceptReplica(recs []replica.Record) int {
 	now := time.Now()
 	stored := 0
 	for _, rec := range recs {
-		var r jobRecord
-		if err := json.Unmarshal(rec.Payload, &r); err != nil {
-			s.logf("replica: skipping undecodable copy %q from %s: %v", rec.ID, rec.Origin, err)
+		r, err := decodeRecord(rec.Payload)
+		if err != nil {
+			s.logf("replica: skipping copy %q from %s: %v", rec.ID, rec.Origin, err)
 			continue
 		}
-		if r.ID != rec.ID || !r.State.Terminal() || r.State == StateRejected {
-			s.logf("replica: skipping copy %q from %s: not a terminal record", rec.ID, rec.Origin)
+		if r.ID != rec.ID || !r.servable(now) {
+			s.logf("replica: skipping copy %q from %s: not a servable record", rec.ID, rec.Origin)
 			continue
-		}
-		if !r.Expires.IsZero() && now.After(r.Expires) {
-			continue // past its TTL: do not resurrect
 		}
 		s.replStore.Put(rec, r.Expires)
 		stored++
 	}
-	if stored > 0 {
-		s.metrics.replicaAccepted.Add(int64(stored))
-	}
+	s.metrics.replicaAccepted.Add(int64(stored))
 	return stored
 }
 
@@ -76,20 +101,17 @@ func (s *Server) AcceptReplica(recs []replica.Record) int {
 // back into a terminal Job, so View/WaitDone/Transcript behave exactly
 // as they would on the owner. (nil, false) when no live copy is held.
 func (s *Server) replicaJob(id string) (*Job, bool) {
-	rec, ok := s.replStore.Get(id, time.Now())
+	now := time.Now()
+	rec, ok := s.replStore.Get(id, now)
 	if !ok {
 		return nil, false
 	}
-	var r jobRecord
-	if err := json.Unmarshal(rec.Payload, &r); err != nil {
-		s.logf("replica: held copy %q undecodable: %v", id, err)
-		return nil, false
-	}
-	if !r.State.Terminal() {
+	r, err := decodeRecord(rec.Payload)
+	if err != nil || !r.servable(now) {
 		return nil, false
 	}
 	s.metrics.replicaReads.Add(1)
-	return jobFromRecord(r), true
+	return jobFromRecord(*r), true
 }
 
 // lookupJob is the read path shared by the job handlers: the primary
@@ -114,10 +136,8 @@ func (s *Server) handoffReplicas() {
 	seen := make(map[string]bool)
 	var recs []replica.Record
 	for _, j := range s.store.snapshotJobs() {
-		// Only completed and failed jobs are acknowledged work; a rejected
-		// record is a transient backpressure marker.
 		r := j.record()
-		if !r.State.Terminal() || r.State == StateRejected || now.After(r.Expires) {
+		if !r.servable(now) {
 			continue
 		}
 		payload, err := encodeRecord(r)

@@ -114,8 +114,9 @@ func TestReplicateTerminalServesPeerReads(t *testing.T) {
 }
 
 // TestAcceptReplicaValidation: the replication RPC is best-effort
-// redundancy, so malformed, mismatched, non-terminal, and expired
-// payloads are skipped without poisoning the store.
+// redundancy, so malformed, mismatched, non-terminal, expired,
+// deadline-less and result-less payloads are skipped without poisoning
+// the store.
 func TestAcceptReplicaValidation(t *testing.T) {
 	s := startServer(t, testConfig())
 
@@ -127,14 +128,16 @@ func TestAcceptReplicaValidation(t *testing.T) {
 		return replica.Record{ID: id, Origin: "peer", Epoch: 1, Payload: payload}
 	}
 	now := time.Now()
-	good := jobRecord{ID: "ok-1", State: StateDone, Submitted: now, Finished: now, Expires: now.Add(time.Hour)}
+	good := jobRecord{ID: "ok-1", State: StateDone, Result: &JobResult{}, Submitted: now, Finished: now, Expires: now.Add(time.Hour)}
 
 	bad := []replica.Record{
 		{ID: "garbage", Origin: "peer", Payload: json.RawMessage(`{"state": 12`)},
 		mk("mismatch", good), // payload says ok-1, envelope says mismatch
 		mk("running", jobRecord{ID: "running", State: StateRunning}),
 		mk("rejected", jobRecord{ID: "rejected", State: StateRejected, Expires: now.Add(time.Hour)}),
-		mk("stale", jobRecord{ID: "stale", State: StateDone, Expires: now.Add(-time.Hour)}),
+		mk("stale", jobRecord{ID: "stale", State: StateDone, Result: &JobResult{}, Expires: now.Add(-time.Hour)}),
+		mk("immortal", jobRecord{ID: "immortal", State: StateDone, Result: &JobResult{}}),  // no Expires: never evicted
+		mk("empty", jobRecord{ID: "empty", State: StateDone, Expires: now.Add(time.Hour)}), // done with no result
 	}
 	if n := s.AcceptReplica(bad); n != 0 {
 		t.Fatalf("AcceptReplica stored %d invalid records, want 0", n)

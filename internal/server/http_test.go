@@ -206,7 +206,7 @@ func TestHTTPTranscript(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !env.Params.Equal(s.Params()) {
+	if !env.Params.Equal(s.params) {
 		t.Error("envelope parameters differ from the server's")
 	}
 	report, err := audit.Verify(env.Params, env.Transcript)

@@ -286,15 +286,17 @@ type JobResult struct {
 	GroupMultiExpTerms uint64 `json:"group_multiexp_terms,omitempty"`
 }
 
-// Job is one tracked mechanism execution. All mutable fields are guarded
-// by mu; the spec and bid matrix are immutable after admission.
+// Job is one tracked mechanism execution. ID, Spec, bids and submitted
+// are fixed at admission and read without the lock; every other durable
+// field is guarded by mu and written only by apply (record.go).
 type Job struct {
 	// ID is the server-assigned opaque identifier.
 	ID string
 	// Spec is the normalized client spec.
 	Spec JobSpec
 
-	bids [][]int
+	bids      [][]int
+	submitted time.Time
 	// seg is the WAL segment holding the job's last journaled record.
 	// Written and read only by the store, under store.mu.
 	seg uint64
@@ -304,52 +306,24 @@ type Job struct {
 	errMsg     string
 	result     *JobResult
 	transcript *protocol.Transcript
-	spans      []obs.Span
-	events     []tenant.Event
-	submitted  time.Time
 	started    time.Time
 	finished   time.Time
 	expires    time.Time
 	done       chan struct{}
+	// spans and events are diagnostics, not durable state.
+	spans  []obs.Span
+	events []tenant.Event
 }
 
-func newJob(spec JobSpec, bids [][]int, now time.Time) (*Job, error) {
-	id := spec.ID
-	if id == "" {
-		var err error
-		id, err = newJobID()
-		if err != nil {
-			return nil, err
-		}
-	}
-	return &Job{
-		ID:        id,
-		Spec:      spec,
-		bids:      bids,
-		state:     StateQueued,
-		submitted: now,
-		done:      make(chan struct{}),
-	}, nil
-}
-
-// newJobID draws 8 random bytes; collision within a TTL window is
-// negligible (2^-32 at ~10^5 live jobs).
-func newJobID() (string, error) {
+// randomID draws 8 random bytes behind prefix: a server-assigned job ID
+// ("job-"; a collision within a TTL window is negligible, 2^-32 at
+// ~10^5 live jobs) or a replica identity no data dir pins ("rep-").
+func randomID(prefix string) (string, error) {
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {
-		return "", fmt.Errorf("server: drawing job id: %w", err)
+		return "", fmt.Errorf("server: drawing a random %q id: %w", prefix, err)
 	}
-	return "job-" + hex.EncodeToString(b[:]), nil
-}
-
-// newReplicaID draws the random instance identity used when no data dir
-// pins a persistent one.
-func newReplicaID() (string, error) {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return "", fmt.Errorf("server: drawing replica id: %w", err)
-	}
-	return "rep-" + hex.EncodeToString(b[:]), nil
+	return prefix + hex.EncodeToString(b[:]), nil
 }
 
 // Agents and Tasks report the job dimensions.
@@ -410,9 +384,9 @@ func (j *Job) Transcript() *protocol.Transcript {
 	return j.transcript
 }
 
-// setTrace attaches the recorded spans (worker-side, before finish).
-// Traces live with the in-memory record only: they are diagnostics, not
-// state, so they are not journaled and do not survive a restart.
+// setTrace attaches the recorded spans (worker-side, before the
+// terminal record is applied). Traces are diagnostics, not state: they
+// are not journaled and do not survive a restart.
 func (j *Job) setTrace(spans []obs.Span) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -454,43 +428,6 @@ func (j *Job) Events() []tenant.Event {
 	return out
 }
 
-func (j *Job) setRunning(now time.Time) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.state = StateRunning
-	j.started = now
-}
-
-// terminalRecord is j's durable form as it will stand once it ends in
-// state: the record the terminal transition journals, replicates, and
-// then applies with finish. errMsg is empty for a done job; res and tr
-// are nil for anything else. The TTL clock starts here, at completion.
-func (j *Job) terminalRecord(state JobState, res *JobResult, tr *protocol.Transcript, errMsg string, now time.Time, ttl time.Duration) jobRecord {
-	r := j.record()
-	r.State, r.Result, r.Transcript, r.Error = state, res, tr, errMsg
-	r.Finished, r.Expires = now, now.Add(ttl)
-	return r
-}
-
-// finish applies a terminal record to the job and wakes every waiter.
-// It is the only way a job becomes terminal: the worker's and the
-// rejection's transition (through store.Finish, after the WAL append),
-// a drain refusal born terminal, and a job rebuilt from its record.
-func (j *Job) finish(r *jobRecord) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state.Terminal() {
-		return
-	}
-	j.state = r.State
-	j.result = r.Result
-	j.transcript = r.Transcript
-	j.errMsg = r.Error
-	j.finished = r.Finished
-	j.expires = r.Expires
-	close(j.done)
-}
-
 // expired reports whether the job is terminal and past its retention.
 func (j *Job) expired(now time.Time) bool {
 	j.mu.Lock()
@@ -506,12 +443,7 @@ func (j *Job) expired(now time.Time) bool {
 // stale rejection back forever instead of running the job. Admission
 // replaces rejected records (see store.PutBatchIfAbsent).
 func (j *Job) matchesResubmit(now time.Time) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state == StateRejected {
-		return false
-	}
-	return !(j.state.Terminal() && now.After(j.expires))
+	return j.State() != StateRejected && !j.expired(now)
 }
 
 // JobView is the JSON snapshot served by GET /v1/jobs/{id}.
@@ -572,33 +504,4 @@ func (j *Job) View() JobView {
 		}
 	}
 	return v
-}
-
-// buildResult converts a protocol result into the wire shape.
-func buildResult(res *protocol.Result, matches bool) *JobResult {
-	out := &JobResult{
-		Schedule:           res.Outcome.Schedule.Agent,
-		Payments:           res.Outcome.Payments,
-		FirstPrice:         res.Outcome.FirstPrice,
-		SecondPrice:        res.Outcome.SecondPrice,
-		Utilities:          res.Utilities,
-		MatchesCentralized: matches,
-		Messages:           res.Stats.Messages(),
-		WireBytes:          res.Stats.Bytes(),
-		Rounds:             res.Stats.Rounds(),
-	}
-	for _, a := range res.Auctions {
-		if a.Aborted {
-			out.AbortedTasks = append(out.AbortedTasks, a.Task)
-		}
-	}
-	if res.AgentOps != nil {
-		for _, c := range res.AgentOps {
-			out.GroupExp += c.Exp()
-			out.GroupMul += c.Mul()
-			out.GroupMultiExps += c.MultiExps()
-			out.GroupMultiExpTerms += c.MultiExpTerms()
-		}
-	}
-	return out
 }

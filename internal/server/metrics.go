@@ -151,9 +151,10 @@ func (m *metrics) noteAdmitted(tenantID string) {
 	m.tenantMu.Unlock()
 }
 
-// noteRejected counts one refusal under the tenant's label and the
-// gate's reason.
+// noteRejected counts one refusal: in the total, and under the
+// tenant's label and the gate's reason.
 func (m *metrics) noteRejected(tenantID, reason string) {
+	m.rejected.Add(1)
 	m.tenantMu.Lock()
 	byReason := m.tenantRejected[tenantID]
 	if byReason == nil {
@@ -313,4 +314,53 @@ func (m *metrics) writeTo(w io.Writer, g snapshotGauges) {
 		m.phases[name].Write(w, "dmwd_phase_seconds", `phase="`+name+`"`)
 	}
 	obs.WriteRuntimeMetrics(w, "dmwd")
+}
+
+// WriteMetrics renders the plain-text metrics exposition.
+func (s *Server) WriteMetrics(w io.Writer) {
+	s.mu.Lock()
+	draining, start := s.draining, s.startTime
+	s.mu.Unlock()
+	var uptime time.Duration
+	if !start.IsZero() {
+		uptime = time.Since(start)
+	}
+	g := snapshotGauges{
+		queueDepth:       s.queue.Len(),
+		workers:          s.cfg.Workers,
+		draining:         draining,
+		liveJobs:         s.store.Len(),
+		uptime:           uptime,
+		replicaID:        s.replicaID,
+		admissionPrice:   s.observePrice(time.Now()),
+		eventSubscribers: s.hub.Subscribers(),
+		eventsPublished:  s.hub.Published(),
+		eventsDropped:    s.hub.Dropped(),
+
+		tableBuildSeconds: s.grp.TableBuildTime().Seconds(),
+		paramsCacheLoaded: s.paramsCacheLoaded,
+	}
+	view := s.repl.CurrentView()
+	g.fleetEpoch = view.Epoch
+	g.fleetPeers = len(view.Peers)
+	g.fleetReplication = view.Replication
+	g.replicaRecords = s.replStore.Len()
+	g.replicaPushes, g.replicaPushErrors, g.replicaDropped = s.repl.Stats()
+	if g.journal, g.journalEnabled = s.JournalStats(); g.journalEnabled {
+		g.journalReplayed = int64(s.replayedJobs)
+		g.journalRecoveries = int64(s.recoveries)
+	}
+	s.metrics.writeTo(w, g)
+	// Per-tenant tail series (same HDR geometry as the global series,
+	// so the gateway's fleet scrape merges them exactly); empty tenants
+	// are skipped to keep the exposition proportional to actual
+	// traffic, not to registry size.
+	for _, id := range s.registry.IDs() {
+		tn, ok := s.registry.Lookup(id)
+		if !ok || tn.Tail.Count() == 0 {
+			continue
+		}
+		tn.Tail.Write(w, "dmwd_tenant_job_latency_seconds", `tenant="`+id+`"`)
+	}
+	s.sloEngine.WriteMetrics(w, "dmwd", time.Now())
 }

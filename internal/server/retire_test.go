@@ -152,11 +152,19 @@ func retireChecked(t *testing.T, st *store, dir string, now time.Time) []string 
 func testJob(t *testing.T, id string, seed int64, now time.Time) *Job {
 	t.Helper()
 	bids := [][]int{{1}, {2}, {3}, {3}}
-	job, err := newJob(JobSpec{ID: id, Bids: bids, W: []int{1, 2, 3}, Seed: seed}, bids, now)
+	rec, err := admissionRecord(JobSpec{ID: id, Bids: bids, W: []int{1, 2, 3}, Seed: seed}, bids, now)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return job
+	return jobFromRecord(rec)
+}
+
+// drainRefusal is job's admission record born rejected, as a draining
+// server admits it.
+func drainRefusal(job *Job, now time.Time, ttl time.Duration) *Job {
+	rec := job.record()
+	rec.end(StateRejected, nil, nil, ErrDraining.Error(), now, ttl)
+	return jobFromRecord(rec)
 }
 
 // finishTest applies a terminal transition through the store, as
@@ -170,7 +178,8 @@ func finishTest(t *testing.T, st *store, job *Job, state JobState, now time.Time
 	} else {
 		errMsg = "refused or failed"
 	}
-	rec := job.terminalRecord(state, res, nil, errMsg, now, ttl)
+	rec := job.record()
+	rec.end(state, res, nil, errMsg, now, ttl)
 	data, err := encodeRecord(rec)
 	if err != nil {
 		t.Fatal(err)
@@ -199,8 +208,7 @@ func TestRetireKeepsLiveRecords(t *testing.T) {
 			case op < 6: // admission or re-admission
 				job := testJob(t, id, int64(step), now)
 				if rng.Intn(5) == 0 {
-					rec := job.terminalRecord(StateRejected, nil, nil, ErrDraining.Error(), now, ttl)
-					job.finish(&rec)
+					job = drainRefusal(job, now, ttl)
 				}
 				if _, err := st.PutBatchIfAbsent([]*Job{job}, now); err != nil {
 					t.Fatal(err)
@@ -255,7 +263,7 @@ func TestLegacySnapshotIsReadThenRetired(t *testing.T) {
 		job := testJob(t, fmt.Sprintf("legacy-%d", k), int64(k), now.Add(-time.Minute))
 		rec := job.record()
 		if k > 0 { // one job was still queued at shutdown; the rest are done
-			rec = job.terminalRecord(StateDone, &JobResult{Schedule: []int{k % 2}, Payments: []int64{int64(k)}}, nil, "", now, time.Hour)
+			rec.end(StateDone, &JobResult{Schedule: []int{k % 2}, Payments: []int64{int64(k)}}, nil, "", now, time.Hour)
 		}
 		data, err := encodeRecord(rec)
 		if err != nil {
@@ -305,9 +313,7 @@ func TestLegacySnapshotIsReadThenRetired(t *testing.T) {
 	finishTest(t, st, queued, StateDone, now, time.Hour)
 	// Drain refusals fill segment 3 until a rotation seals it.
 	for k := 0; st.wal.Stats().Active == 3; k++ {
-		job := testJob(t, fmt.Sprintf("refused-%d", k), int64(k), now)
-		rec := job.terminalRecord(StateRejected, nil, nil, ErrDraining.Error(), now, time.Minute)
-		job.finish(&rec)
+		job := drainRefusal(testJob(t, fmt.Sprintf("refused-%d", k), int64(k), now), now, time.Minute)
 		if _, err := st.PutBatchIfAbsent([]*Job{job}, now); err != nil {
 			t.Fatal(err)
 		}

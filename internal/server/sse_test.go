@@ -304,10 +304,11 @@ func parkedOnMutexIn(fn string) bool {
 func TestSSEStreamOpenedInsideTerminalPublish(t *testing.T) {
 	s := startServer(t, testConfig())
 	now := time.Now()
-	job, err := newJob(JobSpec{ID: "gap", Tenant: "acme"}, nil, now)
+	rec, err := admissionRecord(JobSpec{ID: "gap", Tenant: "acme"}, nil, now)
 	if err != nil {
 		t.Fatal(err)
 	}
+	job := jobFromRecord(rec)
 	firehose := s.hub.SubscribeTenant("", 0)
 	defer firehose.Close()
 	stuck := time.After(time.Minute) // a failure guard, never a pacing device

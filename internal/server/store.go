@@ -25,8 +25,8 @@ import (
 //
 // TTL contract (pinned by TestSweepPreservesRestoredTTL): a terminal
 // job's retention clock is measured from its COMPLETION time — expires
-// is set exactly once, in the terminal record Job.finish applies (or
-// carried verbatim inside a journal record) — and is preserved across
+// is set exactly once, by the terminal record Job.apply installs (and
+// carried verbatim inside the journal record) — and is preserved across
 // restarts. Recovery reinserts a restored terminal job with its
 // original expires, never a fresh now+TTL, so Sweep evicts it at the
 // same wall-clock instant it would have been evicted had the process
@@ -70,17 +70,23 @@ func newStore() *store {
 // open makes jnl the store's WAL and indexes what it replayed: the last
 // record per ID, minus terminal jobs already past their TTL deadline
 // (they stay dead, as an uninterrupted janitor would have left them).
-// Every recovered job is charged to the segment active at open, so no
-// replayed file is retired before every recovered job is superseded or
-// evicted, and startup writes nothing. It returns the non-terminal jobs
-// for the caller to re-enqueue.
+// A job queued or running at crash time comes back as its admission
+// record, queued: the protocol run is deterministic in the spec and
+// seed, so the re-run yields a byte-identical result. Every recovered
+// job is charged to the segment active at open, so no replayed file is
+// retired before every recovered job is superseded or evicted, and
+// startup writes nothing. It returns the non-terminal jobs for the
+// caller to re-enqueue.
 func (s *store) open(jnl *journal.Journal, entries []journal.Entry, logf func(string, ...any), now time.Time) (requeue []*Job, restored, expired, skipped int) {
 	s.wal, s.logf = jnl, logf
 	s.live, s.oldest = make(map[uint64]int), jnl.Stats().Active
 	records, skipped := replayEntries(entries, logf)
 	for _, r := range records {
+		if !r.State.Terminal() {
+			*r = jobRecord{ID: r.ID, Spec: r.Spec, Bids: r.Bids, State: StateQueued, Submitted: r.Submitted}
+		}
 		job := jobFromRecord(*r)
-		if job.State().Terminal() {
+		if r.State.Terminal() {
 			if job.expired(now) {
 				expired++
 				continue
@@ -189,8 +195,8 @@ func (s *store) PutBatchIfAbsent(jobs []*Job, now time.Time) ([]*Job, error) {
 // deterministic in spec and seed — and leaves the job charged to the
 // segment of its admission record.
 func (s *store) Finish(job *Job, rec *jobRecord, data []byte) {
+	defer job.apply(rec) // after the append, never before it
 	if s.wal == nil || data == nil {
-		job.finish(rec)
 		return
 	}
 	s.wmu.Lock()
@@ -205,7 +211,6 @@ func (s *store) Finish(job *Job, rec *jobRecord, data []byte) {
 	} else if err != journal.ErrClosed {
 		s.logf("journal: terminal record for %s: %v", job.ID, err)
 	}
-	job.finish(rec)
 }
 
 // Get looks a job up, evicting it lazily when expired.
@@ -315,4 +320,64 @@ func (s *store) Close() error {
 		return nil
 	}
 	return s.wal.Close()
+}
+
+// openJournal opens the WAL in cfg.DataDir, replays prior state into
+// the in-memory index and re-enqueues jobs that were queued or running
+// at crash time. It writes nothing: the replayed segments stay until
+// the janitor retires them (store.retire).
+func (s *Server) openJournal() error {
+	cfg := s.cfg
+	pol, err := journal.ParseSyncPolicy(cfg.Fsync)
+	if err != nil {
+		return fmt.Errorf("server: %w", err)
+	}
+	jnl, rec, err := journal.Open(journal.Options{
+		Dir:          cfg.DataDir,
+		Sync:         pol,
+		SyncInterval: cfg.FsyncInterval,
+		Logf:         s.logf,
+	})
+	if err != nil {
+		return fmt.Errorf("server: opening journal: %w", err)
+	}
+	requeue, restored, expired, skipped := s.store.open(jnl, rec.Entries, s.logf, time.Now())
+
+	// The queue must hold every re-enqueued job even if it exceeds the
+	// configured depth — accepted work is never shed (ForcePush skips
+	// the capacity bound), and each recovered job re-takes its tenant's
+	// quota slot unconditionally (it was already accepted once).
+	for _, job := range requeue {
+		tn := s.registry.Get(job.Spec.Tenant)
+		tn.ForceReserve()
+		if err := s.queue.ForcePush(tn.ID, tn.Limits.Weight, job); err != nil {
+			return fmt.Errorf("server: re-enqueueing job %s: %w", job.ID, err)
+		}
+	}
+
+	if rec.Recovered {
+		s.recoveries = 1
+		s.replayedJobs = restored + len(requeue)
+		s.logf("recovery: replayed %d jobs from %s (%d results restored, %d re-enqueued, %d expired, %d records skipped)%s",
+			s.replayedJobs, cfg.DataDir, restored, len(requeue), expired, skipped,
+			map[bool]string{true: "; torn log tail truncated", false: ""}[rec.TailTruncated])
+	} else {
+		s.logf("journal: initialized %s (fsync=%s)", cfg.DataDir, pol)
+	}
+	return nil
+}
+
+// JournalStats returns the WAL counters and true when the server is
+// journal-backed; (zero, false) for the in-memory store.
+func (s *Server) JournalStats() (journal.Stats, bool) {
+	if s.store.wal == nil {
+		return journal.Stats{}, false
+	}
+	return s.store.wal.Stats(), true
+}
+
+// RecoveryStats reports how many jobs the last Open replayed and
+// whether a recovery happened at all (0, 0 for fresh/in-memory runs).
+func (s *Server) RecoveryStats() (replayedJobs, recoveries int) {
+	return s.replayedJobs, s.recoveries
 }

@@ -66,11 +66,7 @@ func TestSweepIgnoresNonTerminal(t *testing.T) {
 	st := newStore()
 	old := time.Now().Add(-24 * time.Hour)
 	st.insert(restoredJob("job-requeued", StateRunning, time.Time{}, time.Time{}))
-	job, err := newJob(JobSpec{Bids: [][]int{{1}, {2}, {3}, {3}}, W: []int{1, 2, 3}}, [][]int{{1}, {2}, {3}, {3}}, old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.insert(job)
+	st.insert(testJob(t, "job-queued", 0, old))
 
 	if n := st.Sweep(time.Now().Add(365 * 24 * time.Hour)); n != 0 {
 		t.Fatalf("sweep evicted %d non-terminal jobs, want 0", n)

@@ -70,7 +70,7 @@ func TestWDRRDispatchRatioUnderOverload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub := s.EventHub().SubscribeTenant("", 4096)
+	sub := s.hub.SubscribeTenant("", 4096)
 	defer sub.Close()
 
 	const each = 24
@@ -189,7 +189,7 @@ func TestZeroQuotaTenantIsolation(t *testing.T) {
 		}
 	}
 	// Tenant 429s never touch the queue or quota accounting.
-	if got := s.Tenants().Get("guest").Live(); got != 0 {
+	if got := s.registry.Get("guest").Live(); got != 0 {
 		t.Errorf("guest live jobs = %d, want 0", got)
 	}
 }
