@@ -49,12 +49,13 @@ test-386:
 
 # test-engine races the protocol engine's concurrency: parallel lockstep
 # auctions (each stepping its agents on one goroutine) against the shared
-# Gamma cache and resolutions, and batched coalescer passes against
-# concurrent jobs, at one and four CPUs, three times over. It covers the
-# driver-equivalence table (lockstep Run vs blocking sessions), replay
-# from a seed and the goroutine gate.
+# Gamma cache and resolutions, batched coalescer passes against
+# concurrent jobs, and the TCP relay's transport.Round under its lock, at
+# one and four CPUs, three times over. It covers the driver-equivalence
+# table (lockstep Run vs blocking sessions), replay from a seed, the
+# goroutine gate, the round-rule table and the relay sessions.
 test-engine:
-	$(GO) test -race -count=3 -cpu 1,4 -run 'Driver|SessionsMatchMonolithicRun|Replay|Determinism|Coalescer|NoAgentGoroutines' ./internal/dmw ./internal/commit
+	$(GO) test -race -count=3 -cpu 1,4 -run 'Driver|SessionsMatchMonolithicRun|Replay|Determinism|Coalescer|NoAgentGoroutines|TestRound|OverTCP|RefusedHello' ./internal/dmw ./internal/commit ./internal/transport ./internal/relaynet
 
 # The tier the dmwd acceptance criteria name explicitly.
 test-server:

@@ -22,13 +22,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
 
 	"dmw/internal/mechanism"
 	"dmw/internal/sched"
+	"dmw/internal/wire"
 )
 
 // Frame types.
@@ -38,36 +38,6 @@ const (
 )
 
 const maxFrame = 1 << 20
-
-func writeFrame(w io.Writer, ftype uint8, body []byte) error {
-	if len(body)+1 > maxFrame {
-		return fmt.Errorf("centralnet: frame too large (%d bytes)", len(body))
-	}
-	hdr := make([]byte, 5)
-	binary.BigEndian.PutUint32(hdr, uint32(len(body)+1))
-	hdr[4] = ftype
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	_, err := w.Write(body)
-	return err
-}
-
-func readFrame(r io.Reader) (uint8, []byte, error) {
-	hdr := make([]byte, 5)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return 0, nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr)
-	if n < 1 || n > maxFrame {
-		return 0, nil, fmt.Errorf("centralnet: bad frame length %d", n)
-	}
-	body := make([]byte, n-1)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, nil, err
-	}
-	return hdr[4], body, nil
-}
 
 // Result is what each agent learns from the auctioneer.
 type Result struct {
@@ -173,7 +143,7 @@ func (s *Server) fail(err error) {
 
 func (s *Server) handle(conn net.Conn) {
 	br := bufio.NewReader(conn)
-	ftype, body, err := readFrame(br)
+	ftype, body, err := wire.ReadSocketFrame(br, maxFrame)
 	if err != nil || ftype != fBid || len(body) < 6 {
 		_ = conn.Close()
 		return
@@ -232,7 +202,7 @@ func (s *Server) finish() {
 		}
 		binary.BigEndian.PutUint64(body[off:], uint64(out.Payments[id]))
 		bw := bufio.NewWriter(conn)
-		if err := writeFrame(bw, fResult, body); err == nil {
+		if err := wire.WriteSocketFrame(bw, fResult, body, maxFrame); err == nil {
 			_ = bw.Flush()
 		}
 		s.messages++
@@ -262,14 +232,14 @@ func SubmitBids(addr string, id int, bids []int64, timeout time.Duration) (*Resu
 		binary.BigEndian.PutUint64(body[6+8*j:], uint64(b))
 	}
 	bw := bufio.NewWriter(conn)
-	if err := writeFrame(bw, fBid, body); err != nil {
+	if err := wire.WriteSocketFrame(bw, fBid, body, maxFrame); err != nil {
 		return nil, err
 	}
 	if err := bw.Flush(); err != nil {
 		return nil, err
 	}
 
-	ftype, resp, err := readFrame(bufio.NewReader(conn))
+	ftype, resp, err := wire.ReadSocketFrame(bufio.NewReader(conn), maxFrame)
 	if err != nil {
 		return nil, err
 	}

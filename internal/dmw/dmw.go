@@ -7,10 +7,9 @@
 // Each agent is a round machine (agentRun.step): it consumes one round's
 // deliveries and queues the next round's sends. A Run simulates the n
 // agents of an auction by stepping them in lockstep on one goroutine over
-// a synchronous-round fabric with package transport's semantics and cost
-// model (lockstep.go); RunAgentSession drives one agent over any
-// transport.Conn, blocking in FinishRound. The four protocol phases map
-// onto rounds as follows:
+// a transport.Round, the round rule every fabric shares (lockstep.go);
+// RunAgentSession drives one agent over any transport.Conn, blocking in
+// FinishRound. The four protocol phases map onto rounds as follows:
 //
 //	Phase I   Initialization   — RunConfig carries the published
 //	                             parameters (group, pseudonyms, W, c).
@@ -337,7 +336,7 @@ func Run(cfg RunConfig) (*Result, error) {
 			agents[i].seed(cfg.Seed)
 		}
 		err := ls.run(agents, cfg.Verifier)
-		stats.Add(&ls.tally)
+		stats.Add(&ls.Tally)
 		for i := range agents {
 			viewsByAgent[i][task] = agents[i].view
 		}
@@ -462,13 +461,13 @@ func settlePayments(cfg RunConfig, viewsByAgent [][]*AuctionOutcome, stats *tran
 	ls := newLockstep(n, delays, cfg.RealTimeDelays)
 	for i := 0; i < n; i++ {
 		if crashed(viewsByAgent[i]) {
-			ls.ports[i].Crash()
+			ls.Crash(i)
 		}
 	}
 	var claims []payment.Claim
 	live := false
 	for i := 0; i < n; i++ {
-		if ls.crashed[i] {
+		if ls.Crashed(i) {
 			continue
 		}
 		live = true
@@ -485,7 +484,7 @@ func settlePayments(cfg RunConfig, viewsByAgent [][]*AuctionOutcome, stats *tran
 	if live {
 		ls.deliver()
 	}
-	stats.Add(&ls.tally)
+	stats.Add(&ls.Tally)
 
 	if len(claims) == 0 {
 		// Nobody claimed (e.g. everyone crashed): nothing is dispensed.

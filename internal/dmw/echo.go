@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"math/big"
-	"sort"
 
 	"dmw/internal/transport"
 )
@@ -57,15 +56,7 @@ func digestPublished(msgs []transport.Message) [sha256.Size]byte {
 			sorted = append(sorted, m)
 		}
 	}
-	sort.SliceStable(sorted, func(a, b int) bool {
-		if sorted[a].From != sorted[b].From {
-			return sorted[a].From < sorted[b].From
-		}
-		if sorted[a].Kind != sorted[b].Kind {
-			return sorted[a].Kind < sorted[b].Kind
-		}
-		return sorted[a].Task < sorted[b].Task
-	})
+	transport.SortMessages(sorted)
 	h := sha256.New()
 	var hdr [12]byte
 	for _, m := range sorted {

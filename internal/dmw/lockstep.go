@@ -1,8 +1,6 @@
 package dmw
 
 import (
-	"cmp"
-	"slices"
 	"time"
 
 	"dmw/internal/commit"
@@ -11,24 +9,13 @@ import (
 
 // lockstep is the round fabric of one co-located auction (or of Phase
 // IV): the driver steps every agent on the calling goroutine, one after
-// another, and then delivers the round's messages together. It keeps
-// transport.Network's semantics — each agent's deliveries sorted by
-// (From, Kind, Task); a crashed agent's later sends are lost, nothing is
-// delivered to it, and nobody waits for it; the delay model's virtual
-// clock, and under wall-clock emulation one sleep per round for its
-// slowest message — with no lock, no condition variable and no goroutine
-// per agent. Counts go into a plain Tally, merged once by the caller.
+// another, and then delivers the round's messages together through a
+// transport.Round — no lock, no condition variable and no goroutine per
+// agent. Counts go into the Round's Tally, merged once by the caller.
 type lockstep struct {
-	crashed []bool
-	// pending[to] collects the current round's sends to agent to;
-	// inbox[to] holds the last round's deliveries. deliver swaps the two,
-	// so rounds reuse one slab.
-	pending [][]transport.Message
-	inbox   [][]transport.Message
-	delays  [][]time.Duration
+	transport.Round
 	// realTime makes each round sleep for its slowest delivered message.
 	realTime bool
-	tally    transport.Tally
 	ports    []port
 }
 
@@ -40,80 +27,36 @@ type port struct {
 
 func newLockstep(n int, delays [][]time.Duration, realTime bool) *lockstep {
 	ls := &lockstep{
-		crashed:  make([]bool, n),
-		pending:  make([][]transport.Message, n),
-		inbox:    make([][]transport.Message, n),
-		delays:   delays,
-		realTime: realTime && delays != nil,
+		Round:    transport.NewRound(n, delays),
+		realTime: realTime,
 		ports:    make([]port, n),
 	}
-	// Every mailbox starts with room for the largest round, a share and a
-	// publication from each peer, so sends allocate only past it.
-	per := 2 * (n - 1)
-	slab := make([]transport.Message, 2*n*per)
 	for i := range ls.ports {
 		ls.ports[i] = port{ls: ls, id: i}
-		ls.pending[i] = slab[2*i*per : 2*i*per : (2*i+1)*per]
-		ls.inbox[i] = slab[(2*i+1)*per : (2*i+1)*per : (2*i+2)*per]
 	}
 	return ls
 }
 
 // Send queues one private message for delivery at the end of the round.
-// Sending to self or from a crashed agent is a silent no-op.
 func (p *port) Send(to int, kind transport.Kind, task int, payload any) error {
-	ls := p.ls
-	if to == p.id || ls.crashed[p.id] {
-		return nil
-	}
-	ls.pending[to] = append(ls.pending[to], transport.Message{
-		From: p.id, To: to, Kind: kind, Task: task, Payload: payload,
-	})
-	ls.tally.Record(kind, payload)
-	return nil
+	return p.ls.Send(p.id, to, kind, task, payload)
 }
 
 // Broadcast publishes to every other agent as n-1 point-to-point sends.
 func (p *port) Broadcast(kind transport.Kind, task int, payload any) error {
-	for to := range p.ls.pending {
-		p.Send(to, kind, task, payload)
-	}
+	p.ls.Broadcast(p.id, kind, task, payload)
 	return nil
 }
 
 // Crash removes the agent from all future rounds (fail-stop).
-func (p *port) Crash() { p.ls.crashed[p.id] = true }
+func (p *port) Crash() { p.ls.Crash(p.id) }
 
-// deliver ends the round: every live agent's pending messages become its
-// inbox, sorted by (From, Kind, Task).
+// deliver ends the round, then, under wall-clock emulation, waits for the
+// round's slowest delivered message.
 func (ls *lockstep) deliver() {
-	var slowest time.Duration
-	for to, msgs := range ls.pending {
-		ls.pending[to] = ls.inbox[to][:0]
-		if ls.crashed[to] {
-			ls.inbox[to] = msgs[:0] // lost
-			continue
-		}
-		sortMessages(msgs)
-		if ls.delays != nil {
-			for _, m := range msgs {
-				slowest = max(slowest, ls.delays[m.From][to])
-			}
-		}
-		ls.inbox[to] = msgs
+	if d := ls.Deliver(); ls.realTime && d > 0 {
+		time.Sleep(d)
 	}
-	if ls.realTime && slowest > 0 {
-		time.Sleep(slowest)
-	}
-	ls.tally.RecordRound(slowest)
-}
-
-// sortMessages orders one agent's deliveries by (From, Kind, Task),
-// stably, as transport.Network delivers them.
-func sortMessages(msgs []transport.Message) {
-	slices.SortStableFunc(msgs, func(a, b transport.Message) int {
-		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.Kind, b.Kind), cmp.Compare(a.Task, b.Task))
-	})
 }
 
 // run steps agents to completion in lockstep. Each round steps the live,
@@ -138,7 +81,7 @@ func (ls *lockstep) run(agents []agentRun, verifier *commit.Coalescer) error {
 			if firstErr == nil {
 				firstErr = err
 			}
-			ls.ports[i].Crash()
+			ls.Crash(i)
 			a.view = &AuctionOutcome{Task: a.env.task, Aborted: true, AbortReason: "internal error", Winner: -1}
 			a.state = stDone
 		case y == yieldVerify:
@@ -151,7 +94,7 @@ func (ls *lockstep) run(agents []agentRun, verifier *commit.Coalescer) error {
 		more = false
 		for i := range agents {
 			if agents[i].state != stDone {
-				stepAgent(i, ls.inbox[i])
+				stepAgent(i, ls.Inbox(i))
 			}
 		}
 		for len(waiting) > 0 {

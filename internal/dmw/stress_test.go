@@ -180,18 +180,57 @@ func TestDelayMatrixValidated(t *testing.T) {
 	if _, err := Run(cfg); err == nil {
 		t.Error("delay matrix with short rows accepted")
 	}
-	cfg.Delays = make([][]time.Duration, n)
-	for i := range cfg.Delays {
-		cfg.Delays[i] = make([]time.Duration, n)
-		for j := range cfg.Delays[i] {
-			if i != j {
-				cfg.Delays[i][j] = time.Millisecond
-			}
-		}
-	}
+	cfg.Delays = uniformDelays(n, time.Millisecond)
 	res := mustRun(t, cfg)
 	if res.Stats.VirtualTime() <= 0 {
 		t.Error("delay model produced zero virtual time")
+	}
+}
+
+// uniformDelays builds an n x n matrix with delay d on every off-
+// diagonal link.
+func uniformDelays(n int, d time.Duration) [][]time.Duration {
+	m := make([][]time.Duration, n)
+	for i := range m {
+		m[i] = make([]time.Duration, n)
+		for j := range m[i] {
+			if i != j {
+				m[i][j] = d
+			}
+		}
+	}
+	return m
+}
+
+// TestRealTimeDelaysWaitWallClock: under RealTimeDelays (dmwd's
+// link_delay_ms) every round waits for its slowest message, so the run
+// takes at least the virtual time it reports.
+func TestRealTimeDelaysWaitWallClock(t *testing.T) {
+	const d = 20 * time.Millisecond
+	cfg := baseConfig(73)
+	cfg.Delays = uniformDelays(cfg.Bid.N, d)
+	cfg.RealTimeDelays = true
+	start := time.Now()
+	res := mustRun(t, cfg)
+	elapsed := time.Since(start)
+	if vt := res.Stats.VirtualTime(); vt < d || elapsed < vt {
+		t.Errorf("run with %s links took %s for virtual time %s; want >= virtual time >= %s", d, elapsed, vt, d)
+	}
+}
+
+// TestRealTimeDelaysOffIsFast: without RealTimeDelays the delay matrix
+// is virtual-clock only: an hour per link costs no wall-clock time.
+func TestRealTimeDelaysOffIsFast(t *testing.T) {
+	const d = time.Hour
+	cfg := baseConfig(73)
+	cfg.Delays = uniformDelays(cfg.Bid.N, d)
+	start := time.Now()
+	res := mustRun(t, cfg)
+	if elapsed := time.Since(start); elapsed >= d {
+		t.Errorf("virtual-clock run took %s; must not sleep", elapsed)
+	}
+	if vt := res.Stats.VirtualTime(); vt < d || vt%d != 0 {
+		t.Errorf("virtual time = %s, want a positive multiple of %s", vt, d)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"time"
 
 	"dmw/internal/transport"
@@ -61,7 +60,7 @@ func Dial(addr string, id int, opts ...DialOption) (*Client, error) {
 	}
 	hello := make([]byte, 4)
 	binary.BigEndian.PutUint32(hello, uint32(id))
-	if err := writeFrame(c.bw, fHello, hello); err != nil {
+	if err := wire.WriteSocketFrame(c.bw, fHello, hello, maxFrame); err != nil {
 		_ = conn.Close()
 		return nil, err
 	}
@@ -70,7 +69,7 @@ func Dial(addr string, id int, opts ...DialOption) (*Client, error) {
 		return nil, err
 	}
 	_ = conn.SetReadDeadline(time.Now().Add(c.timeout))
-	ftype, body, err := readFrame(c.br)
+	ftype, body, err := wire.ReadSocketFrame(c.br, maxFrame)
 	if err != nil || ftype != fWelcome || len(body) != 4 {
 		_ = conn.Close()
 		return nil, errors.New("relaynet: handshake failed")
@@ -111,7 +110,7 @@ func (c *Client) Send(to int, kind transport.Kind, task int, payload any) error 
 	if err != nil {
 		return err
 	}
-	if err := writeFrame(c.bw, fMsg, body); err != nil {
+	if err := wire.WriteSocketFrame(c.bw, fMsg, body, maxFrame); err != nil {
 		c.fail(err)
 		return err
 	}
@@ -139,7 +138,7 @@ func (c *Client) FinishRound() []transport.Message {
 	if c.crashed || c.err != nil {
 		return nil
 	}
-	if err := writeFrame(c.bw, fFinish, nil); err != nil {
+	if err := wire.WriteSocketFrame(c.bw, fFinish, nil, maxFrame); err != nil {
 		c.fail(err)
 		return nil
 	}
@@ -150,7 +149,7 @@ func (c *Client) FinishRound() []transport.Message {
 	var msgs []transport.Message
 	_ = c.conn.SetReadDeadline(time.Now().Add(c.timeout))
 	for {
-		ftype, body, err := readFrame(c.br)
+		ftype, body, err := wire.ReadSocketFrame(c.br, maxFrame)
 		if err != nil {
 			c.fail(err)
 			return nil
@@ -164,15 +163,7 @@ func (c *Client) FinishRound() []transport.Message {
 			}
 			msgs = append(msgs, m)
 		case fRoundEnd:
-			sort.SliceStable(msgs, func(a, b int) bool {
-				if msgs[a].From != msgs[b].From {
-					return msgs[a].From < msgs[b].From
-				}
-				if msgs[a].Kind != msgs[b].Kind {
-					return msgs[a].Kind < msgs[b].Kind
-				}
-				return msgs[a].Task < msgs[b].Task
-			})
+			transport.SortMessages(msgs)
 			return msgs
 		default:
 			c.fail(fmt.Errorf("relaynet: unexpected frame %d", ftype))
@@ -187,7 +178,7 @@ func (c *Client) Crash() {
 		return
 	}
 	c.crashed = true
-	_ = writeFrame(c.bw, fCrash, nil)
+	_ = wire.WriteSocketFrame(c.bw, fCrash, nil, maxFrame)
 	_ = c.bw.Flush()
 	_ = c.conn.Close()
 }

@@ -28,8 +28,8 @@ package relaynet
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sort"
 	"sync"
@@ -54,50 +54,17 @@ const (
 // large sigma stays well under this).
 const maxFrame = 1 << 22
 
-func writeFrame(w io.Writer, ftype uint8, body []byte) error {
-	if len(body)+1 > maxFrame {
-		return fmt.Errorf("relaynet: frame too large (%d bytes)", len(body))
-	}
-	hdr := make([]byte, 5)
-	binary.BigEndian.PutUint32(hdr, uint32(len(body)+1))
-	hdr[4] = ftype
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	_, err := w.Write(body)
-	return err
-}
-
-func readFrame(r io.Reader) (uint8, []byte, error) {
-	hdr := make([]byte, 5)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return 0, nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr)
-	if n < 1 || n > maxFrame {
-		return 0, nil, fmt.Errorf("relaynet: bad frame length %d", n)
-	}
-	body := make([]byte, n-1)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, nil, err
-	}
-	return hdr[4], body, nil
-}
-
 // Relay is the round-fabric server for one mechanism execution.
 type Relay struct {
-	n     int
-	ln    net.Listener
-	stats *transport.Stats
+	n  int
+	ln net.Listener
 
 	mu       sync.Mutex
-	cond     *sync.Cond
+	round    transport.Round
 	conns    []net.Conn
 	writers  []*bufio.Writer
 	joined   int
 	finished []bool
-	crashed  []bool
-	pending  [][]transport.Message
 	claims   map[int][]int64
 	closed   bool
 	err      error
@@ -114,16 +81,13 @@ func Serve(ln net.Listener, n int) (*Relay, error) {
 	r := &Relay{
 		n:        n,
 		ln:       ln,
-		stats:    &transport.Stats{},
+		round:    transport.NewRound(n, nil),
 		conns:    make([]net.Conn, n),
 		writers:  make([]*bufio.Writer, n),
 		finished: make([]bool, n),
-		crashed:  make([]bool, n),
-		pending:  make([][]transport.Message, n),
 		claims:   make(map[int][]int64),
 		done:     make(chan struct{}),
 	}
-	r.cond = sync.NewCond(&r.mu)
 	go r.acceptLoop()
 	return r, nil
 }
@@ -131,9 +95,13 @@ func Serve(ln net.Listener, n int) (*Relay, error) {
 // Addr returns the listener address.
 func (r *Relay) Addr() net.Addr { return r.ln.Addr() }
 
-// Stats returns the message accounting (same cost model as the in-memory
-// fabric: every routed point-to-point message counts once).
-func (r *Relay) Stats() *transport.Stats { return r.stats }
+// Stats returns a snapshot of the message accounting (same cost model as
+// the in-memory fabric: every routed point-to-point message counts once).
+func (r *Relay) Stats() *transport.Stats {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.round.Stats()
+}
 
 // Claims returns the Phase IV payment claims the relay observed, ready
 // for settlement by the payment infrastructure.
@@ -172,6 +140,9 @@ func (r *Relay) Close() error {
 	conns := append([]net.Conn(nil), r.conns...)
 	r.mu.Unlock()
 	err := r.ln.Close()
+	if errors.Is(err, net.ErrClosed) {
+		err = nil // the n-th agent's hello closed it
+	}
 	for _, c := range conns {
 		if c != nil {
 			_ = c.Close()
@@ -185,11 +156,19 @@ func (r *Relay) Close() error {
 	return err
 }
 
+// acceptLoop accepts connections until the n-th agent's hello closes the
+// listener: a refused hello takes no seat.
 func (r *Relay) acceptLoop() {
 	var wg sync.WaitGroup
-	for i := 0; i < r.n; i++ {
+	for {
 		conn, err := r.ln.Accept()
 		if err != nil {
+			r.mu.Lock()
+			full := r.joined == r.n
+			r.mu.Unlock()
+			if full {
+				break
+			}
 			r.fail(fmt.Errorf("relaynet: accept: %w", err))
 			return
 		}
@@ -226,7 +205,7 @@ func (r *Relay) fail(err error) {
 // loop until disconnect.
 func (r *Relay) handle(conn net.Conn) {
 	br := bufio.NewReader(conn)
-	ftype, body, err := readFrame(br)
+	ftype, body, err := wire.ReadSocketFrame(br, maxFrame)
 	if err != nil || ftype != fHello || len(body) != 4 {
 		_ = conn.Close()
 		return
@@ -246,19 +225,23 @@ func (r *Relay) handle(conn net.Conn) {
 	r.conns[id] = conn
 	r.writers[id] = bw
 	r.joined++
+	full := r.joined == r.n
 	welcome := make([]byte, 4)
 	binary.BigEndian.PutUint32(welcome, uint32(r.n))
-	if err := writeFrame(bw, fWelcome, welcome); err == nil {
+	if err := wire.WriteSocketFrame(bw, fWelcome, welcome, maxFrame); err == nil {
 		_ = bw.Flush()
 	}
 	r.mu.Unlock()
+	if full {
+		_ = r.ln.Close()
+	}
 
 	defer func() {
 		_ = conn.Close()
 		r.markCrashed(id)
 	}()
 	for {
-		ftype, body, err := readFrame(br)
+		ftype, body, err := wire.ReadSocketFrame(br, maxFrame)
 		if err != nil {
 			return // disconnect -> deferred crash handling
 		}
@@ -284,7 +267,7 @@ func (r *Relay) handle(conn net.Conn) {
 func (r *Relay) route(m transport.Message) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if m.To < 0 || m.To >= r.n || m.To == m.From {
+	if err := r.round.Send(m.From, m.To, m.Kind, m.Task, m.Payload); err != nil || m.To == m.From {
 		return
 	}
 	if p, ok := m.Payload.(dmw.PaymentClaimPayload); ok {
@@ -292,93 +275,74 @@ func (r *Relay) route(m transport.Message) {
 			r.claims[m.From] = append([]int64(nil), p.Payments...)
 		}
 	}
-	r.pending[m.To] = append(r.pending[m.To], m)
-	r.recordStats(m)
 }
 
 // finish marks the agent's round as complete and delivers when the
-// barrier fills.
+// barrier fills. The client blocks on fRoundEnd, so the relay does not
+// hold its reader back.
 func (r *Relay) finish(id int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.crashed[id] {
+	if r.round.Crashed(id) {
 		return
 	}
 	r.finished[id] = true
 	r.maybeDeliverLocked()
-	// Block the reader goroutine until the round completes so a fast
-	// client cannot race ahead... the client itself blocks on
-	// fRoundEnd, so no relay-side wait is needed.
 }
 
 // markCrashed handles a disconnect: the agent leaves all future rounds.
 func (r *Relay) markCrashed(id int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.crashed[id] {
+	if r.round.Crashed(id) {
 		return
 	}
-	r.crashed[id] = true
-	r.pending[id] = nil
+	r.round.Crash(id)
 	r.maybeDeliverLocked()
 }
 
-// maybeDeliverLocked releases the round barrier when every live, joined
-// agent has finished. Caller holds r.mu.
+// maybeDeliverLocked ends the round when every agent has joined and every
+// live one has finished, and writes each live agent its deliveries and
+// the round-end marker. Caller holds r.mu.
 func (r *Relay) maybeDeliverLocked() {
-	live, fin := 0, 0
-	for i := 0; i < r.n; i++ {
-		if r.conns[i] == nil || r.crashed[i] {
-			continue
-		}
-		live++
-		if r.finished[i] {
-			fin++
-		}
-	}
-	// Deliver only once all n agents have joined at least once, so
-	// early finishers wait for slow joiners.
-	if r.joined < r.n || live == 0 || fin < live {
+	// Early finishers wait for slow joiners.
+	if r.joined < r.n {
 		return
 	}
-	r.stats.RecordRound()
+	live, fin := 0, 0
+	for i := 0; i < r.n; i++ {
+		if !r.round.Crashed(i) {
+			live++
+			if r.finished[i] {
+				fin++
+			}
+		}
+	}
+	if live == 0 || fin < live {
+		return
+	}
+	r.round.Deliver()
 	for to := 0; to < r.n; to++ {
-		msgs := r.pending[to]
-		r.pending[to] = nil
 		r.finished[to] = false
-		if r.crashed[to] || r.conns[to] == nil {
+		if r.round.Crashed(to) {
 			continue
 		}
-		sort.SliceStable(msgs, func(a, b int) bool {
-			if msgs[a].From != msgs[b].From {
-				return msgs[a].From < msgs[b].From
-			}
-			if msgs[a].Kind != msgs[b].Kind {
-				return msgs[a].Kind < msgs[b].Kind
-			}
-			return msgs[a].Task < msgs[b].Task
-		})
 		bw := r.writers[to]
 		ok := true
-		for _, m := range msgs {
+		for _, m := range r.round.Inbox(to) {
 			body, err := wire.EncodeMessage(m)
 			if err != nil {
 				continue
 			}
-			if err := writeFrame(bw, fMsg, body); err != nil {
+			if err := wire.WriteSocketFrame(bw, fMsg, body, maxFrame); err != nil {
 				ok = false
 				break
 			}
 		}
 		if ok {
-			if err := writeFrame(bw, fRoundEnd, nil); err == nil {
+			if err := wire.WriteSocketFrame(bw, fRoundEnd, nil, maxFrame); err == nil {
 				_ = bw.Flush()
 			}
 		}
 	}
-}
-
-// recordStats mirrors the in-memory fabric's accounting.
-func (r *Relay) recordStats(m transport.Message) {
-	r.stats.Record(m.Kind, m.Payload)
 }

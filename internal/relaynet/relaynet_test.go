@@ -57,6 +57,52 @@ func TestDialHandshake(t *testing.T) {
 	}
 }
 
+// TestRefusedHelloTakesNoSeat: a connection whose hello the relay refuses
+// (out-of-range id, garbage, duplicate id) uses up none of the n seats,
+// so the real agents still join and finish a round.
+func TestRefusedHelloTakesNoSeat(t *testing.T) {
+	r := startRelay(t, 2)
+	addr := r.Addr().String()
+	opt := WithRoundTimeout(2 * time.Second)
+	if _, err := Dial(addr, 9, opt); err == nil {
+		t.Fatal("out-of-range id accepted")
+	}
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = raw.Write([]byte{0, 0, 0, 0, 0}) // a zero-length frame
+	_ = raw.Close()
+	var c [2]*Client
+	for i := range c {
+		if c[i], err = Dial(addr, i, opt); err != nil {
+			t.Fatalf("agent %d: %v", i, err)
+		}
+		defer c[i].Close()
+		if i == 0 {
+			if _, err := Dial(addr, 0, opt); err == nil {
+				t.Fatal("duplicate id accepted")
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	var got [2][]transport.Message
+	for i := range c {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_ = c[i].Send(1-i, transport.KindAbort, 0, protocol.AbortPayload{Reason: "hi"})
+			got[i] = c[i].FinishRound()
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if len(got[i]) != 1 || c[i].Err() != nil {
+			t.Errorf("agent %d got %d messages (err %v), want 1", i, len(got[i]), c[i].Err())
+		}
+	}
+}
+
 func TestRoundTripMessagesOverTCP(t *testing.T) {
 	r := startRelay(t, 2)
 	addr := r.Addr().String()

@@ -6,23 +6,24 @@
 //
 // Communication proceeds in synchronous rounds, which realize the paper's
 // "implicit synchronization" (step II.4): an agent sends any number of
-// messages during a round and then calls Endpoint.FinishRound, which
-// blocks until every live agent has finished the round and returns the
-// messages addressed to it. A withheld message is therefore detectable
-// deterministically — it simply is not among the round's deliveries —
-// without wall-clock timeouts.
+// messages during a round, and at the end of the round every live agent
+// receives the messages addressed to it. A withheld message is therefore
+// detectable deterministically — it simply is not among the round's
+// deliveries — without wall-clock timeouts.
 //
-// Network is the blocking fabric: each agent runs in its own goroutine
-// (one process per agent in a real deployment, see package relaynet), and
-// a Network is safe for concurrent use by its endpoints. Co-located runs
-// (package dmw's Run) do not use it: they step every agent of an auction
-// on one goroutine over a lockstep fabric with the same semantics and the
-// same cost accounting, counted in a Tally.
+// Round is that rule, and the only implementation of it: deliveries
+// sorted by (From, Kind, Task), nothing delivered to a crashed agent and
+// nothing sent by one after it crashed, counts in a Tally. Every fabric is
+// a Round behind a barrier: package dmw's Run steps each auction's agents
+// on one goroutine over a Round; Network blocks one goroutine per agent in
+// Endpoint.FinishRound; package relaynet's relay holds one for agents in
+// separate processes.
 package transport
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -104,21 +105,20 @@ type Message struct {
 	Payload any
 }
 
-// Tally is the lock-free core of Stats: the counts of a fabric driven by
-// one goroutine (package dmw's lockstep driver steps a whole auction on
-// one), merged into a shared Stats once with Stats.Add.
+// Tally is the lock-free core of Stats: the counts of one Round, merged
+// into a shared Stats with Stats.Add or copied out with Tally.Stats.
 type Tally struct {
 	byKind   [numKinds]int64
 	messages int64
 	bytes    int64
 	rounds   int64
-	// virtual simulated wall-clock time accumulated by the latency
-	// model (see Network.SetDelays).
+	// virtual is the simulated wall-clock time accumulated by the
+	// latency model (see NewRound).
 	virtual time.Duration
 }
 
-// Record counts one point-to-point message.
-func (t *Tally) Record(k Kind, payload any) {
+// record counts one point-to-point message.
+func (t *Tally) record(k Kind, payload any) {
 	if k >= 0 && int(k) < numKinds {
 		t.byKind[k]++
 	}
@@ -128,12 +128,8 @@ func (t *Tally) Record(k Kind, payload any) {
 	}
 }
 
-// RecordRound counts one completed round whose slowest message took
-// virtual under the delay model (0 without one).
-func (t *Tally) RecordRound(virtual time.Duration) {
-	t.rounds++
-	t.virtual += virtual
-}
+// Stats returns a Stats holding a copy of the tally.
+func (t *Tally) Stats() *Stats { return &Stats{t: *t} }
 
 // Stats accumulates communication costs. Safe for concurrent use.
 type Stats struct {
@@ -141,36 +137,11 @@ type Stats struct {
 	t  Tally
 }
 
-// Record counts one point-to-point message. It is exported so external
-// round fabrics (e.g. the TCP relay in package relaynet) can account
-// messages with the same cost model as the in-memory network.
-func (s *Stats) Record(k Kind, payload any) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.t.Record(k, payload)
-}
-
-// RecordRound counts one completed communication round (used for the
-// latency model: end-to-end time on a network with RTT t is roughly
-// rounds * t, since all of a round's messages travel in parallel).
-func (s *Stats) RecordRound() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.t.rounds++
-}
-
 // Rounds returns the number of completed communication rounds.
 func (s *Stats) Rounds() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.t.rounds
-}
-
-// recordVirtual accumulates simulated time.
-func (s *Stats) recordVirtual(d time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.t.virtual += d
 }
 
 // VirtualTime returns the simulated end-to-end time under the latency
@@ -217,14 +188,6 @@ func (s *Stats) ByPhase() map[string]int64 {
 	return out
 }
 
-// Merge adds another Stats' totals into s.
-func (s *Stats) Merge(o *Stats) {
-	o.mu.Lock()
-	t := o.t
-	o.mu.Unlock()
-	s.Add(&t)
-}
-
 // Add merges a tally into s.
 func (s *Stats) Add(t *Tally) {
 	s.mu.Lock()
@@ -242,6 +205,119 @@ func (s *Stats) Add(t *Tally) {
 	}
 }
 
+// SortMessages orders one agent's deliveries by (From, Kind, Task),
+// stably: the delivery order of every round fabric.
+func SortMessages(msgs []Message) {
+	slices.SortStableFunc(msgs, func(a, b Message) int {
+		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.Kind, b.Kind), cmp.Compare(a.Task, b.Task))
+	})
+}
+
+// Round is the mailboxes of an n-agent round fabric and its one delivery
+// rule. Sends queue until Deliver ends the round; Deliver hands every live
+// agent the round's messages addressed to it, sorted by SortMessages.
+// Nothing is delivered to a crashed agent, and nothing it sends after it
+// crashed is queued; sends it made earlier in the round are still
+// delivered. Sent messages are counted in the embedded Tally as they are
+// queued, each round as it is delivered. A Round is not safe for
+// concurrent use: Network and the relay hold it under their lock.
+type Round struct {
+	Tally
+	crashed []bool
+	// pending[to] collects the current round's sends to agent to;
+	// inbox[to] holds the last round's deliveries. Deliver swaps the two,
+	// so rounds reuse one slab.
+	pending [][]Message
+	inbox   [][]Message
+	delays  [][]time.Duration
+}
+
+// NewRound returns the mailboxes of an n-agent fabric. delays, when
+// non-nil, is an n x n one-way latency matrix for the virtual-clock
+// model (delays[i][i] is ignored): a round takes as long as the slowest
+// link that delivered a message in it, since all of a round's messages
+// travel in parallel, and rounds add up in Tally's virtual time.
+func NewRound(n int, delays [][]time.Duration) Round {
+	r := Round{
+		crashed: make([]bool, n),
+		pending: make([][]Message, n),
+		inbox:   make([][]Message, n),
+		delays:  delays,
+	}
+	// Every mailbox starts with room for the largest protocol round, a
+	// share and a publication from each peer, so sends allocate only past
+	// it.
+	per := 2 * (n - 1)
+	slab := make([]Message, 2*n*per)
+	for i := 0; i < n; i++ {
+		r.pending[i] = slab[2*i*per : 2*i*per : (2*i+1)*per]
+		r.inbox[i] = slab[(2*i+1)*per : (2*i+1)*per : (2*i+2)*per]
+	}
+	return r
+}
+
+// N returns the number of agents.
+func (r *Round) N() int { return len(r.crashed) }
+
+// Send queues one private message from agent from for delivery at the
+// end of the round. Sending to self or from a crashed agent is a silent
+// no-op; an out-of-range recipient is an error.
+func (r *Round) Send(from, to int, kind Kind, task int, payload any) error {
+	if to < 0 || to >= len(r.pending) {
+		return fmt.Errorf("transport: recipient %d out of range", to)
+	}
+	if to == from || r.crashed[from] {
+		return nil
+	}
+	r.pending[to] = append(r.pending[to], Message{From: from, To: to, Kind: kind, Task: task, Payload: payload})
+	r.record(kind, payload)
+	return nil
+}
+
+// Broadcast publishes a message from agent from to every other agent, as
+// n-1 point-to-point sends (Theorem 11's model).
+func (r *Round) Broadcast(from int, kind Kind, task int, payload any) {
+	for to := range r.pending {
+		r.Send(from, to, kind, task, payload)
+	}
+}
+
+// Crash removes agent id from the rest of the run (fail-stop).
+func (r *Round) Crash(id int) { r.crashed[id] = true }
+
+// Crashed reports whether agent id has crashed.
+func (r *Round) Crashed(id int) bool { return r.crashed[id] }
+
+// Inbox returns agent id's deliveries of the last round. The next
+// Deliver hands the slice back to the mailbox, so it is overwritten by
+// the sends of the round after that.
+func (r *Round) Inbox(id int) []Message { return r.inbox[id] }
+
+// Deliver ends the round: every live agent's queued messages become its
+// inbox, sorted by (From, Kind, Task), and a crashed agent's are dropped.
+// It returns the slowest delivered message's link delay (0 without a
+// delay matrix), which it also adds to the virtual time.
+func (r *Round) Deliver() time.Duration {
+	var slowest time.Duration
+	for to, msgs := range r.pending {
+		r.pending[to] = r.inbox[to][:0]
+		if r.crashed[to] {
+			r.inbox[to] = msgs[:0] // lost
+			continue
+		}
+		SortMessages(msgs)
+		if r.delays != nil {
+			for _, m := range msgs {
+				slowest = max(slowest, r.delays[m.From][to])
+			}
+		}
+		r.inbox[to] = msgs
+	}
+	r.rounds++
+	r.virtual += slowest
+	return slowest
+}
+
 // Conn is the agent-side transport interface the protocol engine runs
 // over. Package transport's in-memory Endpoint implements it for
 // simulations; package relaynet implements it over TCP for real
@@ -256,33 +332,23 @@ type Conn interface {
 	// point-to-point transmissions in the paper's cost model).
 	Broadcast(kind Kind, task int, payload any) error
 	// FinishRound ends the round, blocks for the other agents, and
-	// returns this agent's deliveries sorted by (From, Kind, Task).
+	// returns this agent's deliveries sorted by (From, Kind, Task). The
+	// fabric may reuse the returned slice: it stays valid until this
+	// agent's next FinishRound returns.
 	FinishRound() []Message
 	// Crash removes the agent from all future rounds (fail-stop).
 	Crash()
 }
 
-// Network is a synchronous-round message fabric for n agents.
+// Network is a synchronous-round message fabric for n agents, each on
+// its own goroutine: a barrier around a Round.
 type Network struct {
-	n     int
-	stats *Stats
-
 	mu      sync.Mutex
 	cond    *sync.Cond
-	pending [][]Message // per-recipient buffers for the current round
-	arrived int         // agents that called FinishRound this round
-	live    int         // agents still participating in barriers
-	crashed []bool
+	round   Round
+	arrived int    // agents that called FinishRound this round
+	live    int    // agents still participating in barriers
 	gen     uint64 // round generation, increments at each barrier release
-	inboxes [][]Message
-	// delays[i][j], when set, is the one-way latency from agent i to
-	// agent j for the virtual-clock latency model.
-	delays [][]time.Duration
-	// realTime, when set alongside delays, makes each round barrier
-	// actually WAIT (wall clock) for the round's slowest in-flight
-	// message instead of only accounting it virtually — WAN emulation
-	// for end-to-end latency/throughput experiments.
-	realTime bool
 }
 
 // New creates a network for n agents with fresh statistics.
@@ -290,62 +356,25 @@ func New(n int) (*Network, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("transport: need at least 1 agent, got %d", n)
 	}
-	nw := &Network{
-		n:       n,
-		stats:   &Stats{},
-		pending: make([][]Message, n),
-		live:    n,
-		crashed: make([]bool, n),
-		inboxes: make([][]Message, n),
-	}
+	nw := &Network{round: NewRound(n, nil), live: n}
 	nw.cond = sync.NewCond(&nw.mu)
 	return nw, nil
 }
 
-// SetDelays installs a per-link one-way latency matrix for the
-// virtual-clock model: a round's completion time is the maximum delay of
-// any message actually sent in it (all messages travel in parallel), and
-// Stats.VirtualTime accumulates rounds sequentially. The matrix must be
-// n x n; delays[i][i] is ignored. Call before the first round.
-func (nw *Network) SetDelays(delays [][]time.Duration) error {
-	if len(delays) != nw.n {
-		return fmt.Errorf("transport: delay matrix has %d rows, want %d", len(delays), nw.n)
-	}
-	for i, row := range delays {
-		if len(row) != nw.n {
-			return fmt.Errorf("transport: delay row %d has %d entries, want %d", i, len(row), nw.n)
-		}
-	}
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
-	nw.delays = delays
-	return nil
-}
-
-// SetRealTime switches the latency model from virtual-clock accounting
-// to wall-clock emulation: when enabled (and a delay matrix is
-// installed), the last agent to finish a round sleeps for the round's
-// slowest in-flight message before the barrier releases, so a run
-// behaves — in real time — like agents separated by the configured
-// link latencies. Virtual-time accounting still accumulates, so
-// Stats.VirtualTime matches the emulated wait. Call before the first
-// round.
-func (nw *Network) SetRealTime(on bool) {
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
-	nw.realTime = on
-}
-
 // N returns the number of agents.
-func (nw *Network) N() int { return nw.n }
+func (nw *Network) N() int { return nw.round.N() }
 
-// Stats returns the network's cost accumulator.
-func (nw *Network) Stats() *Stats { return nw.stats }
+// Stats returns a snapshot of the network's cost accounting.
+func (nw *Network) Stats() *Stats {
+	nw.mu.Lock()
+	defer nw.mu.Unlock()
+	return nw.round.Stats()
+}
 
 // Endpoint returns agent id's handle on the network.
 func (nw *Network) Endpoint(id int) (*Endpoint, error) {
-	if id < 0 || id >= nw.n {
-		return nil, fmt.Errorf("transport: endpoint id %d out of range [0,%d)", id, nw.n)
+	if id < 0 || id >= nw.N() {
+		return nil, fmt.Errorf("transport: endpoint id %d out of range [0,%d)", id, nw.N())
 	}
 	return &Endpoint{id: id, nw: nw}, nil
 }
@@ -362,155 +391,70 @@ type Endpoint struct {
 func (ep *Endpoint) ID() int { return ep.id }
 
 // Send transmits one private point-to-point message, delivered to the
-// recipient at the end of the current round. Sending to self or from a
-// crashed endpoint is a silent no-op (a crashed agent's sends are lost).
+// recipient at the end of the current round (see Round.Send).
 func (ep *Endpoint) Send(to int, kind Kind, task int, payload any) error {
-	if to < 0 || to >= ep.nw.n {
-		return fmt.Errorf("transport: recipient %d out of range", to)
-	}
-	if to == ep.id {
-		return nil
-	}
-	nw := ep.nw
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
-	if nw.crashed[ep.id] {
-		return nil
-	}
-	nw.pending[to] = append(nw.pending[to], Message{
-		From: ep.id, To: to, Kind: kind, Task: task, Payload: payload,
-	})
-	nw.stats.Record(kind, payload)
-	return nil
+	ep.nw.mu.Lock()
+	defer ep.nw.mu.Unlock()
+	return ep.nw.round.Send(ep.id, to, kind, task, payload)
 }
 
 // Broadcast publishes a message to every other agent, costed as n-1
 // point-to-point transmissions (Theorem 11's model).
 func (ep *Endpoint) Broadcast(kind Kind, task int, payload any) error {
-	for to := 0; to < ep.nw.n; to++ {
-		if to == ep.id {
-			continue
-		}
-		if err := ep.Send(to, kind, task, payload); err != nil {
-			return err
-		}
-	}
+	ep.nw.mu.Lock()
+	defer ep.nw.mu.Unlock()
+	ep.nw.round.Broadcast(ep.id, kind, task, payload)
 	return nil
 }
 
 // FinishRound ends the endpoint's participation in the current round,
 // blocks until every live agent has finished, and returns the messages
-// delivered to this endpoint, sorted by (From, Kind, Task) for
-// determinism. Calling FinishRound on a crashed endpoint returns nil
-// immediately.
+// delivered to this endpoint (see Conn.FinishRound). Calling FinishRound
+// on a crashed endpoint returns nil immediately.
 func (ep *Endpoint) FinishRound() []Message {
 	nw := ep.nw
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
-	if nw.crashed[ep.id] {
+	if nw.round.Crashed(ep.id) {
 		return nil
 	}
 	nw.arrived++
 	if nw.arrived >= nw.live {
-		if wait := nw.realTimeWaitLocked(); wait > 0 {
-			// WAN emulation: the closing agent sleeps for the round's
-			// slowest in-flight message WITHOUT holding the lock, then
-			// delivers — unless a concurrent Crash already released the
-			// barrier (generation guard).
-			gen := nw.gen
-			nw.mu.Unlock()
-			time.Sleep(wait)
-			nw.mu.Lock()
-			if nw.gen != gen {
-				out := nw.inboxes[ep.id]
-				nw.inboxes[ep.id] = nil
-				return out
-			}
-		}
 		nw.deliverLocked()
 	} else {
 		gen := nw.gen
-		for nw.gen == gen && !nw.crashed[ep.id] {
+		for nw.gen == gen && !nw.round.Crashed(ep.id) {
 			nw.cond.Wait()
 		}
-	}
-	out := nw.inboxes[ep.id]
-	nw.inboxes[ep.id] = nil
-	return out
-}
-
-// realTimeWaitLocked returns the wall-clock wait the closing agent owes
-// the current round under WAN emulation: the slowest delay of any
-// pending message bound for a live recipient, or 0 when emulation is
-// off. Caller holds nw.mu.
-func (nw *Network) realTimeWaitLocked() time.Duration {
-	if !nw.realTime || nw.delays == nil {
-		return 0
-	}
-	var slowest time.Duration
-	for to := 0; to < nw.n; to++ {
-		if nw.crashed[to] {
-			continue
-		}
-		for _, m := range nw.pending[to] {
-			if d := nw.delays[m.From][to]; d > slowest {
-				slowest = d
-			}
+		if nw.round.Crashed(ep.id) {
+			return nil
 		}
 	}
-	return slowest
+	return nw.round.Inbox(ep.id)
 }
 
-// deliverLocked moves pending messages into inboxes and releases the
-// barrier. Caller holds nw.mu.
+// deliverLocked ends the round and releases the barrier. Caller holds
+// nw.mu.
 func (nw *Network) deliverLocked() {
-	for to := 0; to < nw.n; to++ {
-		msgs := nw.pending[to]
-		nw.pending[to] = nil
-		sort.SliceStable(msgs, func(a, b int) bool {
-			if msgs[a].From != msgs[b].From {
-				return msgs[a].From < msgs[b].From
-			}
-			if msgs[a].Kind != msgs[b].Kind {
-				return msgs[a].Kind < msgs[b].Kind
-			}
-			return msgs[a].Task < msgs[b].Task
-		})
-		if nw.crashed[to] {
-			continue // lost
-		}
-		nw.inboxes[to] = append(nw.inboxes[to], msgs...)
-	}
+	nw.round.Deliver()
 	nw.arrived = 0
 	nw.gen++
-	nw.stats.RecordRound()
-	if nw.delays != nil {
-		var slowest time.Duration
-		for to := 0; to < nw.n; to++ {
-			for _, m := range nw.inboxes[to] {
-				if d := nw.delays[m.From][to]; d > slowest {
-					slowest = d
-				}
-			}
-		}
-		nw.stats.recordVirtual(slowest)
-	}
 	nw.cond.Broadcast()
 }
 
-// Crash removes the endpoint from all future rounds: its pending and
-// future sends are lost, and other agents no longer wait for it. Crash is
-// idempotent.
+// Crash removes the endpoint from all future rounds: nothing is
+// delivered to it any more, its later sends are no-ops, and other agents
+// no longer wait for it. Sends it made earlier in the round are still
+// delivered. Crash is idempotent.
 func (ep *Endpoint) Crash() {
 	nw := ep.nw
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
-	if nw.crashed[ep.id] {
+	if nw.round.Crashed(ep.id) {
 		return
 	}
-	nw.crashed[ep.id] = true
+	nw.round.Crash(ep.id)
 	nw.live--
-	nw.inboxes[ep.id] = nil
 	if nw.live > 0 && nw.arrived >= nw.live {
 		nw.deliverLocked()
 	} else {
@@ -523,7 +467,7 @@ func (ep *Endpoint) Crash() {
 func (ep *Endpoint) Crashed() bool {
 	ep.nw.mu.Lock()
 	defer ep.nw.mu.Unlock()
-	return ep.nw.crashed[ep.id]
+	return ep.nw.round.Crashed(ep.id)
 }
 
 // Interface conformance: the in-memory endpoint is a Conn.

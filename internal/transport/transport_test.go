@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -208,7 +210,7 @@ func TestCrashedSendsAndDeliveriesLost(t *testing.T) {
 		}
 		_ = eps[2].Send(ep.ID(), KindShare, 0, nil) // from crashed: no-op
 	})
-	if len(got[0]) != 0 && len(got[1]) != 0 {
+	if len(got[0]) != 0 || len(got[1]) != 0 {
 		t.Error("crashed agent's sends were delivered")
 	}
 	if msgs := eps[2].FinishRound(); msgs != nil {
@@ -270,11 +272,12 @@ func TestStatsByKindAndPhase(t *testing.T) {
 }
 
 func TestStatsMerge(t *testing.T) {
-	a, b := &Stats{}, &Stats{}
-	a.Record(KindShare, payload{5})
-	b.Record(KindShare, payload{7})
-	b.Record(KindAbort, nil)
-	a.Merge(b)
+	var ta, tb Tally
+	ta.record(KindShare, payload{5})
+	tb.record(KindShare, payload{7})
+	tb.record(KindAbort, nil)
+	a := ta.Stats()
+	a.Add(&tb)
 	if a.Messages() != 3 || a.Bytes() != 12 || a.ByKind(KindShare) != 2 {
 		t.Errorf("merged stats: msgs=%d bytes=%d shares=%d", a.Messages(), a.Bytes(), a.ByKind(KindShare))
 	}
@@ -311,75 +314,131 @@ func TestManyAgentsManyRounds(t *testing.T) {
 	}
 }
 
-// uniformDelays builds an n x n matrix with delay d on every off-
-// diagonal link.
-func uniformDelays(n int, d time.Duration) [][]time.Duration {
-	m := make([][]time.Duration, n)
-	for i := range m {
-		m[i] = make([]time.Duration, n)
-		for j := range m[i] {
-			if i != j {
-				m[i][j] = d
+// TestRoundDeliver pins the one round rule every fabric applies: each
+// row plays sends, crashes and round ends on a Round and checks every
+// agent's last deliveries, the error count and the accounting.
+func TestRoundDeliver(t *testing.T) {
+	type op func(r *Round) error
+	send := func(from, to int, k Kind, task int) op {
+		return func(r *Round) error { return r.Send(from, to, k, task, payload{1}) }
+	}
+	bcast := func(from int, k Kind) op {
+		return func(r *Round) error { r.Broadcast(from, k, 0, payload{1}); return nil }
+	}
+	crash := func(id int) op {
+		return func(r *Round) error { r.Crash(id); return nil }
+	}
+	deliver := func(r *Round) error { r.Deliver(); return nil }
+	// into2 is a 3-agent delay matrix whose links into agent 2 are slow.
+	into2 := [][]time.Duration{
+		{0, 10 * time.Millisecond, time.Second},
+		{20 * time.Millisecond, 0, time.Second},
+		{30 * time.Millisecond, 30 * time.Millisecond, 0},
+	}
+	tests := []struct {
+		name    string
+		n       int
+		delays  [][]time.Duration
+		ops     []op
+		want    map[int][]string // agent -> last deliveries as from/kind/task
+		errs    int
+		msgs    int64
+		rounds  int64
+		virtual time.Duration
+	}{
+		{
+			name: "scrambled sends arrive in (From, Kind, Task) order", n: 4,
+			ops: []op{
+				send(2, 3, KindLambdaPsi, 0), send(0, 3, KindShare, 1), send(1, 3, KindShare, 0),
+				send(0, 3, KindCommitments, 0), send(0, 3, KindShare, 0), send(2, 3, KindShare, 0),
+				deliver,
+			},
+			want: map[int][]string{3: {"0/share/0", "0/share/1", "0/commitments/0", "1/share/0", "2/share/0", "2/lambda-psi/0"}},
+			msgs: 6, rounds: 1,
+		},
+		{
+			name: "a send to self is a no-op", n: 2,
+			ops:    []op{send(0, 0, KindShare, 0), deliver},
+			rounds: 1,
+		},
+		{
+			name: "an out-of-range recipient is an error", n: 2,
+			ops:    []op{send(0, 2, KindShare, 0), send(1, -1, KindShare, 0), deliver},
+			errs:   2,
+			rounds: 1,
+		},
+		{
+			name: "a broadcast counts as n-1 messages", n: 4,
+			ops:  []op{bcast(1, KindCommitments), deliver},
+			want: map[int][]string{0: {"1/commitments/0"}, 2: {"1/commitments/0"}, 3: {"1/commitments/0"}},
+			msgs: 3, rounds: 1,
+		},
+		{
+			name: "nothing is delivered to a crashed recipient", n: 3,
+			ops:  []op{send(0, 2, KindShare, 0), crash(2), send(1, 2, KindShare, 0), deliver},
+			msgs: 2, rounds: 1,
+		},
+		{
+			name: "sends after a crash are dropped", n: 3,
+			ops:    []op{crash(1), send(1, 0, KindShare, 0), bcast(1, KindAbort), deliver},
+			rounds: 1,
+		},
+		{
+			name: "sends made earlier in the round are still delivered", n: 3,
+			ops:  []op{send(1, 0, KindShare, 0), crash(1), send(1, 2, KindShare, 0), deliver},
+			want: map[int][]string{0: {"1/share/0"}},
+			msgs: 1, rounds: 1,
+		},
+		{
+			name: "virtual time counts only delivered messages", n: 3, delays: into2,
+			ops: []op{
+				bcast(0, KindShare), bcast(1, KindShare), crash(2), deliver,
+				send(0, 1, KindShare, 1), deliver,
+			},
+			want: map[int][]string{1: {"0/share/1"}},
+			msgs: 5, rounds: 2, virtual: 20*time.Millisecond + 10*time.Millisecond,
+		},
+		{
+			name: "an empty round takes 0", n: 3, delays: into2,
+			ops:    []op{deliver},
+			rounds: 1,
+		},
+		{
+			name: "an inbox survives the next round's sends", n: 2,
+			ops: []op{
+				send(0, 1, KindShare, 0), deliver,
+				send(0, 1, KindShare, 1), send(0, 1, KindShare, 2), send(0, 1, KindShare, 3),
+			},
+			want: map[int][]string{1: {"0/share/0"}},
+			msgs: 4, rounds: 1,
+		},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			r := NewRound(tc.n, tc.delays)
+			errs := 0
+			for _, op := range tc.ops {
+				if op(&r) != nil {
+					errs++
+				}
 			}
-		}
-	}
-	return m
-}
-
-func TestRealTimeDelaysWaitWallClock(t *testing.T) {
-	const d = 30 * time.Millisecond
-	nw, err := New(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := nw.SetDelays(uniformDelays(3, d)); err != nil {
-		t.Fatal(err)
-	}
-	nw.SetRealTime(true)
-	eps := endpoints(t, nw)
-
-	start := time.Now()
-	runRound(t, eps, func(ep *Endpoint) {
-		if err := ep.Send((ep.ID()+1)%3, KindShare, 0, payload{1}); err != nil {
-			t.Error(err)
-		}
-	})
-	if elapsed := time.Since(start); elapsed < d {
-		t.Errorf("round with %s links finished in %s; want >= %s", d, elapsed, d)
-	}
-	if vt := nw.Stats().VirtualTime(); vt != d {
-		t.Errorf("virtual time = %s, want %s", vt, d)
-	}
-
-	// An empty round (no in-flight messages) must not wait.
-	start = time.Now()
-	runRound(t, eps, nil)
-	if elapsed := time.Since(start); elapsed >= d {
-		t.Errorf("empty round waited %s; want immediate release", elapsed)
-	}
-}
-
-func TestRealTimeDelaysOffIsFast(t *testing.T) {
-	const d = 250 * time.Millisecond
-	nw, err := New(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := nw.SetDelays(uniformDelays(2, d)); err != nil {
-		t.Fatal(err)
-	}
-	// Real time NOT enabled: the delay matrix is virtual-clock only.
-	eps := endpoints(t, nw)
-	start := time.Now()
-	runRound(t, eps, func(ep *Endpoint) {
-		if err := ep.Send(1-ep.ID(), KindShare, 0, payload{1}); err != nil {
-			t.Error(err)
-		}
-	})
-	if elapsed := time.Since(start); elapsed >= d {
-		t.Errorf("virtual-clock round took %s; must not sleep", elapsed)
-	}
-	if vt := nw.Stats().VirtualTime(); vt != d {
-		t.Errorf("virtual time = %s, want %s", vt, d)
+			if errs != tc.errs {
+				t.Errorf("%d sends failed, want %d", errs, tc.errs)
+			}
+			for i := 0; i < tc.n; i++ {
+				var got []string
+				for _, m := range r.Inbox(i) {
+					got = append(got, fmt.Sprintf("%d/%s/%d", m.From, m.Kind, m.Task))
+				}
+				if !slices.Equal(got, tc.want[i]) {
+					t.Errorf("agent %d got %v, want %v", i, got, tc.want[i])
+				}
+			}
+			st := r.Stats()
+			if st.Messages() != tc.msgs || st.Rounds() != tc.rounds || st.VirtualTime() != tc.virtual {
+				t.Errorf("messages/rounds/virtual = %d/%d/%v, want %d/%d/%v",
+					st.Messages(), st.Rounds(), st.VirtualTime(), tc.msgs, tc.rounds, tc.virtual)
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"math/big"
 	"math/rand"
 	"reflect"
@@ -151,5 +152,24 @@ func TestRoundTripProperty(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(7))}
 	if err := quick.Check(check, cfg); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSocketFrame: a socket frame round-trips, and both ends refuse a
+// frame over the stream's limit.
+func TestSocketFrame(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteSocketFrame(&buf, 7, []byte("body"), 5); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteSocketFrame(&buf, 7, []byte("body!"), 5); err == nil {
+		t.Error("writer accepted a frame over the limit")
+	}
+	raw := bytes.Clone(buf.Bytes())
+	if ft, body, err := ReadSocketFrame(&buf, 5); err != nil || ft != 7 || string(body) != "body" {
+		t.Errorf("read back type %d body %q err %v", ft, body, err)
+	}
+	if _, _, err := ReadSocketFrame(bytes.NewReader(raw), 4); err == nil {
+		t.Error("reader accepted a frame over the limit")
 	}
 }
