@@ -1,12 +1,13 @@
 // Command dmwd is the long-running Distributed MinWork auction service:
 // an HTTP/JSON daemon that executes many mechanism runs against shared
-// precomputed group parameters, with a bounded admission queue, a worker
-// pool, TTL-evicted results, and graceful drain on SIGINT/SIGTERM.
+// group parameters, with a bounded admission queue, a worker pool,
+// TTL-evicted results, and graceful drain on SIGINT/SIGTERM. Boot builds
+// the group's fixed-base and joint tables from the parameters
+// (dmwd_table_build_seconds reports the cost).
 //
 // Usage:
 //
 //	dmwd [-addr :7700] [-preset Demo128 | -params file.json]
-//	     [-params-cache tables.tbl]
 //	     [-queue 64] [-workers n] [-auction-parallel k]
 //	     [-ttl 15m] [-max-n 64] [-max-m 64] [-q]
 //	     [-data-dir dir] [-fsync always|interval|never]
@@ -110,8 +111,6 @@ func run() error {
 
 		tenantsFile = flag.String("tenants", "", "per-tenant limits JSON (rate/burst/quota/weight); empty = single unlimited default tenant; see docs/TENANCY.md")
 
-		paramsCache = flag.String("params-cache", "", "warm precompute tables artifact (dmwparams -tables, or GET /v1/params-cache from a peer); loaded at boot, rebuilt and rewritten if missing or invalid; see docs/PERFORMANCE.md")
-
 		sloSpec = flag.String("slo", "", "comma-separated latency objectives, e.g. 'p99<250ms@30d,p999<2s@30d'; burn-rate gauges on /metrics, verdicts on /healthz; see docs/OBSERVABILITY.md")
 		slowThr = flag.Duration("slow-threshold", 0, "force trace capture and log slow_request for jobs queued longer than this (0 = off)")
 
@@ -145,7 +144,6 @@ func run() error {
 		DataDir:            *dataDir,
 		Fsync:              *fsync,
 		FsyncInterval:      *fsyncInt,
-		ParamsCache:        *paramsCache,
 		SlowThreshold:      *slowThr,
 	}
 	if *sloSpec != "" {

@@ -1,20 +1,16 @@
-// Command dmwparams generates fresh Schnorr-group parameters with
-// crypto/rand and writes them as a JSON file that dmwnode processes can
-// share (the paper's Phase I publication). For reproducible experiments
-// use the built-in presets instead.
-//
-// With -tables it additionally emits the warm precompute artifact (the
-// serialized fixed-base and joint tables, see docs/PERFORMANCE.md):
-// dmwd boots with -params-cache pointed at that file and skips the
-// cold-start table build entirely.
+// Command dmwparams writes Schnorr-group parameters (p, q, z1, z2) as a
+// JSON file that dmwnode and dmwd processes can share: the paper's
+// Phase I publication. It generates fresh parameters with crypto/rand,
+// or re-emits a built-in preset (-preset) or an existing file (-in).
+// The JSON goes to -out, or to stdout. Each process builds its
+// precomputed tables from these parameters at boot.
 //
 // Usage:
 //
-//	dmwparams -bits 512 -out params.json -tables params.tbl
-//	dmwparams -preset Demo128 -tables demo.tbl
-//	dmwparams -in params.json -tables params.tbl
+//	dmwparams -bits 512 -out params.json
+//	dmwparams -preset Demo128 > demo.json
 //	dmwnode -params params.json ...
-//	dmwd -params params.json -params-cache params.tbl ...
+//	dmwd -params params.json ...
 package main
 
 import (
@@ -22,28 +18,28 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"dmw/internal/group"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "dmwparams:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("dmwparams", flag.ExitOnError)
+	fs.SetOutput(stderr)
 	var (
-		pBits  = flag.Int("bits", 512, "modulus size in bits")
-		qBits  = flag.Int("qbits", 0, "subgroup order size in bits (default bits-8)")
-		out    = flag.String("out", "", "output file (default stdout)")
-		in     = flag.String("in", "", "read parameters from this JSON file instead of generating")
-		preset = flag.String("preset", "", "use a built-in preset instead of generating")
-		tables = flag.String("tables", "", "also write the warm precompute tables artifact here (dmwd -params-cache)")
+		pBits  = fs.Int("bits", 512, "modulus size in bits")
+		qBits  = fs.Int("qbits", 0, "subgroup order size in bits (default bits-8)")
+		out    = fs.String("out", "", "output file (default stdout)")
+		in     = fs.String("in", "", "read parameters from this JSON file instead of generating")
+		preset = fs.String("preset", "", "use a built-in preset instead of generating")
 	)
-	flag.Parse()
+	fs.Parse(args) // ExitOnError: exits 0 on -h, 2 on a bad flag
 
 	var pr *group.Params
 	var err error
@@ -59,46 +55,30 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	// Emit the JSON parameters only when they are new (generated) or an
-	// explicit -out asks for them: -preset/-in plus -tables is the
-	// "just build me the artifact" mode and should not spray JSON at
-	// stdout.
-	if generated || *out != "" {
-		w := os.Stdout
-		if *out != "" {
-			f, err := os.Create(*out)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			w = f
-		}
-		if err := group.SaveParams(w, pr); err != nil {
-			return err
-		}
+	if err := writeParams(*out, stdout, pr); err != nil {
+		return err
 	}
 	if generated {
-		fmt.Fprintf(os.Stderr, "dmwparams: generated %d-bit parameters (q: %d bits)\n",
+		fmt.Fprintf(stderr, "dmwparams: generated %d-bit parameters (q: %d bits)\n",
 			pr.P.BitLen(), pr.Q.BitLen())
 	}
-	if *tables != "" {
-		g, err := group.New(pr)
-		if err != nil {
-			return err
-		}
-		f, err := os.Create(*tables)
-		if err != nil {
-			return err
-		}
-		if err := group.SaveTables(f, g); err != nil {
-			f.Close()
-			return fmt.Errorf("writing tables artifact: %w", err)
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "dmwparams: wrote warm tables artifact to %s (built in %s)\n",
-			*tables, g.TableBuildTime().Round(time.Millisecond))
-	}
 	return nil
+}
+
+// writeParams writes pr as JSON to the file at path, or to stdout when
+// path is empty. A failed Close is an error: it can be the flush that
+// leaves a truncated file behind.
+func writeParams(path string, stdout io.Writer, pr *group.Params) error {
+	if path == "" {
+		return group.SaveParams(stdout, pr)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = group.SaveParams(f, pr)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -43,7 +43,6 @@ const maxRelayBytes = 8 << 20
 //	GET  /v1/jobs/{id}/trace      same routing; relays the replica's span JSONL
 //	GET  /v1/jobs/{id}/events     same routing; relays the replica's SSE stream
 //	GET  /v1/events               fleet firehose: every replica's SSE events merged
-//	GET  /v1/params-cache         warm-boot tables artifact from any healthy replica
 //	POST   /v1/membership/lease          acquire/renew a membership lease (see internal/membership)
 //	DELETE /v1/membership/lease/{name}   graceful lease release
 //	GET  /healthz                 gateway + per-backend fleet view (+ ring epoch, lease state)
@@ -62,7 +61,6 @@ func (g *Gateway) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}/trace", g.handleGetJob)      // same routing; path preserved below
 	mux.HandleFunc("GET /v1/jobs/{id}/events", g.handleJobEvents)
 	mux.HandleFunc("GET /v1/events", g.handleFirehose)
-	mux.HandleFunc("GET /v1/params-cache", g.handleParamsCache)
 	mux.HandleFunc("POST "+membership.LeasePath, g.handleLeaseAcquire)
 	mux.HandleFunc("DELETE "+membership.LeasePath+"/{name}", g.handleLeaseRelease)
 	mux.HandleFunc("GET /healthz", g.handleHealthz)
@@ -393,21 +391,6 @@ func (g *Gateway) proxy(ctx context.Context, w http.ResponseWriter, key string, 
 	}
 	relay(w, res)
 	g.releaseResult(res)
-}
-
-// handleParamsCache relays the warm-boot tables artifact (see
-// group.SaveTables) from a replica to a joining one. Every backend
-// serves byte-identical tables for the fleet's published parameters,
-// so the routing key is a fixed label: it only pins a stable candidate
-// order so the walk gets ordinary failover, not placement. The
-// artifact is self-checking (CRC + parameter spot-checks), so a relay
-// truncated by a dying backend fails loudly at the loader, never
-// silently.
-func (g *Gateway) handleParamsCache(w http.ResponseWriter, r *http.Request) {
-	g.metrics.requests.Add(1)
-	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.RequestTimeout)
-	defer cancel()
-	g.proxy(ctx, w, "params-cache", proxyReq{method: http.MethodGet, path: "/v1/params-cache"}, false, "no replica reachable")
 }
 
 func (g *Gateway) handleGetJob(w http.ResponseWriter, r *http.Request) {

@@ -38,9 +38,9 @@ type groupEntry struct {
 }
 
 var (
-	cacheMu     sync.Mutex
-	paramsCache map[string]*paramsEntry
-	groupCache  map[string]*groupEntry
+	cacheMu      sync.Mutex
+	presetParams map[string]*paramsEntry
+	presetGroups map[string]*groupEntry
 )
 
 // ParamsFor returns the named preset's parameters from a package-level
@@ -48,13 +48,13 @@ var (
 // callers must not mutate it. Use Preset for a private mutable copy.
 func ParamsFor(preset string) (*Params, error) {
 	cacheMu.Lock()
-	e, ok := paramsCache[preset]
+	e, ok := presetParams[preset]
 	if !ok {
-		if paramsCache == nil {
-			paramsCache = make(map[string]*paramsEntry)
+		if presetParams == nil {
+			presetParams = make(map[string]*paramsEntry)
 		}
 		e = &paramsEntry{}
-		paramsCache[preset] = e
+		presetParams[preset] = e
 	}
 	cacheMu.Unlock()
 	e.once.Do(func() { e.pr, e.err = Preset(preset) })
@@ -67,13 +67,13 @@ func ParamsFor(preset string) (*Params, error) {
 // same tables); callers must not mutate its parameters.
 func SharedFor(preset string) (*Group, error) {
 	cacheMu.Lock()
-	e, ok := groupCache[preset]
+	e, ok := presetGroups[preset]
 	if !ok {
-		if groupCache == nil {
-			groupCache = make(map[string]*groupEntry)
+		if presetGroups == nil {
+			presetGroups = make(map[string]*groupEntry)
 		}
 		e = &groupEntry{}
-		groupCache[preset] = e
+		presetGroups[preset] = e
 	}
 	cacheMu.Unlock()
 	e.once.Do(func() {
@@ -106,6 +106,6 @@ func MustSharedFor(preset string) *Group {
 func resetCache() {
 	cacheMu.Lock()
 	defer cacheMu.Unlock()
-	paramsCache = nil
-	groupCache = nil
+	presetParams = nil
+	presetGroups = nil
 }

@@ -32,6 +32,15 @@ func TestAllPresetsValidate(t *testing.T) {
 	}
 }
 
+// TestTablesBuildTimeReported: a fresh build reports a nonzero build
+// time, which the dmwd_table_build_seconds gauge surfaces.
+func TestTablesBuildTimeReported(t *testing.T) {
+	g := MustNew(MustPreset(PresetTest64))
+	if g.TableBuildTime() <= 0 {
+		t.Error("fresh group reports no table build time")
+	}
+}
+
 func TestPresetUnknown(t *testing.T) {
 	if _, err := Preset("nope"); err == nil {
 		t.Error("Preset(nope) succeeded")

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"dmw/internal/audit"
-	"dmw/internal/group"
 	"dmw/internal/obs"
 	"dmw/internal/replica"
 	"dmw/internal/slo"
@@ -60,7 +59,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleJobEvents)
 	mux.HandleFunc("GET /v1/events", s.handleFirehose)
 	mux.HandleFunc("POST "+replica.RecordsPath, s.handleReplicaRecords)
-	mux.HandleFunc("GET /v1/params-cache", s.handleParamsCache)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return s.withRequestID(mux)
@@ -347,11 +345,9 @@ type healthView struct {
 	// live SSE subscriptions on the event hub.
 	Tenants          int `json:"tenants"`
 	EventSubscribers int `json:"event_subscribers"`
-	// TableBuildSeconds is the boot cost of preparing the group's
-	// precomputed tables: near zero when ParamsCacheLoaded (a warm
-	// artifact was deserialized), the full construction time otherwise.
+	// TableBuildSeconds is the boot cost of building the group's
+	// precomputed tables.
 	TableBuildSeconds float64 `json:"table_build_seconds"`
-	ParamsCacheLoaded bool    `json:"params_cache_loaded"`
 	// Journal summarizes the WAL when durability is enabled (-data-dir).
 	Journal *journalView `json:"journal,omitempty"`
 	// Fleet summarizes the replicated results tier once a membership
@@ -397,7 +393,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Tenants:           s.registry.Len(),
 		EventSubscribers:  s.hub.Subscribers(),
 		TableBuildSeconds: s.grp.TableBuildTime().Seconds(),
-		ParamsCacheLoaded: s.paramsCacheLoaded,
 	}
 	if st, ok := s.JournalStats(); ok {
 		replayed, recoveries := s.RecoveryStats()
@@ -433,19 +428,4 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.WriteMetrics(w)
-}
-
-// handleParamsCache serves this replica's precomputed tables as a warm
-// artifact (group.SaveTables format). A joining replica — or the
-// gateway relaying for one — downloads it once and boots with
-// -params-cache instead of rebuilding the tables from nothing.
-func (s *Server) handleParamsCache(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Disposition", `attachment; filename="params-cache.dmwtbl"`)
-	if err := group.SaveTables(w, s.grp); err != nil {
-		// Headers are gone; all we can do is log and cut the stream so
-		// the client sees a truncated (checksum-failing) body, never a
-		// silently wrong one.
-		s.logf("params-cache: serving tables: %v", err)
-	}
 }

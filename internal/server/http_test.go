@@ -309,6 +309,29 @@ func TestHTTPHealthzAndDrain(t *testing.T) {
 	}
 }
 
+// TestHealthzReportsTableBuild: the health view and /metrics carry the
+// boot-time table build cost.
+func TestHealthzReportsTableBuild(t *testing.T) {
+	_, ts := startHTTP(t, testConfig())
+	var hv healthView
+	if code := getJSON(t, ts.URL+"/healthz", &hv); code != http.StatusOK {
+		t.Fatalf("healthz status %d", code)
+	}
+	if hv.TableBuildSeconds <= 0 {
+		t.Errorf("table_build_seconds = %v, want positive", hv.TableBuildSeconds)
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if !strings.Contains(string(body), "dmwd_table_build_seconds") {
+		t.Error("/metrics missing dmwd_table_build_seconds")
+	}
+}
+
 // TestHTTPMetricsShape sanity-checks the exposition format.
 func TestHTTPMetricsShape(t *testing.T) {
 	_, ts := startHTTP(t, testConfig())

@@ -183,12 +183,8 @@ type snapshotGauges struct {
 	eventsDropped    uint64
 
 	// tableBuildSeconds is the boot-time cost of building the group's
-	// fixed-base/joint tables (dmwd_table_build_seconds): near zero when
-	// a -params-cache artifact was loaded instead of built.
+	// fixed-base/joint tables (dmwd_table_build_seconds).
 	tableBuildSeconds float64
-	// paramsCacheLoaded reports whether boot loaded a warm table
-	// artifact (dmwd_params_cache_loaded).
-	paramsCacheLoaded bool
 
 	// fleet*/replica* describe the replicated results tier: the lease-
 	// grant epoch the replicator last placed against (0 = no fleet view,
@@ -271,11 +267,6 @@ func (m *metrics) writeTo(w io.Writer, g snapshotGauges) {
 	p("dmwd_jobs_live %d\n", g.liveJobs)
 	p("dmwd_uptime_seconds %.3f\n", g.uptime.Seconds())
 	p("dmwd_table_build_seconds %.6f\n", g.tableBuildSeconds)
-	if g.paramsCacheLoaded {
-		p("dmwd_params_cache_loaded 1\n")
-	} else {
-		p("dmwd_params_cache_loaded 0\n")
-	}
 	p("dmwd_admission_price %.6f\n", g.admissionPrice)
 	p("dmwd_event_subscribers %d\n", g.eventSubscribers)
 	p("dmwd_events_published_total %d\n", g.eventsPublished)
@@ -338,7 +329,6 @@ func (s *Server) WriteMetrics(w io.Writer) {
 		eventsDropped:    s.hub.Dropped(),
 
 		tableBuildSeconds: s.grp.TableBuildTime().Seconds(),
-		paramsCacheLoaded: s.paramsCacheLoaded,
 	}
 	view := s.repl.CurrentView()
 	g.fleetEpoch = view.Epoch

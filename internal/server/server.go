@@ -68,16 +68,6 @@ type Config struct {
 	// Params optionally supplies explicit parameters (e.g. loaded from a
 	// dmwparams file) instead of a preset.
 	Params *group.Params
-	// ParamsCache, when set, is the path of a warm table artifact
-	// (group.SaveTables, written by `dmwparams -tables` or a previous
-	// boot). Boot loads the precomputed fixed-base and joint Shamir
-	// tables from it instead of rebuilding them, provided the artifact
-	// is intact and matches the configured parameters; a missing,
-	// corrupted, version-mismatched, or wrong-parameter artifact is
-	// logged loudly, the tables are rebuilt from parameters, and the
-	// artifact is rewritten for the next boot. /healthz reports
-	// table_build_seconds either way.
-	ParamsCache string
 	// QueueDepth bounds the admission queue (default 64).
 	QueueDepth int
 	// Workers is the job-level concurrency (default 2).
@@ -183,9 +173,6 @@ type Server struct {
 	// job on grp into combined random-linear-combination passes; the
 	// observe hook feeds dmwd_verify_batch_size.
 	verifier *commit.Coalescer
-	// paramsCacheLoaded records whether boot loaded the warm table
-	// artifact (vs building tables); grp.TableBuildTime() has the cost.
-	paramsCacheLoaded bool
 
 	// logf is the printf sink derived from cfg.Logger (a no-op when none
 	// was configured). Nothing on the per-job success path calls it:
@@ -247,40 +234,22 @@ func New(cfg Config) (*Server, error) {
 	logf := obs.Logf(cfg.Logger) // before the discard-logger default: no logger, no formatting
 	cfg = cfg.withDefaults()
 	var (
-		params      *group.Params
-		grp         *group.Group
-		err         error
-		cacheLoaded bool
+		grp *group.Group
+		err error
 	)
 	if cfg.Params != nil {
-		params = cfg.Params
+		grp, err = group.New(cfg.Params)
 	} else {
-		params, err = group.ParamsFor(cfg.Preset)
+		grp, err = group.SharedFor(cfg.Preset)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("server: resolving group parameters: %w", err)
-	}
-	if cfg.ParamsCache != "" {
-		grp, cacheLoaded = loadParamsCache(cfg.ParamsCache, params, logf)
-	}
-	if grp == nil {
-		if cfg.Params != nil {
-			grp, err = group.New(params)
-		} else {
-			grp, err = group.SharedFor(cfg.Preset)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("server: resolving group parameters: %w", err)
-		}
-		if cfg.ParamsCache != "" {
-			saveParamsCache(cfg.ParamsCache, grp, logf)
-		}
 	}
 	s := &Server{
 		cfg:        cfg,
 		logf:       logf,
 		store:      newStore(),
-		params:     params,
+		params:     grp.Params(),
 		grp:        grp,
 		metrics:    newMetrics(),
 		stopSweeps: make(chan struct{}),
@@ -290,7 +259,6 @@ func New(cfg Config) (*Server, error) {
 		drainRate:  tenant.NewRateEstimator(0),
 		queue:      tenant.NewQueue[*Job](cfg.QueueDepth),
 	}
-	s.paramsCacheLoaded = cacheLoaded
 	s.sloEngine = slo.NewEngine(cfg.SLOs, s.metrics.latencyHDR.Snapshot)
 	s.verifier = commit.NewCoalescer(grp, 0, 0, func(items int) {
 		s.metrics.verifyBatch.Observe(float64(items))
