@@ -48,14 +48,17 @@ test-386:
 	GOARCH=386 $(GO) test ./internal/field ./internal/group ./internal/mont
 
 # test-engine races the protocol engine's concurrency: parallel lockstep
-# auctions (each stepping its agents on one goroutine) against the shared
-# Gamma cache and resolutions, batched coalescer passes against
-# concurrent jobs, and the TCP relay's transport.Round under its lock, at
-# one and four CPUs, three times over. It covers the driver-equivalence
-# table (lockstep Run vs blocking sessions), replay from a seed, the
-# goroutine gate, the round-rule table and the relay sessions.
+# auctions (each stepping its agents on one goroutine and owning its
+# lock-free public-work cache: Gamma tables, eq. (11)/(13) verdicts,
+# resolutions, winner) beside the coalescer, which may verify one
+# auction's shares on another auction's goroutine; batched coalescer
+# passes against concurrent jobs; and the TCP relay's transport.Round
+# under its lock, at one and four CPUs, three times over. It covers the
+# driver-equivalence table (lockstep Run vs blocking sessions), the
+# shared-verdict table, replay from a seed, the goroutine gate, the
+# round-rule table and the relay sessions.
 test-engine:
-	$(GO) test -race -count=3 -cpu 1,4 -run 'Driver|SessionsMatchMonolithicRun|Replay|Determinism|Coalescer|NoAgentGoroutines|TestRound|OverTCP|RefusedHello' ./internal/dmw ./internal/commit ./internal/transport ./internal/relaynet
+	$(GO) test -race -count=3 -cpu 1,4 -run 'Driver|SessionsMatchMonolithicRun|PublicVerdicts|Replay|Determinism|Coalescer|NoAgentGoroutines|TestRound|OverTCP|RefusedHello' ./internal/dmw ./internal/commit ./internal/transport ./internal/relaynet
 
 # The tier the dmwd acceptance criteria name explicitly.
 test-server:

@@ -13,24 +13,27 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"dmw/internal/audit"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "dmwaudit:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	flag.Parse()
-	if flag.NArg() != 1 {
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("dmwaudit", flag.ExitOnError)
+	fs.SetOutput(stderr)
+	fs.Parse(args) // ExitOnError: exits 0 on -h, 2 on a bad flag
+	if fs.NArg() != 1 {
 		return fmt.Errorf("usage: dmwaudit <transcript.json>")
 	}
-	f, err := os.Open(flag.Arg(0))
+	f, err := os.Open(fs.Arg(0))
 	if err != nil {
 		return err
 	}
@@ -44,12 +47,12 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("dmwaudit: %d auctions checked, %d findings\n", rep.AuctionsChecked, len(rep.Findings))
+	fmt.Fprintf(stdout, "dmwaudit: %d auctions checked, %d findings\n", rep.AuctionsChecked, len(rep.Findings))
 	for _, finding := range rep.Findings {
-		fmt.Printf("  FINDING: %s\n", finding)
+		fmt.Fprintf(stdout, "  FINDING: %s\n", finding)
 	}
 	if rep.OK() {
-		fmt.Println("dmwaudit: transcript VERIFIED — claimed outcomes and payments are consistent with the published record")
+		fmt.Fprintln(stdout, "dmwaudit: transcript VERIFIED — claimed outcomes and payments are consistent with the published record")
 		return nil
 	}
 	return fmt.Errorf("transcript FAILED verification")

@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 
@@ -19,25 +20,27 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "dmwsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("dmwsim", flag.ExitOnError)
+	fs.SetOutput(stderr)
 	var (
-		n          = flag.Int("n", 6, "number of agents (machines)")
-		m          = flag.Int("m", 3, "number of tasks")
-		maxBid     = flag.Int("w", 4, "bid set W = {1..w}")
-		c          = flag.Int("c", 1, "maximum number of faulty agents")
-		preset     = flag.String("preset", dmw.PresetDemo128, "group parameter preset")
-		seed       = flag.Int64("seed", 1, "random seed")
-		parallel   = flag.Int("parallel", 0, "max concurrently running auctions (0 = GOMAXPROCS)")
-		verbose    = flag.Bool("v", false, "print per-round protocol logs")
-		transcript = flag.String("transcript", "", "write a verifiable transcript envelope (JSON) to this file")
+		n          = fs.Int("n", 6, "number of agents (machines)")
+		m          = fs.Int("m", 3, "number of tasks")
+		maxBid     = fs.Int("w", 4, "bid set W = {1..w}")
+		c          = fs.Int("c", 1, "maximum number of faulty agents")
+		preset     = fs.String("preset", dmw.PresetDemo128, "group parameter preset")
+		seed       = fs.Int64("seed", 1, "random seed")
+		parallel   = fs.Int("parallel", 0, "max concurrently running auctions (0 = GOMAXPROCS)")
+		verbose    = fs.Bool("v", false, "print per-round protocol logs")
+		transcript = fs.String("transcript", "", "write a verifiable transcript envelope (JSON) to this file")
 	)
-	flag.Parse()
+	fs.Parse(args) // ExitOnError: exits 0 on -h, 2 on a bad flag
 
 	w := make([]int, *maxBid)
 	for i := range w {
@@ -62,11 +65,11 @@ func run() error {
 		effectiveParallel = *m // never more workers than auctions
 	}
 
-	fmt.Printf("Distributed MinWork: n=%d agents, m=%d tasks, W=%v, c=%d, preset=%s\n\n",
+	fmt.Fprintf(stdout, "Distributed MinWork: n=%d agents, m=%d tasks, W=%v, c=%d, preset=%s\n\n",
 		*n, *m, w, *c, *preset)
-	fmt.Println("true values (agent x task):")
+	fmt.Fprintln(stdout, "true values (agent x task):")
 	for i, row := range bids {
-		fmt.Printf("  A%-2d %v\n", i+1, row)
+		fmt.Fprintf(stdout, "  A%-2d %v\n", i+1, row)
 	}
 
 	res, err := dmw.Run(game)
@@ -74,23 +77,23 @@ func run() error {
 		return err
 	}
 
-	fmt.Println("\nauction outcomes:")
+	fmt.Fprintln(stdout, "\nauction outcomes:")
 	for _, a := range res.Auctions {
 		if a.Aborted {
-			fmt.Printf("  T%-2d ABORTED (%s)\n", a.Task+1, a.AbortReason)
+			fmt.Fprintf(stdout, "  T%-2d ABORTED (%s)\n", a.Task+1, a.AbortReason)
 			continue
 		}
-		fmt.Printf("  T%-2d -> A%-2d  first price %d, second price %d\n",
+		fmt.Fprintf(stdout, "  T%-2d -> A%-2d  first price %d, second price %d\n",
 			a.Task+1, a.Winner+1, a.FirstPrice, a.SecondPrice)
 	}
 
-	fmt.Println("\npayments and utilities:")
+	fmt.Fprintln(stdout, "\npayments and utilities:")
 	for i := 0; i < *n; i++ {
-		fmt.Printf("  A%-2d payment %-4d utility %-4d agreed=%v\n",
+		fmt.Fprintf(stdout, "  A%-2d payment %-4d utility %-4d agreed=%v\n",
 			i+1, res.Settlement.Issued[i], res.Utilities[i], res.Settlement.Agreed[i])
 	}
 
-	fmt.Printf("\ncommunication: %d point-to-point messages, %d payload bytes\n",
+	fmt.Fprintf(stdout, "\ncommunication: %d point-to-point messages, %d payload bytes\n",
 		res.Stats.Messages(), res.Stats.Bytes())
 	if res.AgentOps != nil {
 		var exp, mul uint64
@@ -98,7 +101,7 @@ func run() error {
 			exp += ops.Exp()
 			mul += ops.Mul()
 		}
-		fmt.Printf("computation:   %d modular exponentiations, %d multiplications (all agents)\n", exp, mul)
+		fmt.Fprintf(stdout, "computation:   %d modular exponentiations, %d multiplications (all agents)\n", exp, mul)
 	}
 
 	// Centralized reference.
@@ -106,13 +109,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	same := true
-	for j, a := range res.Auctions {
-		if a.Aborted || a.Winner != ref.Schedule.Agent[j] {
-			same = false
-		}
-	}
-	fmt.Printf("matches centralized MinWork outcome: %v\n", same)
+	fmt.Fprintf(stdout, "matches centralized MinWork outcome: %v\n", res.Outcome.Equal(ref))
 
 	if *transcript != "" {
 		f, err := os.Create(*transcript)
@@ -126,17 +123,17 @@ func run() error {
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("transcript written to %s (verify with: dmwaudit %s)\n", *transcript, *transcript)
+		fmt.Fprintf(stdout, "transcript written to %s (verify with: dmwaudit %s)\n", *transcript, *transcript)
 	}
 
 	if *verbose {
-		fmt.Printf("\nauction parallelism: %d (of %d auctions; -parallel %d)\n",
+		fmt.Fprintf(stdout, "\nauction parallelism: %d (of %d auctions; -parallel %d)\n",
 			effectiveParallel, *m, *parallel)
-		fmt.Println("\nprotocol round logs (agent 1's view):")
+		fmt.Fprintln(stdout, "\nprotocol round logs (agent 1's view):")
 		for j, log := range res.RoundLogs {
-			fmt.Printf("  auction %d:\n", j+1)
+			fmt.Fprintf(stdout, "  auction %d:\n", j+1)
 			for _, line := range log {
-				fmt.Printf("    %s\n", line)
+				fmt.Fprintf(stdout, "    %s\n", line)
 			}
 		}
 	}

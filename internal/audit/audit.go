@@ -22,7 +22,6 @@ import (
 	"dmw/internal/field"
 	"dmw/internal/group"
 	"dmw/internal/payment"
-	"dmw/internal/poly"
 
 	"dmw/internal/bidcode"
 )
@@ -181,7 +180,7 @@ func verifyAuction(rep *Report, g *group.Group, f *field.Field, cfg bidcode.Conf
 		}
 	}
 	// First-price resolution (equation (12)).
-	firstDeg, err := resolver.Resolve(g, at.Lambda, nil)
+	firstDeg, err := resolver.Resolve(g, at.Lambda)
 	if err != nil {
 		rep.addf(task, -1, "first-price resolution: %v", err)
 		return nil
@@ -213,22 +212,10 @@ func verifyAuction(rep *Report, g *group.Group, f *field.Field, cfg bidcode.Conf
 		rep.addf(task, -1, "only %d valid disclosures, need %d", len(valid), needed)
 		return nil
 	}
-	valid = valid[:needed]
-	winner := -1
-	for cand := 0; cand < n; cand++ {
-		pts := make([]poly.Share, needed)
-		for i, k := range valid {
-			pts[i] = poly.Share{Node: alphas[k], Value: at.Disclosures[k][cand]}
-		}
-		v, err := poly.InterpolateAtZero(f, pts)
-		if err != nil {
-			rep.addf(task, -1, "winner interpolation: %v", err)
-			return nil
-		}
-		if v.Sign() == 0 {
-			winner = cand
-			break
-		}
+	winner, err := commit.IdentifyWinner(f, alphas, valid[:needed], at.Disclosures)
+	if err != nil {
+		rep.addf(task, -1, "winner interpolation: %v", err)
+		return nil
 	}
 	if winner < 0 {
 		rep.addf(task, -1, "no winner matches first price %d", firstPrice)
@@ -246,7 +233,7 @@ func verifyAuction(rep *Report, g *group.Group, f *field.Field, cfg bidcode.Conf
 			return nil
 		}
 	}
-	secondDeg, err := resolver.Resolve(g, at.BarLambda, nil)
+	secondDeg, err := resolver.Resolve(g, at.BarLambda)
 	if err != nil {
 		rep.addf(task, -1, "second-price resolution: %v", err)
 		return nil

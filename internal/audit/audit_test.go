@@ -246,7 +246,7 @@ func chanceTranscript(t *testing.T, d0 int) (*protocol.Transcript, bidcode.Confi
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := r.Resolve(g, at.Lambda, nil)
+	first, err := r.Resolve(g, at.Lambda)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func chanceTranscript(t *testing.T, d0 int) (*protocol.Transcript, bidcode.Confi
 	for k := range alphas {
 		at.BarLambda[k], at.BarPsi[k] = pair(k, winner)
 	}
-	second, err := r.Resolve(g, at.BarLambda, nil)
+	second, err := r.Resolve(g, at.BarLambda)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ type gammaKey struct {
 //
 // Sharing changes no verdict and no value, only who computes it, so
 // runs that meter per-agent work (RunConfig.CountOps) must simply not
-// attach a cache — mirroring how the coalescing Verifier is dropped.
+// attach a cache. Only the benchmark harness uses it: the engine shares tables.
 type SharedGammaCache struct {
 	mu   sync.Mutex
 	vals map[gammaKey]*big.Int
@@ -67,7 +67,7 @@ func (s *SharedGammaCache) store(k int, c *Commitments, v *big.Int) {
 // caching halves the dominant O(n^2 sigma) verification cost.
 // BenchmarkGammaCache quantifies the saving.
 //
-// A GammaTable is NOT safe for concurrent use; each agent builds its own.
+// A GammaTable is NOT safe for concurrent use.
 type GammaTable struct {
 	g      *group.Group
 	powers [][]*big.Int // powers[k] = PowersOf(alpha_k, sigma)

@@ -3,8 +3,6 @@ package commit
 import (
 	"fmt"
 	"math/big"
-	"slices"
-	"sync"
 
 	"dmw/internal/field"
 	"dmw/internal/group"
@@ -66,19 +64,7 @@ func NewResolver(f *field.Field, cands []int, alphas []*big.Int) (*Resolver, err
 // why the next candidate cannot be tried, exactly as the ascending scan
 // reports its first unusable candidate, and is poly.ErrDegreeUnresolved
 // when every candidate was usable.
-//
-// shared, when non-nil, resolves each distinct vector once per auction
-// (see SharedResolutions).
-func (r *Resolver) Resolve(g *group.Group, lambdas []*big.Int, shared *SharedResolutions) (int, error) {
-	if shared == nil {
-		return r.search(g, lambdas)
-	}
-	e := shared.entry(lambdas)
-	e.once.Do(func() { e.deg, e.err = r.search(g, lambdas) })
-	return e.deg, e.err
-}
-
-func (r *Resolver) search(g *group.Group, lambdas []*big.Int) (int, error) {
+func (r *Resolver) Resolve(g *group.Group, lambdas []*big.Int) (int, error) {
 	have := 0 // leading present values
 	for have < len(lambdas) && have < r.n && lambdas[have] != nil {
 		have++
@@ -113,42 +99,37 @@ func (r *Resolver) search(g *group.Group, lambdas []*big.Int) (int, error) {
 	}
 }
 
-// SharedResolutions resolves each published vector once per auction. The
-// n agents of an auction resolve the same broadcast objects, twice (first
-// and second price), so the first agent to arrive computes and every agent
-// holding an identical vector waits for its result, error included. As
-// with gammaKey, identity is the exact *big.Int objects: an equivocating
-// medium, or second-price vectors whose nil entries differ, get entries of
-// their own, each computed from its own receiver's values.
-//
-// No strategy hook reaches resolution (deviations change what is
-// published, and that already separates the entries), so no agent needs
-// to bypass the share. Runs that meter per-agent work (RunConfig.CountOps)
-// must not attach one, as with SharedGammaCache. The zero value is ready
-// to use and safe for concurrent use.
-type SharedResolutions struct {
-	mu sync.Mutex
-	// entries holds one resolution per distinct vector, normally two per
-	// auction, so a linear walk is the whole index.
-	entries []*resolution
-}
-
-type resolution struct {
-	lambdas []*big.Int
-	once    sync.Once
-	deg     int
-	err     error
-}
-
-func (s *SharedResolutions) entry(lambdas []*big.Int) *resolution {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, e := range s.entries {
-		if slices.Equal(e.lambdas, lambdas) { // pointer identity
-			return e
+// IdentifyWinner applies equation (14) for the engine and the auditor: the
+// winner's f-polynomial has degree y*, so it interpolates to zero over the
+// y*+1 disclosers' nodes; losers' do not (w.h.p.). disclosed[k][cand] is
+// f_cand(alpha_k) as discloser k published it. Ties break to the smallest
+// pseudonym; -1 means no match. All candidates share the nodes, so rho =
+// LagrangeAtZero(alpha_disclosers) is taken once and each candidate costs
+// the inner product sum_i rho_i disclosed[disclosers[i]][cand].
+func IdentifyWinner(f *field.Field, alphas []*big.Int, disclosers []int, disclosed map[int][]*big.Int) (int, error) {
+	nodes := make([]*big.Int, len(disclosers))
+	for i, k := range disclosers {
+		nodes[i] = alphas[k]
+	}
+	rho, err := f.LagrangeAtZero(nodes)
+	if err != nil {
+		return -1, err
+	}
+	var (
+		v    big.Int
+		s    field.Scratch
+		vals = make([]*big.Int, len(disclosers))
+	)
+	for cand := range alphas {
+		for i, k := range disclosers {
+			vals[i] = disclosed[k][cand]
+		}
+		if _, err := f.InnerProductInto(&v, rho, vals, &s); err != nil {
+			return -1, err
+		}
+		if v.Sign() == 0 {
+			return cand, nil
 		}
 	}
-	e := &resolution{lambdas: slices.Clone(lambdas)}
-	s.entries = append(s.entries, e)
-	return e
+	return -1, nil
 }

@@ -1,11 +1,9 @@
 package commit
 
 import (
-	"errors"
 	"fmt"
 	"math/big"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"dmw/internal/bidcode"
@@ -89,7 +87,7 @@ func lowestBidder(bids []int) int {
 // and fails unless both give the same degree or the same error text.
 func checkAgainstScan(t testing.TB, g *group.Group, r *Resolver, cands []int, alphas, lambdas []*big.Int, what string) {
 	t.Helper()
-	got, gotErr := r.Resolve(g, lambdas, nil)
+	got, gotErr := r.Resolve(g, lambdas)
 	want, wantErr := scanResolve(g, cands, alphas, lambdas)
 	switch {
 	case (gotErr == nil) != (wantErr == nil):
@@ -148,7 +146,7 @@ func TestResolveMatchesScan(t *testing.T) {
 			lambdas := summedLambdas(t, g, cfg, alphas, bids, exclude, rng)
 			what := fmt.Sprintf("trial %d (W=%v c=%d n=%d bids=%v exclude=%d)", trial, w, cfg.C, cfg.N, bids, exclude)
 			checkAgainstScan(t, g, r, cands, alphas, lambdas, what)
-			if d, err := r.Resolve(g, lambdas, nil); err != nil {
+			if d, err := r.Resolve(g, lambdas); err != nil {
 				t.Fatalf("%s: %v", what, err)
 			} else if want := minExcept(bids, exclude); cfg.Sigma()-d != want {
 				t.Fatalf("%s: resolved price %d, want %d", what, cfg.Sigma()-d, want)
@@ -188,136 +186,9 @@ func TestResolveTooFewAgents(t *testing.T) {
 	}
 	lambdas := summedLambdas(t, g, cfg, alphas, []int{1, 3, 5, 2}, -1, rand.New(rand.NewSource(3)))
 	checkAgainstScan(t, g, r, cfg.DegreeCandidates(), alphas, lambdas, "n=4")
-	if _, err := r.Resolve(g, lambdas, nil); err == nil || err.Error() !=
+	if _, err := r.Resolve(g, lambdas); err == nil || err.Error() !=
 		"candidate degree 4 needs 5 nodes, have 4 agents: poly: no candidate degree resolves" {
 		t.Fatalf("err = %v", err)
-	}
-}
-
-// resolveSetup is a first-price vector over W = {1..6}, n = 7, with every
-// agent present.
-func resolveSetup(t *testing.T) (*group.Group, *Resolver, []*big.Int) {
-	t.Helper()
-	g := group.MustSharedFor(group.PresetTest64)
-	cfg := bidcode.Config{W: []int{1, 2, 3, 4, 5, 6}, C: 0, N: 7}
-	alphas, err := bidcode.Pseudonyms(g.Scalars(), cfg.N)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewResolver(g.Scalars(), cfg.DegreeCandidates(), alphas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lambdas := summedLambdas(t, g, cfg, alphas, []int{4, 2, 6, 3, 2, 5, 4}, -1, rand.New(rand.NewSource(5)))
-	return g, r, lambdas
-}
-
-// resolveConcurrently has n goroutines resolve their vectors through one
-// SharedResolutions, all metered by c, and returns each one's result.
-func resolveConcurrently(g *group.Group, r *Resolver, s *SharedResolutions, c *group.Counter, vecs [][]*big.Int) ([]int, []error) {
-	degs, errs := make([]int, len(vecs)), make([]error, len(vecs))
-	var wg sync.WaitGroup
-	for i := range vecs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			degs[i], errs[i] = r.Resolve(g.WithCounter(c), vecs[i], s)
-		}(i)
-	}
-	wg.Wait()
-	return degs, errs
-}
-
-// TestSharedResolutionsComputeOnce: n agents resolving the same broadcast
-// objects run one bisection between them.
-func TestSharedResolutionsComputeOnce(t *testing.T) {
-	g, r, lambdas := resolveSetup(t)
-	var alone group.Counter
-	want, err := r.Resolve(g.WithCounter(&alone), lambdas, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 8
-	vecs := make([][]*big.Int, n)
-	for i := range vecs {
-		vecs[i] = append([]*big.Int(nil), lambdas...) // each agent's own slice, same objects
-	}
-	var s SharedResolutions
-	var c group.Counter
-	degs, errs := resolveConcurrently(g, r, &s, &c, vecs)
-	for i := range degs {
-		if errs[i] != nil || degs[i] != want {
-			t.Errorf("agent %d: (%d, %v), want (%d, nil)", i, degs[i], errs[i], want)
-		}
-	}
-	if c.MultiExps() != alone.MultiExps() || c.MultiExpTerms() != alone.MultiExpTerms() {
-		t.Errorf("%d agents ran %d multi-exps (%d terms), one resolution is %d (%d)",
-			n, c.MultiExps(), c.MultiExpTerms(), alone.MultiExps(), alone.MultiExpTerms())
-	}
-	if len(s.entries) != 1 {
-		t.Errorf("%d entries for one vector", len(s.entries))
-	}
-}
-
-// TestSharedResolutionsKeyOnIdentity: equal values in distinct objects,
-// as an equivocating medium or a re-decoded payload would hand over, and
-// vectors whose nil entries differ each get an entry and a result of
-// their own.
-func TestSharedResolutionsKeyOnIdentity(t *testing.T) {
-	g, r, lambdas := resolveSetup(t)
-	copies := make([]*big.Int, len(lambdas))
-	for k, v := range lambdas {
-		copies[k] = new(big.Int).Set(v)
-	}
-	holed := append([]*big.Int(nil), lambdas...)
-	holed[2] = nil
-	vecs := [][]*big.Int{lambdas, copies, holed, lambdas, copies, holed}
-
-	var s SharedResolutions
-	var c group.Counter
-	degs, errs := resolveConcurrently(g, r, &s, &c, vecs)
-	if len(s.entries) != 3 {
-		t.Fatalf("%d entries for three distinct vectors", len(s.entries))
-	}
-	var alone group.Counter
-	want, _ := r.Resolve(g.WithCounter(&alone), lambdas, nil)
-	for i := range vecs {
-		if vecs[i][2] == nil {
-			if errs[i] == nil || errs[i].Error() != "missing resolution input from agent 2: poly: no candidate degree resolves" {
-				t.Errorf("receiver %d (nil at 2): err = %v", i, errs[i])
-			}
-		} else if errs[i] != nil || degs[i] != want {
-			t.Errorf("receiver %d: (%d, %v), want (%d, nil)", i, degs[i], errs[i], want)
-		}
-	}
-	// The two full vectors resolve separately; the holed one probes nothing
-	// past its usable prefix.
-	var holedAlone group.Counter
-	_, _ = r.Resolve(g.WithCounter(&holedAlone), holed, nil)
-	if want := 2*alone.MultiExps() + holedAlone.MultiExps(); c.MultiExps() != want {
-		t.Errorf("multi-exps = %d, want %d (one bisection per distinct vector)", c.MultiExps(), want)
-	}
-}
-
-// TestSharedResolutionsShareErrors: a failed resolution reaches every
-// waiter as the same error value.
-func TestSharedResolutionsShareErrors(t *testing.T) {
-	g, r, lambdas := resolveSetup(t)
-	holed := append([]*big.Int(nil), lambdas...)
-	holed[0] = nil
-	vecs := make([][]*big.Int, 6)
-	for i := range vecs {
-		vecs[i] = holed
-	}
-	var s SharedResolutions
-	_, errs := resolveConcurrently(g, r, &s, new(group.Counter), vecs)
-	for i, err := range errs {
-		if !errors.Is(err, poly.ErrDegreeUnresolved) {
-			t.Fatalf("waiter %d: err = %v", i, err)
-		}
-		if err != errs[0] {
-			t.Errorf("waiter %d got its own error %p, want the shared %p", i, err, errs[0])
-		}
 	}
 }
 

@@ -57,14 +57,9 @@ type auctionEnv struct {
 	// concurrent auctions (and jobs) share one combined pass. See
 	// RunConfig.Verifier. When nil, agents verify on their own group.
 	verifier *commit.Coalescer
-	// gammaCache, when non-nil, shares Gamma_{k,l} evaluations across
-	// this task's agents: the values are public (pseudonyms ×
-	// broadcast commitments), so only the first agent to need an entry
-	// computes it. Nil when per-agent ops are being metered.
-	gammaCache *commit.SharedGammaCache
-	// resolutions, when non-nil, resolves each published vector once for
-	// this task's agents; nil exactly when gammaCache is.
-	resolutions *commit.SharedResolutions
+	// public does this task's public work once for all its agents (see
+	// auctionPublic); nil when per-agent ops are metered and in sessions.
+	public *auctionPublic
 	// clock, when non-nil, receives the round-1 delivery of every agent
 	// so the run-level bidding phase ends with its slowest auction (see
 	// phaseClock).
@@ -616,12 +611,9 @@ func (a *agentRun) lambdaPsi(exclude int) (lambda, psi *big.Int) {
 // fatal for verifying agents.
 func (a *agentRun) verifyLambdaPsi() string {
 	env := a.env
-	gt, err := commit.NewGammaTable(a.g, a.comms, env.powers)
+	gt, err := env.public.table(a.g, a.comms, env.powers)
 	if err != nil {
 		return fmt.Sprintf("building gamma table: %v", err)
-	}
-	if env.gammaCache != nil {
-		gt.UseShared(env.gammaCache)
 	}
 	a.gammas = gt
 	for k := 0; k < env.n; k++ {
@@ -631,7 +623,7 @@ func (a *agentRun) verifyLambdaPsi() string {
 		if a.hooks.SkipVerification {
 			continue
 		}
-		if err := gt.VerifyLambdaPsi(k, a.lambdas[k], a.psis[k], -1); err != nil {
+		if err := env.public.checkLambdaPsi(gt, k, a.lambdas[k], a.psis[k], -1); err != nil {
 			return fmt.Sprintf("Lambda/Psi from agent %d inconsistent: %v", k, err)
 		}
 	}
@@ -645,7 +637,7 @@ func (a *agentRun) verifyLambdaPsi() string {
 // interpolate Lambda to the identity" is true for every d >= tau once
 // equation (11) binds Lambda, and false below tau except with
 // probability ~1/q, so O(log |W|) probes find the first true one. The
-// auction's agents share each resolution through env.resolutions.
+// auction's agents share each resolution through env.public.
 //
 // Winner-exclusion contract: in the second-price pass the winner's
 // e-share was removed from the SUMS inside the published bar-Lambda
@@ -655,7 +647,7 @@ func (a *agentRun) verifyLambdaPsi() string {
 // which agent won, so the arithmetic is identical for both passes.
 // TestResolveDegreeSecondPriceSemantics pins this behavior.
 func (a *agentRun) resolveDegree(lambdas []*big.Int) (int, error) {
-	return a.env.resolver.Resolve(a.g, lambdas, a.env.resolutions)
+	return a.env.public.resolve(a.g, a.env.resolver, lambdas)
 }
 
 // stepDisclose runs one round of the dynamic disclosure loop of step
@@ -738,7 +730,7 @@ func (a *agentRun) stepValidate(msgs []transport.Message) yield {
 		if len(f) != env.n {
 			continue
 		}
-		if err := commit.VerifyDisclosure(a.g, a.comms, env.powers[k], f, a.psis[k]); err != nil {
+		if err := env.public.checkDisclosure(a.g, a.gammas, a.comms, env.powers[k], k, f, a.psis[k]); err != nil {
 			continue
 		}
 		a.valid[k] = f
@@ -761,7 +753,7 @@ func (a *agentRun) stepWinner() (yield, error) {
 	sort.Ints(disclosers)
 	disclosers = disclosers[:a.needed]
 
-	winner, err := identifyWinner(a.f, env.alphas, disclosers, a.valid, env.n)
+	winner, err := env.public.winner(a.f, env.alphas, disclosers, a.valid)
 	if err != nil {
 		return a.finish(a.aborted(fmt.Sprintf("winner interpolation failed: %v", err))), nil
 	}
@@ -784,44 +776,6 @@ func (a *agentRun) stepWinner() (yield, error) {
 	}
 	a.barLambda[a.me], a.barPsi[a.me] = lambda, psi
 	return yieldRound, a.broadcast(transport.KindSecondPrice, SecondPricePayload{Lambda: lambda, Psi: psi})
-}
-
-// identifyWinner applies equation (14): the winner's f-polynomial has
-// degree y*, so it interpolates to zero over the y*+1 disclosers' nodes;
-// losers' higher-degree polynomials do not (w.h.p.). Ties break to the
-// smallest pseudonym; -1 means no candidate matched.
-//
-// Every candidate is interpolated over the SAME nodes, so the Lagrange
-// coefficients are taken once, rho = LagrangeAtZero(alpha_disclosers), and
-// each candidate costs the inner product f^(s)(0) = sum_k rho_k f(alpha_k)
-// instead of an interpolation (and its inversions) of its own.
-// disclosed[k][cand] is f_cand(alpha_k) as discloser k published it.
-func identifyWinner(f *field.Field, alphas []*big.Int, disclosers []int, disclosed map[int][]*big.Int, n int) (int, error) {
-	nodes := make([]*big.Int, len(disclosers))
-	for i, k := range disclosers {
-		nodes[i] = alphas[k]
-	}
-	rho, err := f.LagrangeAtZero(nodes)
-	if err != nil {
-		return -1, err
-	}
-	var (
-		v    big.Int
-		s    field.Scratch
-		vals = make([]*big.Int, len(disclosers))
-	)
-	for cand := 0; cand < n; cand++ {
-		for i, k := range disclosers {
-			vals[i] = disclosed[k][cand]
-		}
-		if _, err := f.InnerProductInto(&v, rho, vals, &s); err != nil {
-			return -1, err
-		}
-		if v.Sign() == 0 {
-			return cand, nil
-		}
-	}
-	return -1, nil
 }
 
 // buildDisclosure assembles the f-shares this agent received (step
@@ -863,13 +817,18 @@ func (a *agentRun) stepSettle(msgs []transport.Message) yield {
 	a.rec.recordSecondPrice(barLambda, barPsi)
 	// Verify equation (11) excluding the winner; invalidate failing
 	// entries so resolution skips... a failing entry among the first
-	// d+1 nodes is fatal, matching Theorem 4's analysis.
+	// d+1 nodes is fatal, matching Theorem 4's analysis. A lazy verifier
+	// checks this pass too, but reads no shared verdict.
+	public := env.public
+	if a.hooks.SkipVerification {
+		public = nil
+	}
 	for k := 0; k < env.n; k++ {
 		if barLambda[k] == nil || barPsi[k] == nil {
 			barLambda[k] = nil
 			continue
 		}
-		if err := a.gammas.VerifyLambdaPsi(k, barLambda[k], barPsi[k], a.winner); err != nil {
+		if err := public.checkLambdaPsi(a.gammas, k, barLambda[k], barPsi[k], a.winner); err != nil {
 			barLambda[k] = nil
 		}
 	}

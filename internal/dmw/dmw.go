@@ -306,13 +306,8 @@ func Run(cfg RunConfig) (*Result, error) {
 			clock:    clock,
 			verifier: cfg.Verifier,
 		}
-		if counters == nil {
-			// Cross-agent amortization of the public Gamma table and
-			// degree resolutions; per-agent op metering must see each
-			// agent do its own work, so CountOps runs leave these nil
-			// (as with the coalescing verifier above).
-			env.gammaCache = commit.NewSharedGammaCache()
-			env.resolutions = new(commit.SharedResolutions)
+		if counters == nil { // metering must see each agent's own work
+			env.public = new(auctionPublic)
 		}
 		ls := newLockstep(n, cfg.Delays, cfg.RealTimeDelays)
 		agents := make([]agentRun, n)

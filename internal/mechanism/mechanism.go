@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"dmw/internal/sched"
 )
@@ -27,6 +28,16 @@ type Outcome struct {
 	Payments []int64
 	// FirstPrice[j] and SecondPrice[j] are the per-task auction prices.
 	FirstPrice, SecondPrice []int64
+}
+
+// Equal reports whether o and p are the same outcome: every task goes to
+// the same agent at the same first and second price, and every agent is
+// paid the same.
+func (o *Outcome) Equal(p *Outcome) bool {
+	return slices.Equal(o.Schedule.Agent, p.Schedule.Agent) &&
+		slices.Equal(o.FirstPrice, p.FirstPrice) &&
+		slices.Equal(o.SecondPrice, p.SecondPrice) &&
+		slices.Equal(o.Payments, p.Payments)
 }
 
 // Mechanism is a centralized scheduling mechanism: given the reported bid

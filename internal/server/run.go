@@ -150,9 +150,9 @@ func uniformDelays(n int, d time.Duration) [][]time.Duration {
 	return m
 }
 
-// matchesCentralized compares the distributed outcome with the
-// centralized MinWork reference on the same matrix (Figure 1's
-// equivalence check, applied per job).
+// matchesCentralized compares the distributed outcome — winners, first
+// and second prices, payments — with the centralized MinWork reference on
+// the same matrix (Figure 1's equivalence check, applied per job).
 func matchesCentralized(res *protocol.Result, bids [][]int) bool {
 	in := sched.NewInstance(len(bids), len(bids[0]))
 	for i, row := range bids {
@@ -161,15 +161,7 @@ func matchesCentralized(res *protocol.Result, bids [][]int) bool {
 		}
 	}
 	ref, err := (mechanism.MinWork{}).Run(in)
-	if err != nil {
-		return false
-	}
-	for j, a := range res.Auctions {
-		if a.Aborted || a.Winner != ref.Schedule.Agent[j] {
-			return false
-		}
-	}
-	return true
+	return err == nil && res.Outcome.Equal(ref)
 }
 
 // buildResult converts a protocol result into the wire shape.

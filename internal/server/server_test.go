@@ -420,3 +420,19 @@ func TestPerJobParallelismClamp(t *testing.T) {
 		t.Fatalf("state %s: %s", job.State(), job.View().Error)
 	}
 }
+
+// TestMatchesCentralizedComparesPrices: matches_centralized covers the
+// prices and payments, not only the winners. A result with MinWork's
+// winners and one second price off by one does not match.
+func TestMatchesCentralizedComparesPrices(t *testing.T) {
+	bids := [][]int{{1, 3}, {2, 1}, {3, 2}, {3, 3}, {2, 2}}
+	res := directRun(t, JobSpec{W: []int{1, 2, 3}, Seed: 4}, bids)
+	if !matchesCentralized(res, bids) {
+		t.Fatalf("honest run does not match MinWork: %+v", res.Auctions)
+	}
+	res.Auctions[0].SecondPrice++
+	res.Outcome.SecondPrice[0]++
+	if matchesCentralized(res, bids) {
+		t.Error("a second price off by one still matches MinWork")
+	}
+}
