@@ -135,8 +135,9 @@ type EncodedBid struct {
 }
 
 // Encode draws the four random polynomials for bid y under the given
-// configuration. The polynomial coefficients come from src (crypto/rand
-// when nil).
+// configuration, e, f, g, h in that order. The polynomial coefficients
+// come from src (crypto/rand when nil); all 3*sigma + 4 of them live in
+// one slab.
 func Encode(cfg Config, y int, f *field.Field, src io.Reader) (*EncodedBid, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -146,23 +147,20 @@ func Encode(cfg Config, y int, f *field.Field, src io.Reader) (*EncodedBid, erro
 	}
 	sigma := cfg.Sigma()
 	tau := sigma - y
-	e, err := poly.NewRandomZeroConst(f, tau, src)
-	if err != nil {
-		return nil, fmt.Errorf("bidcode: drawing e: %w", err)
+	coeffs := field.Pointers(f.Slab(3*sigma + 4))
+	polys := new([4]poly.Poly)
+	var s field.Scratch
+	for i, p := range [4]struct {
+		name   string
+		degree int
+	}{{"e", tau}, {"f", y}, {"g", sigma}, {"h", sigma}} {
+		cs := coeffs[: p.degree+1 : p.degree+1]
+		coeffs = coeffs[p.degree+1:]
+		if err := polys[i].SetRandomZeroConst(f, cs, src, &s); err != nil {
+			return nil, fmt.Errorf("bidcode: drawing %s: %w", p.name, err)
+		}
 	}
-	fp, err := poly.NewRandomZeroConst(f, y, src)
-	if err != nil {
-		return nil, fmt.Errorf("bidcode: drawing f: %w", err)
-	}
-	g, err := poly.NewRandomZeroConst(f, sigma, src)
-	if err != nil {
-		return nil, fmt.Errorf("bidcode: drawing g: %w", err)
-	}
-	h, err := poly.NewRandomZeroConst(f, sigma, src)
-	if err != nil {
-		return nil, fmt.Errorf("bidcode: drawing h: %w", err)
-	}
-	return &EncodedBid{Y: y, Tau: tau, E: e, F: fp, G: g, H: h}, nil
+	return &EncodedBid{Y: y, Tau: tau, E: &polys[0], F: &polys[1], G: &polys[2], H: &polys[3]}, nil
 }
 
 // Share is the tuple of evaluations an agent securely transmits to one
@@ -204,28 +202,24 @@ func (s Share) WireSize() int {
 
 // ShareFor evaluates the four polynomials at pseudonym alpha.
 func (b *EncodedBid) ShareFor(alpha *big.Int) Share {
-	var s field.Scratch
-	return b.shareFor(alpha, &s)
+	return b.SharesFor([]*big.Int{alpha})[0]
 }
 
-// shareFor runs the four Horner evaluations over one scratch and one slab
-// of result headers.
-func (b *EncodedBid) shareFor(alpha *big.Int, s *field.Scratch) Share {
-	v := new([4]big.Int)
-	return Share{
-		E: b.E.EvalInto(&v[0], alpha, s),
-		F: b.F.EvalInto(&v[1], alpha, s),
-		G: b.G.EvalInto(&v[2], alpha, s),
-		H: b.H.EvalInto(&v[3], alpha, s),
-	}
-}
-
-// SharesFor evaluates the polynomials at every pseudonym in order.
+// SharesFor evaluates the polynomials at every pseudonym in order: four
+// Horner evaluations per pseudonym over one scratch, into one slab of
+// 4*len(alphas) values.
 func (b *EncodedBid) SharesFor(alphas []*big.Int) []Share {
 	var s field.Scratch
+	vs := b.E.Field().Slab(4 * len(alphas))
 	out := make([]Share, len(alphas))
 	for i, a := range alphas {
-		out[i] = b.shareFor(a, &s)
+		v := vs[4*i : 4*i+4]
+		out[i] = Share{
+			E: b.E.EvalInto(&v[0], a, &s),
+			F: b.F.EvalInto(&v[1], a, &s),
+			G: b.G.EvalInto(&v[2], a, &s),
+			H: b.H.EvalInto(&v[3], a, &s),
+		}
 	}
 	return out
 }

@@ -54,3 +54,32 @@ func TestAllocBudgetBatchVerify(t *testing.T) {
 		t.Errorf("BatchVerifyShares allocates %.1f/op, budget %d — a pooled path regressed", avg, budget)
 	}
 }
+
+// TestAllocBudgetCommit is the CI allocation gate on committing to a bid
+// (`make allocs-gate`): commit.New at proto-crypto's shape (Sim256,
+// sigma = 12). The product e*f and the 3*sigma commitments each fill one
+// slab of headers and words in place, so the count does not grow with
+// sigma: 8 allocs/op (the product polynomial's four, the commitment
+// slab's three and the Commitments). With a fresh big.Int per commitment
+// and fresh words per product coefficient it was 89.
+func TestAllocBudgetCommit(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts include race-detector instrumentation")
+	}
+	const budget = 8
+	g := group.MustSharedFor(group.PresetSim256)
+	const sigma = 12
+	enc := syntheticBid(g, sigma, rand.New(rand.NewSource(3)))
+	if _, err := New(g, enc, sigma); err != nil { // warm the pooled workspaces
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(100, func() {
+		if _, err := New(g, enc, sigma); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("commit.New, sigma %d: %.1f allocs/op (budget %d)", sigma, avg, budget)
+	if avg > budget {
+		t.Errorf("commit.New allocates %.1f/op, budget %d — a commitment or a product coefficient is allocating again", avg, budget)
+	}
+}

@@ -64,14 +64,14 @@ func New(g *group.Group, b *bidcode.EncodedBid, sigma int) (*Commitments, error)
 	if v.Degree() > sigma {
 		return nil, fmt.Errorf("commit: product degree %d > sigma %d", v.Degree(), sigma)
 	}
-	// One slab for the three vectors; the coefficients are read in place
-	// (Commit only reads its exponents).
-	vecs := make([]*big.Int, 3*sigma)
+	// One slab for the three vectors' elements; the coefficients are
+	// read in place (CommitInto only reads its exponents).
+	vecs := field.Pointers(g.Slab(3 * sigma))
 	c := &Commitments{O: vecs[:sigma:sigma], Q: vecs[sigma : 2*sigma : 2*sigma], R: vecs[2*sigma:]}
 	for l := 1; l <= sigma; l++ {
-		c.O[l-1] = g.Commit(v.CoeffView(l), b.G.CoeffView(l))
-		c.Q[l-1] = g.Commit(b.E.CoeffView(l), b.H.CoeffView(l))
-		c.R[l-1] = g.Commit(b.F.CoeffView(l), b.H.CoeffView(l))
+		g.CommitInto(c.O[l-1], v.CoeffView(l), b.G.CoeffView(l))
+		g.CommitInto(c.Q[l-1], b.E.CoeffView(l), b.H.CoeffView(l))
+		g.CommitInto(c.R[l-1], b.F.CoeffView(l), b.H.CoeffView(l))
 	}
 	return c, nil
 }

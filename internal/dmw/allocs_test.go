@@ -13,21 +13,24 @@ import (
 // at the benchmark's proto-small shape (Test64, n = 5, m = 2, W = {1,2,3},
 // c = 0, so sigma = 4) must stay within a fixed allocs/run budget.
 //
-// Measured: ~2,350 allocs/run with each auction's public checks (Gamma
-// table, eq. (11)/(13) verdicts, resolutions, winner) done once for all
-// its agents; ~2,790 with every agent checking them itself, its agents
-// stepped in lockstep on one goroutine and each agent's coefficients
-// drawn from a ChaCha8 stream embedded in it; ~3,170 with a goroutine, a
-// math/rand source and a transport.Network endpoint per agent, and
-// ~14,300 when every field add, multiply and reduce returned a fresh
-// big.Int. The budget is 3,000: above what toolchain drift moves, below
-// what reintroducing one allocating loop costs (Horner evaluation alone
-// was ~3,800, the per-candidate winner interpolation ~1,800).
+// Measured: ~1,280 allocs/run with each agent's Phase II (draws,
+// commitments, shares dealt and received) and the Lagrange vectors in
+// slabs; ~2,340 with a big.Int per drawn coefficient, commitment and
+// share; ~2,790 with every agent doing the auction's public checks
+// (Gamma table, eq. (11)/(13) verdicts, resolutions, winner) itself, its
+// agents stepped in lockstep on one goroutine and each agent's
+// coefficients drawn from a ChaCha8 stream embedded in it; ~3,170 with a
+// goroutine, a math/rand source and a transport.Network endpoint per
+// agent, and ~14,300 when every field add, multiply and reduce returned a
+// fresh big.Int. The budget is 1,470, about 15 % above the measured
+// count: above what toolchain drift moves, below what reintroducing a
+// per-coefficient draw or a per-share scratch costs (~1,000 between
+// them).
 func TestAllocBudgetRun(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts include race-detector instrumentation")
 	}
-	const budget = 3000
+	const budget = 1470
 	const n, m = 5, 2
 	w := []int{1, 2, 3}
 

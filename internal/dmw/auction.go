@@ -141,6 +141,7 @@ type agentRun struct {
 	myComms *commit.Commitments // as published (possibly tampered)
 
 	shares  []*bidcode.Share      // shares[k] = share received from k (own at me)
+	got     []bidcode.Share       // the received shares shares[k] points to
 	comms   []*commit.Commitments // published commitments per agent
 	lambdas []*big.Int            // published Lambda per agent
 	psis    []*big.Int            // published Psi per agent
@@ -214,6 +215,7 @@ func (a *agentRun) init(env *auctionEnv, me int, g *group.Group, ep sender,
 		truthBid: truthBid,
 		keepLog:  keepLog,
 		shares:   make([]*bidcode.Share, env.n),
+		got:      make([]bidcode.Share, env.n),
 		comms:    make([]*commit.Commitments, env.n),
 		lambdas:  make([]*big.Int, env.n),
 		psis:     make([]*big.Int, env.n),
@@ -392,6 +394,7 @@ func (a *agentRun) bid1() error {
 		a.hooks.TamperCommitments(env.task, a.myComms)
 	}
 
+	shares := enc.SharesFor(env.alphas)
 	for to := 0; to < env.n; to++ {
 		if to == a.me {
 			continue
@@ -399,18 +402,16 @@ func (a *agentRun) bid1() error {
 		if a.hooks.OmitShareTo != nil && a.hooks.OmitShareTo(env.task, to) {
 			continue
 		}
-		s := enc.ShareFor(env.alphas[to])
+		s := shares[to]
 		if a.hooks.TamperShare != nil {
-			s = s.Clone()
-			a.hooks.TamperShare(env.task, to, &s)
+			s = a.tamperShare(to, s)
 		}
 		if err := a.ep.Send(to, transport.KindShare, env.task, SharePayload{Share: s}); err != nil {
 			return err
 		}
 	}
 	// Own share and published commitments go straight into local state.
-	own := enc.ShareFor(env.alphas[a.me])
-	a.shares[a.me] = &own
+	a.shares[a.me] = &shares[a.me]
 	if a.hooks.OmitCommitments != nil && a.hooks.OmitCommitments(env.task) {
 		a.comms[a.me] = nil
 	} else {
@@ -422,6 +423,15 @@ func (a *agentRun) bid1() error {
 	return nil
 }
 
+// tamperShare returns the share the TamperShare hook makes of a copy of s
+// (a function of its own, so that only a tampering agent moves its share
+// to the heap to hand the hook a pointer).
+func (a *agentRun) tamperShare(to int, s bidcode.Share) bidcode.Share {
+	s = s.Clone()
+	a.hooks.TamperShare(a.env.task, to, &s)
+	return s
+}
+
 // collect routes one round's deliveries into the agent state.
 func (a *agentRun) collect(msgs []transport.Message) {
 	for _, m := range msgs {
@@ -431,10 +441,10 @@ func (a *agentRun) collect(msgs []transport.Message) {
 		switch p := m.Payload.(type) {
 		case SharePayload:
 			if a.shares[m.From] == nil {
-				s := p.Share
-				a.shares[m.From] = &s
+				a.got[m.From] = p.Share
+				a.shares[m.From] = &a.got[m.From]
 				if a.hooks.ObserveShare != nil {
-					a.hooks.ObserveShare(a.env.task, m.From, s.Clone())
+					a.hooks.ObserveShare(a.env.task, m.From, p.Share.Clone())
 				}
 			}
 		case CommitmentsPayload:

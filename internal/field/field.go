@@ -16,7 +16,9 @@
 // allocates nothing in steady state; a destination may alias an argument.
 // The value-returning methods (Reduce, Add, Sub, Neg, Mul, ...) are thin
 // wrappers that run the same kernel into a fresh big.Int. Neither layer
-// mutates an argument it was not handed as the destination.
+// mutates an argument it was not handed as the destination. Random draws
+// (RandInto, RandNonZeroInto) are in place too, and Slab hands out many
+// destinations at the cost of one header slab and one word slab.
 //
 // Operands already in [0, q) — everything the kernel itself returns —
 // take the division-free path: products run on a Montgomery context over
@@ -32,6 +34,8 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"math/bits"
+	"slices"
 
 	"dmw/internal/mont"
 )
@@ -42,6 +46,13 @@ type Field struct {
 	q   *big.Int
 	qm1 *big.Int  // q-1, the exclusive bound RandNonZero draws below
 	m   *mont.Ctx // products of reduced operands; nil for q = 2 and wide q
+	// randBits and unitBits are the bit lengths of q-1 and q-2: the
+	// sizes crypto/rand.Int derives for the bounds q and q-1 on every
+	// call, one allocation each.
+	randBits, unitBits int
+	// words is the big.Word capacity a reduced element needs for the
+	// kernel to write it in place (see Slab).
+	words int
 }
 
 var one = big.NewInt(1)
@@ -78,9 +89,15 @@ func New(q *big.Int) (*Field, error) {
 		return nil, ErrNotPrime
 	}
 	f := &Field{q: new(big.Int).Set(q), qm1: new(big.Int).Sub(q, big.NewInt(1))}
+	f.randBits = f.qm1.BitLen()
+	f.unitBits = new(big.Int).Sub(f.qm1, one).BitLen()
+	f.words = len(f.q.Bits())
 	if q.Bit(0) == 1 {
 		if m := mont.New(f.q); m.Words() <= mont.MaxPlainWords {
 			f.m = m
+			// The Montgomery kernel writes all of its uint64 limbs,
+			// two big.Words each on 32-bit targets.
+			f.words = m.Words() * (64 / bits.UintSize)
 		}
 	}
 	return f, nil
@@ -111,6 +128,37 @@ func (f *Field) BitLen() int { return f.q.BitLen() }
 type Scratch struct {
 	m      mont.Scratch
 	t, quo big.Int
+	rb     []byte // the bytes of a random draw
+}
+
+// Slab returns n zero elements backed by one header slab and one word
+// slab, each with room for the words the kernel writes into a reduced
+// element: a caller that needs many destinations pays two allocations,
+// not one or two per element.
+func (f *Field) Slab(n int) []big.Int { return NewSlab(n, f.words) }
+
+// NewSlab returns n zero big.Ints over one slab of n*words words. A full
+// slice expression caps each element at its own words: an operation that
+// needs more (big.Int.Add wants a spare word for the carry, a big.Int
+// product twice the width) moves that element to fresh words instead of
+// growing into its neighbour's.
+func NewSlab(n, words int) []big.Int {
+	hs := make([]big.Int, n)
+	ws := make([]big.Word, n*words)
+	for i := range hs {
+		hs[i].SetBits(ws[i*words : i*words : (i+1)*words])
+	}
+	return hs
+}
+
+// Pointers returns a pointer to each element of slab, for the APIs that
+// take vectors of *big.Int.
+func Pointers(slab []big.Int) []*big.Int {
+	ps := make([]*big.Int, len(slab))
+	for i := range slab {
+		ps[i] = &slab[i]
+	}
+	return ps
 }
 
 // reduced reports whether x lies in [0, q).
@@ -238,7 +286,7 @@ func (f *Field) InvBatch(xs []*big.Int, s *Scratch) error {
 		return nil
 	}
 	// prefix[i] = xs[0] * ... * xs[i].
-	prefix := make([]big.Int, len(xs))
+	prefix := f.Slab(len(xs))
 	f.ReduceInto(&prefix[0], f.ReduceInto(xs[0], xs[0], s), s)
 	for i := 1; i < len(xs); i++ {
 		f.MulInto(&prefix[i], &prefix[i-1], f.ReduceInto(xs[i], xs[i], s), s)
@@ -282,22 +330,67 @@ func (f *Field) IsZero(a *big.Int) bool {
 // Rand returns a uniformly random field element in [0, q) drawn from src.
 // If src is nil, crypto/rand is used.
 func (f *Field) Rand(src io.Reader) (*big.Int, error) {
-	if src == nil {
-		src = rand.Reader
-	}
-	return rand.Int(src, f.q)
+	var s Scratch
+	return f.RandInto(new(big.Int), src, &s)
 }
 
 // RandNonZero returns a uniformly random unit in [1, q).
 func (f *Field) RandNonZero(src io.Reader) (*big.Int, error) {
+	var s Scratch
+	return f.RandNonZeroInto(new(big.Int), src, &s)
+}
+
+// RandInto sets z to a uniformly random element of [0, q) drawn from src
+// (crypto/rand when nil) and returns z. It is crypto/rand.Int(src, q)
+// done in place: the same bytes per try, the same top-byte mask, the same
+// rejection, so it consumes the same bytes of src and yields the same
+// value, but into z's own words, staging the bytes in s.
+func (f *Field) RandInto(z *big.Int, src io.Reader, s *Scratch) (*big.Int, error) {
+	return f.draw(z, src, f.q, f.randBits, s)
+}
+
+// RandNonZeroInto sets z to a uniformly random unit in [1, q) and returns
+// z: crypto/rand.Int(src, q-1) + 1, drawn as RandInto draws.
+func (f *Field) RandNonZeroInto(z *big.Int, src io.Reader, s *Scratch) (*big.Int, error) {
+	if _, err := f.draw(z, src, f.qm1, f.unitBits, s); err != nil {
+		return nil, fmt.Errorf("field: drawing random unit: %w", err)
+	}
+	// z+1 < q fits in z's words; big.Int.Add would want a spare one.
+	zw := z.Bits()
+	for i := range zw {
+		if zw[i]++; zw[i] != 0 {
+			return z, nil
+		}
+	}
+	return z.SetBits(append(zw, 1)), nil
+}
+
+// draw is crypto/rand.Int(src, max) for bitLen = bitlen(max-1), into z.
+func (f *Field) draw(z *big.Int, src io.Reader, max *big.Int, bitLen int, s *Scratch) (*big.Int, error) {
 	if src == nil {
 		src = rand.Reader
 	}
-	r, err := rand.Int(src, f.qm1)
-	if err != nil {
-		return nil, fmt.Errorf("field: drawing random unit: %w", err)
+	if bitLen == 0 {
+		return z.SetUint64(0), nil
 	}
-	return r.Add(r, one), nil
+	k := (bitLen + 7) / 8
+	b := uint(bitLen % 8)
+	if b == 0 {
+		b = 8
+	}
+	if cap(s.rb) < k {
+		s.rb = make([]byte, k)
+	}
+	buf := s.rb[:k]
+	for {
+		if _, err := io.ReadFull(src, buf); err != nil {
+			return nil, err
+		}
+		buf[0] &= uint8(int(1<<b) - 1)
+		if z.SetBytes(buf).Cmp(max) < 0 {
+			return z, nil
+		}
+	}
 }
 
 // LagrangeAtZero computes the Lagrange basis coefficients for interpolation
@@ -315,13 +408,15 @@ func (f *Field) LagrangeAtZero(nodes []*big.Int) ([]*big.Int, error) {
 	if n == 0 {
 		return nil, errors.New("field: no interpolation nodes")
 	}
-	red := make([]*big.Int, n)
-	for i, a := range nodes {
-		red[i] = a // only read below
-		if !f.reduced(a) {
+	red := nodes // only read below
+	if slices.ContainsFunc(nodes, func(a *big.Int) bool { return !f.reduced(a) }) {
+		red = make([]*big.Int, n)
+		for i, a := range nodes {
 			red[i] = f.Reduce(a)
 		}
-		if red[i].Sign() == 0 {
+	}
+	for _, a := range red {
+		if a.Sign() == 0 {
 			return nil, ErrZeroPoint
 		}
 	}
@@ -334,20 +429,20 @@ func (f *Field) LagrangeAtZero(nodes []*big.Int) ([]*big.Int, error) {
 	}
 	// rho_k = phi0 / D_k with phi0 = prod_i alpha_i and
 	// D_k = alpha_k * prod_{i != k} (alpha_i - alpha_k): one shared
-	// numerator, and the n denominators inverted together.
+	// numerator, and the n denominators inverted together. The
+	// coefficients, phi0 and the difference share one slab.
 	var s Scratch
-	var diff big.Int
-	phi0 := big.NewInt(1)
-	coeffs := make([]*big.Int, n)
-	for k := 0; k < n; k++ {
+	els := f.Slab(n + 2)
+	phi0, diff := els[n].SetUint64(1), &els[n+1]
+	coeffs := Pointers(els[:n])
+	for k, den := range coeffs {
 		f.MulInto(phi0, phi0, red[k], &s)
-		den := new(big.Int).Set(red[k])
+		den.Set(red[k])
 		for i := 0; i < n; i++ {
 			if i != k {
-				f.MulInto(den, den, f.SubInto(&diff, red[i], red[k], &s), &s)
+				f.MulInto(den, den, f.SubInto(diff, red[i], red[k], &s), &s)
 			}
 		}
-		coeffs[k] = den
 	}
 	if err := f.InvBatch(coeffs, &s); err != nil {
 		return nil, fmt.Errorf("field: lagrange coefficients: %w", err)

@@ -16,12 +16,14 @@ import (
 func refMod(q, x *big.Int) *big.Int { return new(big.Int).Mod(x, q) }
 
 // kernelFields are moduli of one word, one word with a large quotient
-// range, and several words (Sim256's q).
+// range, several words (Sim256's q), and more words than the Montgomery
+// kernel takes (Secure512's q), whose products reduce through big.Int.
 func kernelFields(t *testing.T) []*Field {
 	t.Helper()
 	sim, _ := new(big.Int).SetString("e462d13d9ce3f7cd8ad0e30a01f0f21d6e2c9d5c4b047e391e5ab291", 16)
 	t64, _ := new(big.Int).SetString("ca1ecdfc1bcf", 16)
-	return []*Field{MustNew(big.NewInt(1009)), MustNew(t64), MustNew(sim)}
+	wide, _ := new(big.Int).SetString("e4f8ada3cf96024752b0c3f878dd4a1cb6fcb4a741e669252d748e36620c638b34d9a8b4de7d88dd5093dc4f3b9bd58af077c483a5a46d97e997d1a7", 16)
+	return []*Field{MustNew(big.NewInt(1009)), MustNew(t64), MustNew(sim), MustNew(wide)}
 }
 
 // operand draws from the classes the property is quantified over.

@@ -156,9 +156,9 @@ func newJointBase(fb1, fb2 *fixedBase) *jointBase {
 	return jb
 }
 
-// commit computes z1^x * z2^r mod p in one interleaved pass over the
-// joint table; x and r must be reduced exponents in [0, q).
-func (jb *jointBase) commit(x, r *big.Int) *big.Int {
+// commit sets z = z1^x * z2^r mod p in one interleaved pass over the
+// joint table and returns z; x and r must be reduced exponents in [0, q).
+func (jb *jointBase) commit(z, x, r *big.Int) *big.Int {
 	m := jb.m
 	ws := m.Acquire()
 	acc := ws.Acc
@@ -180,7 +180,7 @@ func (jb *jointBase) commit(x, r *big.Int) *big.Int {
 		}
 		m.Mul(acc, acc, jb.table[i][d], ws.T)
 	}
-	out := m.FromMontInto(new(big.Int), acc, ws.T)
+	out := m.FromMontInto(z, acc, ws.T)
 	m.Release(ws)
 	return out
 }

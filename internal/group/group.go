@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"math/bits"
 	"sync/atomic"
 	"time"
 
@@ -444,8 +445,22 @@ func (g *Group) Pow2(e *big.Int) *big.Int {
 // trick) — half the multiplications of Pow1 + Pow2 + Mul. For accounting
 // it is attributed as a 2-term multi-exponentiation.
 func (g *Group) Commit(x, r *big.Int) *big.Int {
+	return g.CommitInto(new(big.Int), x, r)
+}
+
+// CommitInto sets z = z1^x * z2^r mod p as Commit computes it, writing
+// into z's own words, and returns z. z may alias x or r: it is written
+// after both are read.
+func (g *Group) CommitInto(z, x, r *big.Int) *big.Int {
 	g.countMultiExp(2)
-	return g.jb.commit(g.reduced(x), g.reduced(r))
+	return g.jb.commit(z, g.reduced(x), g.reduced(r))
+}
+
+// Slab returns n zero elements over one header slab and one word slab,
+// each with room for an element of [0, p) as the Montgomery kernel writes
+// it (see field.NewSlab).
+func (g *Group) Slab(n int) []big.Int {
+	return field.NewSlab(n, g.mont.Words()*(64/bits.UintSize))
 }
 
 // reduced returns e mod q, and e itself when it already lies in [0, q):

@@ -6,14 +6,18 @@ import (
 	"testing"
 
 	"dmw/internal/field"
+	"dmw/internal/group"
 )
 
 // The references below are the allocating forms this package used before
 // the in-place kernel, written against math/big alone.
 
-// kernelFields are a one-word modulus and a several-word one.
+// kernelFields are a one-word modulus, a several-word one and one wider
+// than the Montgomery kernel (Secure512's q), whose products reduce
+// through big.Int into the result slab's elements.
 func kernelFields() []*field.Field {
-	return []*field.Field{field.MustNew(big.NewInt(1009)), allocField()}
+	wide := field.MustNew(group.MustPreset(group.PresetSecure512).Q)
+	return []*field.Field{field.MustNew(big.NewInt(1009)), allocField(), wide}
 }
 
 // refEval is Horner's rule with a fresh value per step.

@@ -60,23 +60,37 @@ func NewRandomZeroConst(f *field.Field, degree int, src io.Reader) (*Poly, error
 	if degree < 0 {
 		return nil, fmt.Errorf("poly: negative degree %d", degree)
 	}
-	coeffs := make([]*big.Int, degree+1)
-	coeffs[0] = new(big.Int)
+	p := new(Poly)
+	var s field.Scratch
+	if err := p.SetRandomZeroConst(f, field.Pointers(f.Slab(degree+1)), src, &s); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// SetRandomZeroConst sets p to a random polynomial of degree
+// len(coeffs)-1 with zero constant term, drawn from src exactly as
+// NewRandomZeroConst draws it, into the values coeffs points to: p keeps
+// coeffs rather than copying it, so one slab can back many polynomials.
+// s stages the draws.
+func (p *Poly) SetRandomZeroConst(f *field.Field, coeffs []*big.Int, src io.Reader, s *field.Scratch) error {
+	degree := len(coeffs) - 1
+	if degree < 0 {
+		return errors.New("poly: no coefficients")
+	}
+	coeffs[0].SetUint64(0)
 	for i := 1; i < degree; i++ {
-		c, err := f.Rand(src)
-		if err != nil {
-			return nil, fmt.Errorf("poly: drawing coefficient %d: %w", i, err)
+		if _, err := f.RandInto(coeffs[i], src, s); err != nil {
+			return fmt.Errorf("poly: drawing coefficient %d: %w", i, err)
 		}
-		coeffs[i] = c
 	}
 	if degree >= 1 {
-		lead, err := f.RandNonZero(src)
-		if err != nil {
-			return nil, fmt.Errorf("poly: drawing leading coefficient: %w", err)
+		if _, err := f.RandNonZeroInto(coeffs[degree], src, s); err != nil {
+			return fmt.Errorf("poly: drawing leading coefficient: %w", err)
 		}
-		coeffs[degree] = lead
 	}
-	return &Poly{f: f, coeffs: coeffs}, nil
+	*p = Poly{f: f, coeffs: coeffs}
+	return nil
 }
 
 // Field returns the coefficient field.
@@ -165,13 +179,9 @@ func (p *Poly) Mul(q *Poly) *Poly {
 	if len(p.coeffs) == 0 || len(q.coeffs) == 0 {
 		return &Poly{f: p.f, coeffs: []*big.Int{new(big.Int)}}
 	}
-	// One slab of headers; each coefficient accumulates its products in
-	// place.
-	slab := make([]big.Int, len(p.coeffs)+len(q.coeffs)-1)
-	coeffs := make([]*big.Int, len(slab))
-	for i := range coeffs {
-		coeffs[i] = &slab[i]
-	}
+	// One slab of headers and words; each coefficient accumulates its
+	// products in place.
+	coeffs := field.Pointers(p.f.Slab(len(p.coeffs) + len(q.coeffs) - 1))
 	var s field.Scratch
 	for i, a := range p.coeffs {
 		if a.Sign() == 0 {
