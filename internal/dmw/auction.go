@@ -423,9 +423,8 @@ func (a *agentRun) bid1() error {
 	return nil
 }
 
-// tamperShare returns the share the TamperShare hook makes of a copy of s
-// (a function of its own, so that only a tampering agent moves its share
-// to the heap to hand the hook a pointer).
+// tamperShare returns what the TamperShare hook makes of a copy of s; only
+// a tampering agent moves a share to the heap to hand the hook a pointer.
 func (a *agentRun) tamperShare(to int, s bidcode.Share) bidcode.Share {
 	s = s.Clone()
 	a.hooks.TamperShare(a.env.task, to, &s)

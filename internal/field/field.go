@@ -35,7 +35,6 @@ import (
 	"io"
 	"math/big"
 	"math/bits"
-	"slices"
 
 	"dmw/internal/mont"
 )
@@ -46,13 +45,10 @@ type Field struct {
 	q   *big.Int
 	qm1 *big.Int  // q-1, the exclusive bound RandNonZero draws below
 	m   *mont.Ctx // products of reduced operands; nil for q = 2 and wide q
-	// randBits and unitBits are the bit lengths of q-1 and q-2: the
-	// sizes crypto/rand.Int derives for the bounds q and q-1 on every
-	// call, one allocation each.
+	// The draw sizes crypto/rand.Int derives on every call, at a cost of
+	// one allocation: bitlen(q-1) for the bound q, bitlen(q-2) for q-1.
 	randBits, unitBits int
-	// words is the big.Word capacity a reduced element needs for the
-	// kernel to write it in place (see Slab).
-	words int
+	words              int // big.Words of a reduced element as the kernel writes it
 }
 
 var one = big.NewInt(1)
@@ -408,15 +404,13 @@ func (f *Field) LagrangeAtZero(nodes []*big.Int) ([]*big.Int, error) {
 	if n == 0 {
 		return nil, errors.New("field: no interpolation nodes")
 	}
-	red := nodes // only read below
-	if slices.ContainsFunc(nodes, func(a *big.Int) bool { return !f.reduced(a) }) {
-		red = make([]*big.Int, n)
-		for i, a := range nodes {
+	red := make([]*big.Int, n)
+	for i, a := range nodes {
+		red[i] = a // only read below
+		if !f.reduced(a) {
 			red[i] = f.Reduce(a)
 		}
-	}
-	for _, a := range red {
-		if a.Sign() == 0 {
+		if red[i].Sign() == 0 {
 			return nil, ErrZeroPoint
 		}
 	}
