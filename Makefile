@@ -41,11 +41,14 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-# test-386 runs the modular arithmetic on a 32-bit target: big.Word is
-# then 32 bits wide, and the word conversions between big.Int and the
-# Montgomery kernels' uint64 limbs take their separate 32-bit path.
+# test-386 runs the modular arithmetic, and the packages that carve
+# big.Ints out of word slabs, on a 32-bit target: big.Word is then 32
+# bits wide, the word conversions between big.Int and the Montgomery
+# kernels' uint64 limbs take their separate 32-bit path, and a slab
+# element holds twice as many words.
 test-386:
-	GOARCH=386 $(GO) test ./internal/field ./internal/group ./internal/mont
+	GOARCH=386 $(GO) test ./internal/field ./internal/group ./internal/mont \
+		./internal/poly ./internal/bidcode ./internal/commit ./internal/dmw
 
 # test-engine races the protocol engine's concurrency: parallel lockstep
 # auctions (each stepping its agents on one goroutine and owning its
@@ -113,10 +116,13 @@ latency-smoke:
 	$(GO) test -race -run 'TestLatencySmoke' -v -count=1 ./cmd/dmwload
 
 # allocs-gate enforces the allocation budgets on the hot paths (batched
-# share verification, wire codec, the in-place scalar kernel, the group's
-# MulInto and multi-exponentiation, share evaluation, interpolation, a whole dmw.Run at the benchmark's
-# proto-small shape, and the server's own per-job work around the run:
-# one Submit and one terminal transition at the fleet-submit shape).
+# share verification, commit.New, wire codec, the in-place scalar kernel,
+# the group's MulInto and multi-exponentiation, bid encoding with share
+# dealing, share evaluation, interpolation, a whole dmw.Run at the
+# benchmark's proto-small shape, and the server's own per-job work around
+# the run: one Submit and one terminal transition at the fleet-submit
+# shape). The Phase II gates count per call, independent of sigma, so a
+# per-coefficient allocation fails them at once.
 # Runs WITHOUT -race: the race detector's instrumentation allocates, so
 # the budget tests skip themselves under it (see race_on_test.go in each
 # package). CI runs this on every push, next to the e2e and smoke gates.
