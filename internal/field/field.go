@@ -361,13 +361,11 @@ func (f *Field) RandNonZeroInto(z *big.Int, src io.Reader, s *Scratch) (*big.Int
 	return z.SetBits(append(zw, 1)), nil
 }
 
-// draw is crypto/rand.Int(src, max) for bitLen = bitlen(max-1), into z.
+// draw is crypto/rand.Int(src, max) for bitLen = bitlen(max-1) >= 1 (q is
+// at least 3), into z.
 func (f *Field) draw(z *big.Int, src io.Reader, max *big.Int, bitLen int, s *Scratch) (*big.Int, error) {
 	if src == nil {
 		src = rand.Reader
-	}
-	if bitLen == 0 {
-		return z.SetUint64(0), nil
 	}
 	k := (bitLen + 7) / 8
 	b := uint(bitLen % 8)
