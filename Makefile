@@ -116,13 +116,14 @@ latency-smoke:
 	$(GO) test -race -run 'TestLatencySmoke' -v -count=1 ./cmd/dmwload
 
 # allocs-gate enforces the allocation budgets on the hot paths (batched
-# share verification, commit.New, wire codec, the in-place scalar kernel,
-# the group's MulInto and multi-exponentiation, bid encoding with share
-# dealing, share evaluation, interpolation, a whole dmw.Run at the
-# benchmark's proto-small shape, and the server's own per-job work around
-# the run: one Submit and one terminal transition at the fleet-submit
-# shape). The Phase II gates count per call, independent of sigma, so a
-# per-coefficient allocation fails them at once.
+# share verification, commit.New, pseudonym powers, wire codec, the
+# in-place scalar kernel, the group's MulInto and multi-exponentiation,
+# bid encoding with share dealing, share evaluation, interpolation, a
+# whole dmw.Run at the benchmark's proto-small shape, and the server's own
+# per-job work around the run: one Submit and one terminal transition at
+# the fleet-submit shape). The Phase II gates and the powers gate count
+# per call, independent of sigma, so a per-coefficient allocation fails
+# them at once.
 # Runs WITHOUT -race: the race detector's instrumentation allocates, so
 # the budget tests skip themselves under it (see race_on_test.go in each
 # package). CI runs this on every push, next to the e2e and smoke gates.

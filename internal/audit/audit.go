@@ -160,12 +160,12 @@ func verifyAuction(rep *Report, g *group.Group, f *field.Field, cfg bidcode.Conf
 			return nil
 		}
 	}
-	// The Gamma_{k,l} evaluations are consumed by BOTH eq-(11) passes
-	// (the Lambda/Psi pairs here and the winner-excluded pairs below), so
-	// cache them across the passes exactly as the engine's agents do.
+	// One table checks both eq-(11) passes (the Lambda/Psi pairs here and
+	// the winner-excluded pairs below) and the eq-(13) disclosures, as the
+	// engine's agents do.
 	gammas, err := commit.NewGammaTable(g, at.Commitments, powers)
 	if err != nil {
-		rep.addf(task, -1, "building gamma cache: %v", err)
+		rep.addf(task, -1, "building gamma table: %v", err)
 		return nil
 	}
 	// Equation (11) for every published pair.
@@ -202,7 +202,7 @@ func verifyAuction(rep *Report, g *group.Group, f *field.Field, cfg bidcode.Conf
 			rep.addf(task, k, "disclosure has %d entries, want %d", len(fvec), n)
 			continue
 		}
-		if err := commit.VerifyDisclosure(g, at.Commitments, powers[k], fvec, at.Psi[k]); err != nil {
+		if err := gammas.VerifyDisclosure(k, fvec, at.Psi[k]); err != nil {
 			rep.addf(task, k, "disclosure fails eq (13): %v", err)
 			continue
 		}

@@ -83,3 +83,23 @@ func TestAllocBudgetCommit(t *testing.T) {
 		t.Errorf("commit.New allocates %.1f/op, budget %d — a commitment or a product coefficient is allocating again", avg, budget)
 	}
 }
+
+// TestAllocBudgetPowersOf is the CI allocation gate on a pseudonym's
+// power vector (`make allocs-gate`): PowersOf at proto-crypto's shape
+// (Sim256, sigma = 12) fills one slab, so it costs 3 allocs/op whatever
+// sigma (the pointers, the headers and the words). With each power
+// growing its own words it cost 14.
+func TestAllocBudgetPowersOf(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts include race-detector instrumentation")
+	}
+	const budget = 3
+	f := group.MustSharedFor(group.PresetSim256).Scalars()
+	const sigma = 12
+	alpha := big.NewInt(12)
+	avg := testing.AllocsPerRun(100, func() { PowersOf(f, alpha, sigma) })
+	t.Logf("PowersOf, sigma %d: %.1f allocs/op (budget %d)", sigma, avg, budget)
+	if avg > budget {
+		t.Errorf("PowersOf allocates %.1f/op, budget %d — a power is growing its own words again", avg, budget)
+	}
+}

@@ -126,15 +126,14 @@ func (c *Commitments) WireSize() int {
 // PowersOf returns [alpha^1, alpha^2, ..., alpha^sigma] mod q, the exponent
 // vector shared by all commitment evaluations at pseudonym alpha.
 func PowersOf(f *field.Field, alpha *big.Int, sigma int) []*big.Int {
-	out := make([]*big.Int, sigma)
+	out := field.Pointers(f.Slab(sigma))
 	if sigma == 0 {
 		return out
 	}
 	var s field.Scratch
-	slab := make([]big.Int, sigma)
-	out[0] = f.ReduceInto(&slab[0], alpha, &s)
+	f.ReduceInto(out[0], alpha, &s)
 	for l := 1; l < sigma; l++ {
-		out[l] = f.MulInto(&slab[l], out[l-1], alpha, &s)
+		f.MulInto(out[l], out[l-1], alpha, &s)
 	}
 	return out
 }
@@ -145,9 +144,6 @@ func PowersOf(f *field.Field, alpha *big.Int, sigma int) []*big.Int {
 // sigma independent square-and-multiply passes (see
 // internal/group/multiexp.go and docs/PERFORMANCE.md).
 func evalVector(g *group.Group, vec, alphaPowers []*big.Int) (*big.Int, error) {
-	if len(vec) != len(alphaPowers) {
-		return nil, fmt.Errorf("commit: vector length %d != powers length %d", len(vec), len(alphaPowers))
-	}
 	acc, err := g.MultiExp(vec, alphaPowers)
 	if err != nil {
 		return nil, fmt.Errorf("commit: %w", err)
@@ -214,90 +210,6 @@ func (c *Commitments) VerifyShare(g *group.Group, alphaPowers []*big.Int, s bidc
 	}
 	if !g.Equal(lhs, rhs) {
 		return ErrFShareCheck
-	}
-	return nil
-}
-
-// VerifyLambdaPsi checks a published pair (Lambda_i, Psi_i) against the
-// product of all agents' Gamma values at alpha_i (equation (11)):
-//
-//	prod_k Gamma_{i,k} = Lambda_i * Psi_i
-//
-// exclude, when >= 0, omits that agent's commitments from the product;
-// this is the second-price variant of step III.4 (equation (15)), where
-// the winner's contribution is divided out.
-func VerifyLambdaPsi(g *group.Group, all []*Commitments, alphaPowers []*big.Int, lambda, psi *big.Int, exclude int) error {
-	if lambda == nil || psi == nil {
-		return errors.New("commit: nil lambda or psi")
-	}
-	// prod_k Gamma_{i,k} = prod_k prod_l Q_{k,l}^{alpha^l}: one flattened
-	// (n * sigma)-term multi-exponentiation instead of n independent
-	// sigma-term evaluations — the squaring chain is shared across all
-	// agents' commitment vectors.
-	bases := make([]*big.Int, 0, len(all)*len(alphaPowers))
-	exps := make([]*big.Int, 0, len(all)*len(alphaPowers))
-	for k, c := range all {
-		if k == exclude {
-			continue
-		}
-		if len(c.Q) != len(alphaPowers) {
-			return fmt.Errorf("commit: vector length %d != powers length %d", len(c.Q), len(alphaPowers))
-		}
-		bases = append(bases, c.Q...)
-		exps = append(exps, alphaPowers...)
-	}
-	prod, err := g.MultiExp(bases, exps)
-	if err != nil {
-		return fmt.Errorf("commit: %w", err)
-	}
-	if !g.Equal(prod, g.Mul(lambda, psi)) {
-		return ErrLambdaPsiCheck
-	}
-	return nil
-}
-
-// VerifyDisclosure checks winner-identification disclosures (equation
-// (13)): agent k has disclosed the f-shares it received, f_l(alpha_k) for
-// every sender l; their sum F(alpha_k) must satisfy
-//
-//	z1^{F(alpha_k)} * Psi_k = prod_l Phi_{k,l}
-//
-// where Psi_k is the value agent k published in step III.2 and the Phi
-// values are computed from the senders' commitments at alpha_k.
-func VerifyDisclosure(g *group.Group, all []*Commitments, alphaPowers []*big.Int, fShares []*big.Int, psi *big.Int) error {
-	if len(fShares) != len(all) {
-		return fmt.Errorf("commit: %d disclosed shares for %d agents", len(fShares), len(all))
-	}
-	if psi == nil {
-		return errors.New("commit: nil psi")
-	}
-	f := g.Scalars()
-	var sum big.Int
-	var sc field.Scratch
-	for _, s := range fShares {
-		if s == nil {
-			return errors.New("commit: nil disclosed share")
-		}
-		f.AddInto(&sum, &sum, s, &sc)
-	}
-	lhs := g.Mul(g.Pow1(&sum), psi)
-	// prod_l Phi_{k,l} = prod_l prod_m R_{l,m}^{alpha^m}: flattened into a
-	// single multi-exponentiation, as in VerifyLambdaPsi.
-	bases := make([]*big.Int, 0, len(all)*len(alphaPowers))
-	exps := make([]*big.Int, 0, len(all)*len(alphaPowers))
-	for _, c := range all {
-		if len(c.R) != len(alphaPowers) {
-			return fmt.Errorf("commit: vector length %d != powers length %d", len(c.R), len(alphaPowers))
-		}
-		bases = append(bases, c.R...)
-		exps = append(exps, alphaPowers...)
-	}
-	prod, err := g.MultiExp(bases, exps)
-	if err != nil {
-		return fmt.Errorf("commit: %w", err)
-	}
-	if !g.Equal(lhs, prod) {
-		return ErrDisclosureCheck
 	}
 	return nil
 }

@@ -41,11 +41,6 @@ func TestGammaTableMatchesDirect(t *testing.T) {
 			if got.Cmp(want) != 0 {
 				t.Fatalf("Gamma(%d,%d) mismatch", k, l)
 			}
-			// Second call must return the cached pointer.
-			again, err := gt.At(k, l)
-			if err != nil || again != got {
-				t.Fatal("cache miss on repeated access")
-			}
 		}
 	}
 }
@@ -104,8 +99,9 @@ func TestGammaTableErrors(t *testing.T) {
 	}
 }
 
-// BenchmarkGammaCache quantifies the saving of reusing Gamma values
-// between the first- and second-price verification passes.
+// BenchmarkGammaCache compares the package-level VerifyLambdaPsi, which
+// folds the column products on every call, with one table, which folds
+// them once per excluded agent, over both eq-(11) passes.
 func BenchmarkGammaCache(b *testing.B) {
 	g := group.MustNew(group.MustPreset(group.PresetTest64))
 	cfg := bidcode.Config{W: []int{1, 2, 3, 4}, C: 1, N: 8}

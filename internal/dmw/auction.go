@@ -167,8 +167,9 @@ type agentRun struct {
 	verifyReq commit.Request
 	verifyErr error
 
-	// gammas caches the Gamma_{k,l} evaluations shared by the first- and
-	// second-price verification passes.
+	// gammas checks equations (11) and (13) against comms, folding the
+	// column products both eq. (11) passes and eq. (13) read once. It is
+	// built on the first verdict this agent computes (see table).
 	gammas *commit.GammaTable
 
 	// Winner identification (step III.3) across its disclosure rounds.
@@ -620,11 +621,6 @@ func (a *agentRun) lambdaPsi(exclude int) (lambda, psi *big.Int) {
 // fatal for verifying agents.
 func (a *agentRun) verifyLambdaPsi() string {
 	env := a.env
-	gt, err := env.public.table(a.g, a.comms, env.powers)
-	if err != nil {
-		return fmt.Sprintf("building gamma table: %v", err)
-	}
-	a.gammas = gt
 	for k := 0; k < env.n; k++ {
 		if a.lambdas[k] == nil || a.psis[k] == nil {
 			return fmt.Sprintf("missing Lambda/Psi from agent %d", k)
@@ -632,11 +628,29 @@ func (a *agentRun) verifyLambdaPsi() string {
 		if a.hooks.SkipVerification {
 			continue
 		}
-		if err := env.public.checkLambdaPsi(gt, k, a.lambdas[k], a.psis[k], -1); err != nil {
+		if err := a.checkLambdaPsi(env.public, k, a.lambdas[k], a.psis[k], -1); err != nil {
 			return fmt.Sprintf("Lambda/Psi from agent %d inconsistent: %v", k, err)
 		}
 	}
 	return ""
+}
+
+// table returns the agent's GammaTable over its commitments. In a shared
+// auction only an agent that misses a verdict builds one. a.comms and
+// env.powers both hold n entries, so NewGammaTable cannot fail.
+func (a *agentRun) table() *commit.GammaTable {
+	if a.gammas == nil {
+		a.gammas, _ = commit.NewGammaTable(a.g, a.comms, a.env.powers)
+	}
+	return a.gammas
+}
+
+// checkLambdaPsi is equation (11) on agent k's pair, leaving out agent
+// exclude, once per key in public.
+func (a *agentRun) checkLambdaPsi(public *auctionPublic, k int, lambda, psi *big.Int, exclude int) error {
+	return public.check(checkKey{a.comms, k, exclude, lambda, psi, nil}, func() error {
+		return a.table().VerifyLambdaPsi(k, lambda, psi, exclude)
+	})
 }
 
 // resolveDegree runs the distributed degree resolution of equation (12)
@@ -739,7 +753,9 @@ func (a *agentRun) stepValidate(msgs []transport.Message) yield {
 		if len(f) != env.n {
 			continue
 		}
-		if err := env.public.checkDisclosure(a.g, a.gammas, a.comms, env.powers[k], k, f, a.psis[k]); err != nil {
+		if err := env.public.check(checkKey{a.comms, k, -1, nil, a.psis[k], f}, func() error {
+			return a.table().VerifyDisclosure(k, f, a.psis[k])
+		}); err != nil {
 			continue
 		}
 		a.valid[k] = f
@@ -837,7 +853,7 @@ func (a *agentRun) stepSettle(msgs []transport.Message) yield {
 			barLambda[k] = nil
 			continue
 		}
-		if err := public.checkLambdaPsi(a.gammas, k, barLambda[k], barPsi[k], a.winner); err != nil {
+		if err := a.checkLambdaPsi(public, k, barLambda[k], barPsi[k], a.winner); err != nil {
 			barLambda[k] = nil
 		}
 	}

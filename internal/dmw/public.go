@@ -10,15 +10,14 @@ import (
 )
 
 // auctionPublic does an auction's public work once per distinct input:
-// Gamma tables, the verdicts of equations (11) and (13), the resolutions
-// of (12) and the winner of (14). Keys compare the identity of the input
-// objects, never their values, so an equivocator's distinct objects get
-// distinct entries and every receiver's verdict stays its own. Run's
-// auction steps its agents on one goroutine and owns one, so it takes no
-// lock; the coalescer sees only share requests. It is nil under CountOps
-// and in sessions, where every request is computed.
+// the verdicts of equations (11) and (13), the resolutions of (12) and the
+// winner of (14). Keys compare the identity of the input objects, never
+// their values, so an equivocator's distinct objects get distinct entries
+// and every receiver's verdict stays its own. Run's auction steps its
+// agents on one goroutine and owns one, so it takes no lock; the
+// coalescer sees only share requests. It is nil under CountOps and in
+// sessions, where every request is computed.
 type auctionPublic struct {
-	tables      []keyed[[]*commit.Commitments, *commit.GammaTable]
 	checks      []keyed[checkKey, error]
 	resolutions []keyed[[]*big.Int, verdict]
 	winners     []keyed[winnerKey, verdict]
@@ -44,10 +43,11 @@ type verdict struct {
 }
 
 // checkKey names a verdict on agent k's published values against the
-// commitments behind table: (lambda, psi) by equation (11), leaving out
-// agent exclude, or the disclosed vector f with psi by equation (13).
+// commitments comms: (lambda, psi) by equation (11), leaving out agent
+// exclude, or the disclosed vector f with psi by equation (13). comms is
+// the checking agent's vector, which no one writes after Phase II.
 type checkKey struct {
-	table       *commit.GammaTable
+	comms       []*commit.Commitments
 	k, exclude  int
 	lambda, psi *big.Int
 	f           []*big.Int
@@ -58,31 +58,14 @@ type winnerKey struct {
 	rows       [][]*big.Int
 }
 
-// table returns the Gamma table over comms: the cached one when comms is
-// pointer-equal to its vector, a new one otherwise.
-func (p *auctionPublic) table(g *group.Group, comms []*commit.Commitments, powers [][]*big.Int) (*commit.GammaTable, error) {
-	if p == nil {
-		return commit.NewGammaTable(g, comms, powers)
-	}
-	if t, ok := find(p.tables, func(c []*commit.Commitments) bool { return slices.Equal(c, comms) }); ok {
-		return t, nil
-	}
-	comms = slices.Clone(comms) // the key, and what the table reads
-	t, err := commit.NewGammaTable(g, comms, powers)
-	if err == nil {
-		p.tables = append(p.tables, keyed[[]*commit.Commitments, *commit.GammaTable]{comms, t})
-	}
-	return t, err
-}
-
 // check returns the verdict key names: verify's, once per key.
 func (p *auctionPublic) check(key checkKey, verify func() error) error {
 	if p == nil {
 		return verify()
 	}
 	err, ok := find(p.checks, func(c checkKey) bool {
-		return c.table == key.table && c.k == key.k && c.exclude == key.exclude &&
-			c.lambda == key.lambda && c.psi == key.psi && slices.Equal(c.f, key.f)
+		return c.k == key.k && c.exclude == key.exclude && c.lambda == key.lambda && c.psi == key.psi &&
+			slices.Equal(c.f, key.f) && slices.Equal(c.comms, key.comms)
 	})
 	if !ok {
 		err = verify()
@@ -90,18 +73,6 @@ func (p *auctionPublic) check(key checkKey, verify func() error) error {
 		p.checks = append(p.checks, keyed[checkKey, error]{key, err})
 	}
 	return err
-}
-
-// checkLambdaPsi is t.VerifyLambdaPsi, once per key.
-func (p *auctionPublic) checkLambdaPsi(t *commit.GammaTable, k int, lambda, psi *big.Int, exclude int) error {
-	return p.check(checkKey{t, k, exclude, lambda, psi, nil}, func() error { return t.VerifyLambdaPsi(k, lambda, psi, exclude) })
-}
-
-// checkDisclosure is commit.VerifyDisclosure of discloser k's vector f;
-// t is the table over comms.
-func (p *auctionPublic) checkDisclosure(g *group.Group, t *commit.GammaTable, comms []*commit.Commitments,
-	powers []*big.Int, k int, f []*big.Int, psi *big.Int) error {
-	return p.check(checkKey{t, k, -1, nil, psi, f}, func() error { return commit.VerifyDisclosure(g, comms, powers, f, psi) })
 }
 
 // resolve is r.Resolve, once per vector of objects.

@@ -120,29 +120,32 @@ func (v *publicVerdict) add(err error) {
 	}
 }
 
-// TestPublicVerdicts is the table of every verdict auctionPublic shares,
-// and of its Gamma tables: five receivers ask each check of one recorded
-// auction, holding the honest objects, one tampered object, an
-// equivocation (two receivers hold the tampered object, three the honest
-// one) or value-equal copies of every object. Each receiver's cached verdict must equal the one it
-// computes alone; receivers holding the same objects must get the same
-// error value; the cache must hold one entry per distinct input (copies
-// are distinct); and all receivers together must cost the group exactly
-// what one receiver per distinct input costs.
+// TestPublicVerdicts is the table of every verdict auctionPublic shares:
+// five receivers ask each check of one recorded auction, holding the
+// honest objects, one tampered object, an equivocation (two receivers
+// hold the tampered object, three the honest one) or value-equal copies
+// of every object. The honest objects must pass every check; each
+// receiver's cached verdict must equal the one it computes alone;
+// receivers holding the same objects must get the same error value; the
+// cache must hold one entry per distinct input (copies are distinct); and
+// all receivers together must cost the group exactly what one receiver
+// per distinct input costs.
 func TestPublicVerdicts(t *testing.T) {
 	fx := newPublicFixture(t)
 	g, n, d := fx.g, len(fx.alphas), len(fx.disclosers)
 	mul := func(x *big.Int) *big.Int { return g.Mul(x, g.Params().Z1) }
 	lambdaPsi := func(pass func(v *publicView) (lambda, psi []*big.Int), exclude int) func(*auctionPublic, *group.Group, *publicView) publicVerdict {
 		return func(p *auctionPublic, g *group.Group, v *publicView) (out publicVerdict) {
-			t, err := p.table(g, v.comms, fx.powers)
+			t, err := commit.NewGammaTable(g, v.comms, fx.powers)
 			if err != nil {
 				out.add(err)
 				return out
 			}
 			lambda, psi := pass(v)
 			for k := range lambda {
-				out.add(p.checkLambdaPsi(t, k, lambda[k], psi[k], exclude))
+				out.add(p.check(checkKey{v.comms, k, exclude, lambda[k], psi[k], nil}, func() error {
+					return t.VerifyLambdaPsi(k, lambda[k], psi[k], exclude)
+				}))
 			}
 			return out
 		}
@@ -153,6 +156,10 @@ func TestPublicVerdicts(t *testing.T) {
 		ask     func(p *auctionPublic, g *group.Group, v *publicView) publicVerdict
 		entries func(p *auctionPublic) int
 		each    int // entries one distinct view adds
+		differs int // entries a view differing only by the tampered object adds
+		// inert marks a tamper of what the check leaves out: it must not
+		// move the verdict.
+		inert bool
 	}{
 		{"gamma table",
 			func(v *publicView) {
@@ -161,15 +168,23 @@ func TestPublicVerdicts(t *testing.T) {
 				v.comms[2] = c
 			},
 			lambdaPsi(func(v *publicView) ([]*big.Int, []*big.Int) { return v.lambda, v.psi }, -1),
-			func(p *auctionPublic) int { return len(p.tables) }, 1},
+			func(p *auctionPublic) int { return len(p.checks) }, n, n, false},
 		{"eq11 first price",
 			func(v *publicView) { v.lambda[1] = mul(v.lambda[1]) },
 			lambdaPsi(func(v *publicView) ([]*big.Int, []*big.Int) { return v.lambda, v.psi }, -1),
-			func(p *auctionPublic) int { return len(p.checks) }, n},
+			func(p *auctionPublic) int { return len(p.checks) }, n, 1, false},
 		{"eq11 second price",
 			func(v *publicView) { v.barPsi[3] = mul(v.barPsi[3]) },
 			lambdaPsi(func(v *publicView) ([]*big.Int, []*big.Int) { return v.barLambda, v.barPsi }, fx.winner),
-			func(p *auctionPublic) int { return len(p.checks) }, n},
+			func(p *auctionPublic) int { return len(p.checks) }, n, 1, false},
+		{"eq11 second price, winner's commitments",
+			func(v *publicView) {
+				c := v.comms[fx.winner].Clone()
+				c.Q[0] = mul(c.Q[0])
+				v.comms[fx.winner] = c
+			},
+			lambdaPsi(func(v *publicView) ([]*big.Int, []*big.Int) { return v.barLambda, v.barPsi }, fx.winner),
+			func(p *auctionPublic) int { return len(p.checks) }, n, n, true},
 		{"eq13 disclosure",
 			func(v *publicView) {
 				row := append([]*big.Int(nil), v.rows[0]...)
@@ -177,17 +192,19 @@ func TestPublicVerdicts(t *testing.T) {
 				v.rows[0] = row
 			},
 			func(p *auctionPublic, g *group.Group, v *publicView) (out publicVerdict) {
-				t, err := p.table(g, v.comms, fx.powers)
+				t, err := commit.NewGammaTable(g, v.comms, fx.powers)
 				if err != nil {
 					out.add(err)
 					return out
 				}
 				for i, k := range fx.disclosers {
-					out.add(p.checkDisclosure(g, t, v.comms, fx.powers[k], k, v.rows[i], v.psi[k]))
+					out.add(p.check(checkKey{v.comms, k, -1, nil, v.psi[k], v.rows[i]}, func() error {
+						return t.VerifyDisclosure(k, v.rows[i], v.psi[k])
+					}))
 				}
 				return out
 			},
-			func(p *auctionPublic) int { return len(p.checks) }, d},
+			func(p *auctionPublic) int { return len(p.checks) }, d, 1, false},
 		{"resolution",
 			func(v *publicView) { v.lambda[0] = nil },
 			func(p *auctionPublic, g *group.Group, v *publicView) (out publicVerdict) {
@@ -196,7 +213,7 @@ func TestPublicVerdicts(t *testing.T) {
 				out.add(err)
 				return out
 			},
-			func(p *auctionPublic) int { return len(p.resolutions) }, 1},
+			func(p *auctionPublic) int { return len(p.resolutions) }, 1, 1, false},
 		{"winner",
 			func(v *publicView) {
 				row := append([]*big.Int(nil), v.rows[0]...)
@@ -213,7 +230,7 @@ func TestPublicVerdicts(t *testing.T) {
 				out.add(err)
 				return out
 			},
-			func(p *auctionPublic) int { return len(p.winners) }, 1},
+			func(p *auctionPublic) int { return len(p.winners) }, 1, 1, false},
 	}
 	tampered := func(tamper func(*publicView)) *publicView {
 		v := fx.view.clone()
@@ -225,15 +242,18 @@ func TestPublicVerdicts(t *testing.T) {
 		// class[r] is the view receiver r holds: 0 the honest one, 1 other.
 		class   []int
 		other   func(tamper func(*publicView)) *publicView
-		entries func(each int) int
+		entries func(each, differs int) int
 	}{
-		{"honest", []int{0, 0, 0, 0, 0}, nil, func(e int) int { return e }},
-		{"tampered", []int{1, 1, 1, 1, 1}, tampered, func(e int) int { return e }},
-		{"equivocated", []int{0, 1, 0, 0, 1}, tampered, func(e int) int { return e + 1 }},
-		{"value-equal copies", []int{0, 1, 0, 0, 1}, func(func(*publicView)) *publicView { return fx.view.copies() }, func(e int) int { return 2 * e }},
+		{"honest", []int{0, 0, 0, 0, 0}, nil, func(e, _ int) int { return e }},
+		{"tampered", []int{1, 1, 1, 1, 1}, tampered, func(e, _ int) int { return e }},
+		{"equivocated", []int{0, 1, 0, 0, 1}, tampered, func(e, d int) int { return e + d }},
+		{"value-equal copies", []int{0, 1, 0, 0, 1}, func(func(*publicView)) *publicView { return fx.view.copies() }, func(e, _ int) int { return 2 * e }},
 	}
 	for _, kind := range kinds {
 		honest := kind.ask(nil, g, fx.view.clone())
+		if honest.err != nil {
+			t.Errorf("%s: the recorded honest auction fails: %s", kind.name, honest.desc)
+		}
 		for _, vt := range variants {
 			t.Run(kind.name+"/"+vt.name, func(t *testing.T) {
 				views := []*publicView{fx.view}
@@ -259,7 +279,7 @@ func TestPublicVerdicts(t *testing.T) {
 					first[c] = r
 					kind.ask(pReps, g.WithCounter(&reps), views[c].clone())
 				}
-				if e, want := kind.entries(p), vt.entries(kind.each); e != want {
+				if e, want := kind.entries(p), vt.entries(kind.each, kind.differs); e != want {
 					t.Errorf("%d cache entries, want %d", e, want)
 				}
 				if all.Exp() != reps.Exp() || all.Mul() != reps.Mul() ||
@@ -268,12 +288,17 @@ func TestPublicVerdicts(t *testing.T) {
 						len(vt.class), all.Exp(), all.Mul(), all.MultiExps(), all.MultiExpTerms(),
 						reps.Exp(), reps.Mul(), reps.MultiExps(), reps.MultiExpTerms())
 				}
-				switch vt.name {
-				case "tampered":
+				switch {
+				case kind.inert:
+					if got[0].desc != honest.desc || got[1].desc != honest.desc {
+						t.Errorf("a tamper of what the check leaves out moved the verdicts to %q, %q from %q",
+							got[0].desc, got[1].desc, honest.desc)
+					}
+				case vt.name == "tampered":
 					if got[0].desc == honest.desc {
 						t.Errorf("tampering left the verdict %q unchanged", honest.desc)
 					}
-				case "equivocated":
+				case vt.name == "equivocated":
 					if got[0].desc == got[1].desc {
 						t.Errorf("equivocated receivers agree on %q", got[0].desc)
 					}
@@ -312,8 +337,8 @@ func TestPublicVerdicts(t *testing.T) {
 		if d := eager.MultiExps() - honest.MultiExps(); d != m {
 			t.Errorf("%d more multi-exps for %d more disclosures, want %d", d, m, m)
 		}
-		if d := eager.MultiExpTerms() - honest.MultiExpTerms(); d != m*uint64(len(bids))*sigma {
-			t.Errorf("%d more multi-exp terms, want %d (one n*sigma-term eq (13) check per disclosure)", d, m*uint64(len(bids))*sigma)
+		if d := eager.MultiExpTerms() - honest.MultiExpTerms(); d != m*sigma {
+			t.Errorf("%d more multi-exp terms, want %d (one sigma-term eq (13) check per disclosure)", d, m*sigma)
 		}
 	})
 	t.Run("run/lazy verifier reads no shared verdict", func(t *testing.T) {

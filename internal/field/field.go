@@ -9,8 +9,8 @@
 //
 // A Field value is immutable after construction and safe for concurrent use.
 //
-// Arithmetic comes in two layers. The in-place kernel (ReduceInto,
-// AddInto, SubInto, MulInto, MulAddInto, InnerProductInto, InvBatch) writes
+// Arithmetic comes in two layers. The in-place kernel (ReduceInto, AddInto,
+// SubInto, MulInto, MulAddInto, HornerInto, InnerProductInto, InvBatch) writes
 // into a destination the caller owns and takes a Scratch for its
 // temporaries, so a loop that keeps one accumulator and one Scratch
 // allocates nothing in steady state; a destination may alias an argument.
@@ -116,15 +116,16 @@ func (f *Field) Q() *big.Int { return new(big.Int).Set(f.q) }
 func (f *Field) BitLen() int { return f.q.BitLen() }
 
 // Scratch is the working storage of the in-place kernel: the Montgomery
-// staging words, and for operands outside [0, q) the unreduced product and
-// the quotient that reduction discards. The zero value is ready to use. A
-// Scratch must not be shared between goroutines; a hot loop holds one for
-// its duration so that, once the backing words have grown to the operand
-// size, the arithmetic allocates nothing.
+// staging words, for operands outside [0, q) the unreduced product and
+// the quotient that reduction discards, and HornerInto's unreduced
+// accumulator. The zero value is ready to use. A Scratch must not be
+// shared between goroutines; a hot loop holds one for its duration so
+// that, once the backing words have grown to the operand size, the
+// arithmetic allocates nothing.
 type Scratch struct {
-	m      mont.Scratch
-	t, quo big.Int
-	rb     []byte // the bytes of a random draw
+	m           mont.Scratch
+	t, quo, acc big.Int
+	rb          []byte // the bytes of a random draw
 }
 
 // Slab returns n zero elements backed by one header slab and one word
@@ -224,6 +225,33 @@ func (f *Field) MulAddInto(z, a, b, c *big.Int, s *Scratch) *big.Int {
 	}
 	t.Mul(a, b)
 	return f.ReduceInto(z, t.Add(t, c), s)
+}
+
+// HornerInto sets z = coeffs[0] + coeffs[1] x + ... + coeffs[d] x^d mod q
+// by Horner's rule and returns z. z must not alias x. For a one-word
+// x >= 0, as every protocol pseudonym is, each step is a one-word multiply
+// and an add on an unreduced accumulator in s, reduced once at the end;
+// any other x takes one multiply-add-reduce per coefficient.
+func (f *Field) HornerInto(z, x *big.Int, coeffs []*big.Int, s *Scratch) *big.Int {
+	if x.Sign() < 0 || len(x.Bits()) > 1 {
+		z.SetUint64(0)
+		for i := len(coeffs) - 1; i >= 0; i-- {
+			f.MulAddInto(z, z, x, coeffs[i], s)
+		}
+		return z
+	}
+	acc := s.acc.SetUint64(0)
+	for i := len(coeffs) - 1; i >= 0; i-- {
+		acc.Add(s.t.Mul(acc, x), coeffs[i])
+	}
+	// The quotient overwrites acc. The remainder is staged in s.t: the
+	// division works in the remainder's words, and z, often a slab
+	// element, has no room for them.
+	acc.QuoRem(acc, f.q, &s.t)
+	if s.t.Sign() < 0 {
+		s.t.Add(&s.t, f.q)
+	}
+	return z.Set(&s.t)
 }
 
 // Reduce returns x mod q as a fresh value in [0, q).

@@ -179,3 +179,43 @@ func TestInterpolateMatchesThreeStep(t *testing.T) {
 		}
 	}
 }
+
+// TestEvalOneWordPointsMatchDefinition checks EvalInto at the points that
+// take the unreduced one-word Horner path (0, 1, a pseudonym, the largest
+// one-word value) and at the first two-word value, against the math/big
+// definition sum_i c_i x^i mod q, over each kernel field (Secure512's
+// eight-word q included) and into a slab element, as share dealing
+// evaluates. Coefficients include negative and unreduced values.
+func TestEvalOneWordPointsMatchDefinition(t *testing.T) {
+	maxWord := new(big.Int).SetBits([]big.Word{^big.Word(0)})
+	twoWords := new(big.Int).Add(maxWord, big.NewInt(1))
+	for _, f := range kernelFields() {
+		q := f.Q()
+		r := rand.New(rand.NewSource(int64(f.BitLen()) + 7))
+		var s field.Scratch
+		slab := f.Slab(1)
+		for trial := 0; trial < 50; trial++ {
+			coeffs := make([]*big.Int, r.Intn(40))
+			for i := range coeffs {
+				coeffs[i], _ = f.Rand(r)
+				switch r.Intn(6) {
+				case 0:
+					coeffs[i].Neg(coeffs[i])
+				case 1:
+					coeffs[i].Add(coeffs[i], q)
+				}
+			}
+			p := New(f, coeffs)
+			for _, x := range []*big.Int{big.NewInt(0), big.NewInt(1), big.NewInt(13), maxWord, twoWords} {
+				want := new(big.Int)
+				for i, c := range coeffs {
+					want.Add(want, new(big.Int).Mul(c, new(big.Int).Exp(x, big.NewInt(int64(i)), nil)))
+				}
+				want.Mod(want, q)
+				if got := p.EvalInto(&slab[0], x, &s); got.Cmp(want) != 0 {
+					t.Fatalf("q=%v: EvalInto(%v) of %v = %v, want %v", q, x, coeffs, got, want)
+				}
+			}
+		}
+	}
+}

@@ -140,14 +140,9 @@ func (p *Poly) Eval(x *big.Int) *big.Int {
 }
 
 // EvalInto sets z to the polynomial's value at x and returns z: Horner's
-// rule over one accumulator, one multiply-add-reduce per coefficient, with
-// every temporary in s. z must not alias x.
+// rule (field.HornerInto) with every temporary in s. z must not alias x.
 func (p *Poly) EvalInto(z, x *big.Int, s *field.Scratch) *big.Int {
-	z.SetUint64(0)
-	for i := len(p.coeffs) - 1; i >= 0; i-- {
-		p.f.MulAddInto(z, z, x, p.coeffs[i], s)
-	}
-	return z
+	return p.f.HornerInto(z, x, p.coeffs, s)
 }
 
 // EvalAll evaluates the polynomial at each node.
