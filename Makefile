@@ -52,10 +52,10 @@ test-386:
 
 # test-engine races the protocol engine's concurrency: parallel lockstep
 # auctions (each stepping its agents on one goroutine and owning its
-# lock-free public-work cache: Gamma tables, eq. (11)/(13) verdicts,
-# resolutions, winner) beside the coalescer, which may verify one
-# auction's shares on another auction's goroutine; batched coalescer
-# passes against concurrent jobs; and the TCP relay's transport.Round
+# lock-free public-work cache: eq. (11)/(13) verdicts, resolutions,
+# winner) beside the coalescer, which may verify one auction's shares
+# on another auction's goroutine; batched coalescer passes against
+# concurrent jobs; and the TCP relay's transport.Round
 # under its lock, at one and four CPUs, three times over. It covers the
 # driver-equivalence table (lockstep Run vs blocking sessions), the
 # shared-verdict table, replay from a seed, the goroutine gate, the
