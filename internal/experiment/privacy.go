@@ -108,7 +108,14 @@ func runDegres(cfg Config) (*Report, error) {
 		trials = 20_000
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
+	// The nodes and their value slab are reused by every trial; one
+	// scratch serves every evaluation.
+	var s field.Scratch
+	vals := f.Slab(4)
 	nodes := make([]poly.Share, 4)
+	for i := range nodes {
+		nodes[i].Node = f.FromInt64(int64(i + 1))
+	}
 
 	hits := 0
 	const deg = 5
@@ -120,8 +127,7 @@ func runDegres(cfg Config) (*Report, error) {
 		// Interpolate with only 4 points: exact reconstruction needs 6,
 		// so a zero here is a false success.
 		for i := range nodes {
-			x := f.FromInt64(int64(i + 1))
-			nodes[i] = poly.Share{Node: x, Value: p.Eval(x)}
+			nodes[i].Value = p.EvalInto(&vals[i], nodes[i].Node, &s)
 		}
 		v, err := poly.InterpolateAtZero(f, nodes)
 		if err != nil {

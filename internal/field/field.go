@@ -228,25 +228,19 @@ func (f *Field) MulAddInto(z, a, b, c *big.Int, s *Scratch) *big.Int {
 }
 
 // HornerInto sets z = coeffs[0] + coeffs[1] x + ... + coeffs[d] x^d mod q
-// by Horner's rule and returns z. z must not alias x. For a one-word
-// x >= 0, as every protocol pseudonym is, each step is a one-word multiply
-// and an add on an unreduced accumulator in s, reduced once at the end;
-// any other x takes one multiply-add-reduce per coefficient.
+// by Horner's rule and returns z. Each step is a multiply and an add on an
+// unreduced accumulator in s, one word by the accumulator for a pseudonym
+// x = i+1, and the sum is reduced once at the end; z is written only then,
+// so it may alias x or a coefficient.
 func (f *Field) HornerInto(z, x *big.Int, coeffs []*big.Int, s *Scratch) *big.Int {
-	if x.Sign() < 0 || len(x.Bits()) > 1 {
-		z.SetUint64(0)
-		for i := len(coeffs) - 1; i >= 0; i-- {
-			f.MulAddInto(z, z, x, coeffs[i], s)
-		}
-		return z
-	}
 	acc := s.acc.SetUint64(0)
 	for i := len(coeffs) - 1; i >= 0; i-- {
 		acc.Add(s.t.Mul(acc, x), coeffs[i])
 	}
 	// The quotient overwrites acc. The remainder is staged in s.t: the
 	// division works in the remainder's words, and z, often a slab
-	// element, has no room for them.
+	// element, has no room for them. QuoRem truncates toward zero, so a
+	// negative sum leaves a remainder in (-q, 0].
 	acc.QuoRem(acc, f.q, &s.t)
 	if s.t.Sign() < 0 {
 		s.t.Add(&s.t, f.q)

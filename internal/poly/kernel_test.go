@@ -90,6 +90,10 @@ func TestEvalKernelMatchesReference(t *testing.T) {
 			if x.Cmp(x0) != 0 {
 				t.Fatal("EvalInto mutated its argument")
 			}
+			// The destination is the point itself.
+			if xz := new(big.Int).Set(x); p.EvalInto(xz, xz, &s).Cmp(want) != 0 {
+				t.Fatalf("q=%v: EvalInto(x, x) at %v of %v = %v, want %v", q, x, coeffs, xz, want)
+			}
 			// Evaluating at one of the polynomial's own coefficients: the
 			// argument aliases storage the loop reads.
 			if len(coeffs) > 0 {
@@ -180,8 +184,8 @@ func TestInterpolateMatchesThreeStep(t *testing.T) {
 	}
 }
 
-// TestEvalOneWordPointsMatchDefinition checks EvalInto at the points that
-// take the unreduced one-word Horner path (0, 1, a pseudonym, the largest
+// TestEvalOneWordPointsMatchDefinition checks EvalInto at the points where
+// each Horner step is a one-word multiply (0, 1, a pseudonym, the largest
 // one-word value) and at the first two-word value, against the math/big
 // definition sum_i c_i x^i mod q, over each kernel field (Secure512's
 // eight-word q included) and into a slab element, as share dealing

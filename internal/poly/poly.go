@@ -140,16 +140,17 @@ func (p *Poly) Eval(x *big.Int) *big.Int {
 }
 
 // EvalInto sets z to the polynomial's value at x and returns z: Horner's
-// rule (field.HornerInto) with every temporary in s. z must not alias x.
+// rule (field.HornerInto) with every temporary in s.
 func (p *Poly) EvalInto(z, x *big.Int, s *field.Scratch) *big.Int {
 	return p.f.HornerInto(z, x, p.coeffs, s)
 }
 
 // EvalAll evaluates the polynomial at each node.
 func (p *Poly) EvalAll(xs []*big.Int) []*big.Int {
+	var s field.Scratch
 	out := make([]*big.Int, len(xs))
 	for i, x := range xs {
-		out[i] = p.Eval(x)
+		out[i] = p.EvalInto(new(big.Int), x, &s)
 	}
 	return out
 }

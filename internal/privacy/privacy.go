@@ -61,11 +61,12 @@ func Attack(f *field.Field, cfg bidcode.Config, enc *bidcode.EncodedBid, coaliti
 	sigma := cfg.Sigma()
 
 	// Shares the coalition holds.
+	held := enc.SharesFor(coalition)
 	eShares := make([]poly.Share, len(coalition))
 	fShares := make([]poly.Share, len(coalition))
 	for i, a := range coalition {
-		eShares[i] = poly.Share{Node: a, Value: enc.E.Eval(a)}
-		fShares[i] = poly.Share{Node: a, Value: enc.F.Eval(a)}
+		eShares[i] = poly.Share{Node: a, Value: held[i].E}
+		fShares[i] = poly.Share{Node: a, Value: held[i].F}
 	}
 
 	// e-polynomial: candidate degrees sigma - w, feasible ones only.
