@@ -11,7 +11,7 @@ LDFLAGS = -ldflags "-X dmw/internal/obs.Version=$(VERSION)"
 # manually with `go test -fuzz <Target> <pkg>`.
 FUZZTIME ?= 3s
 
-.PHONY: all build bin vet test test-386 test-engine test-race test-server e2e-shard e2e-tenant e2e-elastic obs-smoke latency-smoke bench-smoke bench-harness allocs-gate fuzz-smoke ci
+.PHONY: all build bin vet test test-386 test-engine test-race test-server e2e-shard e2e-tenant e2e-elastic obs-smoke latency-smoke bench-smoke bench-harness allocs-gate fuzz-smoke loc ci
 
 all: build vet test
 
@@ -77,7 +77,7 @@ e2e-shard:
 # e2e-tenant is the multi-tenant acceptance scenario: two REAL dmwd
 # replicas loaded with a tenants config behind an in-process dmwgw. A
 # burst tenant overdrives its quota and degrades to per-tenant 429s
-# (with derived Retry-After and X-Admission-Price) while a steady
+# (with a derived Retry-After) while a steady
 # tenant keeps being admitted; one gateway SSE firehose stays open
 # across a replica SIGKILL and still delivers the survivor's events;
 # the fleet /metrics scrape sums the per-tenant counters. See
@@ -165,5 +165,10 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzRecordRoundTrip -fuzztime $(FUZZTIME) ./internal/journal
 	$(GO) test -run xxx -fuzz FuzzRecover -fuzztime $(FUZZTIME) ./internal/journal
 	$(GO) test -run xxx -fuzz FuzzDecodeRecord -fuzztime $(FUZZTIME) ./internal/server
+
+# loc prints the size of the program: lines of non-test Go outside the
+# benchmark harness. Simplicity changes report it before and after.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l
 
 ci: build vet test-race test-386 test-engine e2e-shard e2e-tenant e2e-elastic obs-smoke latency-smoke allocs-gate bench-smoke bench-harness fuzz-smoke

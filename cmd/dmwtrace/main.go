@@ -32,35 +32,37 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "dmwtrace:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	width := flag.Int("width", 64, "waterfall bar width in characters")
-	slowest := flag.Int("slowest", 0, "show only the N slowest subtrees (0 = all spans)")
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(),
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("dmwtrace", flag.ExitOnError)
+	fs.SetOutput(stderr)
+	width := fs.Int("width", 64, "waterfall bar width in characters")
+	slowest := fs.Int("slowest", 0, "show only the N slowest subtrees (0 = all spans)")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr,
 			"usage: dmwtrace [-width n] [-slowest n] [trace.jsonl]\nreads span JSONL (GET /v1/jobs/{id}/trace) from the file or stdin\n")
-		flag.PrintDefaults()
+		fs.PrintDefaults()
 	}
-	flag.Parse()
+	fs.Parse(args) // ExitOnError: exits 0 on -h, 2 on a bad flag
 
-	var in io.Reader = os.Stdin
-	switch flag.NArg() {
+	in := stdin
+	switch fs.NArg() {
 	case 0:
 	case 1:
-		f, err := os.Open(flag.Arg(0))
+		f, err := os.Open(fs.Arg(0))
 		if err != nil {
 			return err
 		}
 		defer f.Close()
 		in = f
 	default:
-		flag.Usage()
-		return fmt.Errorf("at most one trace file, got %d args", flag.NArg())
+		fs.Usage()
+		return fmt.Errorf("at most one trace file, got %d args", fs.NArg())
 	}
 
 	spans, err := obs.ReadJSONL(in)
@@ -70,5 +72,5 @@ func run() error {
 	if *slowest > 0 {
 		spans = obs.SlowestSubtrees(spans, *slowest)
 	}
-	return obs.Waterfall(os.Stdout, spans, *width)
+	return obs.Waterfall(stdout, spans, *width)
 }

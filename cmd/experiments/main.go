@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -19,20 +20,22 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
+	fs.SetOutput(stderr)
 	var (
-		only   = flag.String("run", "", "comma-separated experiment ids (default: all)")
-		quick  = flag.Bool("quick", false, "reduced sweeps and trial counts")
-		seed   = flag.Int64("seed", 12345, "random seed")
-		csvDir = flag.String("csv", "", "also write every table as CSV into this directory")
+		only   = fs.String("run", "", "comma-separated experiment ids (default: all)")
+		quick  = fs.Bool("quick", false, "reduced sweeps and trial counts")
+		seed   = fs.Int64("seed", 12345, "random seed")
+		csvDir = fs.String("csv", "", "also write every table as CSV into this directory")
 	)
-	flag.Parse()
+	fs.Parse(args) // ExitOnError: exits 0 on -h, 2 on a bad flag
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
 			return err
@@ -51,7 +54,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(rep)
+		fmt.Fprintln(stdout, rep)
 		if *csvDir != "" {
 			for ti, tab := range rep.Tables {
 				name := filepath.Join(*csvDir, fmt.Sprintf("%s-%d.csv", rep.ID, ti))
@@ -75,6 +78,6 @@ func run() error {
 	if failures > 0 {
 		return fmt.Errorf("%d experiment(s) failed their verdict", failures)
 	}
-	fmt.Printf("all %d experiments passed\n", len(ids))
+	fmt.Fprintf(stdout, "all %d experiments passed\n", len(ids))
 	return nil
 }

@@ -185,11 +185,11 @@ type attemptResult struct {
 // poisons a job ID.
 //
 // 429 is definitive for the same family of reasons: it is the tenant
-// policy layer's deliberate answer (rate / quota / price), computed by
+// policy layer's deliberate answer (rate / quota), computed by
 // the replica that owns the job ID. Retrying it on a successor would
 // let a throttled tenant shop for the one replica whose token bucket
 // still has room, defeating per-replica admission control. The 429
-// relays with its derived Retry-After and X-Admission-Price intact.
+// relays with its derived Retry-After intact.
 func (g *Gateway) tryBackend(ctx context.Context, b *backend, req proxyReq) (*attemptResult, error) {
 	if err := b.acquire(ctx); err != nil {
 		return nil, err
@@ -412,19 +412,15 @@ func readWaitAllowance(r *http.Request) time.Duration {
 }
 
 // relay writes a buffered backend response to the client. Retry-After
-// and X-Admission-Price pass through unmodified: dmwd's 503s AND 429s
-// are definitive per-replica answers (tryBackend never fails either
-// over), and the backoff/price the owner computed is the one the
-// client must see.
+// passes through unmodified: dmwd's 503s AND 429s are definitive
+// per-replica answers (tryBackend never fails either over), and the
+// backoff the owner computed is the one the client must see.
 func relay(w http.ResponseWriter, res *attemptResult) {
 	if ct := res.header.Get("Content-Type"); ct != "" {
 		w.Header().Set("Content-Type", ct)
 	}
 	if ra := res.header.Get("Retry-After"); ra != "" {
 		w.Header().Set("Retry-After", ra)
-	}
-	if price := res.header.Get(tenant.HeaderAdmissionPrice); price != "" {
-		w.Header().Set(tenant.HeaderAdmissionPrice, price)
 	}
 	w.WriteHeader(res.status)
 	_, _ = w.Write(res.body)

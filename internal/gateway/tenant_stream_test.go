@@ -15,17 +15,15 @@ import (
 
 // TestBackpressure429IsDefinitive extends the 503-is-definitive
 // contract to the tenant policy layer: a 429 is the owner's deliberate
-// rate/quota/price answer. Failing it over would let a throttled
-// tenant shop replicas for spare tokens, so the gateway must relay it
-// — with the derived Retry-After and X-Admission-Price untouched —
-// after exactly one attempt.
+// rate/quota answer. Failing it over would let a throttled tenant shop
+// replicas for spare tokens, so the gateway must relay it — with the
+// derived Retry-After untouched — after exactly one attempt.
 func TestBackpressure429IsDefinitive(t *testing.T) {
 	var hits atomic.Int64
 	throttle := func(w http.ResponseWriter, r *http.Request) {
 		hits.Add(1)
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("Retry-After", "7")
-		w.Header().Set(tenant.HeaderAdmissionPrice, "1.2500")
 		w.WriteHeader(http.StatusTooManyRequests)
 		fmt.Fprint(w, `{"error":"tenant acme: rate limit exceeded"}`)
 	}
@@ -44,9 +42,6 @@ func TestBackpressure429IsDefinitive(t *testing.T) {
 	}
 	if got := resp.Header.Get("Retry-After"); got != "7" {
 		t.Errorf("Retry-After = %q, want %q (propagated unmodified)", got, "7")
-	}
-	if got := resp.Header.Get(tenant.HeaderAdmissionPrice); got != "1.2500" {
-		t.Errorf("X-Admission-Price = %q, want %q (propagated unmodified)", got, "1.2500")
 	}
 	if got := hits.Load(); got != 1 {
 		t.Errorf("backends saw %d submissions, want exactly 1 (no failover on 429)", got)

@@ -31,14 +31,6 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	return a.job, a.err
 }
 
-// observePrice folds the current queue pressure (queued / capacity)
-// into the demand meter and returns the smoothed admission price. It
-// runs on every admission attempt and on every price read, so the
-// decay clock never stalls.
-func (s *Server) observePrice(now time.Time) float64 {
-	return s.price.Observe(float64(s.queue.Len())/float64(s.cfg.QueueDepth), now)
-}
-
 // drainRetryAfter derives the back-off a refused client should honor:
 // the expected time for the current backlog to drain at the observed
 // completion rate (clamped to [1s, 60s] by tenant.RetryAfter).
@@ -47,22 +39,17 @@ func (s *Server) drainRetryAfter(now time.Time) time.Duration {
 }
 
 // throttle runs the per-tenant admission gates in order — token bucket,
-// price bid, live-job quota — and on success holds one quota
-// reservation (the caller owns releasing it). On refusal it returns the
-// Rejection to serve and the reason-labeled metric is already counted.
-func (s *Server) throttle(tn *tenant.Tenant, maxPrice float64, now time.Time) *Rejection {
+// live-job quota — and on success holds one quota reservation (the
+// caller owns releasing it). On refusal it returns the Rejection to
+// serve.
+func (s *Server) throttle(tn *tenant.Tenant, now time.Time) *Rejection {
 	if ok, wait := tn.TakeToken(now); !ok {
 		return &Rejection{Err: ErrRateLimited, Reason: tenant.ReasonRate, Tenant: tn.ID,
-			RetryAfter: wait, Price: s.observePrice(now)}
-	}
-	price := s.observePrice(now)
-	if maxPrice > 0 && price > maxPrice {
-		return &Rejection{Err: ErrPriceTooLow, Reason: tenant.ReasonPrice, Tenant: tn.ID,
-			RetryAfter: s.drainRetryAfter(now), Price: price}
+			RetryAfter: wait}
 	}
 	if !tn.Reserve() {
 		return &Rejection{Err: ErrQuotaExceeded, Reason: tenant.ReasonQuota, Tenant: tn.ID,
-			RetryAfter: s.drainRetryAfter(now), Price: price}
+			RetryAfter: s.drainRetryAfter(now)}
 	}
 	return nil
 }
@@ -75,14 +62,14 @@ func (s *Server) throttle(tn *tenant.Tenant, maxPrice float64, now time.Time) *R
 func (s *Server) refuse(jobID string, rej *Rejection, now time.Time) error {
 	s.metrics.noteRejected(rej.Tenant, rej.Reason)
 	s.hub.Publish(tenant.Event{Type: tenant.EventRejected, Time: now,
-		Tenant: rej.Tenant, JobID: jobID, Reason: rej.Reason, Price: rej.Price})
+		Tenant: rej.Tenant, JobID: jobID, Reason: rej.Reason})
 	return rej
 }
 
 // backpressure builds the global (503) refusal of job.
 func (s *Server) backpressure(job *Job, sentinel error, reason string, now time.Time) *Rejection {
 	return &Rejection{Err: sentinel, Reason: reason, Tenant: job.Spec.Tenant,
-		RetryAfter: s.drainRetryAfter(now), Price: s.observePrice(now)}
+		RetryAfter: s.drainRetryAfter(now)}
 }
 
 // admission is one spec's outcome of admitBatch. err is nil for an
@@ -99,7 +86,7 @@ type admission struct {
 // queue never fails its neighbours) through: validation; the
 // idempotency fast path, BEFORE the tenant gates so a gateway retry of
 // an already-accepted ID is never charged a token; the drain check; the
-// per-tenant gates (rate, price, quota — refusals are 429s that create
+// per-tenant gates (rate, quota — refusals are 429s that create
 // no job record); then ONE store write for the whole batch (one WAL
 // append batch, so one fsync under the always policy), the bounded
 // dispatch queue, and the admitted event. Ordering invariant: the
@@ -152,7 +139,7 @@ func (s *Server) admitBatch(specs []JobSpec) []admission {
 		var tn *tenant.Tenant
 		if !draining {
 			tn = s.registry.Get(spec.Tenant)
-			if rej := s.throttle(tn, spec.MaxPrice, now); rej != nil {
+			if rej := s.throttle(tn, now); rej != nil {
 				out[i].err = s.refuse(spec.ID, rej, now)
 				continue
 			}
@@ -219,7 +206,10 @@ func (s *Server) admitBatch(specs []JobSpec) []admission {
 }
 
 // admissionRecord is a new job's first record: queued at now, under the
-// client's ID or a fresh server-assigned one.
+// client's ID or a fresh server-assigned one. Like every time stored on
+// a record, Submitted drops now's monotonic reading: a view subtracts
+// stored times, and must read the same from a live job as from its
+// decoded record.
 func admissionRecord(spec JobSpec, bids [][]int, now time.Time) (jobRecord, error) {
 	id := spec.ID
 	if id == "" {
@@ -228,7 +218,7 @@ func admissionRecord(spec JobSpec, bids [][]int, now time.Time) (jobRecord, erro
 			return jobRecord{}, err
 		}
 	}
-	return jobRecord{ID: id, Spec: spec, Bids: bids, State: StateQueued, Submitted: now}, nil
+	return jobRecord{ID: id, Spec: spec, Bids: bids, State: StateQueued, Submitted: now.Round(0)}, nil
 }
 
 // enqueue races a stored job against the bounded dispatch queue. A nil
@@ -272,11 +262,9 @@ type BatchItem struct {
 	// (202/400/429/503/500): POST /v1/jobs answers with it, and a batch
 	// client reads it per item — the batch envelope is always 200.
 	Status int `json:"status,omitempty"`
-	// RetryAfterSec and Price carry the per-item refusal guidance for
-	// 429/503 items: what a single submit renders into the Retry-After
-	// and X-Admission-Price headers.
-	RetryAfterSec int     `json:"retry_after_seconds,omitempty"`
-	Price         float64 `json:"price,omitempty"`
+	// RetryAfterSec carries the per-item back-off for 429/503 items:
+	// what a single submit renders into the Retry-After header.
+	RetryAfterSec int `json:"retry_after_seconds,omitempty"`
 }
 
 // item is the one mapping from an admission outcome to its HTTP status
@@ -291,7 +279,7 @@ func (a admission) item() BatchItem {
 		return BatchItem{Error: a.err.Error(), Status: http.StatusBadRequest}
 	case errors.As(a.err, &rej):
 		it := BatchItem{Error: rej.Error(), Status: http.StatusServiceUnavailable,
-			RetryAfterSec: retryAfterSecs(rej.RetryAfter), Price: rej.Price}
+			RetryAfterSec: retryAfterSecs(rej.RetryAfter)}
 		if rej.Throttled() {
 			// Per-tenant refusal: no job record (nothing to poll); the
 			// caller's budget — not server capacity — is what ran out.

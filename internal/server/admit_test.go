@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"strconv"
 	"testing"
-	"time"
 
 	"dmw/internal/tenant"
 )
@@ -19,7 +18,6 @@ type probeOutcome struct {
 	Status   int      // HTTP status (202/400/429/503)
 	JobState JobState // "" when the answer carries no job
 	RetrySec int      // Retry-After, 0 when absent
-	Price    string   // X-Admission-Price as rendered, "" when absent
 }
 
 // serverSnapshot is everything an admission can leave behind.
@@ -70,8 +68,6 @@ func beginDrain(s *Server) {
 	s.mu.Unlock()
 }
 
-func formatPrice(p float64) string { return strconv.FormatFloat(p, 'f', 4, 64) }
-
 // TestSubmitIsBatchOfOne pins the tentpole: for every admission outcome
 // the same spec leaves the same job state, store contents, counters and
 // refusal guidance behind whether it arrives through Submit, through
@@ -98,7 +94,7 @@ func TestSubmitIsBatchOfOne(t *testing.T) {
 		tweak   func(*Config)
 		prep    func(t *testing.T, s *Server)
 		spec    JobSpec
-		want    probeOutcome // Retry/Price are compared across paths, not against this
+		want    probeOutcome // Retry is compared across paths, not against this
 		wantErr error        // what Submit's error must match; nil = no error
 		// journalAppends is what the probe alone may add to the WAL.
 		journalAppends uint64
@@ -139,15 +135,6 @@ func TestSubmitIsBatchOfOne(t *testing.T) {
 			tweak: func(c *Config) { c.Tenants = limits(tenant.Limits{Quota: 1, Weight: 1}) },
 			prep:  func(t *testing.T, s *Server) { mustSubmit(t, s, withTenant(filler("f"))) },
 			want:  probeOutcome{Status: http.StatusTooManyRequests}, wantErr: ErrQuotaExceeded,
-		},
-		{
-			name: "429 price", spec: func() JobSpec { sp := probe; sp.MaxPrice = 0.1; return sp }(),
-			tweak: func(c *Config) { c.QueueDepth = 4 },
-			prep: func(t *testing.T, s *Server) {
-				mustSubmit(t, s, filler("f1"))
-				mustSubmit(t, s, filler("f2")) // pressure 2/4 > the 0.1 bid
-			},
-			want: probeOutcome{Status: http.StatusTooManyRequests}, wantErr: ErrPriceTooLow,
 		},
 		{
 			name: "503 queue full", spec: probe,
@@ -207,9 +194,6 @@ func TestSubmitIsBatchOfOne(t *testing.T) {
 		if it.Job != nil {
 			out.JobState = it.Job.State
 		}
-		if it.Status == http.StatusTooManyRequests || it.Status == http.StatusServiceUnavailable {
-			out.Price = formatPrice(it.Price)
-		}
 		return out
 	}
 	entries := []entry{
@@ -226,7 +210,7 @@ func TestSubmitIsBatchOfOne(t *testing.T) {
 			}
 			var rej *Rejection
 			if errors.As(err, &rej) {
-				out.RetrySec, out.Price = retryAfterSecs(rej.RetryAfter), formatPrice(rej.Price)
+				out.RetrySec = retryAfterSecs(rej.RetryAfter)
 			}
 			return out
 		}},
@@ -238,7 +222,7 @@ func TestSubmitIsBatchOfOne(t *testing.T) {
 			defer ts.Close()
 			resp := postRaw(t, ts.URL+"/v1/jobs", spec)
 			defer resp.Body.Close()
-			out := probeOutcome{Status: resp.StatusCode, Price: resp.Header.Get(tenant.HeaderAdmissionPrice)}
+			out := probeOutcome{Status: resp.StatusCode}
 			if ra := resp.Header.Get("Retry-After"); ra != "" {
 				out.RetrySec, _ = strconv.Atoi(ra)
 			}
@@ -269,7 +253,6 @@ func TestSubmitIsBatchOfOne(t *testing.T) {
 				var firstSnap serverSnapshot
 				for i, e := range entries {
 					cfg := testConfig()
-					cfg.PriceTau = time.Nanosecond // price == instantaneous pressure
 					if store == "journal" {
 						cfg.DataDir = t.TempDir()
 						cfg.Fsync = "never"
@@ -293,8 +276,8 @@ func TestSubmitIsBatchOfOne(t *testing.T) {
 						t.Errorf("%s: answered %d/%q, want %d/%q", e.name, out.Status, out.JobState, tc.want.Status, tc.want.JobState)
 					}
 					refused := out.Status == http.StatusTooManyRequests || out.Status == http.StatusServiceUnavailable
-					if refused != (out.RetrySec >= 1) || refused != (out.Price != "") {
-						t.Errorf("%s: status %d with Retry-After %d, price %q; guidance must ride exactly the 429/503 answers", e.name, out.Status, out.RetrySec, out.Price)
+					if refused != (out.RetrySec >= 1) {
+						t.Errorf("%s: status %d with Retry-After %d; guidance must ride exactly the 429/503 answers", e.name, out.Status, out.RetrySec)
 					}
 					if store == "journal" {
 						if got := snap.JournalAppends - before.JournalAppends; got != tc.journalAppends {

@@ -159,14 +159,12 @@ func retryAfterSecs(d time.Duration) int {
 // submit: the item's own status, and for refusals the guidance derived
 // at admission time — a Retry-After computed from the actual refusing
 // gate (token refill time for rate limits, expected queue-drain time
-// otherwise, never a hardcoded constant) and the current admission
-// price. The body is the job view when a record exists (202, and 503
-// whose rejected record the client can poll), the error envelope
-// otherwise.
+// otherwise, never a hardcoded constant). The body is the job view
+// when a record exists (202, and 503 whose rejected record the client
+// can poll), the error envelope otherwise.
 func writeItem(w http.ResponseWriter, it BatchItem) {
 	if it.Status == http.StatusTooManyRequests || it.Status == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", strconv.Itoa(it.RetryAfterSec))
-		w.Header().Set(tenant.HeaderAdmissionPrice, strconv.FormatFloat(it.Price, 'f', 4, 64))
 	}
 	if it.Job != nil {
 		writeJSON(w, it.Status, it.Job)
@@ -338,9 +336,6 @@ type healthView struct {
 	QueueDepth int     `json:"queue_depth"`
 	Workers    int     `json:"workers"`
 	LiveJobs   int     `json:"live_jobs"`
-	// AdmissionPrice is the current demand price (EWMA of queue
-	// pressure in [0, ~1+]); clients calibrate max_price bids on it.
-	AdmissionPrice float64 `json:"admission_price"`
 	// Tenants counts known tenant identities; EventSubscribers counts
 	// live SSE subscriptions on the event hub.
 	Tenants          int `json:"tenants"`
@@ -389,7 +384,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		QueueDepth:        s.queue.Len(),
 		Workers:           s.cfg.Workers,
 		LiveJobs:          s.store.Len(),
-		AdmissionPrice:    s.observePrice(time.Now()),
 		Tenants:           s.registry.Len(),
 		EventSubscribers:  s.hub.Subscribers(),
 		TableBuildSeconds: s.grp.TableBuildTime().Seconds(),

@@ -244,10 +244,15 @@ func TestHTTPErrors(t *testing.T) {
 		t.Errorf("malformed body: status %d, want 400", resp.StatusCode)
 	}
 
-	// Unknown field (schema drift protection).
-	status, _, _ := postJob(t, ts, map[string]any{"bogus_field": 1})
-	if status != http.StatusBadRequest {
-		t.Errorf("unknown field: status %d, want 400", status)
+	// Unknown field (schema drift protection). max_price was a field
+	// once: an old client's bid is refused, never silently ignored.
+	for _, body := range []map[string]any{
+		{"bogus_field": 1},
+		{"bids": [][]int{{1}, {2}, {3}, {3}}, "w": []int{1, 2, 3}, "max_price": 0.5},
+	} {
+		if status, _, _ := postJob(t, ts, body); status != http.StatusBadRequest {
+			t.Errorf("unknown field in %v: status %d, want 400", body, status)
+		}
 	}
 
 	// Invalid spec.

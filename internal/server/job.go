@@ -102,11 +102,6 @@ type JobSpec struct {
 	// (tenant.CleanID). It rides the journal record, so recovery
 	// re-reserves quota under the right identity.
 	Tenant string `json:"tenant,omitempty"`
-	// MaxPrice is an optional admission bid: when the current demand
-	// price (see docs/TENANCY.md) exceeds it, the submission is shed
-	// with 429 reason "price" instead of queuing. 0 means "pay any
-	// price" — the job is never price-shed.
-	MaxPrice float64 `json:"max_price,omitempty"`
 }
 
 // ErrInvalidSpec wraps every admission-time validation failure, so the
@@ -148,9 +143,6 @@ func (sp *JobSpec) materialize(limits Limits) ([][]int, error) {
 	}
 	if sp.LinkDelayMS < 0 || sp.LinkDelayMS > maxLinkDelayMS {
 		return nil, invalidSpecf("link_delay_ms = %g outside [0, %d]", sp.LinkDelayMS, maxLinkDelayMS)
-	}
-	if sp.MaxPrice < 0 {
-		return nil, invalidSpecf("max_price = %g negative", sp.MaxPrice)
 	}
 	// Canonicalize the tenant identity once, here, so admission, the
 	// journal record, metrics labels, and event streams all agree.

@@ -113,7 +113,7 @@ type metrics struct {
 	// tenantAdmitted counts dmwd_tenant_admitted_total{tenant=...}.
 	tenantAdmitted map[string]int64
 	// tenantRejected counts dmwd_tenant_rejected_total{tenant=...,
-	// reason=...} (reasons: rate | quota | price | queue_full | draining).
+	// reason=...} (reasons: rate | quota | queue_full | draining).
 	tenantRejected map[string]map[string]int64
 }
 
@@ -175,9 +175,7 @@ type snapshotGauges struct {
 	uptime     time.Duration
 	replicaID  string
 
-	// admissionPrice is the demand-priced admission gauge
-	// (dmwd_admission_price); the event-hub trio covers the SSE layer.
-	admissionPrice   float64
+	// The event-hub trio covers the SSE layer.
 	eventSubscribers int
 	eventsPublished  uint64
 	eventsDropped    uint64
@@ -267,7 +265,6 @@ func (m *metrics) writeTo(w io.Writer, g snapshotGauges) {
 	p("dmwd_jobs_live %d\n", g.liveJobs)
 	p("dmwd_uptime_seconds %.3f\n", g.uptime.Seconds())
 	p("dmwd_table_build_seconds %.6f\n", g.tableBuildSeconds)
-	p("dmwd_admission_price %.6f\n", g.admissionPrice)
 	p("dmwd_event_subscribers %d\n", g.eventSubscribers)
 	p("dmwd_events_published_total %d\n", g.eventsPublished)
 	p("dmwd_events_dropped_total %d\n", g.eventsDropped)
@@ -323,7 +320,6 @@ func (s *Server) WriteMetrics(w io.Writer) {
 		liveJobs:         s.store.Len(),
 		uptime:           uptime,
 		replicaID:        s.replicaID,
-		admissionPrice:   s.observePrice(time.Now()),
 		eventSubscribers: s.hub.Subscribers(),
 		eventsPublished:  s.hub.Published(),
 		eventsDropped:    s.hub.Dropped(),

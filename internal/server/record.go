@@ -77,10 +77,11 @@ func (j *Job) apply(r *jobRecord) {
 
 // end turns r into its terminal record in state: errMsg is empty for a
 // done job; res and tr are nil for anything else. The TTL clock starts
-// here, at completion.
+// here, at completion. Finished keeps no monotonic reading, like
+// Submitted (see admissionRecord).
 func (r *jobRecord) end(state JobState, res *JobResult, tr *protocol.Transcript, errMsg string, now time.Time, ttl time.Duration) {
 	r.State, r.Result, r.Transcript, r.Error = state, res, tr, errMsg
-	r.Finished, r.Expires = now, now.Add(ttl)
+	r.Finished, r.Expires = now.Round(0), now.Add(ttl)
 }
 
 // servable reports whether r is acknowledged work another node may
@@ -198,7 +199,7 @@ func (s *Server) announce(job *Job, r *jobRecord, cause error) {
 		ev.Tenant = s.registry.Get(r.Spec.Tenant).ID
 		s.metrics.accepted.Add(1)
 		s.metrics.noteAdmitted(ev.Tenant)
-		ev.Type, ev.Time, ev.Price = tenant.EventAdmitted, r.Submitted, s.observePrice(r.Submitted)
+		ev.Type, ev.Time = tenant.EventAdmitted, r.Submitted
 	case StateRunning:
 		ev.Type, ev.Time = tenant.EventRunning, r.Started
 	case StateDone:
@@ -226,7 +227,7 @@ func (s *Server) announce(job *Job, r *jobRecord, cause error) {
 	case StateRejected:
 		rej := cause.(*Rejection)
 		s.metrics.noteRejected(rej.Tenant, rej.Reason)
-		ev.Type, ev.Reason, ev.Price = tenant.EventRejected, rej.Reason, rej.Price
+		ev.Type, ev.Reason = tenant.EventRejected, rej.Reason
 	}
 	s.publish(job, ev)
 }

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -28,17 +27,12 @@ func rebuiltView(j *Job) (live, rebuilt JobView) {
 	return live, rebuilt
 }
 
-// sameRestoredView compares a live view with the one a restart rebuilt:
-// the live one subtracts monotonic clock readings, the restored one
-// wall-clock stamps, so the two durations may differ far below a
-// microsecond; everything else must be equal.
+// sameRestoredView compares a live view with the one a restart rebuilt.
+// Stored times carry no monotonic reading, so both views subtract the
+// same wall-clock stamps and QueueWaitMS and RunMS agree exactly; only
+// the spans (diagnostics, never journaled) are left out.
 func sameRestoredView(live, restored JobView) bool {
-	const slackMS = 0.01
-	if math.Abs(live.QueueWaitMS-restored.QueueWaitMS) > slackMS || math.Abs(live.RunMS-restored.RunMS) > slackMS {
-		return false
-	}
-	live.HasTrace, live.QueueWaitMS, live.RunMS = false, 0, 0
-	restored.QueueWaitMS, restored.RunMS = 0, 0
+	live.HasTrace = false
 	return reflect.DeepEqual(live, restored)
 }
 

@@ -7,7 +7,7 @@ import (
 	"dmw/internal/tenant"
 )
 
-// Per-tenant admission errors. All three map to HTTP 429: unlike the
+// Per-tenant admission errors. Both map to HTTP 429: unlike the
 // global backpressure pair (ErrQueueFull, ErrDraining) they mean "YOUR
 // budget is exhausted, the server is fine", so retrying against another
 // replica will not help and no job record is created.
@@ -16,20 +16,16 @@ var (
 	ErrRateLimited = errors.New("server: tenant rate limit exceeded")
 	// ErrQuotaExceeded signals the tenant is at its live-job quota.
 	ErrQuotaExceeded = errors.New("server: tenant quota exhausted")
-	// ErrPriceTooLow signals the job's max_price bid is below the
-	// current admission price.
-	ErrPriceTooLow = errors.New("server: admission price exceeds max_price bid")
 )
 
 // Rejection decorates an admission refusal with the transport guidance
 // the HTTP layer serves alongside the status: how long to back off
-// (Retry-After), what admission costs right now (X-Admission-Price),
-// and which gate refused (the reason label on
+// (Retry-After) and which gate refused (the reason label on
 // dmwd_tenant_rejected_total). It wraps the sentinel error, so
 // errors.Is(err, ErrQueueFull) etc. keep working.
 type Rejection struct {
 	// Err is the sentinel this rejection wraps (ErrQueueFull,
-	// ErrDraining, ErrRateLimited, ErrQuotaExceeded, ErrPriceTooLow).
+	// ErrDraining, ErrRateLimited, ErrQuotaExceeded).
 	Err error
 	// Reason is the tenant.Reason* gate that refused.
 	Reason string
@@ -38,8 +34,6 @@ type Rejection struct {
 	// RetryAfter is the derived back-off: token-bucket refill time for
 	// rate refusals, expected queue-drain time otherwise.
 	RetryAfter time.Duration
-	// Price is the admission price observed at refusal time.
-	Price float64
 }
 
 func (r *Rejection) Error() string { return r.Err.Error() }
@@ -51,7 +45,7 @@ func (r *Rejection) Unwrap() error { return r.Err }
 // room).
 func (r *Rejection) Throttled() bool {
 	switch r.Reason {
-	case tenant.ReasonRate, tenant.ReasonQuota, tenant.ReasonPrice:
+	case tenant.ReasonRate, tenant.ReasonQuota:
 		return true
 	}
 	return false

@@ -17,7 +17,7 @@ import (
 // finishJob.
 func (s *Server) runJob(job *Job) {
 	running := job.record()
-	running.State, running.Started = StateRunning, time.Now()
+	running.State, running.Started = StateRunning, time.Now().Round(0) // wall clock only, as stored
 	// Applied and announced under mu, which enqueue holds from the push
 	// through the admitted announcement: a job popped the instant it was
 	// pushed still reads admitted before running.

@@ -108,10 +108,6 @@ type Config struct {
 	// tenant, dispatch degenerates to FIFO, and the single-tenant
 	// server behaves exactly as before tenancy existed.
 	Tenants tenant.Config
-	// PriceTau overrides the admission-price smoothing constant
-	// (default tenant.DefaultPriceTau; tests shrink it to reprice
-	// instantly).
-	PriceTau time.Duration
 
 	// SLOs are the declared latency objectives (the parsed -slo flag,
 	// e.g. "p99<250ms@30d"), evaluated against the job-latency HDR
@@ -187,12 +183,10 @@ type Server struct {
 	sloEngine *slo.Engine
 
 	// registry resolves tenant identities to their admission state;
-	// hub fans job-lifecycle events out to SSE streams; price is the
-	// demand-priced admission meter; drainRate estimates completions
-	// per second for derived Retry-After values.
+	// hub fans job-lifecycle events out to SSE streams; drainRate
+	// estimates completions per second for derived Retry-After values.
 	registry  *tenant.Registry
 	hub       *tenant.Hub
-	price     *tenant.Meter
 	drainRate *tenant.RateEstimator
 
 	// replicaID identifies this server instance to load balancers: it
@@ -255,7 +249,6 @@ func New(cfg Config) (*Server, error) {
 		stopSweeps: make(chan struct{}),
 		registry:   tenant.NewRegistry(cfg.Tenants),
 		hub:        tenant.NewHub(),
-		price:      tenant.NewMeter(cfg.PriceTau),
 		drainRate:  tenant.NewRateEstimator(0),
 		queue:      tenant.NewQueue[*Job](cfg.QueueDepth),
 	}

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -257,11 +256,6 @@ func TestRateLimit429WithExactRetryAfter(t *testing.T) {
 	if ra := resp.Header.Get("Retry-After"); ra != "1" {
 		t.Errorf("Retry-After = %q, want \"1\" (refill time)", ra)
 	}
-	if price := resp.Header.Get(tenant.HeaderAdmissionPrice); price == "" {
-		t.Error("X-Admission-Price header missing on 429")
-	} else if _, err := strconv.ParseFloat(price, 64); err != nil {
-		t.Errorf("X-Admission-Price = %q not a float: %v", price, err)
-	}
 }
 
 // TestIdempotentRetryNotCharged: a gateway retry of an ID the server
@@ -326,9 +320,6 @@ func TestDerivedRetryAfterOn503(t *testing.T) {
 	if ra := resp.Header.Get("Retry-After"); ra != "2" {
 		t.Errorf("Retry-After = %q, want \"2\" (backlog 2 / 1 worker)", ra)
 	}
-	if price := resp.Header.Get(tenant.HeaderAdmissionPrice); price == "" {
-		t.Error("X-Admission-Price header missing on 503")
-	}
 	// The refusal still creates a job record (historic 503 contract).
 	var view JobView
 	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
@@ -339,52 +330,8 @@ func TestDerivedRetryAfterOn503(t *testing.T) {
 	}
 }
 
-// TestPriceShedding: when the smoothed admission price exceeds a job's
-// max_price bid, the job is shed with reason "price" and no record.
-func TestPriceShedding(t *testing.T) {
-	cfg := testConfig()
-	cfg.QueueDepth = 4
-	cfg.PriceTau = time.Millisecond // reprice almost instantly
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { shutdownServer(t, s) })
-	// Not started: backlog persists, pressure stays at 1.0.
-	for k := 0; k < 4; k++ {
-		if _, err := s.Submit(tinyTenantSpec("", int64(k))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	time.Sleep(20 * time.Millisecond) // let the EWMA converge toward 1
-
-	bid := tinyTenantSpec("", 99)
-	bid.ID = "priced-out-1"
-	bid.MaxPrice = 0.01
-	_, err = s.Submit(bid)
-	if !errors.Is(err, ErrPriceTooLow) {
-		t.Fatalf("low-bid submit err = %v, want ErrPriceTooLow", err)
-	}
-	var rej *Rejection
-	if !errors.As(err, &rej) || rej.Reason != tenant.ReasonPrice {
-		t.Fatalf("rejection = %+v, want reason price", err)
-	}
-	if rej.Price <= 0.01 {
-		t.Errorf("rejection price = %g, want > bid", rej.Price)
-	}
-	if _, ok := s.Get("priced-out-1"); ok {
-		t.Error("price-shed submission left a job record; tenant 429s must not")
-	}
-	// A price-indifferent job (max_price 0) skips the price gate and
-	// falls through to backpressure: queue_full, not price.
-	_, err = s.Submit(tinyTenantSpec("", 100))
-	if !errors.Is(err, ErrQueueFull) {
-		t.Errorf("no-bid submit err = %v, want ErrQueueFull", err)
-	}
-}
-
-// TestTenantMetricsExposition: per-tenant counters and the price gauge
-// appear in /metrics with bounded, CleanID-folded label values.
+// TestTenantMetricsExposition: per-tenant counters and the event-hub
+// gauges appear in /metrics with bounded, CleanID-folded label values.
 func TestTenantMetricsExposition(t *testing.T) {
 	cfg := testConfig()
 	cfg.Tenants = tenant.Config{
@@ -418,7 +365,6 @@ func TestTenantMetricsExposition(t *testing.T) {
 		`dmwd_tenant_admitted_total{tenant="acme"} 1`,
 		`dmwd_tenant_admitted_total{tenant="default"} 1`,
 		`dmwd_tenant_rejected_total{tenant="guest",reason="quota"} 1`,
-		"dmwd_admission_price ",
 		"dmwd_event_subscribers 0",
 		"dmwd_events_published_total",
 		"dmwd_events_dropped_total",
@@ -437,9 +383,6 @@ func TestTenantMetricsExposition(t *testing.T) {
 	}
 	if hv.Tenants < 3 { // default + guest + acme
 		t.Errorf("healthz tenants = %d, want >= 3", hv.Tenants)
-	}
-	if hv.AdmissionPrice < 0 {
-		t.Errorf("healthz admission_price = %g, want >= 0", hv.AdmissionPrice)
 	}
 }
 

@@ -34,7 +34,6 @@ func SpecToWire(s JobSpec) wire.Job {
 		LinkDelayMS: s.LinkDelayMS,
 		RequestID:   s.RequestID,
 		Tenant:      s.Tenant,
-		MaxPrice:    s.MaxPrice,
 	}
 	if s.Random != nil {
 		j.Random = true
@@ -60,7 +59,6 @@ func SpecFromWire(j wire.Job) JobSpec {
 		LinkDelayMS: j.LinkDelayMS,
 		RequestID:   j.RequestID,
 		Tenant:      j.Tenant,
-		MaxPrice:    j.MaxPrice,
 	}
 	if j.Random {
 		s.Random = &RandomSpec{Agents: j.RandomAgents, Tasks: j.RandomTasks}

@@ -2,8 +2,10 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"strings"
 	"testing"
@@ -19,7 +21,7 @@ func TestWireSpecRoundTrip(t *testing.T) {
 	specs := []JobSpec{
 		{ID: "a", Bids: [][]int{{1, 2}, {2, 1}}, W: []int{1, 2}, C: 1, Seed: 9,
 			Parallelism: 3, Record: true, CountOps: true, Trace: true,
-			LinkDelayMS: 2.5, RequestID: "rid", Tenant: "acme", MaxPrice: 1.25},
+			LinkDelayMS: 2.5, RequestID: "rid", Tenant: "acme"},
 		{ID: "b", Random: &RandomSpec{Agents: 6, Tasks: 2}, Seed: -1},
 		{},
 	}
@@ -117,44 +119,79 @@ func TestWireSubmitNegotiation(t *testing.T) {
 }
 
 // TestWireCorruptFrameLoud400 pins the corrupt-frame contract: a
-// corrupt or truncated frame earns a 400 whose body names the frame
-// decoder (never a silent misparse through the JSON path), still
-// carrying the capability header: the peer speaks frames, the request
-// itself was bad.
+// corrupt or truncated frame, or one in an older layout, earns a 400
+// on both submit endpoints whose body names the frame decoder (never a
+// silent misparse through the JSON path), still carrying the
+// capability header: the peer speaks frames, the request itself was
+// bad. Every refusal counts in dmwd_wire_errors_total.
 func TestWireCorruptFrameLoud400(t *testing.T) {
-	_, ts := startHTTP(t, testConfig())
+	s, ts := startHTTP(t, testConfig())
 
 	frame, err := wire.EncodeJobFrame([]wire.Job{SpecToWire(JobSpec{ID: "x", Bids: [][]int{{1}, {2}, {3}, {3}}, W: []int{1, 2, 3}})})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, body := range map[string][]byte{
+	bodies := map[string][]byte{
 		"truncated": frame[:len(frame)-3],
 		"corrupt":   append([]byte{'X'}, frame[1:]...),
 		"empty":     {},
-	} {
-		resp, err := http.Post(ts.URL+"/v1/jobs/batch", wire.ContentTypeJobFrame, bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
+		"version 1": versionOneJobFrame(),
+	}
+	refused := int64(0)
+	for _, path := range []string{"/v1/jobs", "/v1/jobs/batch"} {
+		for name, body := range bodies {
+			resp, err := http.Post(ts.URL+path, wire.ContentTypeJobFrame, bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			refused++
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s %s frame: status %d, want 400 (body %s)", path, name, resp.StatusCode, raw)
+			}
+			if got := resp.Header.Get(wire.HeaderWire); got != wire.WireV1 {
+				t.Errorf("%s %s frame: %s header %q, want %q", path, name, wire.HeaderWire, got, wire.WireV1)
+			}
+			var apiErr apiError
+			if err := json.Unmarshal(raw, &apiErr); err != nil || !strings.Contains(apiErr.Error, "frame") {
+				t.Errorf("%s %s frame: error %q does not name the frame decoder", path, name, apiErr.Error)
+			}
 		}
-		raw, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s frame: status %d, want 400 (body %s)", name, resp.StatusCode, raw)
-		}
-		if got := resp.Header.Get(wire.HeaderWire); got != wire.WireV1 {
-			t.Errorf("%s frame: %s header %q, want %q", name, wire.HeaderWire, got, wire.WireV1)
-		}
-		var apiErr apiError
-		if err := json.Unmarshal(raw, &apiErr); err != nil || !strings.Contains(apiErr.Error, "frame") {
-			t.Errorf("%s frame: error %q does not name the frame decoder", name, apiErr.Error)
-		}
+	}
+	if got := s.metrics.wireErrors.Load(); got != refused {
+		t.Errorf("wire errors counted %d, want %d", got, refused)
+	}
+	if _, ok := s.Get("v1-job"); ok {
+		t.Error("a version-1 frame admitted its job")
 	}
 }
 
+// versionOneJobFrame is one random-shape job in the version-1 frame
+// layout, which carried maxPrice:f64 between linkDelayMS and w.
+func versionOneJobFrame() []byte {
+	be := binary.BigEndian
+	b := []byte{'D', 'W', 1, 1, 0, 0, 0, 1} // magic, version 1, job frame, one item
+	b = be.AppendUint16(b, 6)
+	b = append(b, "v1-job"...)
+	b = be.AppendUint16(b, 0) // request ID
+	b = be.AppendUint16(b, 0) // tenant
+	b = append(b, 1)          // flags: random shape
+	// c, seed, parallelism, linkDelayMS, maxPrice
+	for _, v := range []uint64{1, 7, 0, math.Float64bits(0), math.Float64bits(0.5)} {
+		b = be.AppendUint64(b, v)
+	}
+	b = be.AppendUint16(b, 4) // w
+	for v := uint64(1); v <= 4; v++ {
+		b = be.AppendUint64(b, v)
+	}
+	b = be.AppendUint32(b, 6) // agents
+	return be.AppendUint32(b, 3)
+}
+
 // TestBatchItemStatuses pins the per-item status/guidance fields on the
-// JSON batch path: 429 items carry the refusing gate's own RetryAfter
-// and price, 503 items the queue-drain guidance — the values a single
+// JSON batch path: 429 items carry the refusing gate's own RetryAfter,
+// 503 items the queue-drain guidance — the values a single
 // submit renders into its status and headers.
 func TestBatchItemStatuses(t *testing.T) {
 	cfg := testConfig()

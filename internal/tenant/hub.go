@@ -24,12 +24,11 @@ const (
 )
 
 // Rejection reasons carried in Event.Reason and in the reason label of
-// dmwd_tenant_rejected_total. The first three are per-tenant refusals
+// dmwd_tenant_rejected_total. The first two are per-tenant refusals
 // (HTTP 429); the last two are global backpressure (HTTP 503).
 const (
 	ReasonRate      = "rate"
 	ReasonQuota     = "quota"
-	ReasonPrice     = "price"
 	ReasonQueueFull = "queue_full"
 	ReasonDraining  = "draining"
 )
@@ -54,10 +53,7 @@ type Event struct {
 	// (queue_wait plus dmw.PhaseNames), and DurationMS its length.
 	Phase      string  `json:"phase,omitempty"`
 	DurationMS float64 `json:"duration_ms,omitempty"`
-	// Price is the admission price observed when the event was
-	// published (admitted/rejected events).
-	Price float64 `json:"price,omitempty"`
-	// Reason classifies rejections (rate | quota | price | queue_full |
+	// Reason classifies rejections (rate | quota | queue_full |
 	// draining); Error carries the failure message of failed jobs.
 	Reason string `json:"reason,omitempty"`
 	Error  string `json:"error,omitempty"`

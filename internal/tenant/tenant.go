@@ -5,8 +5,9 @@
 // agents, queue capacity is the contested resource, and the policy
 // pieces here — per-tenant token buckets, live-job quotas, a
 // weighted-deficit-round-robin dispatch queue (wdrr.go), and a
-// demand-priced admission meter (price.go) — make overload degrade PER
-// TENANT (429 with a meaningful Retry-After) instead of globally (503).
+// drain-rate estimate for Retry-After (retry.go) — make overload
+// degrade PER TENANT (429 with a meaningful Retry-After) instead of
+// globally (503).
 //
 // Identity is the X-Tenant-Id header: requests without one fold into
 // the DefaultTenant. Limits come from a JSON config file (see
@@ -38,10 +39,6 @@ const (
 	// HeaderTenantID carries the caller's tenant identity; the gateway
 	// forwards it verbatim on every attempt, including failover retries.
 	HeaderTenantID = "X-Tenant-Id"
-	// HeaderAdmissionPrice advertises the current demand price on
-	// admission responses (success and refusal alike), so clients can
-	// calibrate max_price bids without a separate poll.
-	HeaderAdmissionPrice = "X-Admission-Price"
 )
 
 // maxTenantIDLen bounds accepted tenant IDs; the alphabet below keeps

@@ -133,30 +133,6 @@ func TestRegistryZeroConfigIsUnlimited(t *testing.T) {
 	}
 }
 
-func TestMeterRisesAndDecays(t *testing.T) {
-	m := NewMeter(time.Second)
-	now := time.Unix(1000, 0)
-	p := m.Observe(0, now)
-	if p != 0 {
-		t.Fatalf("initial price = %g, want 0", p)
-	}
-	// Hold the queue full for 5 tau: price approaches 1.
-	for i := 1; i <= 50; i++ {
-		p = m.Observe(1, now.Add(time.Duration(i)*100*time.Millisecond))
-	}
-	if p < 0.9 {
-		t.Errorf("price after sustained full queue = %g, want > 0.9", p)
-	}
-	// Drain for 5 tau: price falls back.
-	base := now.Add(5 * time.Second)
-	for i := 1; i <= 50; i++ {
-		p = m.Observe(0, base.Add(time.Duration(i)*100*time.Millisecond))
-	}
-	if p > 0.1 {
-		t.Errorf("price after sustained empty queue = %g, want < 0.1", p)
-	}
-}
-
 func TestRateEstimatorAndRetryAfter(t *testing.T) {
 	r := NewRateEstimator(time.Second)
 	now := time.Unix(1000, 0)

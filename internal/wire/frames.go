@@ -5,18 +5,18 @@
 // unconditionally — there is no negotiation and no JSON fallback
 // between fleet members.
 //
-//	frame    := 'D' 'W' version:u8 type:u8 count:u32 item*
+//	frame    := 'D' 'W' version:u8 type:u8 count:u32 item*   (version 2)
 //	str      := len:u16 utf8
 //	blob     := len:u32 bytes
 //	i64      := 8 bytes big-endian (two's complement)
 //	f64      := IEEE-754 bits, big-endian
 //
 //	job      := id:str rid:str tenant:str flags:u8
-//	            c:i64 seed:i64 parallelism:i64 linkDelayMS:f64 maxPrice:f64
+//	            c:i64 seed:i64 parallelism:i64 linkDelayMS:f64
 //	            w:(count:u16 i64*)
 //	            random? agents:u32 tasks:u32
 //	            bids?   rows:u16 (cols:u16 i64*)*
-//	result   := status:u16 retryAfterSec:u32 price:f64 errMsg:str body:blob
+//	result   := status:u16 retryAfterSec:u32 errMsg:str body:blob
 //	record   := id:str origin:str epoch:u64 payload:blob
 //
 // The job codec round-trips the UNVALIDATED client spec (the server
@@ -24,6 +24,10 @@
 // fields are full-width i64 and bid matrices may be ragged. Decoded
 // result/record items alias the input buffer (zero-copy bodies); the
 // caller owns keeping the buffer alive until the items are consumed.
+//
+// The version byte is shared by every frame type and names the whole
+// grammar: a change to any item layout bumps it, so a peer on another
+// layout refuses the frame loudly instead of misreading its fields.
 package wire
 
 import (
@@ -52,7 +56,7 @@ const (
 )
 
 const (
-	frameVersion    uint8 = 1
+	frameVersion    uint8 = 2
 	frameHeaderSize       = 2 + 1 + 1 + 4 // magic, version, type, count
 )
 
@@ -90,12 +94,11 @@ type Job struct {
 	LinkDelayMS  float64
 	RequestID    string
 	Tenant       string
-	MaxPrice     float64
 }
 
 // ResultItem is one per-spec outcome inside a batch-result frame: the
 // HTTP status the item maps to on a single submit (202/400/429/503),
-// the derived retry/price guidance for refusals, and the item's
+// the derived Retry-After for refusals, and the item's
 // single-submit JSON body (a job view for 202/503, empty for 400/429 —
 // a reader rebuilds the small error envelope from ErrMsg).
 //
@@ -107,7 +110,6 @@ type Job struct {
 type ResultItem struct {
 	Status        int
 	RetryAfterSec int
-	Price         float64
 	ErrMsg        string
 	Body          []byte // aliases the decode input
 }
@@ -142,7 +144,7 @@ func strSize(s string) (int, error) {
 // jobSize computes one job item's exact wire footprint, rejecting
 // anything the fill pass cannot represent.
 func jobSize(j *Job) (int, error) {
-	size := 1 + 5*8 // flags + c, seed, parallelism, linkDelayMS, maxPrice
+	size := 1 + 4*8 // flags + c, seed, parallelism, linkDelayMS
 	for _, s := range []string{j.ID, j.RequestID, j.Tenant} {
 		n, err := strSize(s)
 		if err != nil {
@@ -218,7 +220,6 @@ func (a *appender) job(j *Job) {
 	a.i64(j.Seed)
 	a.i64(int64(j.Parallelism))
 	a.f64(j.LinkDelayMS)
-	a.f64(j.MaxPrice)
 	a.u16(uint16(len(j.W)))
 	for _, v := range j.W {
 		a.i64(int64(v))
@@ -277,7 +278,6 @@ func AppendResultFrame(dst []byte, items []ResultItem) []byte {
 			ra = 0
 		}
 		a.u32(uint32(ra))
-		a.f64(it.Price)
 		msg := it.ErrMsg
 		if len(msg) > math.MaxUint16 {
 			msg = msg[:math.MaxUint16]
@@ -368,7 +368,7 @@ func frameHeader(r *reader, want uint8) (int, error) {
 // minJobItemSize is the floor footprint of one encoded job (all
 // strings empty, W empty, explicit shape with zero bid rows); used to
 // bound the item-slice preallocation against crafted counts.
-const minJobItemSize = 3*2 + 1 + 5*8 + 2 + 2
+const minJobItemSize = 3*2 + 1 + 4*8 + 2 + 2
 
 // DecodeJobFrame parses a frame produced by EncodeJobFrame. Decoded
 // jobs own their memory (strings and matrices are copied out), so the
@@ -397,7 +397,6 @@ func DecodeJobFrame(b []byte) ([]Job, error) {
 		j.Seed = r.i64()
 		j.Parallelism = int(r.i64())
 		j.LinkDelayMS = r.f64()
-		j.MaxPrice = r.f64()
 		nw := int(r.u16())
 		if r.err || nw*8 > r.remaining() {
 			return nil, ErrTruncated
@@ -441,7 +440,7 @@ func DecodeJobFrame(b []byte) ([]Job, error) {
 	return jobs, nil
 }
 
-const minResultItemSize = 2 + 4 + 8 + 2 + 4
+const minResultItemSize = 2 + 4 + 2 + 4
 
 // DecodeResultFrame parses a batch-result frame. Item bodies alias b:
 // the caller must keep b alive (and unmodified) until every body has
@@ -460,7 +459,6 @@ func DecodeResultFrame(b []byte) ([]ResultItem, error) {
 		it := &items[i]
 		it.Status = int(r.u16())
 		it.RetryAfterSec = int(r.u32())
-		it.Price = r.f64()
 		it.ErrMsg = r.str()
 		it.Body = r.blob()
 		if r.err {

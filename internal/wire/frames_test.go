@@ -22,7 +22,6 @@ func sampleJobs() []Job {
 			LinkDelayMS: 10.5,
 			RequestID:   "req-abc",
 			Tenant:      "acme",
-			MaxPrice:    0.75,
 		},
 		{
 			ID:           "job-2",
@@ -98,8 +97,8 @@ func TestJobFrameEmpty(t *testing.T) {
 func TestResultFrameRoundTrip(t *testing.T) {
 	items := []ResultItem{
 		{Status: 202, Body: []byte(`{"id":"a","state":"queued"}`)},
-		{Status: 429, RetryAfterSec: 3, Price: 0.8125, ErrMsg: "server: tenant rate limited"},
-		{Status: 503, RetryAfterSec: 1, Price: 1.0, ErrMsg: "server: queue full", Body: []byte(`{"id":"b","state":"rejected"}`)},
+		{Status: 429, RetryAfterSec: 3, ErrMsg: "server: tenant rate limited"},
+		{Status: 503, RetryAfterSec: 1, ErrMsg: "server: queue full", Body: []byte(`{"id":"b","state":"rejected"}`)},
 		{Status: 400, ErrMsg: "server: invalid job spec"},
 	}
 	b := AppendResultFrame(nil, items)
@@ -112,7 +111,7 @@ func TestResultFrameRoundTrip(t *testing.T) {
 	}
 	for i := range items {
 		if got[i].Status != items[i].Status || got[i].RetryAfterSec != items[i].RetryAfterSec ||
-			got[i].Price != items[i].Price || got[i].ErrMsg != items[i].ErrMsg {
+			got[i].ErrMsg != items[i].ErrMsg {
 			t.Fatalf("item %d: got %+v want %+v", i, got[i], items[i])
 		}
 		if !bytes.Equal(got[i].Body, items[i].Body) {
@@ -194,6 +193,11 @@ func TestFrameTruncation(t *testing.T) {
 	if _, err := DecodeJobFrame(bad); !errors.Is(err, ErrFrame) {
 		t.Fatalf("bad version: got %v, want ErrFrame", err)
 	}
+	// A version-1 job frame is refused by its version byte: read in
+	// the current layout, its maxPrice bytes would become w's count.
+	if _, err := DecodeJobFrame(versionOneJobFrame()); !errors.Is(err, ErrFrame) {
+		t.Fatalf("version-1 job frame: got %v, want ErrFrame", err)
+	}
 	bad = append(bad[:0], jb...)
 	bad[3] = frameRecords // cross-typed frame
 	if _, err := DecodeJobFrame(bad); !errors.Is(err, ErrFrame) {
@@ -203,6 +207,28 @@ func TestFrameTruncation(t *testing.T) {
 	if _, err := DecodeJobFrame(append(append([]byte(nil), jb...), 0)); err == nil {
 		t.Fatal("trailing byte decoded cleanly")
 	}
+}
+
+// versionOneJobFrame is one random-shape job in the version-1 layout,
+// which carried maxPrice:f64 between linkDelayMS and w.
+func versionOneJobFrame() []byte {
+	a := appender{b: []byte{'D', 'W', 1, frameJobs, 0, 0, 0, 1}}
+	a.str("v1-job")
+	a.str("") // request ID
+	a.str("") // tenant
+	a.u8(jfRandom)
+	a.i64(1)   // c
+	a.i64(7)   // seed
+	a.i64(0)   // parallelism
+	a.f64(0)   // linkDelayMS
+	a.f64(0.5) // maxPrice
+	a.u16(4)
+	for v := int64(1); v <= 4; v++ {
+		a.i64(v)
+	}
+	a.u32(6) // agents
+	a.u32(3) // tasks
+	return a.b
 }
 
 func TestJobFrameEncodeLimits(t *testing.T) {
@@ -237,7 +263,7 @@ func FuzzJobFrameRoundTrip(f *testing.F) {
 	mut[len(mut)/2] ^= 0xFF
 	f.Add(mut)
 	f.Add([]byte{})
-	f.Add([]byte{'D', 'W', 1, 1, 0, 0, 0, 1})
+	f.Add([]byte{'D', 'W', frameVersion, frameJobs, 0, 0, 0, 1})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		jobs, err := DecodeJobFrame(data)
