@@ -11,7 +11,7 @@ LDFLAGS = -ldflags "-X dmw/internal/obs.Version=$(VERSION)"
 # manually with `go test -fuzz <Target> <pkg>`.
 FUZZTIME ?= 3s
 
-.PHONY: all build bin vet test test-386 test-engine test-race test-server e2e-shard e2e-tenant e2e-elastic obs-smoke latency-smoke bench-smoke bench-harness allocs-gate fuzz-smoke loc ci
+.PHONY: all build bin vet test test-386 test-engine test-race test-server e2e-shard e2e-tenant e2e-elastic obs-smoke bench-smoke bench-harness allocs-gate fuzz-smoke loc ci
 
 all: build vet test
 
@@ -20,7 +20,7 @@ build:
 
 # bin builds the version-stamped daemon + tool binaries into ./bin.
 bin:
-	$(GO) build $(LDFLAGS) -o bin/ ./cmd/dmwd ./cmd/dmwgw ./cmd/dmwtrace ./cmd/dmwload
+	$(GO) build $(LDFLAGS) -o bin/ ./cmd/dmwd ./cmd/dmwgw ./cmd/dmwtrace
 
 # vet runs the standard analyzers everywhere, plus the shadow analyzer
 # when its external binary is installed (it is not part of the base
@@ -105,16 +105,6 @@ e2e-elastic:
 obs-smoke:
 	$(GO) test -race -run 'TestObsSmoke' -v -count=1 ./cmd/dmwd
 
-# latency-smoke is the tail-latency acceptance gate: a short open-loop
-# dmwload run (coordinated-omission-free arrival ladder) against a
-# 2-replica in-process dmwgw fleet. Asserts the report parses with
-# finite p50/p99/p999, the dmwd_slo_*/dmwgw_slo_* burn-rate gauges are
-# live on the fleet exposition, and at least one tail exemplar from
-# /metrics resolves to a fetchable /v1/jobs/{id}/trace. Runs under
-# -race; CI runs this on every push. See docs/PERFORMANCE.md.
-latency-smoke:
-	$(GO) test -race -run 'TestLatencySmoke' -v -count=1 ./cmd/dmwload
-
 # allocs-gate enforces the allocation budgets on the hot paths (batched
 # share verification, commit.New, pseudonym powers, wire codec, the
 # in-place scalar kernel, the group's MulInto and multi-exponentiation,
@@ -171,4 +161,4 @@ fuzz-smoke:
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l
 
-ci: build vet test-race test-386 test-engine e2e-shard e2e-tenant e2e-elastic obs-smoke latency-smoke allocs-gate bench-smoke bench-harness fuzz-smoke
+ci: build vet test-race test-386 test-engine e2e-shard e2e-tenant e2e-elastic obs-smoke allocs-gate bench-smoke bench-harness fuzz-smoke

@@ -30,27 +30,29 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "dmwnode:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("dmwnode", flag.ExitOnError)
+	fs.SetOutput(stderr)
 	var (
-		id      = flag.Int("id", -1, "this agent's index (0-based)")
-		relay   = flag.String("relay", "127.0.0.1:7600", "relay address")
-		n       = flag.Int("n", 6, "number of agents (published)")
-		maxBid  = flag.Int("w", 4, "bid set W = {1..w} (published)")
-		c       = flag.Int("c", 1, "fault bound c (published)")
-		preset  = flag.String("preset", dmw.PresetDemo128, "group parameter preset (published)")
-		pfile   = flag.String("params", "", "JSON parameter file (overrides -preset; see dmwparams)")
-		bids    = flag.String("bids", "", "comma-separated true values, one per task (PRIVATE)")
-		seed    = flag.Int64("seed", 1, "seed for this node's polynomial randomness")
-		crand   = flag.Bool("crypto-rand", false, "use crypto/rand for polynomial coefficients")
-		timeout = flag.Duration("timeout", 60*time.Second, "round timeout")
+		id      = fs.Int("id", -1, "this agent's index (0-based)")
+		relay   = fs.String("relay", "127.0.0.1:7600", "relay address")
+		n       = fs.Int("n", 6, "number of agents (published)")
+		maxBid  = fs.Int("w", 4, "bid set W = {1..w} (published)")
+		c       = fs.Int("c", 1, "fault bound c (published)")
+		preset  = fs.String("preset", dmw.PresetDemo128, "group parameter preset (published)")
+		pfile   = fs.String("params", "", "JSON parameter file (overrides -preset; see dmwparams)")
+		bids    = fs.String("bids", "", "comma-separated true values, one per task (PRIVATE)")
+		seed    = fs.Int64("seed", 1, "seed for this node's polynomial randomness")
+		crand   = fs.Bool("crypto-rand", false, "use crypto/rand for polynomial coefficients")
+		timeout = fs.Duration("timeout", 60*time.Second, "round timeout")
 	)
-	flag.Parse()
+	fs.Parse(args) // ExitOnError: exits 0 on -h, 2 on a bad flag
 
 	if *id < 0 {
 		return fmt.Errorf("missing -id")
@@ -83,35 +85,35 @@ func run() error {
 		return err
 	}
 
-	fmt.Printf("dmwnode %d: connecting to relay %s\n", *id, *relay)
+	fmt.Fprintf(stdout, "dmwnode %d: connecting to relay %s\n", *id, *relay)
 	client, err := relaynet.Dial(*relay, *id, relaynet.WithRoundTimeout(*timeout))
 	if err != nil {
 		return err
 	}
 	defer client.Close()
-	fmt.Printf("dmwnode %d: joined a %d-agent session, %d tasks to auction\n", *id, client.N(), len(myBids))
+	fmt.Fprintf(stdout, "dmwnode %d: joined a %d-agent session, %d tasks to auction\n", *id, client.N(), len(myBids))
 
 	res, err := protocol.RunAgentSession(cfg, *id, client)
 	if err != nil {
 		return err
 	}
 	if err := client.Err(); err != nil {
-		fmt.Printf("dmwnode %d: transport degraded during session: %v\n", *id, err)
+		fmt.Fprintf(stdout, "dmwnode %d: transport degraded during session: %v\n", *id, err)
 	}
 	for _, v := range res.Views {
 		if v.Aborted {
-			fmt.Printf("dmwnode %d: task %d ABORTED (%s)\n", *id, v.Task, v.AbortReason)
+			fmt.Fprintf(stdout, "dmwnode %d: task %d ABORTED (%s)\n", *id, v.Task, v.AbortReason)
 			continue
 		}
 		mine := ""
 		if v.Winner == *id {
 			mine = "  <- I execute this task"
 		}
-		fmt.Printf("dmwnode %d: task %d -> agent %d at price %d%s\n",
+		fmt.Fprintf(stdout, "dmwnode %d: task %d -> agent %d at price %d%s\n",
 			*id, v.Task, v.Winner, v.SecondPrice, mine)
 	}
 	if res.Claim != nil {
-		fmt.Printf("dmwnode %d: submitted payment claim %v\n", *id, res.Claim)
+		fmt.Fprintf(stdout, "dmwnode %d: submitted payment claim %v\n", *id, res.Claim)
 	}
 	return nil
 }

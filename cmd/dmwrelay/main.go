@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 
@@ -22,18 +23,20 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "dmwrelay:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("dmwrelay", flag.ExitOnError)
+	fs.SetOutput(stderr)
 	var (
-		n      = flag.Int("n", 6, "number of agents")
-		listen = flag.String("listen", "127.0.0.1:7600", "listen address")
+		n      = fs.Int("n", 6, "number of agents")
+		listen = fs.String("listen", "127.0.0.1:7600", "listen address")
 	)
-	flag.Parse()
+	fs.Parse(args) // ExitOnError: exits 0 on -h, 2 on a bad flag
 
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
@@ -43,31 +46,31 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("dmwrelay: coordinating %d agents on %s\n", *n, relay.Addr())
-	fmt.Println("dmwrelay: waiting for agents (start dmwnode processes now)...")
+	fmt.Fprintf(stdout, "dmwrelay: coordinating %d agents on %s\n", *n, relay.Addr())
+	fmt.Fprintln(stdout, "dmwrelay: waiting for agents (start dmwnode processes now)...")
 
 	if err := relay.Wait(); err != nil {
 		return err
 	}
-	fmt.Printf("dmwrelay: session complete; %d point-to-point messages routed (%d payload bytes)\n",
+	fmt.Fprintf(stdout, "dmwrelay: session complete; %d point-to-point messages routed (%d payload bytes)\n",
 		relay.Stats().Messages(), relay.Stats().Bytes())
 
 	claims := relay.Claims()
 	if len(claims) == 0 {
-		fmt.Println("dmwrelay: no payment claims observed (aborted session?)")
+		fmt.Fprintln(stdout, "dmwrelay: no payment claims observed (aborted session?)")
 		return nil
 	}
 	st, err := payment.Settle(claims, *n)
 	if err != nil {
 		return fmt.Errorf("settling payments: %w", err)
 	}
-	fmt.Println("dmwrelay: payment settlement:")
+	fmt.Fprintln(stdout, "dmwrelay: payment settlement:")
 	for i := range st.Issued {
 		status := "agreed"
 		if !st.Agreed[i] {
 			status = "DISPUTED (no payment)"
 		}
-		fmt.Printf("  agent %d: %d  [%s]\n", i, st.Issued[i], status)
+		fmt.Fprintf(stdout, "  agent %d: %d  [%s]\n", i, st.Issued[i], status)
 	}
 	return nil
 }

@@ -62,3 +62,58 @@ func TestDocsNameOnlyEmittedSeries(t *testing.T) {
 		}
 	}
 }
+
+// TestDocsNameOnlyExistingCommands: every ./cmd/, ./examples/ or
+// ./internal/ path in a go run, go test or go build command in
+// README.md or docs/*.md must name an existing directory, and every
+// `make <target>` in a code span or fenced block must name a Makefile
+// target, so the docs cannot tell a reader to run what is gone.
+func TestDocsNameOnlyExistingCommands(t *testing.T) {
+	makefile, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^([\w-]+):`).FindAllStringSubmatch(string(makefile), -1) {
+		targets[m[1]] = true
+	}
+	docs, err := filepath.Glob("docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	goCmd := regexp.MustCompile(`\bgo (?:run|test|build)\b.*`)
+	pkgPath := regexp.MustCompile(`\./((?:cmd|examples|internal)/[\w-]+)`)
+	codeSpan := regexp.MustCompile("`[^`]+`")
+	makeCmd := regexp.MustCompile(`\bmake ([a-z][\w-]*)`)
+	for _, doc := range append([]string{"README.md"}, docs...) {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fenced := false
+		for i, line := range strings.Split(string(data), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+				fenced = !fenced
+				continue
+			}
+			for _, cmd := range goCmd.FindAllString(line, -1) {
+				for _, m := range pkgPath.FindAllStringSubmatch(cmd, -1) {
+					if fi, err := os.Stat(m[1]); err != nil || !fi.IsDir() {
+						t.Errorf("%s:%d: %q names ./%s, which is not a directory", doc, i+1, strings.TrimSpace(cmd), m[1])
+					}
+				}
+			}
+			code := codeSpan.FindAllString(line, -1)
+			if fenced {
+				code = []string{line}
+			}
+			for _, c := range code {
+				for _, m := range makeCmd.FindAllStringSubmatch(c, -1) {
+					if !targets[m[1]] {
+						t.Errorf("%s:%d: make %s names no Makefile target", doc, i+1, m[1])
+					}
+				}
+			}
+		}
+	}
+}

@@ -46,9 +46,9 @@ func main() {
 	fmt.Printf("auction parameters: n=%d agents, W=%v, c=%d (sigma=%d)\n\n",
 		cfg.N, cfg.W, cfg.C, cfg.Sigma())
 	fmt.Println("victim bids, and the smallest coalition that recovers each:")
-	fmt.Printf("  %-4s  %-22s  %-22s\n", "bid", "via e-poly (Thm 10)", "via f-poly (side channel)")
+	fmt.Printf("  %-4s  %-22s  %s\n", "bid", "via e-poly (Thm 10)", "via f-poly (side channel)")
 	for _, y := range cfg.W {
-		fmt.Printf("  %-4d  %-22d  %-22d\n", y, privacy.MinCoalitionViaE(cfg, y), privacy.MinCoalitionViaF(y))
+		fmt.Printf("  %-4d  %-22d  %d\n", y, privacy.MinCoalitionViaE(cfg, y), privacy.MinCoalitionViaF(y))
 	}
 
 	rng := rand.New(rand.NewSource(7))

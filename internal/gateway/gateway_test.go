@@ -28,15 +28,21 @@ type replica struct {
 
 func (r *replica) url() string { return r.http.URL }
 
-func startReplica(t *testing.T) *replica {
+// startReplica boots one in-process dmwd; each tweak edits its config
+// before server.New.
+func startReplica(t *testing.T, tweaks ...func(*server.Config)) *replica {
 	t.Helper()
-	s, err := server.New(server.Config{
+	cfg := server.Config{
 		Preset:     group.PresetTest64,
 		QueueDepth: 128,
 		Workers:    4,
 		ResultTTL:  time.Minute,
 		Limits:     server.Limits{MaxAgents: 16, MaxTasks: 8},
-	})
+	}
+	for _, tweak := range tweaks {
+		tweak(&cfg)
+	}
+	s, err := server.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package gateway
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"log/slog"
@@ -13,9 +12,9 @@ import (
 	"testing"
 	"time"
 
-	"dmw/internal/group"
 	"dmw/internal/obs"
 	"dmw/internal/server"
+	"dmw/internal/slo"
 )
 
 // syncBuffer is a goroutine-safe log sink for asserting on slog output.
@@ -36,33 +35,6 @@ func (b *syncBuffer) String() string {
 	return b.buf.String()
 }
 
-// startLoggedReplica is startReplica with a structured JSON logger
-// attached, for the correlation-ID integration test.
-func startLoggedReplica(t *testing.T, logs *syncBuffer) *replica {
-	t.Helper()
-	s, err := server.New(server.Config{
-		Preset:     group.PresetTest64,
-		QueueDepth: 128,
-		Workers:    4,
-		ResultTTL:  time.Minute,
-		Limits:     server.Limits{MaxAgents: 16, MaxTasks: 8},
-		Logger:     slog.New(slog.NewJSONHandler(logs, nil)),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Start()
-	r := &replica{srv: s}
-	r.http = httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
-		r.http.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		_ = s.Shutdown(ctx)
-	})
-	return r
-}
-
 // TestGatewayCorrelationAndTrace is the cross-layer integration
 // scenario: one X-Request-Id submitted at the gateway front door must
 // be (a) echoed to the client, (b) visible in the gateway's structured
@@ -72,7 +44,8 @@ func startLoggedReplica(t *testing.T, logs *syncBuffer) *replica {
 // intact parentage and renders as a waterfall.
 func TestGatewayCorrelationAndTrace(t *testing.T) {
 	var gwLogs, repLogs syncBuffer
-	reps := []*replica{startLoggedReplica(t, &repLogs), startLoggedReplica(t, &repLogs)}
+	withLogs := func(cfg *server.Config) { cfg.Logger = slog.New(slog.NewJSONHandler(&repLogs, nil)) }
+	reps := []*replica{startReplica(t, withLogs), startReplica(t, withLogs)}
 	_, front := startGateway(t, reps, func(cfg *Config) {
 		cfg.Logger = slog.New(slog.NewJSONHandler(&gwLogs, nil))
 	})
@@ -246,6 +219,110 @@ func TestGatewayMetricsObservability(t *testing.T) {
 	}
 	if inf != count {
 		t.Errorf("+Inf bucket %g != count %g", inf, count)
+	}
+}
+
+// TestGatewayTailObservability pins the fleet's tail-observability
+// chain over two replicas and a gateway sharing one objective: (a) the
+// burn-rate gauges of both tiers and both replicas' scrape timings are
+// on the fleet exposition, (b) a slow traced job's exemplar rides
+// through the gateway's /metrics and its job ID fetches spans through
+// the gateway, and (c) the gateway's /healthz carries the verdict.
+func TestGatewayTailObservability(t *testing.T) {
+	const objective = "p99<2s@30d"
+	objectives, err := slo.Parse(objective)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withSLO := func(cfg *server.Config) { cfg.SLOs = objectives }
+	reps := []*replica{startReplica(t, withSLO), startReplica(t, withSLO)}
+	_, front := startGateway(t, reps, func(cfg *Config) { cfg.SLOs = objectives })
+
+	waitDone := func(id string) {
+		t.Helper()
+		status, body := getJSON(t, front.URL+"/v1/jobs/"+id+"?wait=30s")
+		var view server.JobView
+		if err := json.Unmarshal(body, &view); status != http.StatusOK || err != nil || view.State != server.StateDone {
+			t.Fatalf("job %s: HTTP %d state %q: %s", id, status, view.State, body)
+		}
+	}
+	submit := func(spec server.JobSpec) string {
+		t.Helper()
+		status, body := postJSON(t, front.URL+"/v1/jobs", spec)
+		var view server.JobView
+		if err := json.Unmarshal(body, &view); status != http.StatusAccepted || err != nil {
+			t.Fatalf("submit: HTTP %d: %s", status, body)
+		}
+		return view.ID
+	}
+	// Plain jobs first, all finished, so none can overwrite the traced
+	// job's exemplar: a bucket keeps its latest observation's exemplar,
+	// and the 50 ms link delay puts the traced job in a bucket of its own.
+	for i := 0; i < 6; i++ {
+		waitDone(submit(tinySpec(int64(950 + i))))
+	}
+	slow := tinySpec(999)
+	slow.Trace = true
+	slow.LinkDelayMS = 50
+	tracedID := submit(slow)
+	waitDone(tracedID)
+
+	status, body := getJSON(t, front.URL+"/metrics")
+	if status != http.StatusOK {
+		t.Fatalf("metrics: HTTP %d", status)
+	}
+	text := string(body)
+
+	// (a) Burn-rate gauges: the gateway's over the fleet-merged series,
+	// the replicas' summed, and a scrape timing per replica.
+	for _, want := range []string{
+		`dmwgw_slo_burn_rate{objective="` + objective + `",window="5m"}`,
+		`dmwgw_slo_compliant{objective="` + objective + `"}`,
+		`dmwgw_fleet_request_seconds_count`,
+		`dmwd_slo_burn_rate{objective="` + objective + `",window="5m"}`,
+		`dmwgw_backend_scrape_seconds{backend="rep0"}`,
+		`dmwgw_backend_scrape_seconds{backend="rep1"}`,
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("fleet exposition missing %s", want)
+		}
+	}
+
+	// (b) The traced job's exemplar passes through the gateway, and its
+	// job ID fetches the spans through the gateway.
+	var traced *obs.Exemplar
+	exs := obs.ParseExemplars(text, "dmwd_job_latency_seconds")
+	for i := range exs {
+		if exs[i].JobID == tracedID {
+			traced = &exs[i]
+		}
+	}
+	if traced == nil {
+		t.Fatalf("no exemplar for traced job %s among %+v", tracedID, exs)
+	}
+	if !traced.Traced {
+		t.Errorf("exemplar %+v not marked traced", *traced)
+	}
+	resp, err := http.Get(front.URL + "/v1/jobs/" + traced.JobID + "/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans, err := obs.ReadJSONL(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || err != nil || len(spans) == 0 {
+		t.Fatalf("trace via gateway: HTTP %d, %d spans, err %v", resp.StatusCode, len(spans), err)
+	}
+
+	// (c) One SLO verdict on the gateway's /healthz.
+	status, body = getJSON(t, front.URL+"/healthz")
+	var health struct {
+		SLO []slo.Verdict `json:"slo"`
+	}
+	if err := json.Unmarshal(body, &health); status != http.StatusOK || err != nil {
+		t.Fatalf("healthz: HTTP %d: %s", status, body)
+	}
+	if len(health.SLO) != 1 || health.SLO[0].Objective != objective {
+		t.Errorf("healthz SLO verdicts %+v, want one for %s", health.SLO, objective)
 	}
 }
 

@@ -444,8 +444,8 @@ const ExemplarPrefix = "# exemplar "
 
 // ParseExemplars extracts the exemplars a Write call rendered for the
 // named series from a text exposition. The inverse of the comment
-// format above; used by tests, dmwload, and the latency smoke to chase
-// an exemplar from /metrics to /v1/jobs/{id}/trace.
+// format above; the tail-observability tests of dmwd and dmwgw use it
+// to chase an exemplar from /metrics to /v1/jobs/{id}/trace.
 func ParseExemplars(exposition, name string) []Exemplar {
 	prefix := ExemplarPrefix + name + "{"
 	var out []Exemplar

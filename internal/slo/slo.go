@@ -19,7 +19,6 @@ package slo
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -332,30 +331,5 @@ func (e *Engine) Verdicts(now time.Time) []Verdict {
 		}
 		out = append(out, v)
 	}
-	return out
-}
-
-// Evaluate scores a finished, fixed-window run (dmwload's whole-run
-// verdicts): no burn windows, just "did the captured distribution meet
-// each objective". Exported for the load harness; daemons use Engine.
-func Evaluate(objectives []Objective, snap obs.HDRSnapshot) []Verdict {
-	out := make([]Verdict, 0, len(objectives))
-	for _, o := range objectives {
-		burn := 0.0
-		if snap.Count > 0 {
-			burn = snap.FracAbove(o.Threshold) / o.Budget()
-		}
-		v := Verdict{
-			Objective: o.Raw,
-			Status:    "ok",
-			Burn5m:    burn, Burn1h: burn, Burn6h: burn,
-			Quantile: snap.Quantile(o.Quantile),
-		}
-		if burn > 1 {
-			v.Status = "breaching"
-		}
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Objective < out[j].Objective })
 	return out
 }

@@ -158,28 +158,3 @@ func TestNilEngineSafe(t *testing.T) {
 		t.Fatal("nil engine wrote gauges")
 	}
 }
-
-func TestEvaluateFixedWindow(t *testing.T) {
-	objs, _ := Parse("p99<100ms@30d,p50<1s@30d")
-	h := obs.NewHDR()
-	for i := 0; i < 95; i++ {
-		h.Observe(0.010)
-	}
-	for i := 0; i < 5; i++ {
-		h.Observe(0.500) // 5% bad for p99 → burn 5; fine for p50
-	}
-	vs := Evaluate(objs, h.Snapshot())
-	if len(vs) != 2 {
-		t.Fatalf("got %d verdicts", len(vs))
-	}
-	byObj := map[string]Verdict{}
-	for _, v := range vs {
-		byObj[v.Objective] = v
-	}
-	if v := byObj["p99<100ms@30d"]; v.Status != "breaching" || v.Burn6h < 4 {
-		t.Fatalf("p99 verdict %+v, want breaching with burn ~5", v)
-	}
-	if v := byObj["p50<1s@30d"]; v.Status != "ok" {
-		t.Fatalf("p50 verdict %+v, want ok", v)
-	}
-}
