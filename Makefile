@@ -109,7 +109,9 @@ obs-smoke:
 # share verification, commit.New, pseudonym powers, wire codec, the
 # in-place scalar kernel, the group's MulInto and multi-exponentiation,
 # bid encoding with share dealing, share evaluation, interpolation, a
-# whole dmw.Run at the benchmark's proto-small shape, and the server's own
+# whole dmw.Run at the benchmark's proto-small shape and at its
+# proto-crypto shape with a coalescer (which is where rebuilding Phase I's
+# public data per run, boxing messages or per-agent state shows), and the server's own
 # per-job work around the run: one Submit and one terminal transition at
 # the fleet-submit shape). The Phase II gates and the powers gate count
 # per call, independent of sigma, so a per-coefficient allocation fails

@@ -265,10 +265,12 @@ func (acc *rlcAcc) appendRequest(req Request) error {
 			return err
 		}
 
-		// A += r7*e*f + r8*e + r9*f ; B += r7*g + (r8+r9)*h.
+		// A += r7*e*f + r8*e + r9*f ; B += r7*g + (r8+r9)*h. A product
+		// never lands in one of its operands: big.Int.Mul would allocate
+		// (unless the other operand is one word, as r7 is on 64-bit words).
 		t1 := &acc.t1
-		t1.Mul(it.S.E, it.S.F)
-		t1.Mul(t1, &acc.r7)
+		acc.t2.Mul(it.S.E, it.S.F)
+		t1.Mul(&acc.t2, &acc.r7)
 		acc.a.Add(&acc.a, t1)
 		t1.Mul(&acc.r8, it.S.E)
 		acc.a.Add(&acc.a, t1)

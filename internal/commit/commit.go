@@ -124,18 +124,10 @@ func (c *Commitments) WireSize() int {
 }
 
 // PowersOf returns [alpha^1, alpha^2, ..., alpha^sigma] mod q, the exponent
-// vector shared by all commitment evaluations at pseudonym alpha.
+// vector shared by all commitment evaluations at pseudonym alpha. The
+// protocol engine reads the pseudonyms' powers from field.Nodes instead.
 func PowersOf(f *field.Field, alpha *big.Int, sigma int) []*big.Int {
-	out := field.Pointers(f.Slab(sigma))
-	if sigma == 0 {
-		return out
-	}
-	var s field.Scratch
-	f.ReduceInto(out[0], alpha, &s)
-	for l := 1; l < sigma; l++ {
-		f.MulInto(out[l], out[l-1], alpha, &s)
-	}
-	return out
+	return f.Powers(alpha, sigma)
 }
 
 // evalVector computes prod_l vec[l-1]^{alphaPowers[l-1]} mod p, i.e. the

@@ -96,7 +96,11 @@ func TestIdentifyWinnerMatchesPerCandidateInterpolation(t *testing.T) {
 			disclosed[k] = row
 		}
 
-		got, err := IdentifyWinner(f, alphas, disclosers, disclosed)
+		rows := make([][]*big.Int, len(disclosers))
+		for i, k := range disclosers {
+			rows[i] = disclosed[k]
+		}
+		got, err := IdentifyWinner(f, alphas, disclosers, rows)
 		if err != nil {
 			t.Fatal(err)
 		}

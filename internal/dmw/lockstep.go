@@ -82,8 +82,7 @@ func (ls *lockstep) run(agents []agentRun, verifier *commit.Coalescer) error {
 				firstErr = err
 			}
 			ls.Crash(i)
-			a.view = &AuctionOutcome{Task: a.env.task, Aborted: true, AbortReason: "internal error", Winner: -1}
-			a.state = stDone
+			a.finish(a.aborted("internal error"))
 		case y == yieldVerify:
 			waiting = append(waiting, i)
 		case y == yieldRound:

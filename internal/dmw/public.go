@@ -89,21 +89,18 @@ func (p *auctionPublic) resolve(g *group.Group, r *commit.Resolver, lambdas []*b
 }
 
 // winner is commit.IdentifyWinner, once per discloser list and the
-// disclosers' vectors of objects.
-func (p *auctionPublic) winner(f *field.Field, alphas []*big.Int, disclosers []int, disclosed map[int][]*big.Int) (int, error) {
+// disclosers' vectors of objects. The entry keeps both slices, which their
+// caller does not write again.
+func (p *auctionPublic) winner(f *field.Field, alphas []*big.Int, disclosers []int, rows [][]*big.Int) (int, error) {
 	if p == nil {
-		return commit.IdentifyWinner(f, alphas, disclosers, disclosed)
-	}
-	rows := make([][]*big.Int, len(disclosers))
-	for i, k := range disclosers {
-		rows[i] = disclosed[k]
+		return commit.IdentifyWinner(f, alphas, disclosers, rows)
 	}
 	v, ok := find(p.winners, func(w winnerKey) bool {
 		return slices.Equal(w.disclosers, disclosers) && slices.EqualFunc(w.rows, rows, slices.Equal[[]*big.Int])
 	})
 	if !ok {
-		v.v, v.err = commit.IdentifyWinner(f, alphas, disclosers, disclosed)
-		p.winners = append(p.winners, keyed[winnerKey, verdict]{winnerKey{slices.Clone(disclosers), rows}, v})
+		v.v, v.err = commit.IdentifyWinner(f, alphas, disclosers, rows)
+		p.winners = append(p.winners, keyed[winnerKey, verdict]{winnerKey{disclosers, rows}, v})
 	}
 	return v.v, v.err
 }

@@ -55,8 +55,9 @@ func newFixedBase(m *mont.Ctx, base, q *big.Int) *fixedBase {
 	return fb
 }
 
-// exp computes base^e mod p for a reduced exponent e in [0, q).
-func (fb *fixedBase) exp(e *big.Int) *big.Int {
+// exp sets z = base^e mod p for a reduced exponent e in [0, q) and
+// returns z.
+func (fb *fixedBase) exp(z, e *big.Int) *big.Int {
 	m := fb.m
 	ws := m.Acquire()
 	acc := ws.Acc
@@ -73,7 +74,7 @@ func (fb *fixedBase) exp(e *big.Int) *big.Int {
 		}
 		m.Mul(acc, acc, fb.table[i][d], ws.T)
 	}
-	out := m.FromMontInto(new(big.Int), acc, ws.T)
+	out := m.FromMontInto(z, acc, ws.T)
 	m.Release(ws)
 	return out
 }

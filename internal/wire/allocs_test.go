@@ -41,6 +41,7 @@ func TestAllocBudgetEncode(t *testing.T) {
 	msgs := []transport.Message{
 		cm,
 		{From: 1, To: 2, Kind: transport.KindLambdaPsi, Payload: dmw.LambdaPsiPayload{Lambda: big.NewInt(99), Psi: big.NewInt(77)}},
+		{From: 1, To: 2, Kind: transport.KindLambdaPsi, Payload: &dmw.LambdaPsiPayload{Lambda: big.NewInt(99), Psi: big.NewInt(77)}},
 		{From: 0, To: 1, Kind: transport.KindBid, Payload: nil},
 	}
 	for _, m := range msgs {
