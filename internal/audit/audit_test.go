@@ -242,10 +242,11 @@ func chanceTranscript(t *testing.T, d0 int) (*protocol.Transcript, bidcode.Confi
 	for k := range alphas {
 		at.Lambda[k], at.Psi[k] = pair(k, -1)
 	}
-	r, err := commit.NewResolver(f, cfg.DegreeCandidates(), alphas)
+	nodes, err := f.Nodes(len(alphas), cfg.Sigma())
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := commit.ResolverOver(cfg.DegreeCandidates(), nodes)
 	first, err := r.Resolve(g, at.Lambda)
 	if err != nil {
 		t.Fatal(err)

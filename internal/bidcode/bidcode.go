@@ -225,16 +225,9 @@ func (b *EncodedBid) SharesFor(alphas []*big.Int) []Share {
 }
 
 // Pseudonyms returns the canonical pseudonym set A = {alpha_1..alpha_n}
-// published in Phase I: alpha_i = i+1 reduced into Z_q. The values only
+// published in Phase I: alpha_i = i+1 (field.Pseudonyms). The values only
 // need to be distinct and nonzero; small integers keep interpolation
 // cheap. An error is returned if n >= q (pseudonyms would collide).
 func Pseudonyms(f *field.Field, n int) ([]*big.Int, error) {
-	if big.NewInt(int64(n)).Cmp(f.Q()) >= 0 {
-		return nil, fmt.Errorf("bidcode: %d pseudonyms do not fit in Z_q", n)
-	}
-	out := make([]*big.Int, n)
-	for i := range out {
-		out[i] = big.NewInt(int64(i + 1))
-	}
-	return out, nil
+	return f.Pseudonyms(n)
 }

@@ -131,10 +131,11 @@ func TestResolveMatchesScan(t *testing.T) {
 			t.Fatal(err)
 		}
 		cands := cfg.DegreeCandidates()
-		r, err := NewResolver(g.Scalars(), cands, alphas)
+		nodes, err := g.Scalars().Nodes(len(alphas), cfg.Sigma())
 		if err != nil {
 			t.Fatal(err)
 		}
+		r := ResolverOver(cands, nodes)
 		// Draw from a narrow slice of W so that ties are common.
 		lo := rng.Intn(len(w))
 		hi := lo + 1 + rng.Intn(min(2, len(w)-lo))
@@ -180,10 +181,11 @@ func TestResolveTooFewAgents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewResolver(g.Scalars(), cfg.DegreeCandidates(), alphas)
+	nodes, err := g.Scalars().Nodes(len(alphas), cfg.Sigma())
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := ResolverOver(cfg.DegreeCandidates(), nodes)
 	lambdas := summedLambdas(t, g, cfg, alphas, []int{1, 3, 5, 2}, -1, rand.New(rand.NewSource(3)))
 	checkAgainstScan(t, g, r, cfg.DegreeCandidates(), alphas, lambdas, "n=4")
 	if _, err := r.Resolve(g, lambdas); err == nil || err.Error() !=
@@ -219,10 +221,11 @@ func FuzzResolveDegree(f *testing.F) {
 			t.Fatal(err)
 		}
 		cands := cfg.DegreeCandidates()
-		r, err := NewResolver(g.Scalars(), cands, alphas)
+		nodes, err := g.Scalars().Nodes(len(alphas), cfg.Sigma())
 		if err != nil {
 			t.Fatal(err)
 		}
+		r := ResolverOver(cands, nodes)
 		rng := rand.New(rand.NewSource(seed))
 		bids := make([]int, cfg.N)
 		for i := range bids {

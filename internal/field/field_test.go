@@ -305,3 +305,41 @@ func TestFieldAxiomsProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestNodesGrowsAndViews: the table holds a rho vector only for degrees
+// below both n and sigma, keeps every earlier request's values when it
+// grows in either direction, and refuses more pseudonyms than Z_q holds.
+func TestNodesGrowsAndViews(t *testing.T) {
+	f := testField(t)
+	for _, c := range []struct{ n, sigma int }{{8, 3}, {5, 6}, {8, 3}, {2, 9}} {
+		nd, err := f.Nodes(c.n, c.sigma)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(nd.Alphas) != c.n || len(nd.Powers) != c.n || len(nd.Rhos) != min(c.n, c.sigma) {
+			t.Fatalf("Nodes(%d, %d): %d alphas, %d power rows, %d rho vectors", c.n, c.sigma, len(nd.Alphas), len(nd.Powers), len(nd.Rhos))
+		}
+		for k, a := range nd.Alphas {
+			if a.Int64() != int64(k+1) || len(nd.Powers[k]) != c.sigma {
+				t.Fatalf("Nodes(%d, %d): alpha_%d = %v with %d powers", c.n, c.sigma, k, a, len(nd.Powers[k]))
+			}
+			if got, want := nd.Powers[k][c.sigma-1], new(big.Int).Exp(a, big.NewInt(int64(c.sigma)), testQ); got.Cmp(want) != 0 {
+				t.Fatalf("Nodes(%d, %d): alpha_%d^sigma = %v, want %v", c.n, c.sigma, k, got, want)
+			}
+		}
+		for d, rho := range nd.Rhos {
+			want, err := f.LagrangeAtZero(nd.Alphas[:d+1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if rho[i].Cmp(want[i]) != 0 {
+					t.Fatalf("Nodes(%d, %d): rho_%d[%d] = %v, want %v", c.n, c.sigma, d, i, rho[i], want[i])
+				}
+			}
+		}
+	}
+	if _, err := f.Nodes(1009, 1); err == nil {
+		t.Error("Nodes accepted as many pseudonyms as q")
+	}
+}

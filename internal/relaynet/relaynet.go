@@ -270,7 +270,7 @@ func (r *Relay) route(m transport.Message) {
 	if err := r.round.Send(m.From, m.To, m.Kind, m.Task, m.Payload); err != nil || m.To == m.From {
 		return
 	}
-	if p, ok := m.Payload.(dmw.PaymentClaimPayload); ok {
+	if p, ok := m.Payload.(*dmw.PaymentClaimPayload); ok {
 		if _, seen := r.claims[m.From]; !seen {
 			r.claims[m.From] = append([]int64(nil), p.Payments...)
 		}
