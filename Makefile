@@ -97,9 +97,10 @@ e2e-tenant:
 e2e-elastic:
 	$(GO) test -race -run 'TestE2EElastic' -v -count=1 ./internal/gateway
 
-# obs-smoke boots a REAL dmwd process (JSON logs, -addr :0), submits a
-# traced job over HTTP, asserts the trace endpoint serves at least one
-# span per DMW phase, SIGTERMs the daemon, and checks that it exits
+# obs-smoke boots a REAL dmwd process (JSON logs, -addr :0, -pprof-addr
+# 127.0.0.1:0), gets a 200 from /debug/pprof/ at the address the daemon
+# logs, submits a traced job over HTTP, asserts the trace endpoint serves
+# at least one span per DMW phase, SIGTERMs the daemon, and checks that it exits
 # cleanly and that every log line parses as JSON. Runs under -race so a
 # leaked shutdown goroutine fails loudly; CI runs this on every push.
 obs-smoke:
@@ -111,9 +112,11 @@ obs-smoke:
 # bid encoding with share dealing, share evaluation, interpolation, a
 # whole dmw.Run at the benchmark's proto-small shape and at its
 # proto-crypto shape with a coalescer (which is where rebuilding Phase I's
-# public data per run, boxing messages or per-agent state shows), and the server's own
-# per-job work around the run: one Submit and one terminal transition at
-# the fleet-submit shape). The Phase II gates and the powers gate count
+# public data per run, boxing messages, per-agent state or a scratch per
+# agent's share dealing shows), the server's own per-job work around the
+# run (one Submit and one terminal transition at the fleet-submit shape),
+# and the job record's codec (one encode, one replica accept of a
+# terminal record with its transcript). The Phase II gates and the powers gate count
 # per call, independent of sigma, so a per-coefficient allocation fails
 # them at once.
 # Runs WITHOUT -race: the race detector's instrumentation allocates, so
@@ -145,12 +148,14 @@ bench-smoke:
 # segment bytes: the data dir is input from outside the program.
 # FuzzDecodeRecord feeds arbitrary bytes to dmwd's one job-record
 # decoder (WAL entries and replica payloads are input from outside the
-# program too). FuzzResolveDegree checks the bisecting degree resolver
+# program too), FuzzTranscriptRoundTrip to the transcript codec inside
+# the record frame. FuzzResolveDegree checks the bisecting degree resolver
 # against the ascending-scan oracle; FuzzMontMul checks the fixed-width
 # Montgomery kernels against the generic loop and big.Int.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzDecodeMessage -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzJobFrameRoundTrip -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run xxx -fuzz FuzzTranscriptRoundTrip -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzMultiExp -fuzztime $(FUZZTIME) ./internal/group
 	$(GO) test -run xxx -fuzz FuzzMontMul -fuzztime $(FUZZTIME) ./internal/mont
 	$(GO) test -run xxx -fuzz FuzzResolveDegree -fuzztime $(FUZZTIME) ./internal/commit

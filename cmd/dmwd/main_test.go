@@ -8,7 +8,9 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -31,6 +33,7 @@ func TestMain(m *testing.M) {
 			"-log-format", "json",
 			"-log-level", "debug",
 			"-drain-timeout", "20s",
+			"-pprof-addr", "127.0.0.1:0",
 		}
 		if err := run(); err != nil {
 			fmt.Fprintln(os.Stderr, "dmwd child:", err)
@@ -41,11 +44,34 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// syncBuffer is the child's stderr: the test reads it while the copier
+// goroutine of exec.Cmd still writes it.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (s *syncBuffer) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *syncBuffer) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
+}
+
+var pprofLine = regexp.MustCompile(`pprof listening on (http://[^"]+/debug/pprof/)`)
+
 // TestObsSmoke is the `make obs-smoke` scenario against a real daemon
-// process: boot dmwd with JSON logs, submit one traced job over HTTP,
-// assert the trace endpoint serves at least one span for every DMW
-// phase (I–IV), SIGTERM the daemon, verify it exits cleanly, and
-// verify every log line it wrote parses as a JSON object.
+// process: boot dmwd with JSON logs and -pprof-addr 127.0.0.1:0, get a
+// 200 from the profiler at the address its "pprof listening on" line
+// names, submit one traced job over HTTP, assert the trace endpoint
+// serves at least one span for every DMW phase (I–IV), SIGTERM the
+// daemon, verify it exits cleanly, and verify every log line it wrote
+// parses as a JSON object.
 func TestObsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns a real daemon process")
@@ -53,7 +79,7 @@ func TestObsSmoke(t *testing.T) {
 	dir := t.TempDir()
 	cmd := exec.Command(os.Args[0])
 	cmd.Env = append(os.Environ(), smokeChildEnv+"="+dir)
-	var stderr bytes.Buffer
+	var stderr syncBuffer
 	cmd.Stderr = &stderr
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
@@ -74,9 +100,27 @@ func TestObsSmoke(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 
+	// The profiler serves on the address its log line names.
+	var pprofURL string
+	for deadline := time.Now().Add(20 * time.Second); pprofURL == ""; time.Sleep(20 * time.Millisecond) {
+		if m := pprofLine.FindStringSubmatch(stderr.String()); m != nil {
+			pprofURL = m[1]
+		} else if time.Now().After(deadline) {
+			t.Fatalf("no pprof listening line; stderr:\n%s", stderr.String())
+		}
+	}
+	resp, err := http.Get(pprofURL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: HTTP %d, want 200", pprofURL, resp.StatusCode)
+	}
+
 	// Submit one traced job and wait for it.
 	spec := `{"bids":[[3],[1],[2],[3]],"w":[1,2,3],"seed":1,"trace":true}`
-	resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(spec))
+	resp, err = http.Post(base+"/v1/jobs", "application/json", strings.NewReader(spec))
 	if err != nil {
 		t.Fatal(err)
 	}

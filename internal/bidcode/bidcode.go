@@ -205,20 +205,28 @@ func (b *EncodedBid) ShareFor(alpha *big.Int) Share {
 	return b.SharesFor([]*big.Int{alpha})[0]
 }
 
-// SharesFor evaluates the polynomials at every pseudonym in order: four
-// Horner evaluations per pseudonym over one scratch, into one slab of
-// 4*len(alphas) values.
+// SharesFor is SharesWith over a scratch of its own, whose Horner
+// accumulator and staging product grow on first use (two allocations).
 func (b *EncodedBid) SharesFor(alphas []*big.Int) []Share {
 	var s field.Scratch
+	return b.SharesWith(alphas, &s)
+}
+
+// SharesWith evaluates the polynomials at every pseudonym in order: four
+// Horner evaluations per pseudonym over the caller's scratch s, into one
+// slab of 4*len(alphas) values. A caller dealing many bids (the engine
+// deals every agent's of an auction over one scratch) pays for the
+// scratch's words once.
+func (b *EncodedBid) SharesWith(alphas []*big.Int, s *field.Scratch) []Share {
 	vs := b.E.Field().Slab(4 * len(alphas))
 	out := make([]Share, len(alphas))
 	for i, a := range alphas {
 		v := vs[4*i : 4*i+4]
 		out[i] = Share{
-			E: b.E.EvalInto(&v[0], a, &s),
-			F: b.F.EvalInto(&v[1], a, &s),
-			G: b.G.EvalInto(&v[2], a, &s),
-			H: b.H.EvalInto(&v[3], a, &s),
+			E: b.E.EvalInto(&v[0], a, s),
+			F: b.F.EvalInto(&v[1], a, s),
+			G: b.G.EvalInto(&v[2], a, s),
+			H: b.H.EvalInto(&v[3], a, s),
 		}
 	}
 	return out

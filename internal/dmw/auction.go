@@ -150,8 +150,11 @@ type agentRun struct {
 	// sp the payloads that publish them.
 	own  []big.Int
 	sums [2]big.Int
-	lp   LambdaPsiPayload
-	sp   SecondPricePayload
+	// scratch is the auction's: its agents step on one goroutine (in a
+	// session, the agent is alone), so they share its grown words.
+	scratch *field.Scratch
+	lp      LambdaPsiPayload
+	sp      SecondPricePayload
 
 	abortSeen   bool
 	abortReason string
@@ -209,10 +212,12 @@ type agentRun struct {
 }
 
 // carve gives each of an auction's agents (n in a Run, one in a session)
-// its rows of one slab per kind of agent state, so an auction allocates
-// once per kind of state, not once per agent. Call it after init.
+// its rows of one slab per kind of agent state, and one scratch for them
+// all, so an auction allocates once per kind of state, not once per
+// agent. Call it after init.
 func carve(g *group.Group, agents []agentRun, n int) {
 	k := len(agents) * n
+	scratch := new(field.Scratch)
 	shares, dealt, comms := make([]*bidcode.Share, k), make([]SharePayload, k), make([]*commit.Commitments, k)
 	values, vectors, own := make([]*big.Int, 4*k), make([][]*big.Int, 3*k), g.Slab(4*len(agents))
 	ints, flags, items := make([]int, k), make([]bool, k), make([]commit.BatchItem, k)
@@ -222,6 +227,7 @@ func carve(g *group.Group, agents []agentRun, n int) {
 		a.lambdas, a.psis, a.barLambda, a.barPsi = take(&values, n), take(&values, n), take(&values, n), take(&values, n)
 		a.valid, a.disclosed, a.rows = take(&vectors, n), take(&vectors, n), take(&vectors, n)
 		a.disclosers, a.attempted, a.items = take(&ints, n), take(&flags, n), take(&items, n)
+		a.scratch = scratch
 	}
 }
 
@@ -432,7 +438,7 @@ func (a *agentRun) bid1() error {
 		a.hooks.TamperCommitments(env.task, a.myComms)
 	}
 
-	shares := enc.SharesFor(env.alphas)
+	shares := enc.SharesWith(env.alphas, a.scratch)
 	for to := 0; to < env.n; to++ {
 		if to == a.me {
 			continue
@@ -642,13 +648,12 @@ func (a *agentRun) stepResolve() (yield, error) {
 // pair).
 func (a *agentRun) lambdaPsi(exclude int, lambda, psi *big.Int) (*big.Int, *big.Int) {
 	esum, hsum := a.sums[0].SetUint64(0), a.sums[1].SetUint64(0)
-	var s field.Scratch
 	for k, sh := range a.shares {
 		if k == exclude || sh == nil {
 			continue
 		}
-		a.f.AddInto(esum, esum, sh.E, &s)
-		a.f.AddInto(hsum, hsum, sh.H, &s)
+		a.f.AddInto(esum, esum, sh.E, a.scratch)
+		a.f.AddInto(hsum, hsum, sh.H, a.scratch)
 	}
 	return a.g.Pow1Into(lambda, esum), a.g.Pow2Into(psi, hsum)
 }

@@ -55,11 +55,12 @@ func lastRecord(t *testing.T, entries []journal.Entry, id string) (jobRecord, []
 	var last jobRecord
 	var raw []byte
 	for _, e := range entries {
-		var r jobRecord
-		if e.Kind != recKindJob || json.Unmarshal(e.Data, &r) != nil || r.ID != id {
+		if e.Kind != recKindJob {
 			continue
 		}
-		last, raw = r, e.Data
+		if r, err := decodeRecord(e.Data); err == nil && r.ID == id {
+			last, raw = *r, e.Data
+		}
 	}
 	if raw == nil {
 		t.Fatalf("no record for %s in the WAL", id)

@@ -8,6 +8,7 @@ import (
 	protocol "dmw/internal/dmw"
 	"dmw/internal/journal"
 	"dmw/internal/tenant"
+	"dmw/internal/wire"
 )
 
 // recKindJob tags the one record dmwd journals: a full jobRecord,
@@ -18,7 +19,9 @@ import (
 const recKindJob byte = 1
 
 // jobRecord is the durable form of a Job: the WAL entry and the replica
-// payload. Timestamps are absolute so the TTL clock survives restarts:
+// payload, encoded as a wire record frame (the JSON tags name the fields
+// of the JSON records older builds wrote, which decodeRecord still
+// reads). Timestamps are absolute so the TTL clock survives restarts:
 // Expires is measured from completion, not from recovery (see the TTL
 // contract in store.go). Transcripts ride the terminal record, so a
 // transcript the client was told exists survives kill -9, and the
@@ -95,10 +98,12 @@ func (r *jobRecord) servable(now time.Time) bool {
 	return !r.Expires.IsZero() && !now.After(r.Expires)
 }
 
-// encodeRecord is the one place a jobRecord is marshalled: the bytes it
-// returns are the WAL entry and the replica payload.
+// encodeRecord is the one place a jobRecord is encoded: the frame it
+// returns (wire.EncodeRecord) is the WAL entry and the replica payload.
 func encodeRecord(r jobRecord) ([]byte, error) {
-	data, err := json.Marshal(r)
+	data, err := wire.EncodeRecord(&wire.JobRecord{ID: r.ID, State: string(r.State), Error: r.Error,
+		Spec: SpecToWire(r.Spec), Bids: r.Bids, Result: (*wire.Result)(r.Result), Transcript: r.Transcript,
+		Submitted: r.Submitted, Started: r.Started, Finished: r.Finished, Expires: r.Expires})
 	if err != nil {
 		return nil, fmt.Errorf("server: encoding job record %s: %w", r.ID, err)
 	}
@@ -106,17 +111,32 @@ func encodeRecord(r jobRecord) ([]byte, error) {
 }
 
 // decodeRecord is encodeRecord's inverse and the one place a jobRecord
-// is unmarshalled. WAL entries and replica payloads are both input from
-// outside the program, so it refuses an ID admission would refuse.
+// is decoded. WAL entries and replica payloads are both input from
+// outside the program, so it refuses an ID admission would refuse. A
+// payload opening with '{' is a JSON record (what builds before the
+// frame wrote, and still push): it is read, never written, by way of a
+// frame, so it decodes to exactly what a frame would have carried.
 func decodeRecord(data []byte) (*jobRecord, error) {
-	r := new(jobRecord)
-	if err := json.Unmarshal(data, r); err != nil {
+	if len(data) > 0 && data[0] == '{' {
+		var legacy jobRecord
+		if err := json.Unmarshal(data, &legacy); err != nil {
+			return nil, fmt.Errorf("server: decoding job record: %w", err)
+		}
+		var err error
+		if data, err = encodeRecord(legacy); err != nil {
+			return nil, err
+		}
+	}
+	w, err := wire.DecodeRecord(data)
+	if err != nil {
 		return nil, fmt.Errorf("server: decoding job record: %w", err)
 	}
-	if !validJobID(r.ID) {
-		return nil, fmt.Errorf("server: decoding job record: id %q invalid", r.ID)
+	if !validJobID(w.ID) {
+		return nil, fmt.Errorf("server: decoding job record: id %q invalid", w.ID)
 	}
-	return r, nil
+	return &jobRecord{ID: w.ID, State: JobState(w.State), Error: w.Error,
+		Spec: SpecFromWire(w.Spec), Bids: w.Bids, Result: (*JobResult)(w.Result), Transcript: w.Transcript,
+		Submitted: w.Submitted, Started: w.Started, Finished: w.Finished, Expires: w.Expires}, nil
 }
 
 // replayEntries folds a recovery's entry stream into the final per-job

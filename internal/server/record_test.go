@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -229,10 +230,11 @@ func recordHistory(t *testing.T, seed int64) {
 }
 
 // FuzzDecodeRecord: WAL entries and replica payloads are input from
-// outside the program, and decodeRecord is the one way in for both.
-// Whatever the bytes, it (and servable) either refuses them or yields a
-// record that re-encodes, decodes back to the same record, and rebuilds
-// a job whose View does not panic.
+// outside the program, and decodeRecord is the one way in for both, the
+// record frame and the JSON record older builds wrote alike (the corpus
+// seeds both). Whatever the bytes, it (and servable) either refuses them
+// or yields a record that re-encodes to a frame, decodes back to the same
+// record, and rebuilds a job whose View does not panic.
 func FuzzDecodeRecord(f *testing.F) {
 	spec := JobSpec{ID: "fuzz-1", Random: &RandomSpec{Agents: 4, Tasks: 1}, W: []int{1, 2, 3}, Seed: 7, Record: true}
 	bids, err := spec.materialize(Limits{})
@@ -257,7 +259,12 @@ func FuzzDecodeRecord(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
+		legacy, err := json.Marshal(r)
+		if err != nil {
+			f.Fatal(err)
+		}
 		f.Add(data)
+		f.Add(legacy)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := decodeRecord(data)

@@ -1,23 +1,38 @@
 // Frames: the intra-fleet binary encoding on the fleet's existing HTTP
 // endpoints (gateway→dmwd job submits, dmwd→dmwd replica write-through;
-// the result frame has no endpoint left, see ResultItem). JSON is the
-// external representation only; the fleet speaks frames to itself
-// unconditionally — there is no negotiation and no JSON fallback
-// between fleet members.
+// the result frame has no endpoint left, see ResultItem) and of dmwd's
+// job record. JSON is the external representation only; the fleet speaks
+// frames to itself unconditionally — there is no negotiation and no
+// JSON fallback between fleet members.
 //
 //	frame    := 'D' 'W' version:u8 type:u8 count:u32 item*   (version 2)
 //	str      := len:u16 utf8
 //	blob     := len:u32 bytes
 //	i64      := 8 bytes big-endian (two's complement)
 //	f64      := IEEE-754 bits, big-endian
+//	flag     := u8 (0 or 1)
+//	ints     := count:u16 i64*         vec := count:u16 bigint*   (bigint: wire.go)
 //
 //	job      := id:str rid:str tenant:str flags:u8
 //	            c:i64 seed:i64 parallelism:i64 linkDelayMS:f64
 //	            w:(count:u16 i64*)
 //	            random? agents:u32 tasks:u32
-//	            bids?   rows:u16 (cols:u16 i64*)*
+//	            bids?   bids
+//	bids     := rows:u16 (cols:u16 i64*)*
 //	result   := status:u16 retryAfterSec:u32 errMsg:str body:blob
 //	record   := id:str origin:str epoch:u64 payload:blob
+//	jobrec   := id:str state:str error:str spec:job bids (unixSec:i64 nsec:u32){4}
+//	            flag [schedule:ints aborted:ints (payments first second utilities):ints
+//	                  matches:flag (messages wireBytes rounds):i64 (exp mul multiExps terms):u64]
+//	            flag [slots:u32 words:u32 w:ints c:i64 n:i64 (count:u16 auction*)
+//	                  (count:u16 (from:i64 payments:ints)*)]
+//	auction  := task:i64 (count:u16 (sigma:u16 bigint{3 sigma})*) lambda:vec psi:vec
+//	            (count:u16 (agent:i64 vec)*) barLambda:vec barPsi:vec
+//	            task:i64 aborted:flag reason:str winner:i64 first:i64 second:i64
+//
+// A jobrec frame (type 4, one item) is dmwd's job record: the times
+// are submitted, started, finished, expires; a count or sigma of 0xFFFF
+// marks a nil list or a withheld commitment (docs/DURABILITY.md).
 //
 // The job codec round-trips the UNVALIDATED client spec (the server
 // still runs the same validation it runs on JSON input), so integer
@@ -50,15 +65,13 @@ const (
 
 // Frame type tags (byte 3 of the header).
 const (
-	frameJobs    uint8 = 1
-	frameResults uint8 = 2
-	frameRecords uint8 = 3
+	frameJobs      uint8 = 1
+	frameResults   uint8 = 2
+	frameRecords   uint8 = 3
+	frameJobRecord uint8 = 4
 )
 
-const (
-	frameVersion    uint8 = 2
-	frameHeaderSize       = 2 + 1 + 1 + 4 // magic, version, type, count
-)
+const frameVersion uint8 = 2
 
 // Job spec flag bits.
 const (
@@ -132,47 +145,6 @@ func framef(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrFrame, fmt.Sprintf(format, args...))
 }
 
-// --- sizing -----------------------------------------------------------
-
-func strSize(s string) (int, error) {
-	if len(s) > math.MaxUint16 {
-		return 0, fmt.Errorf("wire: string field of %d bytes exceeds frame limit", len(s))
-	}
-	return 2 + len(s), nil
-}
-
-// jobSize computes one job item's exact wire footprint, rejecting
-// anything the fill pass cannot represent.
-func jobSize(j *Job) (int, error) {
-	size := 1 + 4*8 // flags + c, seed, parallelism, linkDelayMS
-	for _, s := range []string{j.ID, j.RequestID, j.Tenant} {
-		n, err := strSize(s)
-		if err != nil {
-			return 0, err
-		}
-		size += n
-	}
-	if len(j.W) > math.MaxUint16 {
-		return 0, fmt.Errorf("wire: w of %d entries exceeds frame limit", len(j.W))
-	}
-	size += 2 + 8*len(j.W)
-	if j.Random {
-		size += 4 + 4
-	} else {
-		if len(j.Bids) > math.MaxUint16 {
-			return 0, fmt.Errorf("wire: bid matrix of %d rows exceeds frame limit", len(j.Bids))
-		}
-		size += 2
-		for _, row := range j.Bids {
-			if len(row) > math.MaxUint16 {
-				return 0, fmt.Errorf("wire: bid row of %d entries exceeds frame limit", len(row))
-			}
-			size += 2 + 8*len(row)
-		}
-	}
-	return size, nil
-}
-
 // --- encode -----------------------------------------------------------
 
 func (a *appender) header(ftype uint8, count int) {
@@ -184,13 +156,28 @@ func (a *appender) header(ftype uint8, count int) {
 }
 
 func (a *appender) str(s string) {
-	a.u16(uint16(len(s)))
-	a.b = append(a.b, s...)
+	a.len16(len(s), "string field", "bytes")
+	a.n += len(s)
+	if !a.sizing {
+		a.b = append(a.b, s...)
+	}
 }
 
 func (a *appender) blob(b []byte) {
 	a.u32(uint32(len(b)))
-	a.b = append(a.b, b...)
+	a.n += len(b)
+	if !a.sizing {
+		a.b = append(a.b, b...)
+	}
+}
+
+// len16 writes a length the frame carries in a u16, refusing one it
+// cannot hold.
+func (a *appender) len16(n int, what, unit string) {
+	if n > math.MaxUint16 {
+		a.fail(fmt.Errorf("wire: %s of %d %s exceeds frame limit", what, n, unit))
+	}
+	a.u16(uint16(n))
 }
 
 func (a *appender) i64(v int64) { a.u64(uint64(v)) }
@@ -220,7 +207,7 @@ func (a *appender) job(j *Job) {
 	a.i64(j.Seed)
 	a.i64(int64(j.Parallelism))
 	a.f64(j.LinkDelayMS)
-	a.u16(uint16(len(j.W)))
+	a.len16(len(j.W), "w", "entries")
 	for _, v := range j.W {
 		a.i64(int64(v))
 	}
@@ -229,9 +216,14 @@ func (a *appender) job(j *Job) {
 		a.u32(uint32(int32(j.RandomTasks)))
 		return
 	}
-	a.u16(uint16(len(j.Bids)))
-	for _, row := range j.Bids {
-		a.u16(uint16(len(row)))
+	a.bids(j.Bids)
+}
+
+// bids writes a (possibly ragged) bid matrix row by row.
+func (a *appender) bids(m [][]int) {
+	a.len16(len(m), "bid matrix", "rows")
+	for _, row := range m {
+		a.len16(len(row), "bid row", "entries")
 		for _, v := range row {
 			a.i64(int64(v))
 		}
@@ -245,15 +237,15 @@ func EncodeJobFrame(jobs []Job) ([]byte, error) {
 	if len(jobs) > maxFrameItems {
 		return nil, fmt.Errorf("wire: %d jobs exceeds frame limit", len(jobs))
 	}
-	size := frameHeaderSize
+	size := appender{sizing: true}
+	size.header(frameJobs, len(jobs))
 	for i := range jobs {
-		n, err := jobSize(&jobs[i])
-		if err != nil {
-			return nil, err
-		}
-		size += n
+		size.job(&jobs[i])
 	}
-	a := appender{b: make([]byte, 0, size)}
+	if size.err != nil {
+		return nil, size.err
+	}
+	a := appender{b: make([]byte, 0, size.n)}
 	a.header(frameJobs, len(jobs))
 	for i := range jobs {
 		a.job(&jobs[i])
@@ -296,16 +288,13 @@ func AppendRecordFrame(dst []byte, recs []Record) ([]byte, error) {
 	a := appender{b: dst}
 	a.header(frameRecords, len(recs))
 	for i := range recs {
-		if _, err := strSize(recs[i].ID); err != nil {
-			return nil, err
-		}
-		if _, err := strSize(recs[i].Origin); err != nil {
-			return nil, err
-		}
 		a.str(recs[i].ID)
 		a.str(recs[i].Origin)
 		a.u64(recs[i].Epoch)
 		a.blob(recs[i].Payload)
+	}
+	if a.err != nil {
+		return nil, a.err
 	}
 	return a.b, nil
 }
@@ -365,6 +354,65 @@ func frameHeader(r *reader, want uint8) (int, error) {
 	return count, nil
 }
 
+// job decodes one job item into j; a count the input cannot hold
+// latches r.err before anything is allocated for it.
+func (r *reader) job(j *Job) {
+	j.ID = r.str()
+	j.RequestID = r.str()
+	j.Tenant = r.str()
+	flags := r.u8()
+	j.Random = flags&jfRandom != 0
+	j.Record = flags&jfRecord != 0
+	j.CountOps = flags&jfCountOps != 0
+	j.Trace = flags&jfTrace != 0
+	j.C = int(r.i64())
+	j.Seed = r.i64()
+	j.Parallelism = int(r.i64())
+	j.LinkDelayMS = r.f64()
+	nw := int(r.u16())
+	if r.err || nw*8 > r.remaining() {
+		r.err = true
+		return
+	}
+	if nw > 0 {
+		j.W = make([]int, nw)
+		for k := range j.W {
+			j.W[k] = int(r.i64())
+		}
+	}
+	if j.Random {
+		j.RandomAgents = int(int32(r.u32()))
+		j.RandomTasks = int(int32(r.u32()))
+		return
+	}
+	j.Bids = r.bids()
+}
+
+// bids reads a bid matrix; an empty one decodes as nil.
+func (r *reader) bids() [][]int {
+	rows := int(r.u16())
+	if r.err || rows*2 > r.remaining() {
+		r.err = true
+		return nil
+	}
+	if rows == 0 {
+		return nil
+	}
+	m := make([][]int, rows)
+	for ri := range m {
+		cols := int(r.u16())
+		if r.err || cols*8 > r.remaining() {
+			r.err = true
+			return nil
+		}
+		m[ri] = make([]int, cols)
+		for k := range m[ri] {
+			m[ri][k] = int(r.i64())
+		}
+	}
+	return m
+}
+
 // minJobItemSize is the floor footprint of one encoded job (all
 // strings empty, W empty, explicit shape with zero bid rows); used to
 // bound the item-slice preallocation against crafted counts.
@@ -384,53 +432,7 @@ func DecodeJobFrame(b []byte) ([]Job, error) {
 	}
 	jobs := make([]Job, count)
 	for i := range jobs {
-		j := &jobs[i]
-		j.ID = r.str()
-		j.RequestID = r.str()
-		j.Tenant = r.str()
-		flags := r.u8()
-		j.Random = flags&jfRandom != 0
-		j.Record = flags&jfRecord != 0
-		j.CountOps = flags&jfCountOps != 0
-		j.Trace = flags&jfTrace != 0
-		j.C = int(r.i64())
-		j.Seed = r.i64()
-		j.Parallelism = int(r.i64())
-		j.LinkDelayMS = r.f64()
-		nw := int(r.u16())
-		if r.err || nw*8 > r.remaining() {
-			return nil, ErrTruncated
-		}
-		if nw > 0 {
-			j.W = make([]int, nw)
-			for k := range j.W {
-				j.W[k] = int(r.i64())
-			}
-		}
-		if j.Random {
-			j.RandomAgents = int(int32(r.u32()))
-			j.RandomTasks = int(int32(r.u32()))
-		} else {
-			rows := int(r.u16())
-			if r.err || rows*2 > r.remaining() {
-				return nil, ErrTruncated
-			}
-			if rows > 0 {
-				j.Bids = make([][]int, rows)
-				for ri := range j.Bids {
-					cols := int(r.u16())
-					if r.err || cols*8 > r.remaining() {
-						return nil, ErrTruncated
-					}
-					row := make([]int, cols)
-					for k := range row {
-						row[k] = int(r.i64())
-					}
-					j.Bids[ri] = row
-				}
-			}
-		}
-		if r.err {
+		if r.job(&jobs[i]); r.err {
 			return nil, ErrTruncated
 		}
 	}

@@ -19,10 +19,10 @@
 // exactly in a counting pass, allocates ONE buffer, and fills big.Int bytes in place
 // (big.Int.FillBytes into the tail — no intermediate Bytes() copies);
 // DecodeMessage walks an index cursor over the input and materializes
-// each payload's big.Ints from a single header slab, calling SetBytes
-// directly on subslices of the input. Decoded values never alias the
-// input buffer (SetBytes copies into the integer's own words), so
-// callers are free to reuse or mutate b after decoding.
+// each payload's big.Ints from one header, one pointer and one word
+// slab, calling SetBytes directly on subslices of the input. Decoded
+// values never alias the input buffer (SetBytes copies into the slab's
+// words), so callers are free to reuse or mutate b after decoding.
 package wire
 
 import (
@@ -60,12 +60,14 @@ var ErrTruncated = errors.New("wire: truncated message")
 // appender appends big-endian fields to b. EncodeMessage runs it twice
 // over one message: a sizing pass that validates the message and only
 // sums its size in n, then a filling pass into a buffer of exactly that
-// size.
+// size. vals and words total the integer slots written and the 64-bit
+// words of their magnitudes (a record's transcript carries them).
 type appender struct {
-	b      []byte
-	n      int
-	sizing bool
-	err    error
+	b           []byte
+	n           int
+	vals, words int
+	sizing      bool
+	err         error
 }
 
 func (a *appender) u8(v byte) {
@@ -96,16 +98,24 @@ func (a *appender) u64(v uint64) {
 	}
 }
 
+// fail latches the first encoding error.
+func (a *appender) fail(err error) {
+	if a.err == nil {
+		a.err = err
+	}
+}
+
 // count writes a count that must stay below nilLen.
 func (a *appender) count(n int, what string) {
-	if n >= nilLen && a.err == nil {
-		a.err = fmt.Errorf("wire: %s too long (%d)", what, n)
+	if n >= nilLen {
+		a.fail(fmt.Errorf("wire: %s too long (%d)", what, n))
 	}
 	a.u16(uint16(n))
 }
 
 // big writes v's length-prefixed bytes directly into the buffer tail.
 func (a *appender) big(v *big.Int) {
+	a.vals++
 	if v == nil {
 		a.u16(nilLen)
 		return
@@ -120,6 +130,7 @@ func (a *appender) big(v *big.Int) {
 	}
 	a.u16(uint16(n))
 	a.n += n
+	a.words += (n + 7) / 8
 	if !a.sizing {
 		start := len(a.b)
 		a.b = a.b[:start+n]
@@ -233,6 +244,11 @@ type reader struct {
 	b   []byte
 	off int
 	err bool
+	// ints, ptrs and words are the slabs integers are decoded into
+	// (see vector).
+	ints  []big.Int
+	ptrs  []*big.Int
+	words []big.Word
 }
 
 func (r *reader) take(n int) []byte {
@@ -279,19 +295,15 @@ func (r *reader) u64() uint64 {
 	return binary.BigEndian.Uint64(b)
 }
 
-// big decodes one length-prefixed integer into dst (a slab entry) and
-// returns it, or nil for the explicit nil marker. Callers must check
-// r.err to distinguish "encoded nil" from truncation.
-func (r *reader) big(dst *big.Int) *big.Int {
-	n := r.u16()
-	if r.err || n == nilLen {
+// values reads n integers into slabs of their own: n headers and
+// pointer slots, and words enough for any n values in the bytes left.
+func (r *reader) values(n int) []*big.Int {
+	if r.err || n*2 > r.remaining() {
+		r.err = true
 		return nil
 	}
-	b := r.take(int(n))
-	if r.err {
-		return nil
-	}
-	return dst.SetBytes(b)
+	r.ints, r.ptrs, r.words = make([]big.Int, n), make([]*big.Int, n), make([]big.Word, r.remaining()/wordBytes+n)
+	return r.vector(n)
 }
 
 // DecodeMessage parses a message produced by EncodeMessage.
@@ -311,59 +323,26 @@ func DecodeMessage(b []byte) (transport.Message, error) {
 	case tNone:
 		m.Payload = nil
 	case tShare:
-		var s bidcode.Share
-		vals := make([]big.Int, 4)
-		for i, dst := range []**big.Int{&s.E, &s.F, &s.G, &s.H} {
-			*dst = r.big(&vals[i])
-			if r.err {
-				return m, ErrTruncated
-			}
+		if vs := r.values(4); !r.err {
+			m.Payload = &dmw.SharePayload{Share: bidcode.Share{E: vs[0], F: vs[1], G: vs[2], H: vs[3]}}
 		}
-		m.Payload = &dmw.SharePayload{Share: s}
 	case tCommitments:
 		sigma := int(r.u16())
-		if r.err || sigma*3*2 > r.remaining() {
-			return m, ErrTruncated
+		if vs := r.values(3 * sigma); !r.err {
+			m.Payload = dmw.CommitmentsPayload{C: &commit.Commitments{O: vs[:sigma:sigma], Q: vs[sigma : 2*sigma : 2*sigma], R: vs[2*sigma:]}}
 		}
-		vals := make([]big.Int, 3*sigma)
-		ptrs := make([]*big.Int, 3*sigma)
-		c := &commit.Commitments{
-			O: ptrs[:sigma:sigma],
-			Q: ptrs[sigma : 2*sigma : 2*sigma],
-			R: ptrs[2*sigma:],
+	case tLambdaPsi:
+		if vs := r.values(2); !r.err {
+			m.Payload = &dmw.LambdaPsiPayload{Lambda: vs[0], Psi: vs[1]}
 		}
-		for i := range ptrs {
-			ptrs[i] = r.big(&vals[i])
-			if r.err {
-				return m, ErrTruncated
-			}
-		}
-		m.Payload = dmw.CommitmentsPayload{C: c}
-	case tLambdaPsi, tSecondPrice:
-		vals := make([]big.Int, 2)
-		lambda, psi := r.big(&vals[0]), r.big(&vals[1])
-		switch {
-		case r.err:
-			return m, ErrTruncated
-		case ptype == tLambdaPsi:
-			m.Payload = &dmw.LambdaPsiPayload{Lambda: lambda, Psi: psi}
-		default:
-			m.Payload = &dmw.SecondPricePayload{Lambda: lambda, Psi: psi}
+	case tSecondPrice:
+		if vs := r.values(2); !r.err {
+			m.Payload = &dmw.SecondPricePayload{Lambda: vs[0], Psi: vs[1]}
 		}
 	case tDisclosure:
-		n := int(r.u16())
-		if r.err || n*2 > r.remaining() { // each element needs at least 2 bytes
-			return m, ErrTruncated
+		if vs := r.values(int(r.u16())); !r.err {
+			m.Payload = &dmw.DisclosurePayload{F: vs}
 		}
-		vals := make([]big.Int, n)
-		out := make([]*big.Int, n)
-		for i := range out {
-			out[i] = r.big(&vals[i])
-			if r.err {
-				return m, ErrTruncated
-			}
-		}
-		m.Payload = &dmw.DisclosurePayload{F: out}
 	case tPaymentClaim:
 		n := int(r.u16())
 		if r.err || n*8 > r.remaining() {
@@ -386,6 +365,9 @@ func DecodeMessage(b []byte) (transport.Message, error) {
 		m.Payload = dmw.AbortPayload{Reason: string(s)}
 	default:
 		return m, fmt.Errorf("wire: unknown payload type %d", ptype)
+	}
+	if r.err {
+		return m, ErrTruncated
 	}
 	if r.remaining() != 0 {
 		return m, fmt.Errorf("wire: %d trailing bytes", r.remaining())
