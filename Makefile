@@ -48,20 +48,19 @@ test-race:
 # element holds twice as many words.
 test-386:
 	GOARCH=386 $(GO) test ./internal/field ./internal/group ./internal/mont \
-		./internal/poly ./internal/bidcode ./internal/commit ./internal/dmw
+		./internal/poly ./internal/bidcode ./internal/commit ./internal/dmw ./internal/wire
 
 # test-engine races the protocol engine's concurrency: parallel lockstep
-# auctions (each stepping its agents on one goroutine and owning its
-# lock-free public-work cache: eq. (11)/(13) verdicts, resolutions,
-# winner) beside the coalescer, which may verify one auction's shares
-# on another auction's goroutine; batched coalescer passes against
-# concurrent jobs; and the TCP relay's transport.Round
-# under its lock, at one and four CPUs, three times over. It covers the
+# auctions, each stepping its agents on one goroutine, owning its
+# lock-free public-work cache (eq. (11)/(13) verdicts, resolutions,
+# winner) and checking its rounds' shares in its own merged pass on the
+# run's one group; and the TCP relay's transport.Round under its lock,
+# at one and four CPUs, three times over. It covers the
 # driver-equivalence table (lockstep Run vs blocking sessions), the
 # shared-verdict table, replay from a seed, the goroutine gate, the
 # round-rule table and the relay sessions.
 test-engine:
-	$(GO) test -race -count=3 -cpu 1,4 -run 'Driver|SessionsMatchMonolithicRun|PublicVerdicts|Replay|Determinism|Coalescer|NoAgentGoroutines|TestRound|OverTCP|RefusedHello' ./internal/dmw ./internal/commit ./internal/transport ./internal/relaynet
+	$(GO) test -race -count=3 -cpu 1,4 -run 'Driver|SessionsMatchMonolithicRun|PublicVerdicts|Replay|Determinism|NoAgentGoroutines|TestRound|OverTCP|RefusedHello' ./internal/dmw ./internal/transport ./internal/relaynet
 
 # The tier the dmwd acceptance criteria name explicitly.
 test-server:
@@ -111,9 +110,9 @@ obs-smoke:
 # in-place scalar kernel, the group's MulInto and multi-exponentiation,
 # bid encoding with share dealing, share evaluation, interpolation, a
 # whole dmw.Run at the benchmark's proto-small shape and at its
-# proto-crypto shape with a coalescer (which is where rebuilding Phase I's
-# public data per run, boxing messages, per-agent state or a scratch per
-# agent's share dealing shows), the server's own per-job work around the
+# proto-crypto shape (where rebuilding Phase I's public data per run,
+# boxing messages or per-agent state shows; both fail on a scratch per
+# agent's share dealing), the server's own per-job work around the
 # run (one Submit and one terminal transition at the fleet-submit shape),
 # and the job record's codec (one encode, one replica accept of a
 # terminal record with its transcript). The Phase II gates and the powers gate count

@@ -295,8 +295,8 @@ func BenchmarkServerThroughput(b *testing.B) {
 	// sigma at 8 agents (W = 2..8); n=32/sigma=32 reaches sigma=32 with
 	// the agent count that admits it (W = 1..31). In both, verification
 	// dominates — each receiver checks n-1 senders' 3*sigma-element
-	// commitment vectors — which is the regime the cross-job coalescing
-	// verifier and the allocation work target.
+	// commitment vectors — which is the regime the merged share check
+	// and the allocation work target.
 	wide := func(lo, hi int) []int {
 		w := make([]int, 0, hi-lo+1)
 		for v := lo; v <= hi; v++ {

@@ -69,21 +69,15 @@ func (e *VerifyError) Error() string {
 
 func (e *VerifyError) Unwrap() error { return e.Err }
 
-// Request is one receiver's share-verification batch: the unit the
-// cross-job Coalescer aggregates. AlphaPowers must be PowersOf for the
-// receiver's own pseudonym (reduced mod q); Rng supplies the batching
-// coefficients (the caller's per-agent deterministic stream in
-// simulations; nil means crypto/rand).
+// Request is one receiver's share-verification batch: the unit VerifyBatch
+// merges. AlphaPowers must be PowersOf for the receiver's own pseudonym
+// (reduced mod q); Rng supplies the batching coefficients (the caller's
+// per-agent deterministic stream in simulations; nil means crypto/rand).
 type Request struct {
 	AlphaPowers []*big.Int
 	Items       []BatchItem
 	Rng         io.Reader
 }
-
-// terms is the number of multi-exp terms the request contributes to a
-// combined right-hand side before bases shared with other requests are
-// merged: the upper bound the coalescer sizes its passes by.
-func (r Request) terms() int { return 3 * len(r.AlphaPowers) * len(r.Items) }
 
 // validate runs the structural pass: batching only makes sense over
 // well-formed inputs, and structural failures must be attributed
@@ -141,6 +135,48 @@ func BatchVerifyShares(g *group.Group, alphaPowers []*big.Int, items []BatchItem
 	// error fired in reverse, which it cannot (deviations of 1 combine to
 	// an exact identity); kept as a defensive belt.
 	return errors.New("commit: batch verification failed but no individual share failed")
+}
+
+// VerifyBatch verifies one lockstep round's requests — one per receiver
+// of an auction — and returns one verdict per request, each exactly what
+// BatchVerifyShares returns for it alone. A request that fails the
+// structural pass is attributed at once and joins no pass; the valid ones
+// run one combinedCheck together, so the round raises each sender's
+// broadcast bases once. If that pass rejects, or a request's rng fails,
+// every member is verified again on its own by BatchVerifyShares: the
+// guilty sender is named by its own receiver, and the honest requests of
+// the round see nil. No term cap is needed: the requests of one auction's
+// round merge to at most n*3*sigma bases, which the spec's limits bound.
+// Every non-nil Rng must not be used by the caller until the call
+// returns.
+func VerifyBatch(g *group.Group, reqs []Request) []error {
+	errs := make([]error, len(reqs))
+	valid := make([]int, 0, len(reqs))
+	for i, req := range reqs {
+		if len(req.Items) == 0 {
+			continue
+		}
+		if verr := req.validate(); verr != nil {
+			errs[i] = verr
+			continue
+		}
+		valid = append(valid, i)
+	}
+	if len(valid) > 1 {
+		pass := make([]Request, len(valid))
+		for k, i := range valid {
+			pass[k] = reqs[i]
+		}
+		if ok, err := combinedCheck(g, pass); ok && err == nil {
+			return errs
+		}
+	}
+	// A lone request, or the merged pass rejected (some request holds a
+	// bad share) or a request's rng failed mid-draw.
+	for _, i := range valid {
+		errs[i] = BatchVerifyShares(g, reqs[i].AlphaPowers, reqs[i].Items, reqs[i].Rng)
+	}
+	return errs
 }
 
 // combinedCheck evaluates the random-linear-combination identity over
@@ -217,7 +253,7 @@ func (acc *rlcAcc) layout(reqs []Request) {
 	acc.slot = make(map[*Commitments]int, items)
 	// Sized for the common pass, one auction's receivers: every request
 	// names all but one of the same n senders.
-	acc.bases = make([]*big.Int, 0, reqs[0].terms()+3*len(reqs[0].AlphaPowers))
+	acc.bases = make([]*big.Int, 0, 3*len(reqs[0].AlphaPowers)*(len(reqs[0].Items)+1))
 	for _, r := range reqs {
 		for _, it := range r.Items {
 			if _, ok := acc.slot[it.C]; ok {

@@ -5,16 +5,17 @@ import (
 	"testing"
 
 	"dmw/internal/bidcode"
-	"dmw/internal/commit"
 	"dmw/internal/group"
 )
 
 // TestAllocBudgetRun is the CI allocation gate on the whole protocol
-// (`make allocs-gate`): a bare Run — no coalescer, auctions sequential —
-// at the benchmark's proto-small shape (Test64, n = 5, m = 2, W = {1,2,3},
-// c = 0, so sigma = 4) must stay within a fixed allocs/run budget.
+// (`make allocs-gate`): a bare Run, auctions sequential, at the
+// benchmark's proto-small shape (Test64, n = 5, m = 2, W = {1,2,3}, c = 0,
+// so sigma = 4) must stay within a fixed allocs/run budget.
 //
-// Measured: ~740 allocs/run with each auction's agents dealing their
+// Measured: ~581 allocs/run with each round's share checks merged into
+// one pass by the driver; ~740 with every agent checking its own shares,
+// each auction's agents dealing their
 // shares over the auction's one scratch; ~760 with a scratch per agent
 // and Phase I's public data read from the
 // group's shared table (field.Nodes), messages sent as pointers into the
@@ -29,33 +30,32 @@ import (
 // coefficients drawn from a ChaCha8 stream embedded in it; ~3,170 with a
 // goroutine, a math/rand source and a transport.Network endpoint per
 // agent, and ~14,300 when every field add, multiply and reduce returned a
-// fresh big.Int. The budget is 850, about 15 % above the measured
-// count: above what toolchain drift moves, below what reintroducing a
-// per-coefficient draw or a per-share scratch costs. Rebuilding Phase I's
-// data per run (~70 at n = 5) fits in this headroom; the crypto-shape
-// gate below is the one that catches it.
+// fresh big.Int. The budget is 595, 14 above the measured count: above
+// what toolchain drift moves (559 on 386), below the 20 that a scratch
+// per agent's share dealing costs again, and far below what rebuilding
+// Phase I's data per run (~70 at n = 5) or a per-agent share check costs.
 func TestAllocBudgetRun(t *testing.T) {
 	g := group.MustSharedFor(group.PresetTest64)
-	allocBudgetRun(t, runAt(g, 5, 2, []int{1, 2, 3}), 850)
+	allocBudgetRun(t, runAt(g, 5, 2, []int{1, 2, 3}), 595)
 }
 
 // TestAllocBudgetRunCrypto is TestAllocBudgetRun at the benchmark's
 // proto-crypto shape (Sim256, n = 12, m = 1, W = {1..11}, c = 0, so
-// sigma = 12) with a commit.Coalescer, as the server runs it.
+// sigma = 12), as the server runs it.
 //
-// Measured: ~532 allocs/run with the auction's agents dealing shares
-// over one scratch; ~552 with a scratch per agent (two allocations each,
-// its Horner words), Phase I's data shared per group, messages sent as
-// pointers and agent state in per-auction slabs; ~1,390 before that, of
-// which ~250 rebuilt Phase I's data, 132 boxed shares and ~410 were
-// agent state and payloads allocated per agent. The budget is 612, about
-// 15 % above: rebuilding Phase I's data, boxing shares again or giving
-// back seven of the per-agent sites fails it.
+// Measured: ~469 allocs/run with the round's share checks merged by the
+// driver, the way every Run checks them; ~532 with them merged through a
+// cross-job queue, the auction's agents dealing shares over one scratch;
+// ~552 with a scratch per agent (two allocations each, its Horner words),
+// Phase I's data shared per group, messages sent as pointers and agent
+// state in per-auction slabs; ~1,390 before that, of which ~250 rebuilt
+// Phase I's data, 132 boxed shares and ~410 were agent state and payloads
+// allocated per agent. The budget is 482, 13 above (471 on 386): a
+// scratch per agent again (24 at n = 12), rebuilding Phase I's data or
+// boxing shares again fails it.
 func TestAllocBudgetRunCrypto(t *testing.T) {
 	g := group.MustSharedFor(group.PresetSim256)
-	cfg := runAt(g, 12, 1, []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
-	cfg.Verifier = commit.NewCoalescer(g, 0, 0, nil)
-	allocBudgetRun(t, cfg, 612)
+	allocBudgetRun(t, runAt(g, 12, 1, []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}), 482)
 }
 
 // runAt is a bare Run on g of n agents and m tasks with bids drawn from w

@@ -51,14 +51,10 @@ type auctionEnv struct {
 	resolver *commit.Resolver
 	// echo enables the digest-exchange hardening of echo.go.
 	echo bool
-	// verifier, when non-nil, makes each agent hand its round-2 share
-	// verification to the driver (yieldVerify), which verifies the whole
-	// round's requests through the fleet-wide coalescer in one call, so
-	// concurrent auctions (and jobs) share one combined pass. See
-	// RunConfig.Verifier. When nil, agents verify on their own group.
-	verifier *commit.Coalescer
 	// public does this task's public work once for all its agents (see
 	// auctionPublic); nil when per-agent ops are metered and in sessions.
+	// When set, the agents also hand their share checks to the driver
+	// (yieldVerify), which verifies the round's in one merged pass.
 	public *auctionPublic
 	// clock, when non-nil, receives the round-1 delivery of every agent
 	// so the run-level bidding phase ends with its slowest auction (see
@@ -85,7 +81,7 @@ const (
 	// the round and step again with the round's deliveries.
 	yieldRound
 	// yieldVerify: the step left its share-verification request in
-	// verifyReq (only when env.verifier is set); put the verdict in
+	// verifyReq (only when env.public is set); put the verdict in
 	// verifyErr and step again, in the same round, with no deliveries.
 	yieldVerify
 	// yieldDone: the auction is over for this agent; view holds its
@@ -273,7 +269,7 @@ func (a *agentRun) seed(master int64) {
 }
 
 // runBlocking is the blocking driver: it plays the agent over conn, whose
-// FinishRound ends each round. Sessions carry no coalescer, so the
+// FinishRound ends each round. Sessions share no public work, so the
 // machine verifies shares itself and never yields for a verdict here.
 func (a *agentRun) runBlocking(conn transport.Conn) (AuctionOutcome, error) {
 	var inbox []transport.Message
@@ -521,8 +517,9 @@ func (a *agentRun) firstReason(fallback string) string {
 // back to per-sender checks only when the batch rejects — so the happy
 // path costs a single multi-exponentiation while abort reasons still
 // name the guilty agent with the same message the sequential scan
-// produced. With a coalescer the driver runs the check (yieldVerify),
-// batched with the other agents' of the round.
+// produced. In a shared auction the driver runs the check (yieldVerify),
+// merged with the other agents' of the round; metered agents and
+// sessions check alone.
 func (a *agentRun) stepVerify() yield {
 	env := a.env
 	a.startSpan("commit_verify", "III")
@@ -566,7 +563,7 @@ func (a *agentRun) stepVerify() yield {
 	if len(items) == 0 {
 		return yieldNext
 	}
-	if env.verifier != nil {
+	if env.public != nil {
 		a.verifyReq = commit.Request{AlphaPowers: env.powers[a.me], Items: items, Rng: a.rng}
 		return yieldVerify
 	}

@@ -96,15 +96,6 @@ type RunConfig struct {
 	// measures) the end-to-end time real agents separated by those
 	// links would take. Requires Delays.
 	RealTimeDelays bool
-	// Verifier, when non-nil, routes every agent's round-2 share
-	// verification through a fleet-wide coalescer (commit.NewCoalescer)
-	// so concurrent auctions — including ones from OTHER jobs sharing
-	// the same group — are checked in one combined
-	// random-linear-combination pass. It must have been built over a
-	// group with parameters equal to Params. Ignored when CountOps is
-	// set: coalesced passes run outside the per-agent counters and
-	// would silently under-report Theorem 12 accounting.
-	Verifier *commit.Coalescer
 	// Trace, when non-nil, records protocol spans (per-auction spans
 	// with per-phase children, plus init and settlement segments) into
 	// the recorder. Nil — the default, and what every benchmark uses —
@@ -171,9 +162,6 @@ func (c *RunConfig) Validate() error {
 	}
 	if c.RealTimeDelays && c.Delays == nil {
 		return errors.New("dmw: RealTimeDelays requires a Delays matrix")
-	}
-	if c.Verifier != nil && !c.Verifier.Group().Params().Equal(c.Params) {
-		return errors.New("dmw: Verifier was built over different parameters than Params")
 	}
 	return nil
 }
@@ -248,9 +236,6 @@ func Run(cfg RunConfig) (*Result, error) {
 		for i := range counters {
 			counters[i] = &group.Counter{}
 		}
-		// Coalesced verification runs on the coalescer's group, outside
-		// the per-agent counter views; keep the accounting exact instead.
-		cfg.Verifier = nil
 	}
 
 	stats := &transport.Stats{}
@@ -302,7 +287,6 @@ func Run(cfg RunConfig) (*Result, error) {
 			resolver: resolver,
 			echo:     cfg.EchoVerification,
 			clock:    clock,
-			verifier: cfg.Verifier,
 		}
 		if counters == nil { // metering must see each agent's own work
 			env.public = new(auctionPublic)
@@ -329,7 +313,7 @@ func Run(cfg RunConfig) (*Result, error) {
 			agents[i].seed(cfg.Seed)
 		}
 		carve(g, agents, n)
-		err := ls.run(agents, cfg.Verifier)
+		err := ls.run(agents, g)
 		stats.Add(&ls.Tally)
 		for i := range agents {
 			*viewsByAgent[i][task] = agents[i].view

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"dmw/internal/commit"
+	"dmw/internal/group"
 	"dmw/internal/transport"
 )
 
@@ -61,11 +62,11 @@ func (ls *lockstep) deliver() {
 
 // run steps agents to completion in lockstep. Each round steps the live,
 // unfinished agents in index order; the share verifications they yield
-// are verified as one batch through verifier and the agents stepped on in
-// the same round; then the round is delivered. An agent whose step fails
-// is crashed with an "internal error" view, and the first such error is
-// returned once the others finish.
-func (ls *lockstep) run(agents []agentRun, verifier *commit.Coalescer) error {
+// are verified in one commit.VerifyBatch pass on g and the agents stepped
+// on in the same round; then the round is delivered. An agent whose step
+// fails is crashed with an "internal error" view, and the first such
+// error is returned once the others finish.
+func (ls *lockstep) run(agents []agentRun, g *group.Group) error {
 	var (
 		firstErr error
 		more     bool
@@ -102,7 +103,7 @@ func (ls *lockstep) run(agents []agentRun, verifier *commit.Coalescer) error {
 			for _, i := range batch {
 				reqs = append(reqs, agents[i].verifyReq)
 			}
-			for k, err := range verifier.VerifyBatch(reqs) {
+			for k, err := range commit.VerifyBatch(g, reqs) {
 				agents[batch[k]].verifyErr = err
 			}
 			for _, i := range batch {

@@ -14,9 +14,9 @@ import (
 // winner of (14). Keys compare the identity of the input objects, never
 // their values, so an equivocator's distinct objects get distinct entries
 // and every receiver's verdict stays its own. Run's auction steps its
-// agents on one goroutine and owns one, so it takes no lock; the
-// coalescer sees only share requests. It is nil under CountOps and in
-// sessions, where every request is computed.
+// agents on one goroutine and owns one, so it takes no lock. It is nil
+// under CountOps and in sessions, where every request is computed and
+// every agent checks its own shares.
 type auctionPublic struct {
 	checks      []keyed[checkKey, error]
 	resolutions []keyed[[]*big.Int, verdict]

@@ -353,14 +353,13 @@ func TestPublicVerdicts(t *testing.T) {
 			}
 		}
 	})
-	t.Run("run/coalescer, Parallelism 2", func(t *testing.T) {
-		// The coalescer may verify one auction's shares on the other
-		// auction's goroutine; under -race this proves it reaches nothing
-		// in either auction's cache.
+	t.Run("run/Parallelism 2", func(t *testing.T) {
+		// Two auctions run at once, each with its own cache and its own
+		// merged share checks on one group; under -race this proves
+		// neither reaches into the other's state.
 		cfg := runCfg(g, 7)
 		cfg.TrueBids = [][]int{{1, 3, 2, 1}, {2, 1, 3, 3}, {3, 2, 1, 2}, {3, 3, 2, 1}, {2, 2, 3, 3}}
 		cfg.Parallelism = 2
-		cfg.Verifier = commit.NewCoalescer(g, 0, 0, nil)
 		res := mustRun(t, cfg)
 		ref, err := mechanism.MinWork{}.Run(bidsToInstance(cfg.TrueBids))
 		if err != nil {

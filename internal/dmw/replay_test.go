@@ -10,7 +10,6 @@ import (
 
 	"dmw/internal/audit"
 	"dmw/internal/bidcode"
-	"dmw/internal/commit"
 	"dmw/internal/dmw"
 	"dmw/internal/group"
 )
@@ -19,12 +18,11 @@ import (
 // configuration with Record set save byte-identical transcripts, claims
 // in the order the run produced them (agent order: Phase IV is one
 // lockstep round), whether the auctions run one at a time or in
-// parallel, through the fleet-wide coalescer.
+// parallel.
 func TestRecordReplaysExactly(t *testing.T) {
 	const n, m = 5, 3
 	w := []int{1, 2, 3}
 	g := group.MustSharedFor(group.PresetTest64)
-	verifier := commit.NewCoalescer(g, 0, 0, nil)
 	for _, par := range []int{1, 2} {
 		t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) {
 			save := func() []byte {
@@ -32,7 +30,7 @@ func TestRecordReplaysExactly(t *testing.T) {
 					Params: g.Params(), Group: g,
 					Bid:      bidcode.Config{W: w, C: 0, N: n},
 					TrueBids: randomBids(n, m, w, 1),
-					Seed:     1, Parallelism: par, Record: true, Verifier: verifier,
+					Seed:     1, Parallelism: par, Record: true,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -92,14 +90,13 @@ func TestTranscriptsPinned(t *testing.T) {
 	}
 	for _, sh := range shapes {
 		g := group.MustSharedFor(sh.preset)
-		verifier := commit.NewCoalescer(g, 0, 0, nil)
 		for i, want := range sh.want {
 			seed := int64(i + 1)
 			res, err := dmw.Run(dmw.RunConfig{
 				Params: g.Params(), Group: g,
 				Bid:      bidcode.Config{W: sh.w, C: 0, N: sh.n},
 				TrueBids: randomBids(sh.n, sh.m, sh.w, seed),
-				Seed:     seed, Parallelism: 1, Record: true, Verifier: verifier,
+				Seed:     seed, Parallelism: 1, Record: true,
 			})
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", sh.name, seed, err)

@@ -5,6 +5,7 @@ import (
 	"math/big"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -227,47 +228,61 @@ func TestResolutionOpsClosedForm(t *testing.T) {
 // the GUILTY SENDER, not merely report that the batch identity failed.
 // This is the end-to-end counterpart of the commit-level batch tests.
 //
-// It runs twice: on the per-receiver batch, and through a commit.Coalescer
-// shared by the run's concurrent auctions, where the receivers of the
-// tampered auction and of the honest ones land in combined passes with
-// their common bases merged — the guilty sender must still be named, and
-// the honest auctions sharing those passes must not be touched.
+// Each shape runs twice: with CountOps, where every agent checks its own
+// shares alone, and as a plain Run, where the driver checks a round's
+// shares in one merged pass over all receivers. Both must name the guilty
+// sender with the same abort reasons, and leave the other auction alone.
+// Test64 at n = 32 merges 32 requests of 3*32*31 terms each into one
+// pass.
 func TestBatchedVerificationAttributesTamperedShare(t *testing.T) {
 	const guilty = 2
-	for _, coalesced := range []bool{false, true} {
-		name := "batch"
-		if coalesced {
-			name = "coalesced"
-		}
-		t.Run(name, func(t *testing.T) {
-			cfg := baseConfig(5)
-			if coalesced {
-				cfg.Group = group.MustNew(cfg.Params)
-				cfg.Verifier = commit.NewCoalescer(cfg.Group, 0, 0, nil)
-			}
-			cfg.Strategies = make([]*strategy.Hooks, cfg.Bid.N)
-			cfg.Strategies[guilty] = &strategy.Hooks{
-				TamperShare: func(task, to int, s *bidcode.Share) {
-					if task == 0 {
-						s.E.Add(s.E, big.NewInt(1)) // break eq (7) for every receiver
-					}
-				},
-			}
-			res := mustRun(t, cfg)
-			a := res.Auctions[0]
-			if !a.Aborted {
-				t.Fatal("auction 0 completed despite tampered shares")
-			}
-			want := fmt.Sprintf("share from agent %d inconsistent", guilty)
-			if !strings.Contains(a.AbortReason, want) {
-				t.Fatalf("abort reason %q does not attribute agent %d (want substring %q)", a.AbortReason, guilty, want)
-			}
-			// The untampered auctions must still complete normally.
-			for _, other := range res.Auctions[1:] {
-				if other.Aborted {
-					t.Errorf("auction %d aborted (%s); tamper was scoped to task 0", other.Task, other.AbortReason)
+	w31 := make([]int, 31) // W = {1..31}, so sigma = 32
+	for i := range w31 {
+		w31[i] = i + 1
+	}
+	shapes := []struct {
+		name string
+		cfg  RunConfig
+	}{
+		{"", baseConfig(5)},
+		{", Test64 n=32", runAt(group.MustSharedFor(group.PresetTest64), 32, 2, w31)},
+	}
+	for _, sh := range shapes {
+		var reasons [2][]string
+		for k, name := range []string{"batch", "coalesced"} {
+			t.Run(name+sh.name, func(t *testing.T) {
+				cfg := sh.cfg
+				cfg.CountOps = name == "batch"
+				cfg.Strategies = make([]*strategy.Hooks, cfg.Bid.N)
+				cfg.Strategies[guilty] = &strategy.Hooks{
+					TamperShare: func(task, to int, s *bidcode.Share) {
+						if task == 0 {
+							s.E.Add(s.E, big.NewInt(1)) // break eq (7) for every receiver
+						}
+					},
 				}
-			}
-		})
+				res := mustRun(t, cfg)
+				a := res.Auctions[0]
+				if !a.Aborted {
+					t.Fatal("auction 0 completed despite tampered shares")
+				}
+				want := fmt.Sprintf("share from agent %d inconsistent", guilty)
+				if !strings.Contains(a.AbortReason, want) {
+					t.Fatalf("abort reason %q does not attribute agent %d (want substring %q)", a.AbortReason, guilty, want)
+				}
+				// The untampered auctions must still complete normally.
+				for _, other := range res.Auctions[1:] {
+					if other.Aborted {
+						t.Errorf("auction %d aborted (%s); tamper was scoped to task 0", other.Task, other.AbortReason)
+					}
+				}
+				for _, a := range res.Auctions {
+					reasons[k] = append(reasons[k], a.AbortReason)
+				}
+			})
+		}
+		if !slices.Equal(reasons[0], reasons[1]) {
+			t.Errorf("abort reasons%s: per-agent %q, merged %q", sh.name, reasons[0], reasons[1])
+		}
 	}
 }

@@ -18,11 +18,6 @@ import (
 // tier, which resolves the same range at ~5% relative error.)
 var phaseBucketsS = []float64{0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30}
 
-// verifyBatchBuckets are the upper bounds (share items per combined
-// pass) of the dmwd_verify_batch_size histogram: how many share checks
-// the cross-job coalescer absorbed into one multi-exp pass.
-var verifyBatchBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
-
 // pushBatchBuckets are the upper bounds (records per POST) of the
 // replica-tier batching histograms: how many records one replication
 // RPC absorbed, on the push side (dmwd_replica_push_batch_size) and
@@ -83,9 +78,6 @@ type metrics struct {
 	// recording force-enabled for their remaining phases
 	// (dmwd_slow_captures_total).
 	slowCaptures atomic.Int64
-	// verifyBatch records the item count of every combined pass the
-	// share-verification coalescer ran (dmwd_verify_batch_size_*).
-	verifyBatch *obs.HDR
 
 	// replicaAccepted counts terminal-record copies stored for ring
 	// predecessors; replicaReads counts reads served from those copies
@@ -122,7 +114,6 @@ func newMetrics() *metrics {
 	m := &metrics{
 		latencyHDR:         obs.NewHDR(),
 		phases:             make(map[string]*obs.HDR, len(phaseOrder)),
-		verifyBatch:        obs.NewHDRBounds(verifyBatchBuckets),
 		replicaPush:        obs.NewHDRBounds(phaseBucketsS),
 		replicaPushBatch:   obs.NewHDRBounds(pushBatchBuckets),
 		replicaAcceptBatch: obs.NewHDRBounds(pushBatchBuckets),
@@ -294,7 +285,6 @@ func (m *metrics) writeTo(w io.Writer, g snapshotGauges) {
 
 	p("dmwd_slow_captures_total %d\n", m.slowCaptures.Load())
 	m.latencyHDR.Write(w, "dmwd_job_latency_seconds", "")
-	m.verifyBatch.Write(w, "dmwd_verify_batch_size", "")
 	m.replicaPush.Write(w, "dmwd_replica_push_seconds", "")
 	m.replicaPushBatch.Write(w, "dmwd_replica_push_batch_size", "")
 	m.replicaAcceptBatch.Write(w, "dmwd_replica_accept_batch_size", "")

@@ -198,7 +198,7 @@ func TestMetricsHistogramContract(t *testing.T) {
 	}
 }
 
-// TestFixedBoundHistogramsGolden pins the exposition of the four series
+// TestFixedBoundHistogramsGolden pins the exposition of the three series
 // that keep hand-picked bounds (they moved from the retired fixed-bucket
 // type to obs.HDR over the same bounds): exactly these le labels in
 // this order, le the only label, +Inf == _count, fixed-point _sum, and
@@ -213,8 +213,6 @@ func TestFixedBoundHistogramsGolden(t *testing.T) {
 		le   []string
 		sum  string
 	}{
-		{"dmwd_verify_batch_size", s.metrics.verifyBatch, []float64{1, 3, 2000},
-			slices.Concat(pow2, []string{"512", "1024"}), "2004.000000"},
 		{"dmwd_replica_push_seconds", s.metrics.replicaPush, []float64{0.0001, 0.003, 45},
 			[]string{"0.0001", "0.00025", "0.0005", "0.001", "0.0025", "0.005", "0.01", "0.025", "0.05", "0.1", "0.25", "0.5", "1", "2.5", "5", "10", "30"}, "45.003100"},
 		{"dmwd_replica_push_batch_size", s.metrics.replicaPushBatch, []float64{1, 5, 300}, pow2, "306.000000"},

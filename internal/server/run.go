@@ -78,10 +78,6 @@ func (s *Server) runJob(job *Job) {
 		Parallelism: par,
 		CountOps:    job.Spec.CountOps,
 		Record:      job.Spec.Record,
-		// The fleet-wide coalescer batches this job's share checks with
-		// every other concurrent job's (Run drops it for count_ops jobs
-		// to keep per-agent accounting exact).
-		Verifier:    s.verifier,
 		Trace:       rec,
 		TraceParent: root.ID(),
 	}

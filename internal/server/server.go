@@ -34,7 +34,6 @@ import (
 	"sync"
 	"time"
 
-	"dmw/internal/commit"
 	"dmw/internal/group"
 	"dmw/internal/obs"
 	"dmw/internal/replica"
@@ -165,10 +164,6 @@ type Server struct {
 	cfg    Config
 	params *group.Params
 	grp    *group.Group
-	// verifier coalesces share verifications across every concurrent
-	// job on grp into combined random-linear-combination passes; the
-	// observe hook feeds dmwd_verify_batch_size.
-	verifier *commit.Coalescer
 
 	// logf is the printf sink derived from cfg.Logger (a no-op when none
 	// was configured). Nothing on the per-job success path calls it:
@@ -253,9 +248,6 @@ func New(cfg Config) (*Server, error) {
 		queue:      tenant.NewQueue[*Job](cfg.QueueDepth),
 	}
 	s.sloEngine = slo.NewEngine(cfg.SLOs, s.metrics.latencyHDR.Snapshot)
-	s.verifier = commit.NewCoalescer(grp, 0, 0, func(items int) {
-		s.metrics.verifyBatch.Observe(float64(items))
-	})
 	s.replStore = replica.NewStore()
 	s.repl = replica.NewReplicator(replica.Config{
 		Logf: logf,

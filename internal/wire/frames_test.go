@@ -35,7 +35,7 @@ func sampleJobs() []Job {
 		{
 			ID:   "ragged",
 			Bids: [][]int{{1}, {}, {2, 3}},
-			W:    []int{-1, 1 << 40}, // full-width ints survive the frame
+			W:    []int{-1, 1 << 30}, // ints wider than 16 bits survive the frame
 		},
 	}
 }
